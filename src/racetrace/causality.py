@@ -12,16 +12,26 @@ would not take the oldest matching message). These constraints are not part
 of happened-before — the events involved are causally independent — but every
 valid linearization must respect them, so they participate in cycle checks,
 ``linearize`` and ``enumerate_linearizations``.
+
+Everything here is computed from one ``TraceIndex`` per call, validated once:
+``HbGraph`` is built from the index's adjacency lists in O(N + E), and the
+ordering constraints come from the index's single mailbox-rule helper
+(``TraceIndex.waiting``). ``linearize`` runs Kahn's algorithm with a heap over
+event numbers, which order events by ``(name_sort_key(pid), index)``: O(E +
+N log N). ``enumerate_linearizations`` backtracks with an explicit stack, so
+trace length is not bounded by the recursion limit. ``HbGraph.reach`` is a
+plain depth-first search per query and serves as the reference for the
+index's per-receive traversal.
 """
 
 from __future__ import annotations
 
+import heapq
 from collections import Counter, deque
 from dataclasses import dataclass, field
-from typing import Iterator, NamedTuple, Optional
+from itertools import chain
+from typing import NamedTuple, Optional
 
-from .parsing import name_sort_key
-from .terms import match
 from .traces import (
     Event,
     Interleaving,
@@ -29,9 +39,11 @@ from .traces import (
     Send,
     Spawn,
     Trace,
+    TraceIndex,
+    first_cycle,
     tr,
+    valid_index,
     validate_interleaving,
-    validate_trace,
 )
 
 
@@ -84,95 +96,67 @@ class HbGraph:
             pairs.update((src, dst) for dst in seen)
         return pairs
 
-    def _successors(self, node: EventId) -> set[EventId]:
-        out = set(self.edges.get(node, ()))
-        out.update(dst for src, dst in self.order_constraints if src == node)
-        return out
-
     def find_cycle(self) -> Optional[list[EventId]]:
-        """A cycle over hb edges plus ordering constraints, or None."""
-        color: dict[EventId, int] = {}
-        parent: dict[EventId, EventId] = {}
+        """A cycle over hb edges plus ordering constraints, or None.
 
-        for root in self.nodes:
-            if color.get(root):
-                continue
-            stack = [(root, iter(sorted(self._successors(root))))]
-            color[root] = 1
-            while stack:
-                node, it = stack[-1]
-                advanced = False
-                for nxt in it:
-                    if color.get(nxt) == 1:
-                        cycle = [nxt, node]
-                        cur = node
-                        while cur != nxt:
-                            cur = parent[cur]
-                            cycle.append(cur)
-                        cycle.reverse()
-                        return cycle
-                    if not color.get(nxt):
-                        color[nxt] = 1
-                        parent[nxt] = node
-                        stack.append((nxt, iter(sorted(self._successors(nxt)))))
-                        advanced = True
-                        break
-                if not advanced:
-                    color[node] = 2
-                    stack.pop()
-        return None
+        Roots are tried in node order and successors in ``EventId`` order,
+        by the same search that decides condition (d) of ``validate_trace``.
+        """
+        succ: dict[EventId, set[EventId]] = {n: set(self.edges.get(n, ())) for n in self.nodes}
+        for src, dst in self.order_constraints:
+            succ.setdefault(src, set()).add(dst)
+        ids = list(self.nodes)
+        number = {n: k for k, n in enumerate(ids)}
+        for dst in chain.from_iterable(succ.values()):
+            if dst not in number:
+                number[dst] = len(ids)
+                ids.append(dst)
+        adjacency = [[number[d] for d in sorted(succ.get(n, ()))] for n in ids]
+        cycle = first_cycle(len(self.nodes), adjacency)
+        return None if cycle is None else [ids[k] for k in cycle]
+
+
+def _graph(index: TraceIndex) -> HbGraph:
+    events = index.events
+    nodes = [EventId(pid, i) for pid, i, _ in events]
+    edges: dict[EventId, set[EventId]] = {}
+    labels: dict[tuple[EventId, EventId], str] = {}
+    for v, succ in enumerate(index.hb_succ):
+        edges[nodes[v]] = {nodes[w] for w in succ}
+        a = events[v][2]
+        for w in succ:
+            b = events[w][2]
+            if isinstance(b, Rec) and index.send_at.get(b.tag) == v:
+                label = f"message {b.tag}"
+            elif isinstance(a, Spawn) and index.trace.procs.get(a.child) and (
+                index.first[a.child] == w
+            ):
+                label = "spawn"
+            else:
+                label = "program"
+            labels[(nodes[v], nodes[w])] = label
+
+    constraints: set[tuple[EventId, EventId]] = set()
+    for r, (pid, _, a) in enumerate(events):
+        if not isinstance(a, Rec) or a.tag not in index.send_at:
+            continue
+        subject_send = nodes[index.send_at[a.tag]]
+        sends = chain.from_iterable(index.sends_to.get(pid, {}).values())
+        constraints.update(
+            (subject_send, nodes[w])
+            for w in index.waiting(r, sends)
+            if events[w][2].tag != a.tag
+        )
+    return HbGraph(nodes, edges, labels, constraints)
 
 
 def hb_graph_unchecked(t: Trace) -> HbGraph:
     """Build the graph without validating the trace first."""
-    nodes = [EventId(pid, i) for pid, i, _ in t.events()]
-    edges: dict[EventId, set[EventId]] = {n: set() for n in nodes}
-    labels: dict[tuple[EventId, EventId], str] = {}
-
-    def add(src: EventId, dst: EventId, label: str) -> None:
-        edges.setdefault(src, set()).add(dst)
-        labels[(src, dst)] = label
-
-    send_at: dict[str, EventId] = {}
-    rec_at: dict[str, EventId] = {}
-    for pid, i, a in t.events():
-        if isinstance(a, Send):
-            send_at.setdefault(a.tag, EventId(pid, i))
-        elif isinstance(a, Rec):
-            rec_at.setdefault(a.tag, EventId(pid, i))
-
-    for pid in t.pids():
-        seq = t.procs[pid]
-        for i in range(len(seq) - 1):
-            add(EventId(pid, i), EventId(pid, i + 1), "program")
-        for i, a in enumerate(seq):
-            if isinstance(a, Spawn) and t.procs.get(a.child):
-                add(EventId(pid, i), EventId(a.child, 0), "spawn")
-            elif isinstance(a, Rec) and a.tag in send_at:
-                add(send_at[a.tag], EventId(pid, i), f"message {a.tag}")
-
-    constraints: set[tuple[EventId, EventId]] = set()
-    for pid, i, a in t.events():
-        if not isinstance(a, Rec) or a.tag not in send_at:
-            continue
-        subject_send = send_at[a.tag]
-        for spid, si, other in t.events():
-            if not isinstance(other, Send) or other.target != pid or other.tag == a.tag:
-                continue
-            if not match(other.value, a.cs):
-                continue
-            other_rec = rec_at.get(other.tag)
-            if other_rec is not None and other_rec.pid == pid and other_rec.index < i:
-                continue  # consumed before this receive; no ordering needed
-            constraints.add((subject_send, EventId(spid, si)))
-    return HbGraph(nodes, edges, labels, constraints)
+    return _graph(TraceIndex(t))
 
 
 def hb_graph(t: Trace) -> HbGraph:
-    bad = validate_trace(t)
-    if bad is not None:
-        raise ValueError(f"invalid trace: {bad}")
-    return hb_graph_unchecked(t)
+    return _graph(valid_index(t))
 
 
 def independent(t: Trace, e1: EventId, e2: EventId) -> bool:
@@ -189,85 +173,75 @@ def independent(t: Trace, e1: EventId, e2: EventId) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def _ready_order(t: Trace, graph: HbGraph):
-    """Predecessor counts over hb edges plus ordering constraints."""
-    preds: dict[EventId, int] = {n: 0 for n in graph.nodes}
-    succs: dict[EventId, list[EventId]] = {n: [] for n in graph.nodes}
-    seen: set[tuple[EventId, EventId]] = set()
-    for src, dsts in graph.edges.items():
-        for dst in dsts:
-            if (src, dst) not in seen:
-                seen.add((src, dst))
-                preds[dst] += 1
-                succs[src].append(dst)
-    for src, dst in graph.order_constraints:
-        if (src, dst) not in seen:
-            seen.add((src, dst))
-            preds[dst] += 1
-            succs[src].append(dst)
-    return preds, succs
+def _pred_counts(succ: list[list[int]]) -> list[int]:
+    preds = [0] * len(succ)
+    for targets in succ:
+        for w in targets:
+            preds[w] += 1
+    return preds
 
 
-def _event_key(e: EventId) -> tuple:
-    return (name_sort_key(e.pid), e.index)
-
-
-def _to_interleaving(t: Trace, order: list[EventId]) -> Interleaving:
+def _to_interleaving(index: TraceIndex, order: list[int]) -> Interleaving:
+    events = index.events
     return Interleaving(
-        t.initial, tuple(Event(e.pid, t.procs[e.pid][e.index]) for e in order)
+        index.trace.initial, tuple(Event(events[v][0], events[v][2]) for v in order)
     )
+
+
+def linearize_index(index: TraceIndex) -> Interleaving:
+    """Deterministic linearization of a validated index: always the
+    smallest ready event, ties broken by smallest pid, then index."""
+    succ = index.succ
+    preds = _pred_counts(succ)
+    ready = [v for v, c in enumerate(preds) if c == 0]
+    order: list[int] = []
+    while ready:
+        node = heapq.heappop(ready)
+        order.append(node)
+        for nxt in succ[node]:
+            preds[nxt] -= 1
+            if preds[nxt] == 0:
+                heapq.heappush(ready, nxt)
+    if len(order) != len(succ):
+        raise ValueError("trace graph is cyclic")  # unreachable on valid traces
+    return _to_interleaving(index, order)
 
 
 def linearize(t: Trace) -> Interleaving:
     """Deterministic linearization; ties broken by smallest pid, then index."""
-    graph = hb_graph(t)
-    preds, succs = _ready_order(t, graph)
-    ready = sorted((n for n, c in preds.items() if c == 0), key=_event_key)
-    order: list[EventId] = []
-    while ready:
-        node = ready.pop(0)
-        order.append(node)
-        fresh = []
-        for nxt in succs[node]:
-            preds[nxt] -= 1
-            if preds[nxt] == 0:
-                fresh.append(nxt)
-        ready = sorted(ready + fresh, key=_event_key)
-    if len(order) != len(graph.nodes):
-        raise ValueError("trace graph is cyclic")  # unreachable on valid traces
-    return _to_interleaving(t, order)
+    return linearize_index(valid_index(t))
 
 
 def enumerate_linearizations(t: Trace, cap: int = 10000) -> list[Interleaving]:
     """All members of sched(t); raises if there are more than cap."""
-    graph = hb_graph(t)
-    preds, succs = _ready_order(t, graph)
+    index = valid_index(t)
+    succ = index.succ
+    preds = _pred_counts(succ)
     out: list[Interleaving] = []
-    order: list[EventId] = []
-
-    def backtrack() -> None:
-        if len(order) == len(graph.nodes):
+    order: list[int] = []
+    # one frame per depth: the ready events, ascending, and the next to try
+    frames = [([v for v, c in enumerate(preds) if c == 0], 0)]
+    while frames:
+        ready, k = frames[-1]
+        if k == 0 and len(order) == len(succ):
             if len(out) >= cap:
                 raise ValueError(f"more than {cap} linearizations")
-            out.append(_to_interleaving(t, list(order)))
-            return
-        for node in sorted((n for n, c in preds.items() if c == 0), key=_event_key):
-            if node in taken:
-                continue
-            taken.add(node)
-            preds[node] = -1
-            for nxt in succs[node]:
-                preds[nxt] -= 1
-            order.append(node)
-            backtrack()
-            order.pop()
-            for nxt in succs[node]:
-                preds[nxt] += 1
-            preds[node] = 0
-            taken.discard(node)
-
-    taken: set[EventId] = set()
-    backtrack()
+            out.append(_to_interleaving(index, order))
+        if k == len(ready):
+            frames.pop()
+            if order:
+                for nxt in succ[order.pop()]:
+                    preds[nxt] += 1
+            continue
+        frames[-1] = (ready, k + 1)
+        node = ready[k]
+        order.append(node)
+        fresh = []
+        for nxt in succ[node]:
+            preds[nxt] -= 1
+            if preds[nxt] == 0:
+                fresh.append(nxt)
+        frames.append((sorted(ready[:k] + ready[k + 1 :] + fresh), 0))
     return out
 
 

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .parsing import name_sort_key
-from .races import all_races, orphans, variant
+from .races import all_races, orphans, report_variant
 from .simulator import (
     DivergenceError,
     Program,
@@ -125,7 +125,7 @@ def explore(
                     continue
             for racer in rep.sorted_racers():
                 count += 1
-                v = variant(t, rep.subject, racer)
+                v = report_variant(t, rep, racer)
                 vkey = v.trace.key()
                 if vkey in pending_keys:
                     report.duplicate_variants += 1
@@ -169,12 +169,26 @@ def explore(
 def distinctness_check(report: ExplorationReport) -> Optional[str]:
     """None when all explored traces are pairwise distinct and every
     variant-descended trace differs from its parent at the replaced receive;
-    otherwise a description of the first violation."""
+    otherwise a description of the first violation.
+
+    Each trace must re-serialize to the key it is stored under. Keys are
+    unique and serializations are byte-equal iff traces are equal, so the
+    traces are then pairwise distinct: O(T) serializations, no pairwise
+    comparison."""
     keys = report.order
-    for i, k1 in enumerate(keys):
-        for k2 in keys[i + 1 :]:
-            if report.traces[k1] == report.traces[k2]:
-                return f"duplicate traces under keys {k1!r} and {k2!r}"
+    position: dict[str, int] = {}
+    for key in keys:
+        if key in position:
+            return f"duplicate traces under keys {key!r} and {key!r}"
+        position[key] = len(position)
+    for key in keys:
+        own = report.traces[key].key()
+        if own == key:
+            continue
+        if own in position:
+            k1, k2 = sorted((key, own), key=position.__getitem__)
+            return f"duplicate traces under keys {k1!r} and {k2!r}"
+        return f"trace under key {key!r} does not serialize to its key"
     for key in keys:
         origin = report.origins.get(key)
         if origin is None:

@@ -23,6 +23,14 @@ a valid trace once ``rec(L', cs)`` is appended.
 A race variant rewrites the receive to consume the racer and erases every
 action that happened after the original receive, yielding a (usually partial)
 trace that can drive a replayed execution into a new equivalence class.
+
+Cost: ``all_races`` and ``race_set`` index and validate the trace once. Each
+receive's report is one pass over the sends addressed to its process, in
+sender order: ``blocked_by`` is the sender's oldest message the receive could
+take (``TraceIndex.oldest_waiting``, the one statement of the mailbox rule)
+when that precedes the candidate, and ``hb_excluded`` reads one forward
+traversal from the receive shared by all its candidates. Only the validity
+gate validates again, once per candidate that survives the cheap checks.
 """
 
 from __future__ import annotations
@@ -30,9 +38,9 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .causality import EventId, HbGraph, hb_graph
+from .causality import EventId
 from .parsing import name_sort_key
-from .traces import Pid, Rec, Send, Spawn, Tag, Trace, validate_trace
+from .traces import Pid, Rec, Send, Spawn, Tag, Trace, TraceIndex, valid_index, validate_trace
 from .terms import match
 
 
@@ -82,84 +90,64 @@ class Variant:
     new_tag: Tag
 
 
-def _require_valid(t: Trace) -> None:
-    bad = validate_trace(t)
-    if bad is not None:
-        raise ValueError(f"invalid trace: {bad}")
-
-
-def _find_rec(t: Trace, tag: Tag) -> tuple[Pid, int, Rec]:
-    for pid, i, a in t.events():
-        if isinstance(a, Rec) and a.tag == tag:
-            return pid, i, a
-    raise ValueError(f"no receive event for tag {tag}")
-
-
-def _race_report(t: Trace, graph: HbGraph, tag: Tag) -> RaceReport:
-    pid, idx, rec = _find_rec(t, tag)
-    rec_id = EventId(pid, idx)
-    rec_index_of: dict[Tag, int] = {
-        a.tag: i for p, i, a in t.events() if isinstance(a, Rec) and p == pid
-    }
-    sends_to_p: list[tuple[Pid, int, Send]] = [
-        (q, i, a)
-        for q, i, a in t.events()
-        if isinstance(a, Send) and a.target == pid and a.tag != tag
-    ]
+def _race_report(index: TraceIndex, r: int) -> RaceReport:
+    t = index.trace
+    pid, idx, rec = index.events[r]
+    oldest = index.oldest_waiting(r)
+    after = index.after(r)
     checks: list[CandidateCheck] = []
-    for q, i, send in sends_to_p:
-        matches = match(send.value, rec.cs)
-        prior = rec_index_of.get(send.tag)
-        already = prior is not None and prior < idx
-        hb_excluded = graph.reach(rec_id, EventId(q, i))
-        blocked_by: Tag | None = None
-        for k in range(i):
-            earlier = t.procs[q][k]
-            if not isinstance(earlier, Send) or earlier.target != pid:
+    for q, sends in index.sends_to.get(pid, {}).items():
+        first = oldest.get(q)
+        blocker = None if first is None else index.events[first][2].tag
+        for s in sends:
+            send = index.events[s][2]
+            if send.tag == rec.tag:
                 continue
-            if not match(earlier.value, rec.cs):
-                continue
-            erec = rec_index_of.get(earlier.tag)
-            if erec is None or erec >= idx:
-                blocked_by = earlier.tag
-                break
-        survives = matches and not already and not hb_excluded and blocked_by is None
-        infeasible = survives and (
-            validate_trace(_build_variant(t, pid, idx, rec, send.tag)) is not None
-        )
-        checks.append(
-            CandidateCheck(
-                send.tag, q, matches, already, hb_excluded, blocked_by,
-                infeasible, survives and not infeasible,
+            matches = match(send.value, rec.cs)
+            already = index.consumed_before(send.tag, r)
+            hb_excluded = bool(after[s])
+            blocked_by = blocker if first is not None and first < s else None
+            survives = matches and not already and not hb_excluded and blocked_by is None
+            infeasible = survives and (
+                validate_trace(_build_variant(t, pid, idx, rec, send.tag)) is not None
             )
-        )
+            checks.append(
+                CandidateCheck(
+                    send.tag, q, matches, already, hb_excluded, blocked_by,
+                    infeasible, survives and not infeasible,
+                )
+            )
     checks.sort(key=lambda c: name_sort_key(c.tag))
     racers = {c.tag for c in checks if c.in_race_set}
-    return RaceReport(rec_id, tag, racers, checks)
+    return RaceReport(EventId(pid, idx), rec.tag, racers, checks)
+
+
+def _receive(index: TraceIndex, tag: Tag) -> int:
+    r = index.rec_at.get(tag)
+    if r is None:
+        raise ValueError(f"no receive event for tag {tag}")
+    return r
 
 
 def race_set(t: Trace, tag: Tag) -> RaceReport:
-    _require_valid(t)
-    return _race_report(t, hb_graph(t), tag)
+    index = valid_index(t)
+    return _race_report(index, _receive(index, tag))
 
 
 def all_races(t: Trace) -> list[RaceReport]:
     """One report per receive event, in process order then index order."""
-    _require_valid(t)
-    graph = hb_graph(t)
+    index = valid_index(t)
     return [
-        _race_report(t, graph, a.tag)
-        for pid, i, a in t.events()
+        _race_report(index, r)
+        for r, (_, _, a) in enumerate(index.events)
         if isinstance(a, Rec)
     ]
 
 
 def orphans(t: Trace) -> set[Tag]:
     """Tags that are sent but never received."""
-    _require_valid(t)
-    sent = {a.tag for _, _, a in t.events() if isinstance(a, Send)}
-    received = {a.tag for _, _, a in t.events() if isinstance(a, Rec)}
-    return sent - received
+    index = valid_index(t)
+    return set(index.send_at) - set(index.rec_at)
 
 
 # ---------------------------------------------------------------------------
@@ -173,15 +161,20 @@ def declarative_race_oracle(t: Trace, tag: Tag, other: Tag) -> bool:
     True iff some subtrace truncates the receiver exactly before rec(tag)
     and remains a valid trace once rec(other, cs) is appended there.
     """
-    _require_valid(t)
+    index = valid_index(t)
     if other == tag:
         return False
-    pid, idx, rec = _find_rec(t, tag)
+    pid, idx, rec = index.events[_receive(index, tag)]
     others = [p for p in t.pids() if p != pid]
     ranges = [range(len(t.procs[p]) + 1) for p in others]
     for cut in itertools.product(*ranges):
         procs = {p: t.procs[p][:n] for p, n in zip(others, cut)}
         procs[pid] = t.procs[pid][:idx]
+        # a process whose spawn was cut away does not exist in the subtrace
+        spawned = {a.child for seq in procs.values() for a in seq if isinstance(a, Spawn)}
+        procs = {p: seq for p, seq in procs.items() if p == t.initial or p in spawned}
+        if pid not in procs:
+            continue  # the receiver itself is not spawned yet
         prefix = Trace(t.initial, procs)
         if validate_trace(prefix) is not None:
             continue  # not a subtrace
@@ -240,6 +233,15 @@ def _build_variant(t: Trace, pid: Pid, idx: int, rec: Rec, racer: Tag) -> Trace:
     return Trace(t.initial, _rdep(suffix, procs))
 
 
+def report_variant(t: Trace, report: RaceReport, racer: Tag) -> Variant:
+    """The variant for a racer of `report`, a report on t: the trace that the
+    race set's validity gate already validated, so it is not checked again."""
+    pid, idx = report.receive
+    rec = t.procs[pid][idx]
+    assert isinstance(rec, Rec)
+    return Variant(_build_variant(t, pid, idx, rec, racer), (pid, idx), report.subject, racer)
+
+
 def variant(t: Trace, tag: Tag, racer: Tag) -> Variant:
     """The race variant of t that consumes `racer` at `tag`'s receive."""
     report = race_set(t, tag)
@@ -247,11 +249,4 @@ def variant(t: Trace, tag: Tag, racer: Tag) -> Variant:
         detail = next((c.reason() for c in report.candidates if c.tag == racer), None)
         why = f" ({detail})" if detail else ""
         raise ValueError(f"{racer} is not in the race set of {tag}{why}")
-    pid, idx = report.receive
-    rec = t.procs[pid][idx]
-    assert isinstance(rec, Rec)
-    result = _build_variant(t, pid, idx, rec, racer)
-    bad = validate_trace(result)
-    if bad is not None:  # cannot happen: the race set gates on validity
-        raise AssertionError(f"variant produced an invalid trace: {bad}")
-    return Variant(result, (pid, idx), tag, racer)
+    return report_variant(t, report, racer)

@@ -52,7 +52,8 @@ from .terms import (
     render_guard,
     render_term,
 )
-from .traces import Action, Pid, Rec, Send, Spawn, Tag, Trace
+from .causality import linearize_index
+from .traces import Action, Pid, Rec, Send, Spawn, Tag, Trace, TraceIndex, validate_trace
 
 
 class ProgramError(Exception):
@@ -602,13 +603,11 @@ def replay_prefix(program: Program, prefix: Trace) -> tuple[SysState, Alignment]
     (names compared modulo the incremental alignment); the returned state can
     be continued with the normal schedulers.
     """
-    from .causality import linearize
-    from .traces import validate_trace
-
-    bad = validate_trace(prefix)
+    index = TraceIndex(prefix)
+    bad = validate_trace(index)
     if bad is not None:
         raise ValueError(f"invalid prefix trace: {bad}")
-    order = linearize(prefix)
+    order = linearize_index(index)
     sys = initial_state(program)
     align = Alignment()
     align.bind_pid(prefix.initial, "p1")

@@ -23,12 +23,20 @@ happened-before edge graph extended with one ordering edge per (receive,
 competing matching unreceived send) pair and check it for cycles; any
 topological order of that extended graph is a valid interleaving, and every
 valid interleaving is such an order.
+
+Trace-level work goes through a ``TraceIndex``, built once per trace in
+O(N): events numbered once, sends and receives by tag, per-target send lists
+and integer hb adjacency lists. The mailbox rule is stated once, in
+``TraceIndex.waiting``; validation conditions (c) and (d), the hb graph's
+ordering constraints and the race check's ``blocked_by`` all read it from
+there. ``validate_interleaving`` keeps its own, independent statement
+(condition 3), as do the test oracles.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Optional, Union
+from typing import Iterable, Iterator, Optional, Union
 
 from .parsing import (
     ParseError,
@@ -224,104 +232,266 @@ def tr(s: Interleaving) -> Trace:
 
 
 # ---------------------------------------------------------------------------
+# Trace index
+# ---------------------------------------------------------------------------
+
+
+class TraceIndex:
+    """One trace, numbered once, for validation, hb queries and race analysis.
+
+    Events are numbered 0..N-1 in ``Trace.events()`` order: pids sorted by
+    ``name_sort_key`` once, then by position. So event numbers order events
+    like ``(name_sort_key(pid), index)`` does. Construction is O(N) and
+    holds:
+
+    * ``events``: ``(pid, index, action)`` per event number;
+    * ``send_at`` / ``rec_at``: the first send / receive of each tag;
+    * ``sends_to``: per target pid, per sender pid (both in event order),
+      the sends addressed to the target;
+    * ``hb_succ``: integer adjacency lists of the happened-before edges
+      (program order, spawn before the child's first action, send before
+      its receive). A self-send received next lists its receive twice;
+      every reader tolerates that.
+
+    The mailbox rule -- a receive takes the oldest matching message -- is
+    stated once, in ``waiting``; ``oldest_waiting`` and the ordering edges
+    in ``succ`` read it from there. Those per-receive answers are computed
+    on first use and kept; nothing else changes after construction.
+    """
+
+    def __init__(self, t: Trace):
+        self.trace = t
+        self.first: dict[Pid, int] = {}
+        events: list[tuple[Pid, int, Action]] = []
+        for pid in t.pids():
+            self.first[pid] = len(events)
+            events.extend((pid, i, a) for i, a in enumerate(t.procs[pid]))
+        self.events = events
+        self.send_at: dict[Tag, int] = {}
+        self.rec_at: dict[Tag, int] = {}
+        self.sends_to: dict[Pid, dict[Pid, list[int]]] = {}
+        for v, (pid, _, a) in enumerate(events):
+            if isinstance(a, Send):
+                self.send_at.setdefault(a.tag, v)
+                self.sends_to.setdefault(a.target, {}).setdefault(pid, []).append(v)
+            elif isinstance(a, Rec):
+                self.rec_at.setdefault(a.tag, v)
+        self.hb_succ: list[list[int]] = [[] for _ in events]
+        for v, (pid, i, a) in enumerate(events):
+            if i + 1 < len(t.procs[pid]):
+                self.hb_succ[v].append(v + 1)
+            if isinstance(a, Spawn) and t.procs.get(a.child):
+                self.hb_succ[v].append(self.first[a.child])
+            elif isinstance(a, Rec) and a.tag in self.send_at:
+                self.hb_succ[self.send_at[a.tag]].append(v)
+        self._oldest: dict[int, dict[Pid, int]] = {}
+        self._succ: Optional[list[list[int]]] = None
+
+    def consumed_before(self, tag: Tag, r: int) -> bool:
+        """Message `tag` was received by r's process before event r."""
+        c = self.rec_at.get(tag)
+        return c is not None and c < r and self.events[c][0] == self.events[r][0]
+
+    def waiting(self, r: int, sends: Iterable[int]) -> Iterator[int]:
+        """The sends among `sends` (addressed to receive r's process) that
+        match r's constraint and are still unconsumed when r runs, in order.
+
+        This is the one statement of the mailbox rule: r must take the
+        oldest of these, so every one of them other than r's own message
+        must be sent after it. Lazy, so callers that need only the first
+        per sender stop matching there.
+        """
+        rec = self.events[r][2]
+        for s in sends:
+            send = self.events[s][2]
+            if not self.consumed_before(send.tag, r) and match(send.value, rec.cs):
+                yield s
+
+    def oldest_waiting(self, r: int) -> dict[Pid, int]:
+        """Per sender, its oldest message that receive r could take (r's
+        own message included). O(sends to r's process) lookups, one match
+        per sender until the first hit."""
+        oldest = self._oldest.get(r)
+        if oldest is None:
+            oldest = {}
+            for q, sends in self.sends_to.get(self.events[r][0], {}).items():
+                first = next(self.waiting(r, sends), None)
+                if first is not None:
+                    oldest[q] = first
+            self._oldest[r] = oldest
+        return oldest
+
+    @property
+    def succ(self) -> list[list[int]]:
+        """Adjacency lists of hb edges plus mailbox-ordering edges, each
+        list sorted by ``EventId`` (pid string, then index).
+
+        A receive of message L orders L's send before every other message
+        it could have taken (``waiting``). Only the oldest such message per
+        sender gets an edge: the later ones follow it in program order, so
+        the edge set has the same transitive closure -- hence the same
+        linearizations -- and a depth-first search that takes successors in
+        this order meets the pruned edges' targets already finished, so it
+        walks, and reports cycles, exactly as over the full edge set. Meant
+        for traces that pass condition (a) (unique tags).
+        """
+        if self._succ is None:
+            extra: list[set[int]] = [set() for _ in self.events]
+            for tag, r in self.rec_at.items():
+                s = self.send_at.get(tag)
+                if s is not None:
+                    extra[s].update(w for w in self.oldest_waiting(r).values() if w != s)
+            events = self.events
+            self._succ = [
+                sorted(extra[v].union(hb), key=lambda w: events[w][:2])
+                for v, hb in enumerate(self.hb_succ)
+            ]
+        return self._succ
+
+    def after(self, src: int) -> bytearray:
+        """Marks of the events that src happened before (hb edges only):
+        one forward traversal, O(N + hb edges)."""
+        seen = bytearray(len(self.events))
+        stack = [src]
+        while stack:
+            for nxt in self.hb_succ[stack.pop()]:
+                if not seen[nxt]:
+                    seen[nxt] = 1
+                    stack.append(nxt)
+        return seen
+
+    def loc(self, v: int) -> str:
+        pid, i, _ = self.events[v]
+        return f"{pid}[{i}]"
+
+
+def first_cycle(roots: int, succ: list[list[int]]) -> Optional[list[int]]:
+    """The cycle an iterative depth-first search meets first, or None.
+
+    Nodes are 0..len(succ)-1; the search starts from roots 0..roots-1 in
+    order and follows each successor list in order. The cycle is given as
+    a path that starts and ends at the same node. O(V + E).
+    """
+    color = bytearray(len(succ))  # 0 unvisited, 1 on the stack, 2 done
+    parent = [0] * len(succ)
+    for root in range(roots):
+        if color[root]:
+            continue
+        color[root] = 1
+        stack = [(root, iter(succ[root]))]
+        while stack:
+            node, it = stack[-1]
+            for nxt in it:
+                if color[nxt] == 1:
+                    cycle = [nxt, node]
+                    cur = node
+                    while cur != nxt:
+                        cur = parent[cur]
+                        cycle.append(cur)
+                    cycle.reverse()
+                    return cycle
+                if not color[nxt]:
+                    color[nxt] = 1
+                    parent[nxt] = node
+                    stack.append((nxt, iter(succ[nxt])))
+                    break
+            else:
+                color[node] = 2
+                stack.pop()
+    return None
+
+
+# ---------------------------------------------------------------------------
 # Trace validation
 # ---------------------------------------------------------------------------
 
 
-def _collect(t: Trace):
-    """Index sends and receives of a trace document."""
-    sends: dict[Tag, tuple[Pid, int, Send]] = {}
-    recs: dict[Tag, tuple[Pid, int, Rec]] = {}
-    spawns: dict[Pid, tuple[Pid, int]] = {}
-    for pid, i, a in t.events():
-        if isinstance(a, Send):
-            sends.setdefault(a.tag, (pid, i, a))
-        elif isinstance(a, Rec):
-            recs.setdefault(a.tag, (pid, i, a))
-        elif isinstance(a, Spawn):
-            spawns.setdefault(a.child, (pid, i))
-    return sends, recs, spawns
+def validate_trace(t: Union[Trace, TraceIndex]) -> Optional[Violation]:
+    """None iff some valid interleaving S has tr(S) = t.
 
-
-def validate_trace(t: Trace) -> Optional[Violation]:
-    """None iff some valid interleaving S has tr(S) = t."""
+    Takes the trace or its ``TraceIndex``, so a caller that goes on to use
+    the index builds it once. Conditions (a)-(c) are single passes over the
+    index; (d) is one depth-first search over ``TraceIndex.succ``, linear
+    in events plus edges. Per receive, the mailbox rule costs one lookup per
+    send addressed to its process, and match calls only until each sender's
+    oldest matching message is found, instead of a scan of the whole trace.
+    """
+    index = t if isinstance(t, TraceIndex) else TraceIndex(t)
+    t = index.trace
+    events = index.events
     if t.initial not in t.procs:
         return Violation("a", t.initial, "initial pid has no entry")
 
     # (a) pid/tag uniqueness and spawn closure
-    seen_spawn: dict[Pid, str] = {}
-    seen_send: dict[Tag, str] = {}
-    seen_rec: dict[Tag, str] = {}
-    for pid, i, a in t.events():
-        loc = f"{pid}[{i}]"
+    spawned: set[Pid] = set()
+    for v, (pid, _, a) in enumerate(events):
         if isinstance(a, Spawn):
-            if a.child in seen_spawn or a.child == t.initial:
-                return Violation("a", loc, f"pid {a.child} spawned twice")
+            if a.child in spawned or a.child == t.initial:
+                return Violation("a", index.loc(v), f"pid {a.child} spawned twice")
             if a.child == pid:
-                return Violation("a", loc, f"pid {pid} spawns itself")
-            seen_spawn[a.child] = loc
+                return Violation("a", index.loc(v), f"pid {pid} spawns itself")
+            spawned.add(a.child)
         elif isinstance(a, Send):
-            if a.tag in seen_send:
-                return Violation("a", loc, f"tag {a.tag} sent twice")
-            seen_send[a.tag] = loc
+            if index.send_at[a.tag] != v:
+                return Violation("a", index.loc(v), f"tag {a.tag} sent twice")
         elif isinstance(a, Rec):
-            if a.tag in seen_rec:
-                return Violation("a", loc, f"tag {a.tag} received twice")
-            seen_rec[a.tag] = loc
-    known_pids = set(t.procs) | set(seen_spawn)
+            if index.rec_at[a.tag] != v:
+                return Violation("a", index.loc(v), f"tag {a.tag} received twice")
     for pid in t.procs:
-        if pid != t.initial and pid not in seen_spawn:
+        if pid != t.initial and pid not in spawned:
             return Violation("a", pid, f"pid {pid} is never spawned")
-    for pid, i, a in t.events():
+    known_pids = spawned.union(t.procs)
+    for v, (_, _, a) in enumerate(events):
         if isinstance(a, Spawn) and a.child not in t.procs:
-            return Violation("a", f"{pid}[{i}]", f"spawned pid {a.child} has no entry")
+            return Violation("a", index.loc(v), f"spawned pid {a.child} has no entry")
         if isinstance(a, Send) and a.target not in known_pids:
-            return Violation("a", f"{pid}[{i}]", f"unknown send target {a.target}")
+            return Violation("a", index.loc(v), f"unknown send target {a.target}")
 
     # (b) every receive has a unique matching send addressed to it
-    sends, recs, _ = _collect(t)
-    for tag, (pid, i, rec) in recs.items():
-        loc = f"{pid}[{i}]"
-        if tag not in sends:
-            return Violation("b", loc, f"no send of tag {tag}")
-        spid, si, send = sends[tag]
+    for tag, r in index.rec_at.items():
+        pid, _, rec = events[r]
+        if tag not in index.send_at:
+            return Violation("b", index.loc(r), f"no send of tag {tag}")
+        send = events[index.send_at[tag]][2]
         if send.target != pid:
-            return Violation("b", loc, f"tag {tag} was sent to {send.target}")
+            return Violation("b", index.loc(r), f"tag {tag} was sent to {send.target}")
         if not match(send.value, rec.cs):
             return Violation(
-                "b", loc, f"value {render_term(send.value)} does not match {rec.cs.cs_id}"
+                "b",
+                index.loc(r),
+                f"value {render_term(send.value)} does not match {rec.cs.cs_id}",
             )
 
     # (c) per-sender FIFO: an earlier matching unreceived send from the same
-    # sender forbids consuming a later one (special case of the edge check
-    # below, reported separately for clearer diagnostics)
-    rec_pos = {tag: i for tag, (_, i, _) in recs.items()}
-    for tag, (pid, i, rec) in recs.items():
-        spid, si, send = sends[tag]
-        for k in range(si):
-            prev = t.procs[spid][k]
-            if not isinstance(prev, Send) or prev.target != pid or prev.tag == tag:
-                continue
-            if not match(prev.value, rec.cs):
-                continue
-            prev_rec = rec_pos.get(prev.tag)
-            if prev_rec is None or prev_rec > i:
-                return Violation(
-                    "c",
-                    f"{pid}[{i}]",
-                    f"sender {spid} sent matching {prev.tag} before {tag}, "
-                    "not received earlier",
-                )
+    # sender forbids consuming a later one (special case of the ordering
+    # edges below, reported separately for clearer diagnostics)
+    for tag, r in index.rec_at.items():
+        s = index.send_at[tag]
+        spid = events[s][0]
+        oldest = index.oldest_waiting(r)[spid]
+        if oldest != s:
+            return Violation(
+                "c",
+                index.loc(r),
+                f"sender {spid} sent matching {events[oldest][2].tag} before {tag}, "
+                "not received earlier",
+            )
 
     # (d) the happened-before graph extended with ordering edges is acyclic
-    from .causality import hb_graph_unchecked
-
-    graph = hb_graph_unchecked(t)
-    cycle = graph.find_cycle()
+    cycle = first_cycle(len(events), index.succ)
     if cycle is not None:
-        pretty = " -> ".join(f"{p}[{i}]" for p, i in cycle)
+        pretty = " -> ".join(index.loc(v) for v in cycle)
         return Violation("d", pretty, "no linearization can order these events")
     return None
+
+
+def valid_index(t: Trace) -> TraceIndex:
+    """Index t and validate it once; ValueError unless t is a valid trace."""
+    index = TraceIndex(t)
+    bad = validate_trace(index)
+    if bad is not None:
+        raise ValueError(f"invalid trace: {bad}")
+    return index
 
 
 def is_subtrace(t1: Trace, t2: Trace) -> bool:

@@ -83,3 +83,20 @@ def test_orphans_reported_per_trace(progb):
     # {extra,0} never matches the server's receives: orphaned in every trace
     for key in report.order:
         assert len(report.orphans[key]) >= 1
+
+
+def test_distinctness_check_reports_duplicates_and_foreign_keys(progb):
+    report = explore(progb, seed=0)
+    first, second = report.order[:2]
+    report.traces[second] = report.traces[first]
+    assert distinctness_check(report) == (
+        f"duplicate traces under keys {first!r} and {second!r}"
+    )
+
+    report = explore(progb, seed=0)
+    key = report.order[0]
+    report.traces["not a key"] = report.traces.pop(key)
+    report.order[0] = "not a key"
+    assert distinctness_check(report) == (
+        "trace under key 'not a key' does not serialize to its key"
+    )

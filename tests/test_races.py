@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 
 from racetrace import (
     Rec,
@@ -150,8 +150,22 @@ def test_oracle_agrees_on_fixtures(tau_a, run_trace):
                 ), (report.subject, check.tag)
 
 
+# the receiver spawns a child after the receive: subtraces that cut the
+# spawn must drop the child's entry, or the oracle misses the race
+SPAWN_AFTER_RECEIVE = Trace(
+    "p1",
+    {
+        "p1": (Spawn("p1.1"), Spawn("p1.2"), Send("p1.1", val(0), "p1.1")),
+        "p1.1": (Send("p1.1.1", val(0), "p1.1"), Rec("p1.1.1", CS_ANY), Spawn("p1.1.1")),
+        "p1.2": (),
+        "p1.1.1": (),
+    },
+)
+
+
 @settings(max_examples=50, deadline=None)
 @given(traces(max_events=6))
+@example(SPAWN_AFTER_RECEIVE)
 def test_oracle_agrees_on_generated_traces(t):
     sends = {a.tag for _, _, a in t.events() if isinstance(a, Send)}
     for report in all_races(t):
