@@ -49,3 +49,17 @@ def progb():
 @pytest.fixture
 def progc():
     return parse_program(fixture_text("progc.prog"))
+
+
+# n=4 generators each send {val,N} to a collector that makes 4 unguarded
+# receives: every consumption order is a trace, 24 in all
+GENCOLL4 = """program { main main
+  def main() { C = spawn collector(); spawn gen(C, 1); spawn gen(C, 2); spawn gen(C, 3); spawn gen(C, 4) }
+  def gen(C, N) { send {val,N} to C }
+  def collector() { receive { {val,X} -> X }; receive { {val,X} -> X }; receive { {val,X} -> X }; receive { {val,X} -> X } } }
+"""
+
+
+@pytest.fixture
+def gencoll4():
+    return parse_program(GENCOLL4)
