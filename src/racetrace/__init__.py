@@ -6,6 +6,8 @@ variants that steer a replayed execution into new behavior, and explores a
 program's reachable trace space from a single random run.
 """
 
+from types import ModuleType as _ModuleType
+
 from .terms import (
     Atom,
     Clause,
@@ -89,4 +91,8 @@ from .simulator import (
 )
 from .explorer import ExplorationReport, Origin, distinctness_check, explore
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# everything imported above, without the submodules the imports bind
+__all__ = [
+    name for name in dir()
+    if not name.startswith("_") and not isinstance(globals()[name], _ModuleType)
+]

@@ -1,9 +1,10 @@
 """Command-line interface.
 
 Exit codes: 0 success / analysis-positive, 1 analysis-negative (invalid
-document, non-equivalent, divergence, failed check), 2 usage or parse
-errors. Diagnostics go to stderr, results to stdout. With ``--json`` each
-result is emitted as one JSON record per line.
+document, non-equivalent, divergence, failed check), 2 usage, parse and
+program errors (static, or raised while the program runs). Diagnostics go
+to stderr, one line each, results to stdout. With ``--json`` each result is
+emitted as one JSON record per line.
 """
 
 from __future__ import annotations
@@ -13,30 +14,24 @@ import json
 import sys
 from pathlib import Path
 
-from .causality import (
-    causally_equivalent,
-    hb_graph,
-    linearize,
-    swap_equiv_oracle,
-)
+from .causality import causally_equivalent, hb_graph, swap_equiv_oracle
 from .explorer import distinctness_check, explore
 from .parsing import ParseError, name_sort_key
 from .races import all_races, orphans, race_set, variant
 from .simulator import (
     DivergenceError,
     ProgramError,
+    SimulationError,
     parse_program,
     replay_prefix,
     run_deterministic,
     run_random,
 )
-from .terms import render_term
 from .traces import (
     Interleaving,
     Trace,
     parse_interleaving,
     parse_trace,
-    serialize_interleaving,
     serialize_trace,
     validate_interleaving,
     validate_trace,
@@ -384,7 +379,7 @@ def main(argv: list[str] | None = None) -> int:
     except CliError as exc:
         print(str(exc), file=sys.stderr)
         return exc.code
-    except (ParseError, ProgramError, ValueError) as exc:
+    except (ParseError, ProgramError, SimulationError, ValueError) as exc:
         print(str(exc), file=sys.stderr)
         return USAGE
 

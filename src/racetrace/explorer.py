@@ -8,10 +8,12 @@ deduplicated by canonical serialization, which is sound because the
 simulator's schedule-invariant naming makes trace-equal executions
 byte-identical.
 
-After replaying a variant, races are harvested only from receives at or
-after the replaced one in the replaced process, and from receives of other
-processes that lie beyond the variant prefix; races inside the shared prefix
-were already harvested from the parent.
+Each new trace is indexed and validated once (``valid_index``); its orphans
+and its race reports come from that one index. After replaying a variant,
+race reports are built only for receives at or after the replaced one in the
+replaced process, and for receives of other processes that lie beyond the
+variant prefix; races inside the shared prefix were already harvested from
+the parent, so their reports are never built.
 """
 
 from __future__ import annotations
@@ -21,15 +23,16 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .parsing import name_sort_key
-from .races import all_races, orphans, report_variant
+from .races import race_report, report_variant
 from .simulator import (
     DivergenceError,
+    Outcome,
     Program,
     replay_prefix,
     run_deterministic,
     run_random,
 )
-from .traces import Pid, Tag, Trace
+from .traces import Pid, Rec, Tag, Trace, valid_index
 
 
 @dataclass(frozen=True)
@@ -80,15 +83,6 @@ class ExplorationReport:
         return "\n".join(lines) + "\n"
 
 
-@dataclass(frozen=True)
-class _Pending:
-    prefix: Trace
-    replaced_at: tuple[Pid, int]
-    old_tag: Tag
-    new_tag: Tag
-    parent_key: str
-
-
 def explore(
     program: Program,
     seed: int = 0,
@@ -97,32 +91,37 @@ def explore(
 ) -> ExplorationReport:
     report = ExplorationReport()
     pending_keys: set[str] = set()
-    queue: deque[_Pending] = deque()
+    # variant prefixes to replay, each with the origin of the trace it yields
+    queue: deque[tuple[Trace, Origin]] = deque()
 
-    def record(t: Trace, outcome_kind: str, origin: Optional[Origin]) -> Optional[str]:
+    def record(
+        run: tuple[Trace, Outcome], prefix: Optional[Trace], origin: Optional[Origin]
+    ) -> None:
+        """Record a run's trace unless already seen, then enqueue the variants
+        of the races of its receives beyond the prefix shared with its parent."""
+        t, outcome = run
+        if outcome.kind == "step-limit":
+            report.step_limited += 1
         key = t.key()
         if key in report.traces:
             report.duplicate_traces += 1
-            return None
+            return
+        index = valid_index(t)
         report.traces[key] = t
-        report.outcomes[key] = outcome_kind
-        report.orphans[key] = sorted(orphans(t), key=name_sort_key)
+        report.outcomes[key] = str(outcome)
+        report.orphans[key] = sorted(index.orphans(), key=name_sort_key)
         report.origins[key] = origin
         report.order.append(key)
-        return key
-
-    def harvest(t: Trace, key: str, origin: Optional[Origin]) -> None:
         count = 0
-        for rep in all_races(t):
-            pid, idx = rep.receive
+        for r, (pid, idx, a) in enumerate(index.events):
+            if not isinstance(a, Rec):
+                continue
             if origin is not None:
                 rpid, ridx = origin.replaced_at
-                prefix = report_prefixes[key]
-                if pid == rpid:
-                    if idx < ridx:
-                        continue
-                elif idx < len(prefix.procs.get(pid, ())):
+                shared = ridx if pid == rpid else len(prefix.procs.get(pid, ()))
+                if idx < shared:
                     continue
+            rep = race_report(index, r)
             for racer in rep.sorted_racers():
                 count += 1
                 v = report_variant(t, rep, racer)
@@ -132,37 +131,21 @@ def explore(
                     continue
                 pending_keys.add(vkey)
                 report.variants_enqueued += 1
-                queue.append(_Pending(v.trace, v.replaced_at, rep.subject, racer, key))
+                queue.append((v.trace, Origin(key, v.replaced_at, rep.subject, racer)))
         report.race_counts[key] = count
 
-    report_prefixes: dict[str, Trace] = {}
-
-    t0, outcome0 = run_random(program, seed, max_steps)
-    if outcome0.kind == "step-limit":
-        report.step_limited += 1
-    key0 = record(t0, str(outcome0), None)
-    assert key0 is not None
-    harvest(t0, key0, None)
-
+    record(run_random(program, seed, max_steps), None, None)
     while queue:
         if len(report.traces) >= max_traces:
             report.bounded = True
             break
-        item = queue.popleft()
+        prefix, origin = queue.popleft()
         try:
-            sys, _ = replay_prefix(program, item.prefix)
+            sys, _ = replay_prefix(program, prefix)
         except DivergenceError:
             report.divergences += 1
             continue
-        t, outcome = run_deterministic(sys, max_steps)
-        if outcome.kind == "step-limit":
-            report.step_limited += 1
-        origin = Origin(item.parent_key, item.replaced_at, item.old_tag, item.new_tag)
-        key = record(t, str(outcome), origin)
-        if key is None:
-            continue
-        report_prefixes[key] = item.prefix
-        harvest(t, key, origin)
+        record(run_deterministic(sys, max_steps), prefix, origin)
     return report
 
 

@@ -24,11 +24,13 @@ A race variant rewrites the receive to consume the racer and erases every
 action that happened after the original receive, yielding a (usually partial)
 trace that can drive a replayed execution into a new equivalence class.
 
-Cost: ``all_races`` and ``race_set`` index and validate the trace once. Each
-receive's report is one pass over the sends addressed to its process, in
-sender order: ``blocked_by`` is the sender's oldest message the receive could
-take (``TraceIndex.oldest_waiting``, the one statement of the mailbox rule)
-when that precedes the candidate, and ``hb_excluded`` reads one forward
+Cost: ``all_races`` and ``race_set`` index and validate the trace once, then
+call ``race_report`` -- the one per-receive builder, which the explorer
+calls too -- for the receives they report on. Each receive's report is one
+pass over the sends addressed to its process, in sender order:
+``blocked_by`` is the sender's oldest message the receive could take
+(``TraceIndex.oldest_waiting``, the one statement of the mailbox rule) when
+that precedes the candidate, and ``hb_excluded`` reads one forward
 traversal from the receive shared by all its candidates. Only the validity
 gate validates again, once per candidate that survives the cheap checks.
 """
@@ -90,7 +92,9 @@ class Variant:
     new_tag: Tag
 
 
-def _race_report(index: TraceIndex, r: int) -> RaceReport:
+def race_report(index: TraceIndex, r: int) -> RaceReport:
+    """The race set of receive event r of a validated trace's index: the one
+    builder behind ``race_set``, ``all_races`` and the explorer."""
     t = index.trace
     pid, idx, rec = index.events[r]
     oldest = index.oldest_waiting(r)
@@ -109,7 +113,7 @@ def _race_report(index: TraceIndex, r: int) -> RaceReport:
             blocked_by = blocker if first is not None and first < s else None
             survives = matches and not already and not hb_excluded and blocked_by is None
             infeasible = survives and (
-                validate_trace(_build_variant(t, pid, idx, rec, send.tag)) is not None
+                validate_trace(_build_variant(t, pid, idx, send.tag)) is not None
             )
             checks.append(
                 CandidateCheck(
@@ -131,14 +135,14 @@ def _receive(index: TraceIndex, tag: Tag) -> int:
 
 def race_set(t: Trace, tag: Tag) -> RaceReport:
     index = valid_index(t)
-    return _race_report(index, _receive(index, tag))
+    return race_report(index, _receive(index, tag))
 
 
 def all_races(t: Trace) -> list[RaceReport]:
     """One report per receive event, in process order then index order."""
     index = valid_index(t)
     return [
-        _race_report(index, r)
+        race_report(index, r)
         for r, (_, _, a) in enumerate(index.events)
         if isinstance(a, Rec)
     ]
@@ -146,8 +150,7 @@ def all_races(t: Trace) -> list[RaceReport]:
 
 def orphans(t: Trace) -> set[Tag]:
     """Tags that are sent but never received."""
-    index = valid_index(t)
-    return set(index.send_at) - set(index.rec_at)
+    return valid_index(t).orphans()
 
 
 # ---------------------------------------------------------------------------
@@ -225,11 +228,11 @@ def _rdep(suffix: tuple, procs: dict[Pid, tuple]) -> dict[Pid, tuple]:
     return procs
 
 
-def _build_variant(t: Trace, pid: Pid, idx: int, rec: Rec, racer: Tag) -> Trace:
+def _build_variant(t: Trace, pid: Pid, idx: int, racer: Tag) -> Trace:
     """Replace the receive at pid[idx] with rec(racer) and erase dependents."""
     procs = dict(t.procs)
     suffix = procs[pid][idx + 1 :]
-    procs[pid] = procs[pid][:idx] + (Rec(racer, rec.cs),)
+    procs[pid] = procs[pid][:idx] + (Rec(racer, procs[pid][idx].cs),)
     return Trace(t.initial, _rdep(suffix, procs))
 
 
@@ -237,9 +240,7 @@ def report_variant(t: Trace, report: RaceReport, racer: Tag) -> Variant:
     """The variant for a racer of `report`, a report on t: the trace that the
     race set's validity gate already validated, so it is not checked again."""
     pid, idx = report.receive
-    rec = t.procs[pid][idx]
-    assert isinstance(rec, Rec)
-    return Variant(_build_variant(t, pid, idx, rec, racer), (pid, idx), report.subject, racer)
+    return Variant(_build_variant(t, pid, idx, racer), (pid, idx), report.subject, racer)
 
 
 def variant(t: Trace, tag: Tag, racer: Tag) -> Variant:

@@ -11,6 +11,12 @@ immediately, so per-sender FIFO holds by construction and cross-sender
 mailbox orders are explored by reordering sends. A receive consumes the
 oldest mailbox message matching its constraint.
 
+Each scheduler step evaluates ``_next_action`` once per process for
+``enabled`` and once more for the pid it steps; ``step`` and
+``replay_prefix`` evaluate only the pid they step. A received message is
+matched against its constraint once, which finds it and picks its clause;
+only that clause's pattern is matched again, for the bindings.
+
 Names are hierarchical and schedule-invariant: the initial process is
 ``p1``, the k-th process spawned by P is ``P.k``, and the k-th message sent
 by P carries tag ``P.k``. Two executions that are trace-equal therefore
@@ -21,7 +27,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Optional, Union
+from typing import Callable, Optional, Union
 
 from .parsing import (
     ParseError,
@@ -32,11 +38,9 @@ from .parsing import (
     tokenize,
 )
 from .terms import (
-    Atom,
     Clause,
     Constraint,
     GTrue,
-    Int,
     Lst,
     Pattern,
     PidLit,
@@ -45,10 +49,9 @@ from .terms import (
     Tup,
     Var,
     Wildcard,
-    eval_guard,
     match_pattern,
+    matching_clause,
     pattern_vars,
-    render_clause,
     render_guard,
     render_term,
 )
@@ -401,51 +404,57 @@ def _settle(proc: ProcState) -> None:
         proc.stmts.pop(0)
 
 
-def _oldest_match(proc: ProcState, cs: Constraint) -> Optional[tuple[int, Tag, Term]]:
-    for i, (tag, value) in enumerate(proc.mailbox):
-        for clause in cs.clauses:
-            subst = match_pattern(clause.pattern, value)
-            if subst is not None and eval_guard(clause.guard, subst):
-                return i, tag, value
+def _oldest_match(proc: ProcState, cs: Constraint) -> Optional[tuple[int, int]]:
+    """Mailbox slot of the oldest message matching cs, and the index of the
+    clause it matches."""
+    for slot, (_, value) in enumerate(proc.mailbox):
+        clause = matching_clause(value, cs)
+        if clause is not None:
+            return slot, clause
     return None
+
+
+def _next_action(
+    sys: SysState, pid: Pid
+) -> Optional[tuple[Action, Optional[tuple[int, int]]]]:
+    """The action pid would record next, with the ``_oldest_match`` of a
+    receive; None when pid has nothing left or its receive cannot fire."""
+    proc = sys.procs[pid]
+    if not proc.stmts:
+        return None
+    stmt = proc.stmts[0]
+    if isinstance(stmt, BindStmt):  # settled: must be a spawn bind
+        return Spawn(f"{pid}.{sys.spawn_counts.get(pid, 0) + 1}"), None
+    if isinstance(stmt, SendStmt):
+        tag = f"{pid}.{sys.tag_counts.get(pid, 0) + 1}"
+        value = _eval(stmt.value, proc.env)
+        target = _eval(stmt.target, proc.env)
+        if not isinstance(target, PidLit):
+            raise SimulationError(
+                f"{pid}: send target evaluates to {render_term(target)}, not a pid"
+            )
+        return Send(tag, value, target.pid), None
+    assert isinstance(stmt, ReceiveStmt)
+    found = _oldest_match(proc, stmt.cs)
+    if found is None:
+        return None
+    return Rec(proc.mailbox[found[0]][0], stmt.cs), found
 
 
 def enabled(sys: SysState) -> list[tuple[Pid, Action]]:
     """Pids that can fire, with the action each would record, in pid order."""
-    out: list[tuple[Pid, Action]] = []
-    for pid in sorted(sys.procs, key=name_sort_key):
-        proc = sys.procs[pid]
-        if not proc.stmts:
-            continue
-        stmt = proc.stmts[0]
-        if isinstance(stmt, BindStmt):  # settled: must be a spawn bind
-            child = f"{pid}.{sys.spawn_counts.get(pid, 0) + 1}"
-            out.append((pid, Spawn(child)))
-        elif isinstance(stmt, SendStmt):
-            tag = f"{pid}.{sys.tag_counts.get(pid, 0) + 1}"
-            value = _eval(stmt.value, proc.env)
-            target = _eval(stmt.target, proc.env)
-            if not isinstance(target, PidLit):
-                raise SimulationError(
-                    f"{pid}: send target evaluates to {render_term(target)}, not a pid"
-                )
-            out.append((pid, Send(tag, value, target.pid)))
-        else:
-            assert isinstance(stmt, ReceiveStmt)
-            found = _oldest_match(proc, stmt.cs)
-            if found is not None:
-                out.append((pid, Rec(found[1], stmt.cs)))
-    return out
+    nexts = ((pid, _next_action(sys, pid)) for pid in sorted(sys.procs, key=name_sort_key))
+    return [(pid, nxt[0]) for pid, nxt in nexts if nxt is not None]
 
 
 def step(sys: SysState, pid: Pid) -> Action:
     """Execute one global action of an enabled pid; returns what was recorded."""
-    predicted = dict(enabled(sys))
-    if pid not in predicted:
+    nxt = _next_action(sys, pid) if pid in sys.procs else None
+    if nxt is None:
         raise SimulationError(f"pid {pid} is not enabled")
+    action, found = nxt
     proc = sys.procs[pid]
     stmt = proc.stmts.pop(0)
-    action = predicted[pid]
 
     if isinstance(action, Spawn):
         assert isinstance(stmt, BindStmt) and isinstance(stmt.expr, SpawnExpr)
@@ -465,17 +474,11 @@ def step(sys: SysState, pid: Pid) -> Action:
         sys.tag_counts[pid] = sys.tag_counts.get(pid, 0) + 1
         sys.procs[action.target].mailbox.append((action.tag, action.value))
     else:
-        assert isinstance(action, Rec) and isinstance(stmt, ReceiveStmt)
-        found = _oldest_match(proc, stmt.cs)
-        assert found is not None and found[1] == action.tag
-        slot, _, value = found
-        proc.mailbox.pop(slot)
-        for idx, clause in enumerate(stmt.cs.clauses):
-            subst = match_pattern(clause.pattern, value)
-            if subst is not None and eval_guard(clause.guard, subst):
-                proc.env.update(subst)
-                proc.stmts = list(stmt.bodies[idx]) + proc.stmts
-                break
+        assert isinstance(stmt, ReceiveStmt) and found is not None
+        slot, idx = found
+        _, value = proc.mailbox.pop(slot)
+        proc.env.update(match_pattern(stmt.cs.clauses[idx].pattern, value))
+        proc.stmts = list(stmt.bodies[idx]) + proc.stmts
 
     sys.recorded[pid].append(action)
     _settle(proc)
@@ -498,34 +501,27 @@ class Outcome:
         return self.kind
 
 
-def _quiescent_outcome(sys: SysState) -> Outcome:
-    blocked = tuple(
-        pid for pid in sorted(sys.procs, key=name_sort_key) if sys.procs[pid].stmts
-    )
-    return Outcome("deadlock", blocked) if blocked else Outcome("completed")
+def _run(sys: SysState, max_steps: int, pick: Callable[[int], int]) -> tuple[Trace, Outcome]:
+    """Step the pid at position pick(n) of the n enabled ones until none is
+    enabled or max_steps steps were taken."""
+    for _ in range(max_steps):
+        choices = enabled(sys)
+        if not choices:
+            pids = sorted(sys.procs, key=name_sort_key)
+            blocked = tuple(pid for pid in pids if sys.procs[pid].stmts)
+            return sys.trace(), Outcome("deadlock", blocked) if blocked else Outcome("completed")
+        step(sys, choices[pick(len(choices))][0])
+    return sys.trace(), Outcome("step-limit")
 
 
 def run_random(program: Program, seed: int, max_steps: int = 10000) -> tuple[Trace, Outcome]:
     """Scheduler picks uniformly among enabled pids with a seeded PRNG."""
-    rng = random.Random(seed)
-    sys = initial_state(program)
-    for _ in range(max_steps):
-        choices = enabled(sys)
-        if not choices:
-            return sys.trace(), _quiescent_outcome(sys)
-        pid, _ = choices[rng.randrange(len(choices))]
-        step(sys, pid)
-    return sys.trace(), Outcome("step-limit")
+    return _run(initial_state(program), max_steps, random.Random(seed).randrange)
 
 
 def run_deterministic(sys: SysState, max_steps: int = 10000) -> tuple[Trace, Outcome]:
     """Continue a state with the fixed smallest-enabled-pid policy."""
-    for _ in range(max_steps):
-        choices = enabled(sys)
-        if not choices:
-            return sys.trace(), _quiescent_outcome(sys)
-        step(sys, choices[0][0])
-    return sys.trace(), Outcome("step-limit")
+    return _run(sys, max_steps, lambda n: 0)
 
 
 def enumerate_executions(
@@ -616,10 +612,10 @@ def replay_prefix(program: Program, prefix: Trace) -> tuple[SysState, Alignment]
         sim_pid = align.pid_log_to_sim.get(event.pid)
         if sim_pid is None:
             raise DivergenceError(i, f"pid {event.pid} has no simulator counterpart")
-        predicted = dict(enabled(sys))
-        if sim_pid not in predicted:
+        nxt = _next_action(sys, sim_pid)
+        if nxt is None:
             raise DivergenceError(i, f"pid {event.pid} ({sim_pid}) is not enabled")
-        actual = predicted[sim_pid]
+        actual = nxt[0]
         logged = event.action
         if isinstance(logged, Spawn):
             if not isinstance(actual, Spawn):

@@ -35,7 +35,7 @@ there. ``validate_interleaving`` keeps its own, independent statement
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional, Union
 
 from .parsing import (
@@ -291,6 +291,10 @@ class TraceIndex:
         """Message `tag` was received by r's process before event r."""
         c = self.rec_at.get(tag)
         return c is not None and c < r and self.events[c][0] == self.events[r][0]
+
+    def orphans(self) -> set[Tag]:
+        """Tags that are sent but never received."""
+        return set(self.send_at) - set(self.rec_at)
 
     def waiting(self, r: int, sends: Iterable[int]) -> Iterator[int]:
         """The sends among `sends` (addressed to receive r's process) that

@@ -264,3 +264,16 @@ def test_console_script_entry_point():
     )
     assert proc.returncode == 0
     assert "racetrace" in proc.stdout
+
+
+@pytest.mark.parametrize("command", ["simulate", "explore"])
+def test_simulation_error_is_a_one_line_diagnostic(tmp_path, command):
+    prog = tmp_path / "bad.prog"
+    prog.write_text("program { main f\n def f() { X = foo; send {val,1} to X } }\n")
+    proc = subprocess.run(
+        [sys.executable, "-m", "racetrace.cli", command, str(prog)],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr == "p1: send target evaluates to foo, not a pid\n"

@@ -9,17 +9,23 @@ from racetrace import (
     EventId,
     Rec,
     Send,
+    SimulationError,
     Spawn,
     Trace,
     all_races,
     enumerate_linearizations,
+    explore,
     hb_graph,
+    initial_state,
     linearize,
     orphans,
+    parse_program,
     parse_trace,
     race_set,
     replay_prefix,
+    run_deterministic,
     run_random,
+    step,
     validate_trace,
     variant,
 )
@@ -141,6 +147,55 @@ def test_orphans_hb_graph_and_replay_validate_once(run_trace, proga, validated):
     validated.clear()
     replay_prefix(proga, prefix)
     assert validated == [prefix]
+
+
+def test_explore_validates_each_trace_once_and_each_variant_twice(gencoll4, validated):
+    report = explore(gencoll4, seed=0)
+    assert len(report.traces) == 24 and not report.bounded
+    for t in report.traces.values():
+        assert sum(v is t for v in validated) == 1
+    # every candidate that survives the cheap checks is a racer here, so each
+    # gate harvests one variant, enqueued or a duplicate; each enqueued
+    # variant is validated once more when it is replayed
+    replays = report.variants_enqueued
+    gates = report.variants_enqueued + report.duplicate_variants
+    assert len(validated) == len(report.traces) + replays + gates
+
+
+# A program whose main process ends in a send to a non-pid, after it has
+# sent its child a message
+BAD_TARGET = """program { main f
+  def f() { P = spawn g(); send {val,1} to P; X = foo; send {val,2} to X }
+  def g() { receive { {val,N} -> N } } }
+"""
+BAD_TARGET_PREFIX = """trace { initial: p1
+  p1: spawn(p1.1), send(p1.1, {val,1}, p1.1)
+  p1.1: %s }
+constraints { cs1: {val,N} -> . }
+"""
+
+
+def test_only_the_stepped_process_is_evaluated():
+    program = parse_program(BAD_TARGET)
+    for run in (
+        lambda: explore(program),
+        lambda: run_random(program, 0),
+        lambda: run_deterministic(initial_state(program)),
+    ):
+        with pytest.raises(SimulationError, match="not a pid"):
+            run()
+
+    # replaying p1.1's receive does not evaluate p1's pending send
+    sys, _ = replay_prefix(program, parse_trace(BAD_TARGET_PREFIX % "rec(p1.1, cs1)"))
+    with pytest.raises(SimulationError, match="not a pid"):
+        run_deterministic(sys)
+
+    sys, _ = replay_prefix(program, parse_trace(BAD_TARGET_PREFIX % "ε"))
+    with pytest.raises(SimulationError, match="not a pid"):
+        step(sys, "p1")
+    with pytest.raises(SimulationError, match="pid p9 is not enabled"):
+        step(sys, "p9")
+    assert step(sys, "p1.1") == Rec("p1.1", sys.program.defs["g"].body[0].cs)
 
 
 # ---------------------------------------------------------------------------
