@@ -1,16 +1,17 @@
 """Command-line interface.
 
 Exit codes: 0 success / analysis-positive, 1 analysis-negative (invalid
-document, non-equivalent, divergence, failed check), 2 usage, parse and
-program errors (static, or raised while the program runs). Diagnostics go
-to stderr, one line each, results to stdout. With ``--json`` each result is
-emitted as one JSON record per line.
+document, non-equivalent, divergence, failed check) or stdout closed by its
+reader, 2 usage, parse and program errors (static, or raised while the
+program runs). Diagnostics go to stderr, one line each, results to stdout.
+With ``--json`` each result is emitted as one JSON record per line.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -375,7 +376,17 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return USAGE if exc.code not in (0, None) else 0
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader of stdout is gone (e.g. `| head`): as the Python docs
+        # on SIGPIPE advise, point stdout at devnull so that the flush at
+        # exit cannot fail again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return FAIL
     except CliError as exc:
         print(str(exc), file=sys.stderr)
         return exc.code

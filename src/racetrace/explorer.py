@@ -9,11 +9,13 @@ simulator's schedule-invariant naming makes trace-equal executions
 byte-identical.
 
 Each new trace is indexed and validated once (``valid_index``); its orphans
-and its race reports come from that one index. After replaying a variant,
-race reports are built only for receives at or after the replaced one in the
-replaced process, and for receives of other processes that lie beyond the
-variant prefix; races inside the shared prefix were already harvested from
-the parent, so their reports are never built.
+and its race reports come from that one index, whose validity gates admit each
+variant without validating it, so a variant is validated once, by
+``replay_prefix``. After replaying a variant, race reports are built only for
+receives at or after the replaced one in the replaced process, and for
+receives of other processes that lie beyond the variant prefix; races inside
+the shared prefix were already harvested from the parent, so their reports are
+never built.
 """
 
 from __future__ import annotations

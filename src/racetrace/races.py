@@ -13,8 +13,8 @@ constructive check per candidate send(L', v', p):
     above is not enough on its own: a foreign blocking message can be forced
     ahead of L' through a chain of orderings (e.g. the blocker precedes, in
     its own sender, a message that an earlier receive pins before L'). The
-    validity gate decides this exactly, and the earlier per-candidate checks
-    survive as explanations.
+    validity gate decides this exactly, on the parent's hb graph, and the
+    earlier per-candidate checks survive as explanations.
 
 The declarative oracle re-derives the same answer by brute force: it searches
 for a subtrace that truncates the receiver right before the receive and stays
@@ -31,14 +31,20 @@ pass over the sends addressed to its process, in sender order:
 ``blocked_by`` is the sender's oldest message the receive could take
 (``TraceIndex.oldest_waiting``, the one statement of the mailbox rule) when
 that precedes the candidate, and ``hb_excluded`` reads one forward
-traversal from the receive shared by all its candidates. Only the validity
-gate validates again, once per candidate that survives the cheap checks.
+traversal from the receive shared by all its candidates. The validity gate
+reads the same index and validates nothing: the rewritten trace keeps the
+events the receive did not happen before and adds the new receive, so it
+is decided by one check per receive (no kept send addresses an erased
+process) and one forward traversal per candidate that survives the cheap
+checks (no other message waiting at the receive must precede it). The
+rewritten trace is built only for the racers a caller asks a variant of.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from typing import Callable
 
 from .causality import EventId
 from .parsing import name_sort_key
@@ -95,10 +101,10 @@ class Variant:
 def race_report(index: TraceIndex, r: int) -> RaceReport:
     """The race set of receive event r of a validated trace's index: the one
     builder behind ``race_set``, ``all_races`` and the explorer."""
-    t = index.trace
     pid, idx, rec = index.events[r]
     oldest = index.oldest_waiting(r)
     after = index.after(r)
+    gate: Callable[[int], bool] | None = None  # built for the first survivor
     checks: list[CandidateCheck] = []
     for q, sends in index.sends_to.get(pid, {}).items():
         first = oldest.get(q)
@@ -112,9 +118,9 @@ def race_report(index: TraceIndex, r: int) -> RaceReport:
             hb_excluded = bool(after[s])
             blocked_by = blocker if first is not None and first < s else None
             survives = matches and not already and not hb_excluded and blocked_by is None
-            infeasible = survives and (
-                validate_trace(_build_variant(t, pid, idx, send.tag)) is not None
-            )
+            if survives and gate is None:
+                gate = _variant_gate(index, r, oldest, after)
+            infeasible = survives and gate(s)
             checks.append(
                 CandidateCheck(
                     send.tag, q, matches, already, hb_excluded, blocked_by,
@@ -124,6 +130,66 @@ def race_report(index: TraceIndex, r: int) -> RaceReport:
     checks.sort(key=lambda c: name_sort_key(c.tag))
     racers = {c.tag for c in checks if c.in_race_set}
     return RaceReport(EventId(pid, idx), rec.tag, racers, checks)
+
+
+def _variant_gate(
+    index: TraceIndex, r: int, oldest: dict[Pid, int], after: bytearray
+) -> Callable[[int], bool]:
+    """The validity gate of receive r's candidates, read off the parent's
+    index: the returned function tells, for a send s that survives the
+    cheap checks, whether the variant consuming s at r is *not* a valid
+    trace. The variant is never built.
+
+    The variant keeps K, the events that are neither r nor in ``after``
+    (exactly what ``_rdep`` keeps), and ends r's process with rec(s). K is
+    a subtrace of a valid trace, so the variant is invalid in two cases
+    only:
+
+    (i) a kept send addresses a process whose spawn is erased: condition
+        (a), the same for every candidate at r;
+    (ii) the new receive closes a cycle: it orders s before W, the oldest
+        message per sender still waiting at r inside K (r's own message,
+        now unconsumed, among them), so s is infeasible iff some w in W
+        other than s reaches s through K's hb and ordering edges. One
+        forward traversal per candidate decides it. A send whose receive
+        is erased keeps only its hb edges, since its ordering edges were
+        that receive's.
+    """
+    events, rec_at = index.events, index.rec_at
+    erased = {
+        a.child for v, (_, _, a) in enumerate(events) if after[v] and isinstance(a, Spawn)
+    }
+    if any(
+        not after[v]
+        for child in erased
+        for sends in index.sends_to.get(child, {}).values()
+        for v in sends
+    ):
+        return lambda s: True
+    gone = bytearray(after)
+    gone[r] = 1
+    waiting = [w for w in oldest.values() if not after[w]]
+    succ, hb_succ = index.succ, index.hb_succ
+
+    def infeasible(s: int) -> bool:
+        seen = bytearray(len(events))
+        stack = [w for w in waiting if w != s]
+        for w in stack:
+            seen[w] = 1
+        while stack:
+            v = stack.pop()
+            a = events[v][2]
+            # only a send whose receive K keeps has ordering edges
+            ordered = isinstance(a, Send) and not gone[rec_at.get(a.tag, r)]
+            for u in succ[v] if ordered else hb_succ[v]:
+                if u == s:
+                    return True
+                if not gone[u] and not seen[u]:
+                    seen[u] = 1
+                    stack.append(u)
+        return False
+
+    return infeasible
 
 
 def _receive(index: TraceIndex, tag: Tag) -> int:
@@ -237,8 +303,9 @@ def _build_variant(t: Trace, pid: Pid, idx: int, racer: Tag) -> Trace:
 
 
 def report_variant(t: Trace, report: RaceReport, racer: Tag) -> Variant:
-    """The variant for a racer of `report`, a report on t: the trace that the
-    race set's validity gate already validated, so it is not checked again."""
+    """The variant for a racer of `report`, a report on t. The race set's
+    validity gate proved this trace valid on t's index, without building
+    it, so it is not checked here."""
     pid, idx = report.receive
     return Variant(_build_variant(t, pid, idx, racer), (pid, idx), report.subject, racer)
 

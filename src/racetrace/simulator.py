@@ -453,6 +453,8 @@ def step(sys: SysState, pid: Pid) -> Action:
     if nxt is None:
         raise SimulationError(f"pid {pid} is not enabled")
     action, found = nxt
+    if isinstance(action, Send) and action.target not in sys.procs:
+        raise SimulationError(f"{pid}: send target {action.target} is not a process")
     proc = sys.procs[pid]
     stmt = proc.stmts.pop(0)
 

@@ -1,3 +1,4 @@
+import io
 import json
 import subprocess
 import sys
@@ -266,14 +267,51 @@ def test_console_script_entry_point():
     assert "racetrace" in proc.stdout
 
 
-@pytest.mark.parametrize("command", ["simulate", "explore"])
-def test_simulation_error_is_a_one_line_diagnostic(tmp_path, command):
+def _run_program(tmp_path, command, text):
     prog = tmp_path / "bad.prog"
-    prog.write_text("program { main f\n def f() { X = foo; send {val,1} to X } }\n")
-    proc = subprocess.run(
+    prog.write_text(text)
+    return subprocess.run(
         [sys.executable, "-m", "racetrace.cli", command, str(prog)],
         capture_output=True, text=True,
+    )
+
+
+@pytest.mark.parametrize("command", ["simulate", "explore"])
+def test_simulation_error_is_a_one_line_diagnostic(tmp_path, command):
+    proc = _run_program(
+        tmp_path, command, "program { main f\n def f() { X = foo; send {val,1} to X } }\n"
     )
     assert proc.returncode == 2
     assert "Traceback" not in proc.stderr
     assert proc.stderr == "p1: send target evaluates to foo, not a pid\n"
+
+
+@pytest.mark.parametrize("command", ["simulate", "explore"])
+def test_send_to_a_missing_process_is_a_one_line_diagnostic(tmp_path, command):
+    proc = _run_program(tmp_path, command, "program { main f def f() { send ok to <p9> } }\n")
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr == "p1: send target p9 is not a process\n"
+
+
+class _ClosedPipe(io.StringIO):
+    """A stdout whose reader has gone: every write raises BrokenPipeError."""
+
+    def __init__(self, fd):
+        super().__init__()
+        self.fd = fd
+
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+    def fileno(self):
+        return self.fd
+
+
+def test_closed_stdout_ends_quietly(tmp_path, monkeypatch, capsys):
+    with open(tmp_path / "stdout", "w") as real:
+        monkeypatch.setattr(sys, "stdout", _ClosedPipe(real.fileno()))
+        code = main(["explore", fx("progc.prog")])
+        err = capsys.readouterr().err
+    assert code == 1
+    assert err == ""

@@ -122,20 +122,20 @@ def _gates(reports):
 @pytest.mark.parametrize(
     "t", [parse_trace(fixture_text("fix_run.trace")), REASONS_TRACE], ids=["run", "reasons"]
 )
-def test_race_analysis_validates_once_plus_once_per_gate(t, validated):
+def test_race_analysis_validates_once(t, validated):
+    # the validity gates run on the index of t: none validates a variant
     reports = all_races(t)
-    assert validated[0] is t
-    assert len(validated) == 1 + _gates(reports)
-    assert all(v is not t for v in validated[1:])
+    assert _gates(reports) > 0
+    assert validated == [t]
 
     for rep in reports:
         validated.clear()
         report = race_set(t, rep.subject)
-        assert validated[0] is t and len(validated) == 1 + _gates([report])
+        assert validated == [t]
         for racer in report.sorted_racers():
             validated.clear()
             variant(t, rep.subject, racer)
-            assert validated[0] is t and len(validated) == 1 + _gates([report])
+            assert validated == [t]
 
 
 def test_orphans_hb_graph_and_replay_validate_once(run_trace, proga, validated):
@@ -149,17 +149,15 @@ def test_orphans_hb_graph_and_replay_validate_once(run_trace, proga, validated):
     assert validated == [prefix]
 
 
-def test_explore_validates_each_trace_once_and_each_variant_twice(gencoll4, validated):
+def test_explore_validates_each_trace_and_each_variant_once(gencoll4, validated):
     report = explore(gencoll4, seed=0)
     assert len(report.traces) == 24 and not report.bounded
     for t in report.traces.values():
         assert sum(v is t for v in validated) == 1
-    # every candidate that survives the cheap checks is a racer here, so each
-    # gate harvests one variant, enqueued or a duplicate; each enqueued
-    # variant is validated once more when it is replayed
-    replays = report.variants_enqueued
-    gates = report.variants_enqueued + report.duplicate_variants
-    assert len(validated) == len(report.traces) + replays + gates
+    # each enqueued variant is validated once, when it is replayed; the gate
+    # that admitted it validated nothing
+    assert report.variants_enqueued > 0
+    assert len(validated) == len(report.traces) + report.variants_enqueued
 
 
 # A program whose main process ends in a send to a non-pid, after it has

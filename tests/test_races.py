@@ -15,7 +15,9 @@ from racetrace import (
     validate_trace,
     variant,
 )
+from racetrace.races import _build_variant
 from racetrace.terms import Atom, Int, Tup
+from racetrace.traces import TraceIndex
 
 from conftest import fixture_text
 from strategies import CS_ANY, CS_POS, traces
@@ -175,6 +177,77 @@ def test_oracle_agrees_on_generated_traces(t):
             assert (other in report.racers) == declarative_race_oracle(
                 t, report.subject, other
             ), (report.subject, other)
+
+
+# ---------------------------------------------------------------------------
+# The validity gate against building and validating the variant
+# ---------------------------------------------------------------------------
+
+
+# p1 receives its own message p1.1 and then spawns p1.3; p1.1 sends p1.1.1
+# to p1 and then p1.1.2 to p1.3. The variant consuming p1.1.1 erases the
+# spawn of p1.3 but keeps p1.1's send to it, so it is not a valid trace
+DANGLING_SEND = Trace(
+    "p1",
+    {
+        "p1": (
+            Spawn("p1.1"),
+            Spawn("p1.2"),
+            Send("p1.1", val(0), "p1"),
+            Send("p1.2", val(0), "p1"),
+            Rec("p1.1", CS_ANY),
+            Spawn("p1.3"),
+            Spawn("p1.4"),
+            Send("p1.3", val(0), "p1"),
+        ),
+        "p1.1": (Send("p1.1.1", val(0), "p1"), Send("p1.1.2", val(0), "p1.3")),
+        "p1.2": (),
+        "p1.3": (),
+        "p1.4": (),
+    },
+)
+
+
+def _survives(c):
+    return c.matches and not c.already_received and not c.hb_excluded and c.blocked_by is None
+
+
+@settings(max_examples=150, deadline=None)
+@given(traces(max_events=10))
+@example(DANGLING_SEND)
+def test_gate_equals_validating_the_built_variant(t):
+    index = TraceIndex(t)
+    for report in all_races(t):
+        pid, idx = report.receive
+        r = index.first[pid] + idx
+        after = index.after(r)
+        # the variant keeps exactly the events that are neither r nor after it
+        kept = {(p, i) for v, (p, i, _) in enumerate(index.events) if v != r and not after[v]}
+        for check in filter(_survives, report.candidates):
+            built = _build_variant(t, pid, idx, check.tag)
+            assert check.infeasible == (validate_trace(built) is not None), (
+                report.subject, check.tag,
+            )
+            assert kept == {
+                (p, i) for p, seq in built.procs.items() for i in range(len(seq))
+            } - {(pid, idx)}
+
+
+def test_gate_rejects_a_variant_with_a_dangling_send():
+    check = {c.tag: c for c in race_set(DANGLING_SEND, "p1.1").candidates}["p1.1.1"]
+    assert _survives(check) and check.infeasible and not check.in_race_set
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="the variant erases every event the receive happened before, so it "
+    "keeps p1.1's send to p1.3 and loses p1.3's spawn; the declarative "
+    "definition may cut that send instead and finds the race",
+)
+def test_oracle_agrees_on_a_dangling_send():
+    assert declarative_race_oracle(DANGLING_SEND, "p1.1", "p1.1.1") == (
+        "p1.1.1" in race_set(DANGLING_SEND, "p1.1").racers
+    )
 
 
 # ---------------------------------------------------------------------------
