@@ -291,15 +291,10 @@ def _directly_related(earlier: Event, later: Event) -> bool:
 
 
 def causally_equivalent(s1: Interleaving, s2: Interleaving) -> bool:
-    """Decided by trace equality (sound and complete for valid interleavings)."""
-    for s in (s1, s2):
-        bad = validate_interleaving(s)
-        if bad is not None:
-            raise ValueError(f"invalid interleaving: {bad}")
-    if s1.initial != s2.initial:
-        return False
-    if Counter(s1.events) != Counter(s2.events):
-        return False
+    """Decided by trace equality (sound and complete for valid interleavings).
+
+    ``tr`` validates each interleaving, raising ValueError for an invalid
+    one; equal traces have the same initial pid and the same events."""
     return tr(s1) == tr(s2)
 
 

@@ -8,10 +8,10 @@ deduplicated by canonical serialization, which is sound because the
 simulator's schedule-invariant naming makes trace-equal executions
 byte-identical.
 
-Each new trace is indexed and validated once (``valid_index``); its orphans
-and its race reports come from that one index, whose validity gates admit each
-variant without validating it, so a variant is validated once, by
-``replay_prefix``. After replaying a variant, race reports are built only for
+Each new trace is indexed and validated once (``valid_index``); its orphans,
+its race reports and their variants come from that one index, whose validity
+gates admit each variant without validating it, so a variant is validated
+once, by ``replay_prefix``. After replaying a variant, race reports are built only for
 receives at or after the replaced one in the replaced process, and for
 receives of other processes that lie beyond the variant prefix; races inside
 the shared prefix were already harvested from the parent, so their reports are
@@ -126,7 +126,7 @@ def explore(
             rep = race_report(index, r)
             for racer in rep.sorted_racers():
                 count += 1
-                v = report_variant(t, rep, racer)
+                v = report_variant(index, rep, racer)
                 vkey = v.trace.key()
                 if vkey in pending_keys:
                     report.duplicate_variants += 1

@@ -13,7 +13,9 @@ The grammar (shared by trace, interleaving and program files):
 
 Atoms are lowercase identifiers, variables start with an uppercase letter,
 ``_`` is the wildcard. Pid names look like ``p1`` or ``p1.2``; tag names are
-either dotted names (``p3.1``) or plain identifiers (``l1``).
+either dotted names (``p3.1``) or plain identifiers (``l1``). Tuples and lists
+nest at most ``MAX_NESTING`` (100) deep in a term or pattern; a deeper one is
+a ``ParseError`` at the opening bracket past the limit.
 """
 
 from __future__ import annotations
@@ -209,7 +211,17 @@ def name_sort_key(name: str) -> tuple:
 # ---------------------------------------------------------------------------
 
 
+# The functions that walk terms (matching, rendering, equality) recurse once
+# or twice per level: this keeps them well inside Python's recursion limit.
+MAX_NESTING = 100
+
+
 def parse_pattern(ts: TokenStream) -> Pattern:
+    return _parse_pattern(ts, 0)
+
+
+def _parse_pattern(ts: TokenStream, depth: int) -> Pattern:
+    """A pattern inside `depth` open tuples and lists."""
     tok = ts.peek()
     if tok.kind == "int":
         ts.next()
@@ -222,12 +234,12 @@ def parse_pattern(ts: TokenStream) -> Pattern:
         return Atom(tok.text)
     if ts.accept_sym("_"):
         return Wildcard()
+    if (ts.at_sym("{") or ts.at_sym("[")) and depth == MAX_NESTING:
+        raise ts.error(f"term nests deeper than {MAX_NESTING} tuples and lists")
     if ts.accept_sym("{"):
-        items = _parse_pattern_list(ts, "}")
-        return Tup(tuple(items))
+        return Tup(tuple(_parse_pattern_list(ts, "}", depth + 1)))
     if ts.accept_sym("["):
-        items = _parse_pattern_list(ts, "]")
-        return Lst(tuple(items))
+        return Lst(tuple(_parse_pattern_list(ts, "]", depth + 1)))
     if ts.accept_sym("<"):
         pid = parse_dotted_name(ts)
         ts.expect_sym(">")
@@ -237,13 +249,13 @@ def parse_pattern(ts: TokenStream) -> Pattern:
     raise ts.error(f"expected a term, found {tok.text!r}")
 
 
-def _parse_pattern_list(ts: TokenStream, close: str) -> list[Pattern]:
+def _parse_pattern_list(ts: TokenStream, close: str, depth: int) -> list[Pattern]:
     items: list[Pattern] = []
     if ts.accept_sym(close):
         return items
-    items.append(parse_pattern(ts))
+    items.append(_parse_pattern(ts, depth))
     while ts.accept_sym(","):
-        items.append(parse_pattern(ts))
+        items.append(_parse_pattern(ts, depth))
     ts.expect_sym(close)
     return items
 

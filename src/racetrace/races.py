@@ -22,7 +22,10 @@ a valid trace once ``rec(L', cs)`` is appended.
 
 A race variant rewrites the receive to consume the racer and erases every
 action that happened after the original receive, yielding a (usually partial)
-trace that can drive a replayed execution into a new equivalence class.
+trace that can drive a replayed execution into a new equivalence class. What
+it keeps is stated once, in ``_erased``, which the validity gate and the
+variant builder both read; the paper's inductive ``rdep`` is the tests'
+reference for it.
 
 Cost: ``all_races`` and ``race_set`` index and validate the trace once, then
 call ``race_report`` -- the one per-receive builder, which the explorer
@@ -37,7 +40,8 @@ events the receive did not happen before and adds the new receive, so it
 is decided by one check per receive (no kept send addresses an erased
 process) and one forward traversal per candidate that survives the cheap
 checks (no other message waiting at the receive must precede it). The
-rewritten trace is built only for the racers a caller asks a variant of.
+rewritten trace is built only for the racers a caller asks a variant of,
+cut from the caller's index in one pass over its events.
 """
 
 from __future__ import annotations
@@ -119,7 +123,7 @@ def race_report(index: TraceIndex, r: int) -> RaceReport:
             blocked_by = blocker if first is not None and first < s else None
             survives = matches and not already and not hb_excluded and blocked_by is None
             if survives and gate is None:
-                gate = _variant_gate(index, r, oldest, after)
+                gate = _variant_gate(index, r, oldest)
             infeasible = survives and gate(s)
             checks.append(
                 CandidateCheck(
@@ -132,18 +136,31 @@ def race_report(index: TraceIndex, r: int) -> RaceReport:
     return RaceReport(EventId(pid, idx), rec.tag, racers, checks)
 
 
+def _erased(index: TraceIndex, r: int) -> tuple[bytearray, set[Pid]]:
+    """What every variant cut at receive r erases: the marks of r and of
+    the events r happened before (``index.after(r)``), and the pids whose
+    spawn is among them. A variant keeps every other event, which is what
+    the paper's ``rdep`` keeps once r is rewritten, and ``notdep(r)`` in
+    Optimal DPOR's terms; the validity gate and ``report_variant`` both
+    read it from here."""
+    gone = index.after(r)
+    gone[r] = 1
+    erased_events = itertools.compress(index.events, gone)
+    dead = {a.child for _, _, a in erased_events if isinstance(a, Spawn)}
+    return gone, dead
+
+
 def _variant_gate(
-    index: TraceIndex, r: int, oldest: dict[Pid, int], after: bytearray
+    index: TraceIndex, r: int, oldest: dict[Pid, int]
 ) -> Callable[[int], bool]:
     """The validity gate of receive r's candidates, read off the parent's
     index: the returned function tells, for a send s that survives the
     cheap checks, whether the variant consuming s at r is *not* a valid
     trace. The variant is never built.
 
-    The variant keeps K, the events that are neither r nor in ``after``
-    (exactly what ``_rdep`` keeps), and ends r's process with rec(s). K is
-    a subtrace of a valid trace, so the variant is invalid in two cases
-    only:
+    The variant keeps K, the events ``_erased`` does not mark, and ends r's
+    process with rec(s). K is a subtrace of a valid trace, so the variant
+    is invalid in two cases only:
 
     (i) a kept send addresses a process whose spawn is erased: condition
         (a), the same for every candidate at r;
@@ -155,20 +172,16 @@ def _variant_gate(
         is erased keeps only its hb edges, since its ordering edges were
         that receive's.
     """
-    events, rec_at = index.events, index.rec_at
-    erased = {
-        a.child for v, (_, _, a) in enumerate(events) if after[v] and isinstance(a, Spawn)
-    }
+    gone, dead = _erased(index, r)
     if any(
-        not after[v]
-        for child in erased
+        not gone[v]
+        for child in dead
         for sends in index.sends_to.get(child, {}).values()
         for v in sends
     ):
         return lambda s: True
-    gone = bytearray(after)
-    gone[r] = 1
-    waiting = [w for w in oldest.values() if not after[w]]
+    events, rec_at = index.events, index.rec_at
+    waiting = [w for w in oldest.values() if not gone[w]]
     succ, hb_succ = index.succ, index.hb_succ
 
     def infeasible(s: int) -> bool:
@@ -255,66 +268,36 @@ def declarative_race_oracle(t: Trace, tag: Tag, other: Tag) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Race variants (rdep)
+# Race variants
 # ---------------------------------------------------------------------------
 
 
-def _rdep(suffix: tuple, procs: dict[Pid, tuple]) -> dict[Pid, tuple]:
-    """Erase every action depending on the removed receive.
-
-    Worklist form of the inductive definition: process the removed actions
-    one at a time; a removed spawn erases the whole child, a removed send
-    whose message was consumed truncates the consumer before that receive
-    and queues the removed tail.
-    """
-    work = list(suffix)
-    while work:
-        action = work.pop(0)
-        if isinstance(action, Rec):
-            continue
-        if isinstance(action, Spawn):
-            child_actions = procs.pop(action.child, ())
-            work = work + list(child_actions)
-            continue
-        assert isinstance(action, Send)
-        target_seq = procs.get(action.target, ())
-        cut = next(
-            (
-                k
-                for k, a in enumerate(target_seq)
-                if isinstance(a, Rec) and a.tag == action.tag
-            ),
-            None,
-        )
-        if cut is None:
-            continue
-        removed = target_seq[cut + 1 :]
-        procs[action.target] = target_seq[:cut]
-        work = work + list(removed)
-    return procs
-
-
-def _build_variant(t: Trace, pid: Pid, idx: int, racer: Tag) -> Trace:
-    """Replace the receive at pid[idx] with rec(racer) and erase dependents."""
-    procs = dict(t.procs)
-    suffix = procs[pid][idx + 1 :]
-    procs[pid] = procs[pid][:idx] + (Rec(racer, procs[pid][idx].cs),)
-    return Trace(t.initial, _rdep(suffix, procs))
-
-
-def report_variant(t: Trace, report: RaceReport, racer: Tag) -> Variant:
-    """The variant for a racer of `report`, a report on t. The race set's
-    validity gate proved this trace valid on t's index, without building
-    it, so it is not checked here."""
+def report_variant(index: TraceIndex, report: RaceReport, racer: Tag) -> Variant:
+    """The variant for a racer of `report`, a report on the trace `index`
+    holds, cut from the receive's traversal (``_erased``): every process
+    whose spawn is kept keeps its kept events, in ``procs`` order, and the
+    receive's process ends with rec(racer). The race set's validity gate
+    proved this trace valid on the same index, so it is not checked here."""
     pid, idx = report.receive
-    return Variant(_build_variant(t, pid, idx, racer), (pid, idx), report.subject, racer)
+    t = index.trace
+    r = index.first[pid] + idx
+    gone, dead = _erased(index, r)
+    procs: dict[Pid, tuple] = {}
+    for p, seq in t.procs.items():
+        if p not in dead:
+            # gone is closed under program order: the kept events are a prefix
+            first = index.first[p]
+            procs[p] = seq[: len(seq) - gone.count(1, first, first + len(seq))]
+    procs[pid] += (Rec(racer, index.events[r][2].cs),)
+    return Variant(Trace(t.initial, procs), (pid, idx), report.subject, racer)
 
 
 def variant(t: Trace, tag: Tag, racer: Tag) -> Variant:
     """The race variant of t that consumes `racer` at `tag`'s receive."""
-    report = race_set(t, tag)
+    index = valid_index(t)
+    report = race_report(index, _receive(index, tag))
     if racer not in report.racers:
         detail = next((c.reason() for c in report.candidates if c.tag == racer), None)
         why = f" ({detail})" if detail else ""
         raise ValueError(f"{racer} is not in the race set of {tag}{why}")
-    return report_variant(t, report, racer)
+    return report_variant(index, report, racer)

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Union
+from typing import Callable, Iterator, Optional, Union
 
 from .parsing import (
     ParseError,
@@ -52,7 +52,7 @@ from .terms import (
     match_pattern,
     matching_clause,
     pattern_vars,
-    render_guard,
+    render_clause,
     render_term,
 )
 from .causality import linearize_index
@@ -315,12 +315,10 @@ def _render_stmt(stmt: Stmt) -> str:
     if isinstance(stmt, SendStmt):
         return f"send {render_term(stmt.value)} to {render_term(stmt.target)}"
     if isinstance(stmt, ReceiveStmt):
-        rendered = []
-        for clause, body in zip(stmt.cs.clauses, stmt.bodies):
-            head = render_term(clause.pattern)
-            if not isinstance(clause.guard, GTrue):
-                head += " when " + render_guard(clause.guard)
-            rendered.append(f"{head} -> {_render_stmt(body[0])}")
+        rendered = (
+            render_clause(clause, _render_stmt(body[0]))
+            for clause, body in zip(stmt.cs.clauses, stmt.bodies)
+        )
         return "receive { " + "; ".join(rendered) + " }"
     return render_term(stmt.value)
 
@@ -532,27 +530,36 @@ def enumerate_executions(
     """Depth-first over every enabled choice at every state.
 
     Returns (complete traces keyed by canonical serialization, number of
-    branches cut off by the step limit).
+    branches cut off by the step limit). An explicit stack holds the
+    current path, so no step limit runs into Python's recursion limit.
     """
     traces: dict[str, Trace] = {}
     limited = 0
+    # per state on the path, the pids of the choices not yet taken; a
+    # state's depth is the stack's length when it is visited
+    stack: list[tuple[SysState, Iterator[Pid]]] = []
 
-    def walk(sys: SysState, depth: int) -> None:
+    def visit(sys: SysState) -> None:
         nonlocal limited
         choices = enabled(sys)
         if not choices:
             t = sys.trace()
             traces.setdefault(t.key(), t)
-            return
-        if depth >= max_steps:
+        elif len(stack) >= max_steps:
             limited += 1
-            return
-        for pid, _ in choices:
-            branch = sys.clone()
-            step(branch, pid)
-            walk(branch, depth + 1)
+        else:
+            stack.append((sys, (pid for pid, _ in choices)))
 
-    walk(initial_state(program), 0)
+    visit(initial_state(program))
+    while stack:
+        sys, pids = stack[-1]
+        pid = next(pids, None)
+        if pid is None:
+            stack.pop()
+            continue
+        branch = sys.clone()
+        step(branch, pid)
+        visit(branch)
     return traces, limited
 
 

@@ -60,6 +60,15 @@ GENCOLL4 = """program { main main
 """
 
 
+# main spawns a sink that does nothing and sends it 2 000 messages: one
+# schedule of 2 001 steps, deeper than Python's default recursion limit
+LONG_PROGRAM = (
+    "program { main main\n  def main() { S = spawn sink(); "
+    + "; ".join(f"send {{m,{i}}} to S" for i in range(2000))
+    + " }\n  def sink() { } }\n"
+)
+
+
 @pytest.fixture
 def gencoll4():
     return parse_program(GENCOLL4)

@@ -8,7 +8,7 @@ import pytest
 from racetrace import parse_trace, validate_trace
 from racetrace.cli import main
 
-from conftest import FIXTURES, fixture_text
+from conftest import FIXTURES, LONG_PROGRAM, fixture_text
 
 
 def fx(name):
@@ -99,6 +99,39 @@ def test_equiv(capsys):
 def test_equiv_rejects_invalid_input(capsys):
     code, _, err = run_cli(capsys, "equiv", fx("fix_s_a.itl"), fx("fix_s_bad.itl"))
     assert code == 1 and "invalid interleaving" in err
+
+
+# ---------------------------------------------------------------------------
+# invalid and malformed input
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["races"],
+        ["hb"],
+        ["variant", "--receive", "l1", "--with", "l2"],
+        ["orphans"],
+        ["replay", fx("proga.prog"), "--prefix"],
+    ],
+    ids=["races", "hb", "variant", "orphans", "replay"],
+)
+def test_invalid_trace_is_a_one_line_diagnostic(tmp_path, capsys, command):
+    bad = tmp_path / "bad.trace"
+    bad.write_text("trace { initial: p1\n  p1: rec(l1, c) }\nconstraints { c: _ -> . }\n")
+    code, out, err = run_cli(capsys, *command, str(bad))
+    assert code == 1 and out == ""
+    assert err == f"{bad}: invalid trace: condition b violated at p1[0]: no send of tag l1\n"
+
+
+def test_too_deeply_nested_term_is_a_one_line_diagnostic(tmp_path, capsys):
+    deep = tmp_path / "deep.trace"
+    value = "{" * 3000 + "a" + "}" * 3000
+    deep.write_text(f"trace {{ initial: p1\n  p1: send(l1, {value}, p1) }}\n")
+    code, _, err = run_cli(capsys, "validate", str(deep))
+    assert code == 2
+    assert err == f"{deep}: 2:116: term nests deeper than 100 tuples and lists\n"
 
 
 # ---------------------------------------------------------------------------
@@ -244,6 +277,14 @@ def test_explore_with_oracle_and_out(tmp_path, capsys):
     for name in files[1:]:
         t = parse_trace((out_dir / name).read_text())
         assert validate_trace(t) is None
+
+
+def test_explore_oracle_on_a_long_program(tmp_path, capsys):
+    prog = tmp_path / "long.prog"
+    prog.write_text(LONG_PROGRAM)
+    code, out, err = run_cli(capsys, "explore", str(prog), "--check-oracle")
+    assert code == 0 and err == ""
+    assert out.splitlines()[0] == "oracle agreement: 1 traces"
 
 
 def test_explore_json(capsys):

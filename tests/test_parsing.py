@@ -1,7 +1,20 @@
 import pytest
 
-from racetrace import ParseError, name_sort_key
-from racetrace.parsing import TokenStream, parse_constraint, parse_pattern, tokenize
+from racetrace import (
+    ParseError,
+    match,
+    name_sort_key,
+    parse_trace,
+    serialize_trace,
+    validate_trace,
+)
+from racetrace.parsing import (
+    MAX_NESTING,
+    TokenStream,
+    parse_constraint,
+    parse_pattern,
+    tokenize,
+)
 from racetrace.terms import (
     Atom,
     Cmp,
@@ -66,6 +79,39 @@ def test_parse_error_carries_position():
         pat("{val,")
     assert err.value.line == 1
     assert err.value.col >= 6
+
+
+def nested(depth, leaf):
+    """`leaf` inside `depth` tuples and lists, alternating."""
+    opens = "".join("{["[k % 2] for k in range(depth))
+    return opens + leaf + "".join("}]"[k % 2] for k in reversed(range(depth)))
+
+
+def test_term_at_the_nesting_limit_parses_matches_and_renders():
+    text = nested(MAX_NESTING, "a")
+    term = pat(text)
+    assert render_term(term) == text
+    cs = parse_constraint(TokenStream(tokenize(f"c: {nested(MAX_NESTING, 'X')} -> .")))
+    assert match(term, cs)
+    trace = (
+        f"trace {{ initial: p1\n  p1: send(l1, {text}, p1), rec(l1, c) }}\n"
+        f"constraints {{ c: {nested(MAX_NESTING, 'X')} -> . }}\n"
+    )
+    t = parse_trace(trace)
+    assert validate_trace(t) is None
+    assert serialize_trace(t) == trace
+
+
+def test_term_past_the_nesting_limit_is_a_parse_error():
+    for text in (
+        nested(MAX_NESTING + 1, "a"),
+        nested(MAX_NESTING, "{}"),
+        nested(MAX_NESTING, "[X]"),
+    ):
+        with pytest.raises(ParseError, match=f"deeper than {MAX_NESTING}") as err:
+            pat(text)
+        # at the opening bracket past the limit
+        assert (err.value.line, err.value.col) == (1, MAX_NESTING + 1)
 
 
 def test_nonlinear_pattern_rejected_in_constraint():

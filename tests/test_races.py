@@ -15,9 +15,9 @@ from racetrace import (
     validate_trace,
     variant,
 )
-from racetrace.races import _build_variant
+from racetrace.races import _erased, race_report, report_variant
 from racetrace.terms import Atom, Int, Tup
-from racetrace.traces import TraceIndex
+from racetrace.traces import valid_index
 
 from conftest import fixture_text
 from strategies import CS_ANY, CS_POS, traces
@@ -212,25 +212,89 @@ def _survives(c):
     return c.matches and not c.already_received and not c.hb_excluded and c.blocked_by is None
 
 
+def rdep(suffix: tuple, procs: dict) -> dict:
+    """Erase every action depending on the removed receive: the paper's
+    inductive definition, in worklist form. Process the removed actions one
+    at a time; a removed spawn erases the whole child, a removed send whose
+    message was consumed truncates the consumer before that receive and
+    queues the removed tail."""
+    work = list(suffix)
+    while work:
+        action = work.pop(0)
+        if isinstance(action, Rec):
+            continue
+        if isinstance(action, Spawn):
+            child_actions = procs.pop(action.child, ())
+            work = work + list(child_actions)
+            continue
+        assert isinstance(action, Send)
+        target_seq = procs.get(action.target, ())
+        cut = next(
+            (
+                k
+                for k, a in enumerate(target_seq)
+                if isinstance(a, Rec) and a.tag == action.tag
+            ),
+            None,
+        )
+        if cut is None:
+            continue
+        removed = target_seq[cut + 1 :]
+        procs[action.target] = target_seq[:cut]
+        work = work + list(removed)
+    return procs
+
+
+def reference_variant(t, pid, idx, racer):
+    """Replace the receive at pid[idx] with rec(racer) and erase its
+    dependents with ``rdep``."""
+    procs = dict(t.procs)
+    suffix = procs[pid][idx + 1 :]
+    procs[pid] = procs[pid][:idx] + (Rec(racer, procs[pid][idx].cs),)
+    return Trace(t.initial, rdep(suffix, procs))
+
+
+def _survivors(t):
+    """(index, receive event, report, check) for every candidate of every
+    receive of t that survives the cheap checks."""
+    index = valid_index(t)
+    for r, (_, _, a) in enumerate(index.events):
+        if isinstance(a, Rec):
+            report = race_report(index, r)
+            for check in filter(_survives, report.candidates):
+                yield index, r, report, check
+
+
+@settings(max_examples=150, deadline=None)
+@given(traces(max_events=10))
+@example(DANGLING_SEND)
+def test_index_built_variant_equals_rdep(t):
+    for index, _, report, check in _survivors(t):
+        pid, idx = report.receive
+        built = report_variant(index, report, check.tag).trace
+        reference = reference_variant(t, pid, idx, check.tag)
+        assert built == reference, (report.subject, check.tag)
+        assert list(built.procs) == list(reference.procs), (report.subject, check.tag)
+
+
 @settings(max_examples=150, deadline=None)
 @given(traces(max_events=10))
 @example(DANGLING_SEND)
 def test_gate_equals_validating_the_built_variant(t):
-    index = TraceIndex(t)
-    for report in all_races(t):
+    for index, r, report, check in _survivors(t):
         pid, idx = report.receive
-        r = index.first[pid] + idx
-        after = index.after(r)
-        # the variant keeps exactly the events that are neither r nor after it
-        kept = {(p, i) for v, (p, i, _) in enumerate(index.events) if v != r and not after[v]}
-        for check in filter(_survives, report.candidates):
-            built = _build_variant(t, pid, idx, check.tag)
-            assert check.infeasible == (validate_trace(built) is not None), (
-                report.subject, check.tag,
-            )
-            assert kept == {
-                (p, i) for p, seq in built.procs.items() for i in range(len(seq))
-            } - {(pid, idx)}
+        reference = reference_variant(t, pid, idx, check.tag)
+        assert check.infeasible == (validate_trace(reference) is not None), (
+            report.subject, check.tag,
+        )
+        # the variant keeps exactly the events the helper does not erase,
+        # and drops exactly the processes whose spawn it erases
+        gone, dead = _erased(index, r)
+        kept = {(p, i) for v, (p, i, _) in enumerate(index.events) if not gone[v]}
+        assert kept == {
+            (p, i) for p, seq in reference.procs.items() for i in range(len(seq))
+        } - {(pid, idx)}
+        assert dead == set(t.procs) - set(reference.procs)
 
 
 def test_gate_rejects_a_variant_with_a_dangling_send():

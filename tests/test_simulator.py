@@ -22,7 +22,7 @@ from racetrace import (
 from racetrace.parsing import ParseError
 from racetrace.terms import Atom, Int, Tup
 
-from conftest import fixture_text
+from conftest import LONG_PROGRAM, fixture_text
 
 
 def val(n):
@@ -163,6 +163,13 @@ def test_enumerate_executions_counts(proga, progb, progc):
         for key, t in traces.items():
             assert validate_trace(t) is None
             assert t.key() == key
+
+
+def test_enumerate_executions_walks_a_long_program():
+    traces, limited = enumerate_executions(parse_program(LONG_PROGRAM))
+    assert limited == 0
+    (t,) = traces.values()
+    assert len(t.procs["p1"]) == 2001 and t.procs["p1.1"] == ()
 
 
 def test_enumeration_contains_every_random_run(proga):
