@@ -6,8 +6,6 @@ variants that steer a replayed execution into new behavior, and explores a
 program's reachable trace space from a single random run.
 """
 
-from types import ModuleType as _ModuleType
-
 from .terms import (
     Atom,
     Clause,
@@ -55,20 +53,17 @@ from .traces import (
 from .causality import (
     EventId,
     HbGraph,
-    SwapBudgetExhausted,
     causally_equivalent,
     enumerate_linearizations,
     hb_graph,
     independent,
     linearize,
-    swap_equiv_oracle,
 )
 from .races import (
     CandidateCheck,
     RaceReport,
     Variant,
     all_races,
-    declarative_race_oracle,
     orphans,
     race_set,
     variant,
@@ -80,7 +75,6 @@ from .simulator import (
     ProgramError,
     SimulationError,
     enabled,
-    enumerate_executions,
     initial_state,
     parse_program,
     replay_prefix,
@@ -90,9 +84,28 @@ from .simulator import (
     step,
 )
 from .explorer import ExplorationReport, Origin, distinctness_check, explore
+from .oracles import (
+    SwapBudgetExhausted,
+    declarative_race_oracle,
+    enumerate_executions,
+    swap_equiv_oracle,
+)
 
-# everything imported above, without the submodules the imports bind
 __all__ = [
-    name for name in dir()
-    if not name.startswith("_") and not isinstance(globals()[name], _ModuleType)
+    "Atom", "CandidateCheck", "Clause", "Cmp", "Constraint", "DivergenceError",
+    "Event", "EventId", "ExplorationReport", "GAnd", "GOr", "GTrue", "HbGraph",
+    "Int", "Interleaving", "Lst", "Origin", "Outcome", "ParseError", "PidLit",
+    "Program", "ProgramError", "RaceReport", "Rec", "Send", "SimulationError",
+    "Spawn", "SwapBudgetExhausted", "TagLit", "Trace", "Tup", "Var", "Variant",
+    "Violation", "Wildcard", "actions", "all_races", "causally_equivalent",
+    "declarative_race_oracle", "distinctness_check", "enabled",
+    "enumerate_executions", "enumerate_linearizations", "eval_guard",
+    "explore", "hb_graph", "in_sched", "independent", "initial_state",
+    "is_subtrace", "linearize", "match", "match_pattern", "matching_clause",
+    "name_sort_key", "orphans", "parse_interleaving", "parse_program",
+    "parse_trace", "race_set", "render_clause", "render_constraint",
+    "render_guard", "render_term", "replay_prefix", "run_deterministic",
+    "run_random", "serialize_interleaving", "serialize_program",
+    "serialize_trace", "step", "swap_equiv_oracle", "tr",
+    "validate_interleaving", "validate_trace", "variant",
 ]

@@ -22,12 +22,15 @@ N log N). ``enumerate_linearizations`` backtracks with an explicit stack, so
 trace length is not bounded by the recursion limit. ``HbGraph.reach`` is a
 plain depth-first search per query and serves as the reference for the
 index's per-receive traversal.
+
+``causally_equivalent`` decides equivalence by trace equality; its
+brute-force references, the swap search ``swap_equiv_oracle`` and the
+event-pair closure ``hb_relation``, live in ``racetrace.oracles``.
 """
 
 from __future__ import annotations
 
 import heapq
-from collections import Counter, deque
 from dataclasses import dataclass, field
 from itertools import chain
 from typing import NamedTuple, Optional
@@ -36,24 +39,18 @@ from .traces import (
     Event,
     Interleaving,
     Rec,
-    Send,
     Spawn,
     Trace,
     TraceIndex,
     first_cycle,
     tr,
     valid_index,
-    validate_interleaving,
 )
 
 
 class EventId(NamedTuple):
     pid: str
     index: int
-
-
-class SwapBudgetExhausted(Exception):
-    """The swap search ran out of budget before deciding reachability."""
 
 
 @dataclass
@@ -250,88 +247,9 @@ def enumerate_linearizations(t: Trace, cap: int = 10000) -> list[Interleaving]:
 # ---------------------------------------------------------------------------
 
 
-def hb_relation(s: Interleaving) -> frozenset[tuple[Event, Event]]:
-    """The happened-before relation of an interleaving as event pairs.
-
-    Events themselves are the keys: pid/tag uniqueness makes every event of
-    a valid interleaving distinct, so relations of two interleavings over
-    the same events are directly comparable."""
-    ids = list(s.events)
-    direct: set[tuple[int, int]] = set()
-    for i, ei in enumerate(s.events):
-        for j in range(i + 1, len(s.events)):
-            ej = s.events[j]
-            if _directly_related(ei, ej):
-                direct.add((i, j))
-    # transitive closure
-    closure = set(direct)
-    changed = True
-    while changed:
-        changed = False
-        for (a, b) in list(closure):
-            for (c, d) in list(closure):
-                if b == c and (a, d) not in closure:
-                    closure.add((a, d))
-                    changed = True
-    return frozenset((ids[a], ids[b]) for a, b in closure)
-
-
-def _directly_related(earlier: Event, later: Event) -> bool:
-    if earlier.pid == later.pid:
-        return True
-    if isinstance(earlier.action, Spawn) and earlier.action.child == later.pid:
-        return True
-    if (
-        isinstance(earlier.action, Send)
-        and isinstance(later.action, Rec)
-        and earlier.action.tag == later.action.tag
-    ):
-        return True
-    return False
-
-
 def causally_equivalent(s1: Interleaving, s2: Interleaving) -> bool:
     """Decided by trace equality (sound and complete for valid interleavings).
 
     ``tr`` validates each interleaving, raising ValueError for an invalid
     one; equal traces have the same initial pid and the same events."""
     return tr(s1) == tr(s2)
-
-
-def swap_equiv_oracle(s1: Interleaving, s2: Interleaving, budget: int = 100000) -> bool:
-    """Breadth-first search over single swaps of consecutive independent
-    events, keeping only sequences that remain valid interleavings.
-
-    Exists purely as a test oracle for ``causally_equivalent``; exponential.
-    Raises SwapBudgetExhausted when the budget runs out undecided.
-    """
-    for s in (s1, s2):
-        bad = validate_interleaving(s)
-        if bad is not None:
-            raise ValueError(f"invalid interleaving: {bad}")
-    if s1.initial != s2.initial or Counter(s1.events) != Counter(s2.events):
-        return False
-    start, goal = s1.events, s2.events
-    if start == goal:
-        return True
-    seen = {start}
-    queue = deque([start])
-    expanded = 0
-    while queue:
-        if expanded >= budget:
-            raise SwapBudgetExhausted(f"undecided after expanding {expanded} states")
-        events = queue.popleft()
-        expanded += 1
-        for i in range(len(events) - 1):
-            if _directly_related(events[i], events[i + 1]):
-                continue
-            swapped = events[:i] + (events[i + 1], events[i]) + events[i + 2 :]
-            if swapped in seen:
-                continue
-            if validate_interleaving(Interleaving(s1.initial, swapped)) is not None:
-                continue
-            if swapped == goal:
-                return True
-            seen.add(swapped)
-            queue.append(swapped)
-    return False

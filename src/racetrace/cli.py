@@ -1,10 +1,11 @@
 """Command-line interface.
 
 Exit codes: 0 success / analysis-positive, 1 analysis-negative (invalid
-document, non-equivalent, divergence, failed check) or stdout closed by its
-reader, 2 usage, parse and program errors (static, or raised while the
-program runs). Diagnostics go to stderr, one line each, results to stdout.
-With ``--json`` each result is emitted as one JSON record per line.
+document, receive tag not in the trace, non-equivalent, divergence, failed
+check) or stdout closed by its reader, 2 usage, parse and program errors
+(static, or raised while the program runs). Diagnostics go to stderr, one
+line each, results to stdout. With ``--json`` each result is emitted as one
+JSON record per line.
 """
 
 from __future__ import annotations
@@ -15,8 +16,9 @@ import os
 import sys
 from pathlib import Path
 
-from .causality import causally_equivalent, hb_graph, swap_equiv_oracle
+from .causality import causally_equivalent, hb_graph
 from .explorer import distinctness_check, explore
+from .oracles import enumerate_executions, swap_equiv_oracle
 from .parsing import ParseError, name_sort_key
 from .races import all_races, orphans, race_set, variant
 from .simulator import (
@@ -171,9 +173,12 @@ def _racer_brace_list(tags) -> str:
 
 def cmd_races(args) -> int:
     t = _require_valid_trace(args.file)
-    reports = (
-        [race_set(t, args.message)] if args.message is not None else all_races(t)
-    )
+    try:
+        reports = (
+            [race_set(t, args.message)] if args.message is not None else all_races(t)
+        )
+    except ValueError as exc:
+        raise CliError(str(exc), FAIL) from exc
     for rep in reports:
         pid, idx = rep.receive
         racers = rep.sorted_racers()
@@ -274,8 +279,6 @@ def cmd_explore(args) -> int:
             (out / f"trace-{n:04d}.trace").write_text(key, encoding="utf-8")
         (out / "report.txt").write_text(report.render(), encoding="utf-8")
     if args.check_oracle:
-        from .simulator import enumerate_executions
-
         expected, limited = enumerate_executions(program, args.max_steps)
         if limited:
             raise CliError(f"oracle hit the step limit on {limited} branches", FAIL)
@@ -296,6 +299,19 @@ def cmd_explore(args) -> int:
 # ---------------------------------------------------------------------------
 # Argument parsing
 # ---------------------------------------------------------------------------
+
+
+def _at_least(low: int):
+    """An argparse type: an integer no smaller than low."""
+
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+
+    parse.__name__ = "int"  # argparse names the type in "invalid int value: 'x'"
+    return parse
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -345,7 +361,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", help="run a program with a random scheduler")
     p.add_argument("prog")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--max-steps", type=int, default=10000)
+    p.add_argument("--max-steps", type=_at_least(0), default=10000)
     p.add_argument("--emit-trace", metavar="FILE")
     p.set_defaults(func=cmd_simulate)
 
@@ -354,14 +370,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--prefix", required=True, metavar="FILE")
     p.add_argument("--continue", dest="cont", action="store_true",
                    help="continue deterministically after the prefix")
-    p.add_argument("--max-steps", type=int, default=10000)
+    p.add_argument("--max-steps", type=_at_least(0), default=10000)
     p.set_defaults(func=cmd_replay)
 
     p = sub.add_parser("explore", help="race-variant-driven state-space exploration")
     p.add_argument("prog")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--max-steps", type=int, default=10000)
-    p.add_argument("--max-traces", type=int, default=10000)
+    p.add_argument("--max-steps", type=_at_least(0), default=10000)
+    p.add_argument("--max-traces", type=_at_least(1), default=10000)
     p.add_argument("--out", metavar="DIR")
     p.add_argument("--check-oracle", action="store_true",
                    help="compare against exhaustive enumeration (small programs)")

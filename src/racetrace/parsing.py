@@ -14,8 +14,9 @@ The grammar (shared by trace, interleaving and program files):
 Atoms are lowercase identifiers, variables start with an uppercase letter,
 ``_`` is the wildcard. Pid names look like ``p1`` or ``p1.2``; tag names are
 either dotted names (``p3.1``) or plain identifiers (``l1``). Tuples and lists
-nest at most ``MAX_NESTING`` (100) deep in a term or pattern; a deeper one is
-a ``ParseError`` at the opening bracket past the limit.
+nest at most ``MAX_NESTING`` (100) deep in a term or pattern, and
+parentheses at most as deep in a guard; a deeper one is a ``ParseError`` at
+the opening bracket or parenthesis past the limit.
 """
 
 from __future__ import annotations
@@ -211,8 +212,9 @@ def name_sort_key(name: str) -> tuple:
 # ---------------------------------------------------------------------------
 
 
-# The functions that walk terms (matching, rendering, equality) recurse once
-# or twice per level: this keeps them well inside Python's recursion limit.
+# The functions that walk terms and guards (parsing, matching, evaluating,
+# rendering, equality) recurse once or twice per level: this keeps them well
+# inside Python's recursion limit.
 MAX_NESTING = 100
 
 
@@ -274,19 +276,26 @@ def parse_term(ts: TokenStream):
 
 
 def parse_guard(ts: TokenStream) -> Guard:
-    g = _parse_guard_atom(ts)
+    return _parse_guard(ts, 0)
+
+
+def _parse_guard(ts: TokenStream, depth: int) -> Guard:
+    """A guard inside `depth` open parentheses."""
+    g = _parse_guard_atom(ts, depth)
     while True:
         if ts.accept_atom("and"):
-            g = GAnd(g, _parse_guard_atom(ts))
+            g = GAnd(g, _parse_guard_atom(ts, depth))
         elif ts.accept_atom("or"):
-            g = GOr(g, _parse_guard_atom(ts))
+            g = GOr(g, _parse_guard_atom(ts, depth))
         else:
             return g
 
 
-def _parse_guard_atom(ts: TokenStream) -> Guard:
+def _parse_guard_atom(ts: TokenStream, depth: int) -> Guard:
+    if ts.at_sym("(") and depth == MAX_NESTING:
+        raise ts.error(f"guard nests deeper than {MAX_NESTING} parentheses")
     if ts.accept_sym("("):
-        g = parse_guard(ts)
+        g = _parse_guard(ts, depth + 1)
         ts.expect_sym(")")
         return g
     if ts.at_atom("true"):

@@ -16,9 +16,8 @@ constructive check per candidate send(L', v', p):
     validity gate decides this exactly, on the parent's hb graph, and the
     earlier per-candidate checks survive as explanations.
 
-The declarative oracle re-derives the same answer by brute force: it searches
-for a subtrace that truncates the receiver right before the receive and stays
-a valid trace once ``rec(L', cs)`` is appended.
+The declarative definition, a search over subtraces, is kept apart as the
+reference that checks this one: ``racetrace.oracles.declarative_race_oracle``.
 
 A race variant rewrites the receive to consume the racer and erases every
 action that happened after the original receive, yielding a (usually partial)
@@ -52,7 +51,7 @@ from typing import Callable
 
 from .causality import EventId
 from .parsing import name_sort_key
-from .traces import Pid, Rec, Send, Spawn, Tag, Trace, TraceIndex, valid_index, validate_trace
+from .traces import Pid, Rec, Send, Spawn, Tag, Trace, TraceIndex, valid_index
 from .terms import match
 
 
@@ -230,41 +229,6 @@ def all_races(t: Trace) -> list[RaceReport]:
 def orphans(t: Trace) -> set[Tag]:
     """Tags that are sent but never received."""
     return valid_index(t).orphans()
-
-
-# ---------------------------------------------------------------------------
-# Declarative oracle
-# ---------------------------------------------------------------------------
-
-
-def declarative_race_oracle(t: Trace, tag: Tag, other: Tag) -> bool:
-    """Brute-force the declarative race definition on a small trace.
-
-    True iff some subtrace truncates the receiver exactly before rec(tag)
-    and remains a valid trace once rec(other, cs) is appended there.
-    """
-    index = valid_index(t)
-    if other == tag:
-        return False
-    pid, idx, rec = index.events[_receive(index, tag)]
-    others = [p for p in t.pids() if p != pid]
-    ranges = [range(len(t.procs[p]) + 1) for p in others]
-    for cut in itertools.product(*ranges):
-        procs = {p: t.procs[p][:n] for p, n in zip(others, cut)}
-        procs[pid] = t.procs[pid][:idx]
-        # a process whose spawn was cut away does not exist in the subtrace
-        spawned = {a.child for seq in procs.values() for a in seq if isinstance(a, Spawn)}
-        procs = {p: seq for p, seq in procs.items() if p == t.initial or p in spawned}
-        if pid not in procs:
-            continue  # the receiver itself is not spawned yet
-        prefix = Trace(t.initial, procs)
-        if validate_trace(prefix) is not None:
-            continue  # not a subtrace
-        candidate_procs = dict(procs)
-        candidate_procs[pid] = procs[pid] + (Rec(other, rec.cs),)
-        if validate_trace(Trace(t.initial, candidate_procs)) is None:
-            return True
-    return False
 
 
 # ---------------------------------------------------------------------------

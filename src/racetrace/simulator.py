@@ -15,7 +15,9 @@ Each scheduler step evaluates ``_next_action`` once per process for
 ``enabled`` and once more for the pid it steps; ``step`` and
 ``replay_prefix`` evaluate only the pid they step. A received message is
 matched against its constraint once, which finds it and picks its clause;
-only that clause's pattern is matched again, for the bindings.
+only that clause's pattern is matched again, for the bindings. The
+exhaustive run over every schedule, the reference ``explore`` is checked
+against, is ``racetrace.oracles.enumerate_executions``.
 
 Names are hierarchical and schedule-invariant: the initial process is
 ``p1``, the k-th process spawned by P is ``P.k``, and the k-th message sent
@@ -27,7 +29,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Callable, Iterator, Optional, Union
+from typing import Callable, Optional, Union
 
 from .parsing import (
     ParseError,
@@ -522,45 +524,6 @@ def run_random(program: Program, seed: int, max_steps: int = 10000) -> tuple[Tra
 def run_deterministic(sys: SysState, max_steps: int = 10000) -> tuple[Trace, Outcome]:
     """Continue a state with the fixed smallest-enabled-pid policy."""
     return _run(sys, max_steps, lambda n: 0)
-
-
-def enumerate_executions(
-    program: Program, max_steps: int = 10000
-) -> tuple[dict[str, Trace], int]:
-    """Depth-first over every enabled choice at every state.
-
-    Returns (complete traces keyed by canonical serialization, number of
-    branches cut off by the step limit). An explicit stack holds the
-    current path, so no step limit runs into Python's recursion limit.
-    """
-    traces: dict[str, Trace] = {}
-    limited = 0
-    # per state on the path, the pids of the choices not yet taken; a
-    # state's depth is the stack's length when it is visited
-    stack: list[tuple[SysState, Iterator[Pid]]] = []
-
-    def visit(sys: SysState) -> None:
-        nonlocal limited
-        choices = enabled(sys)
-        if not choices:
-            t = sys.trace()
-            traces.setdefault(t.key(), t)
-        elif len(stack) >= max_steps:
-            limited += 1
-        else:
-            stack.append((sys, (pid for pid, _ in choices)))
-
-    visit(initial_state(program))
-    while stack:
-        sys, pids = stack[-1]
-        pid = next(pids, None)
-        if pid is None:
-            stack.pop()
-            continue
-        branch = sys.clone()
-        step(branch, pid)
-        visit(branch)
-    return traces, limited
 
 
 # ---------------------------------------------------------------------------

@@ -30,7 +30,7 @@ and integer hb adjacency lists. The mailbox rule is stated once, in
 ``TraceIndex.waiting``; validation conditions (c) and (d), the hb graph's
 ordering constraints and the race check's ``blocked_by`` all read it from
 there. ``validate_interleaving`` keeps its own, independent statement
-(condition 3), as do the test oracles.
+(condition 3), as do the brute-force references in ``racetrace.oracles``.
 """
 
 from __future__ import annotations

@@ -22,7 +22,7 @@ from racetrace import (
     tr,
     validate_interleaving,
 )
-from racetrace.causality import _directly_related, hb_relation
+from racetrace.oracles import _directly_related, hb_relation
 from racetrace.terms import Atom, Int, Tup
 
 from strategies import CS_ANY, interleavings, traces

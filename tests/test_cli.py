@@ -134,6 +134,18 @@ def test_too_deeply_nested_term_is_a_one_line_diagnostic(tmp_path, capsys):
     assert err == f"{deep}: 2:116: term nests deeper than 100 tuples and lists\n"
 
 
+def test_too_deeply_nested_guard_is_a_one_line_diagnostic(tmp_path, capsys):
+    deep = tmp_path / "deep.trace"
+    guard = "(" * 3000 + "M > 0" + ")" * 3000
+    deep.write_text(
+        "trace { initial: p1\n  p1: send(l1, 1, p1), rec(l1, cs1) }\n"
+        f"constraints {{ cs1: M when {guard} -> . }}\n"
+    )
+    code, _, err = run_cli(capsys, "validate", str(deep))
+    assert code == 2
+    assert err == f"{deep}: 3:127: guard nests deeper than 100 parentheses\n"
+
+
 # ---------------------------------------------------------------------------
 # races / variant / orphans
 # ---------------------------------------------------------------------------
@@ -176,9 +188,15 @@ def test_races_explain_json(capsys):
     assert by_tag["l1"]["already_received"]
 
 
-def test_races_unknown_tag(capsys):
-    code, _, err = run_cli(capsys, "races", fx("fix_run.trace"), "--message", "l99")
-    assert code == 2 and "no receive" in err
+@pytest.mark.parametrize(
+    "command",
+    [["races", "--message", "nosuch"], ["variant", "--receive", "nosuch", "--with", "l6"]],
+    ids=["races", "variant"],
+)
+def test_unknown_receive_tag_is_a_one_line_diagnostic(capsys, command):
+    code, out, err = run_cli(capsys, command[0], fx("fix_run.trace"), *command[1:])
+    assert code == 1 and out == ""
+    assert err == "no receive event for tag nosuch\n"
 
 
 def test_variant_to_stdout(capsys):
@@ -291,6 +309,26 @@ def test_explore_json(capsys):
     code, out, _ = run_cli(capsys, "--json", "explore", fx("proga.prog"))
     assert code == 0
     assert json_lines(out)[-1] == {"traces": 2, "bounded": False}
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["explore", fx("progc.prog"), "--max-traces", "0"],
+        ["explore", fx("progc.prog"), "--max-steps", "-1"],
+        ["simulate", fx("progc.prog"), "--max-steps", "-1"],
+        ["replay", fx("progc.prog"), "--prefix", fx("fix_run.trace"), "--max-steps", "-1"],
+    ],
+    ids=["explore-max-traces", "explore-max-steps", "simulate", "replay"],
+)
+def test_out_of_range_bounds_are_usage_errors(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    flag, value = argv[-2:]
+    low = 1 if flag == "--max-traces" else 0
+    assert err.splitlines()[-1] == (
+        f"racetrace {argv[0]}: error: argument {flag}: must be at least {low}, got {value}"
+    )
 
 
 def test_usage_errors():

@@ -114,6 +114,38 @@ def test_term_past_the_nesting_limit_is_a_parse_error():
         assert (err.value.line, err.value.col) == (1, MAX_NESTING + 1)
 
 
+OPEN_GUARD = "(X > 0 and "
+
+
+def parenthesized(depth):
+    """A guard whose `and`s nest inside `depth` parentheses."""
+    return OPEN_GUARD * depth + "X > 0" + ")" * depth
+
+
+def test_guard_at_the_nesting_limit_parses_evaluates_and_renders():
+    text = f"c: X when {parenthesized(MAX_NESTING)} -> ."
+    cs = parse_constraint(TokenStream(tokenize(text)))
+    assert render_constraint(cs) == text
+    assert match(Int(1), cs) and not match(Int(0), cs)
+    trace = (
+        "trace { initial: p1\n  p1: send(l1, 1, p1), rec(l1, c) }\n"
+        f"constraints {{ {text} }}\n"
+    )
+    t = parse_trace(trace)
+    assert validate_trace(t) is None
+    assert serialize_trace(t) == trace
+
+
+def test_guard_past_the_nesting_limit_is_a_parse_error():
+    text = f"c: X when {parenthesized(MAX_NESTING + 1)} -> ."
+    with pytest.raises(ParseError, match=f"deeper than {MAX_NESTING} parentheses") as err:
+        parse_constraint(TokenStream(tokenize(text)))
+    # at the parenthesis past the limit
+    assert (err.value.line, err.value.col) == (
+        1, text.index("(") + 1 + len(OPEN_GUARD) * MAX_NESTING
+    )
+
+
 def test_nonlinear_pattern_rejected_in_constraint():
     with pytest.raises(ParseError):
         parse_constraint(TokenStream(tokenize("c: {A,A} -> .")))
