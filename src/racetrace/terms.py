@@ -277,8 +277,14 @@ def render_guard(g: Guard) -> str:
         return "true"
     if isinstance(g, Cmp):
         return f"{render_term(g.lhs)} {g.op} {render_term(g.rhs)}"
+    # The parser reads `and` and `or` left to right at one precedence level,
+    # so only a connective on the right needs parentheses: a chain renders
+    # flat and never nests deeper than the text it was parsed from.
     op = "and" if isinstance(g, GAnd) else "or"
-    return f"({render_guard(g.lhs)} {op} {render_guard(g.rhs)})"
+    rhs = render_guard(g.rhs)
+    if isinstance(g.rhs, (GAnd, GOr)):
+        rhs = f"({rhs})"
+    return f"{render_guard(g.lhs)} {op} {rhs}"
 
 
 def render_clause(cl: Clause, body: str = ".") -> str:

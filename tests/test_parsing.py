@@ -18,6 +18,8 @@ from racetrace.parsing import (
 from racetrace.terms import (
     Atom,
     Cmp,
+    GAnd,
+    GOr,
     Int,
     Lst,
     PidLit,
@@ -67,11 +69,21 @@ def test_constraint_parsing_and_rendering():
 
 
 def test_constraint_guard_connectives():
-    cs = parse_constraint(
-        TokenStream(tokenize("c: {val,M} when M > 0 and M < 5 or M == 9 -> ."))
-    )
+    text = "c: {val,M} when M > 0 and M < 5 or M == 9 -> ."
+    cs = parse_constraint(TokenStream(tokenize(text)))
     # left-associative: ((M>0 and M<5) or M==9)
-    assert render_constraint(cs) == "c: {val,M} when ((M > 0 and M < 5) or M == 9) -> ."
+    m = Var("M")
+    assert cs.clauses[0].guard == GOr(
+        GAnd(Cmp(">", m, Int(0)), Cmp("<", m, Int(5))), Cmp("==", m, Int(9))
+    )
+    # only a connective on the right keeps its parentheses
+    assert render_constraint(cs) == text
+    grouped = parse_constraint(
+        TokenStream(tokenize("c: {val,M} when (M > 0 and M < 5) or (M == 9 or M == 7) -> ."))
+    )
+    assert render_constraint(grouped) == (
+        "c: {val,M} when M > 0 and M < 5 or (M == 9 or M == 7) -> ."
+    )
 
 
 def test_parse_error_carries_position():
@@ -123,7 +135,7 @@ def parenthesized(depth):
 
 
 def test_guard_at_the_nesting_limit_parses_evaluates_and_renders():
-    text = f"c: X when {parenthesized(MAX_NESTING)} -> ."
+    text = f"c: X when X > 0 and {parenthesized(MAX_NESTING)} -> ."
     cs = parse_constraint(TokenStream(tokenize(text)))
     assert render_constraint(cs) == text
     assert match(Int(1), cs) and not match(Int(0), cs)
@@ -144,6 +156,22 @@ def test_guard_past_the_nesting_limit_is_a_parse_error():
     assert (err.value.line, err.value.col) == (
         1, text.index("(") + 1 + len(OPEN_GUARD) * MAX_NESTING
     )
+
+
+@pytest.mark.parametrize(
+    "ops", [("and",), ("or",), ("and", "or")], ids=["and", "or", "and-or"]
+)
+def test_long_guard_chain_round_trips(ops):
+    guard = "M > 0"
+    for i in range(1, 150):
+        guard += f" {ops[i % len(ops)]} M > {i}"
+    text = (
+        "trace { initial: p1\n  p1: send(l1, 1, p1), rec(l1, cs1) }\n"
+        f"constraints {{ cs1: M when {guard} -> . }}\n"
+    )
+    t = parse_trace(text)
+    assert serialize_trace(t) == text
+    assert parse_trace(serialize_trace(t)) == t
 
 
 def test_nonlinear_pattern_rejected_in_constraint():
