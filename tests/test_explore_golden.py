@@ -1,5 +1,5 @@
-"""Golden exploration runs: the rendered report, the order in which traces
-were found and every counter, pinned byte for byte.
+"""Golden exploration runs: the rendered report, the set of traces found,
+the order in which they were found and every counter, pinned byte for byte.
 
 Regenerate the fixture with ``PYTHONPATH=src python tests/test_explore_golden.py``
 (only when a change is meant to alter what ``explore`` reports).
@@ -31,11 +31,16 @@ def _run_id(name, seed, max_traces):
     return f"{name}-seed{seed}-max{max_traces}"
 
 
+def _sha256(keys):
+    return hashlib.sha256("\n".join(keys).encode()).hexdigest()
+
+
 def _record(name, seed, max_traces):
     report = explore(_program(name), seed=seed, max_traces=max_traces)
     return {
         "render": report.render(),
-        "order_sha256": hashlib.sha256("\n".join(report.order).encode()).hexdigest(),
+        "keys_sha256": _sha256(sorted(report.traces)),
+        "order_sha256": _sha256(report.order),
         "variants_enqueued": report.variants_enqueued,
         "duplicate_traces": report.duplicate_traces,
         "duplicate_variants": report.duplicate_variants,
