@@ -13,7 +13,9 @@ oldest mailbox message matching its constraint.
 
 Each scheduler step evaluates ``_next_action`` once per process for
 ``enabled`` and once more for the pid it steps; ``step`` and
-``replay_prefix`` evaluate only the pid they step. A received message is
+``replay_prefix`` evaluate only the pid they step. A state keeps its
+processes in canonical pid order: a spawned child's sort key is computed
+once and the child is inserted at its place, so no step sorts the pids. A received message is
 matched against its constraint once, which finds it and picks its clause;
 only that clause's pattern is matched again, for the bindings. The
 exhaustive run over every schedule, the reference ``explore`` is checked
@@ -27,6 +29,7 @@ serialize byte-identically.
 
 from __future__ import annotations
 
+import bisect
 import random
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Union
@@ -344,8 +347,9 @@ class ProcState:
 @dataclass
 class SysState:
     program: Program
-    procs: dict[Pid, ProcState]
+    procs: dict[Pid, ProcState]  # in canonical pid order (``name_sort_key``)
     recorded: dict[Pid, list[Action]]
+    keys: list[tuple]  # the ``name_sort_key`` of each pid of procs, in order
     spawn_counts: dict[Pid, int] = field(default_factory=dict)
     tag_counts: dict[Pid, int] = field(default_factory=dict)
 
@@ -354,6 +358,7 @@ class SysState:
             self.program,
             {p: ps.clone() for p, ps in self.procs.items()},
             {p: list(a) for p, a in self.recorded.items()},
+            list(self.keys),
             dict(self.spawn_counts),
             dict(self.tag_counts),
         )
@@ -361,11 +366,22 @@ class SysState:
     def trace(self) -> Trace:
         return Trace("p1", {p: tuple(a) for p, a in self.recorded.items()})
 
+    def add_proc(self, proc: ProcState) -> None:
+        """Add a spawned process at its place in canonical pid order; its sort
+        key is computed here, once, so no step sorts the pids again."""
+        key = name_sort_key(proc.pid)
+        at = bisect.bisect(self.keys, key)
+        self.keys.insert(at, key)
+        procs = list(self.procs.items())
+        procs.insert(at, (proc.pid, proc))
+        self.procs = dict(procs)
+        self.recorded[proc.pid] = []
+
 
 def initial_state(program: Program) -> SysState:
     main = program.defs[program.main]
     proc = ProcState("p1", [], list(main.body), {})
-    sys = SysState(program, {"p1": proc}, {"p1": []})
+    sys = SysState(program, {"p1": proc}, {"p1": []}, [name_sort_key("p1")])
     _settle(proc)
     return sys
 
@@ -443,7 +459,7 @@ def _next_action(
 
 def enabled(sys: SysState) -> list[tuple[Pid, Action]]:
     """Pids that can fire, with the action each would record, in pid order."""
-    nexts = ((pid, _next_action(sys, pid)) for pid in sorted(sys.procs, key=name_sort_key))
+    nexts = ((pid, _next_action(sys, pid)) for pid in sys.procs)
     return [(pid, nxt[0]) for pid, nxt in nexts if nxt is not None]
 
 
@@ -467,8 +483,7 @@ def step(sys: SysState, pid: Pid) -> Action:
             for name, arg in zip(fdef.params, stmt.expr.args)
         }
         child = ProcState(action.child, [], list(fdef.body), env)
-        sys.procs[action.child] = child
-        sys.recorded[action.child] = []
+        sys.add_proc(child)
         if stmt.var is not None:
             proc.env[stmt.var] = PidLit(action.child)
         _settle(child)
@@ -509,8 +524,7 @@ def _run(sys: SysState, max_steps: int, pick: Callable[[int], int]) -> tuple[Tra
     for _ in range(max_steps):
         choices = enabled(sys)
         if not choices:
-            pids = sorted(sys.procs, key=name_sort_key)
-            blocked = tuple(pid for pid in pids if sys.procs[pid].stmts)
+            blocked = tuple(pid for pid, proc in sys.procs.items() if proc.stmts)
             return sys.trace(), Outcome("deadlock", blocked) if blocked else Outcome("completed")
         step(sys, choices[pick(len(choices))][0])
     return sys.trace(), Outcome("step-limit")

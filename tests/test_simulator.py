@@ -11,6 +11,7 @@ from racetrace import (
     enabled,
     enumerate_executions,
     initial_state,
+    name_sort_key,
     parse_program,
     replay_prefix,
     run_deterministic,
@@ -19,6 +20,7 @@ from racetrace import (
     step,
     validate_trace,
 )
+from racetrace import simulator
 from racetrace.parsing import ParseError
 from racetrace.terms import Atom, Int, Tup
 
@@ -35,7 +37,7 @@ def val(n):
 
 
 def test_program_roundtrip_on_fixture_files():
-    for name in ("proga.prog", "progb.prog", "progc.prog"):
+    for name in ("proga.prog", "progb.prog", "progc.prog", "progd.prog"):
         text = fixture_text(name)
         assert serialize_program(parse_program(text)) == text
 
@@ -153,6 +155,45 @@ def test_deadlock_reports_blocked_pids():
     assert outcome == Outcome("deadlock", ("p1",))
     assert str(outcome) == "deadlock(p1)"
     assert t.procs == {"p1": ()}
+
+
+# main spawns 11 workers, so p1.10 sorts after p1.2, and each worker
+# spawns a child that blocks, so p1.k.1 sorts between p1.k and p1.(k+1)
+WIDE_PROGRAM = (
+    "program { main main\n  def main() { "
+    + "; ".join("spawn worker()" for _ in range(11))
+    + " }\n  def worker() { spawn idle() }\n"
+    "  def idle() { receive { never -> never } } }\n"
+)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_pids_stay_in_canonical_order(seed):
+    t, outcome = run_random(parse_program(WIDE_PROGRAM), seed)
+    canonical = sorted(t.procs, key=name_sort_key)
+    assert outcome == Outcome("deadlock", tuple(p for p in canonical if p.count(".") == 2))
+    assert len(canonical) == 23
+
+    sys = initial_state(parse_program(WIDE_PROGRAM))
+    while enabled(sys):
+        step(sys, enabled(sys)[-1][0])
+        assert list(sys.procs) == sorted(sys.procs, key=name_sort_key)
+
+
+def test_spawn_chain_sorts_each_pid_once(monkeypatch):
+    # a spawn chain adds one pid per step, each one segment longer; sorting
+    # every pid at every step made it cubic
+    calls = []
+
+    def counting_key(name):
+        calls.append(name)
+        return name_sort_key(name)
+
+    monkeypatch.setattr(simulator, "name_sort_key", counting_key)
+    chain = parse_program("program { main f\n def f() { spawn f() } }")
+    t, outcome = run_random(chain, 0, max_steps=400)
+    assert outcome == Outcome("step-limit") and len(t.procs) == 401
+    assert sorted(calls) == sorted(t.procs)
 
 
 def test_enumerate_executions_counts(proga, progb, progc):
