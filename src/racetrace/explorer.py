@@ -11,11 +11,30 @@ byte-identical.
 Each new trace is indexed and validated once (``valid_index``); its orphans,
 its race reports and their variants come from that one index, whose validity
 gates admit each variant without validating it, so a variant is validated
-once, by ``replay_prefix``. After replaying a variant, race reports are built only for
-receives at or after the replaced one in the replaced process, and for
-receives of other processes that lie beyond the variant prefix; races inside
-the shared prefix were already harvested from the parent, so their reports are
-never built.
+once, by ``replay_prefix``.
+
+A trace replayed from a variant keeps its parent's events up to the variant
+prefix. The replay adds the rewritten receive and, in each process, the
+events beyond the prefix. Two rules keep it from redoing its parent's work:
+
+* Shared-prefix skip. The parent already enqueued the variants of every
+  receive r inside the prefix. The child skips r only when every added
+  event happened after r (``index.after(r)``). By program order, the first
+  added event of each process decides this. Then all the child changed
+  lies after r, and what r could be reordered with lies inside the prefix,
+  as in the parent. Otherwise r's context changed, and its races are
+  reported again. For example, a variant at a proxy's receive makes the
+  forwarded tag carry another message, so the collector's receive of that
+  tag races anew.
+* Sibling sleep set. When the variants of receive r are enqueued, each
+  carries a sleep set: the tag r consumed, and the racers at r enqueued
+  before it. The child does not enqueue a racer in its sleep set at its own
+  rewritten receive, because its variant would cut the same prefix as a
+  sibling's variant, or the parent's own prefix. It still counts the racer
+  in ``race_counts`` and in ``sleeping``. Tags are safe to compare across
+  traces: r happened before none of their sends, so they are sent inside
+  the replayed prefix, and the simulator's names make a
+  tag name the same send in the parent and in the child.
 """
 
 from __future__ import annotations
@@ -56,6 +75,7 @@ class ExplorationReport:
     variants_enqueued: int = 0
     duplicate_traces: int = 0
     duplicate_variants: int = 0
+    sleeping: int = 0  # racers not enqueued: a sibling variant covers them
     divergences: int = 0
     step_limited: int = 0
     bounded: bool = False  # stopped at max_traces before the fixpoint
@@ -66,6 +86,7 @@ class ExplorationReport:
             f"variants enqueued: {self.variants_enqueued}",
             f"duplicate traces: {self.duplicate_traces}",
             f"duplicate variants: {self.duplicate_variants}",
+            f"sleeping racers: {self.sleeping}",
             f"replay divergences: {self.divergences}",
             f"step-limited runs: {self.step_limited}",
             f"bounded: {'yes' if self.bounded else 'no'}",
@@ -94,13 +115,18 @@ def explore(
     report = ExplorationReport()
     pending_keys: set[str] = set()
     # variant prefixes to replay, each with the origin of the trace it yields
-    queue: deque[tuple[Trace, Origin]] = deque()
+    # and the racers its replaced receive sleeps on
+    queue: deque[tuple[Trace, Origin, frozenset[Tag]]] = deque()
 
     def record(
-        run: tuple[Trace, Outcome], prefix: Optional[Trace], origin: Optional[Origin]
+        run: tuple[Trace, Outcome],
+        prefix: Optional[Trace],
+        origin: Optional[Origin],
+        sleep: frozenset[Tag],
     ) -> None:
         """Record a run's trace unless already seen, then enqueue the variants
-        of the races of its receives beyond the prefix shared with its parent."""
+        of the races of its receives, except a shared receive that every
+        added event happened after and a racer its replaced receive sleeps on."""
         t, outcome = run
         if outcome.kind == "step-limit":
             report.step_limited += 1
@@ -114,18 +140,32 @@ def explore(
         report.orphans[key] = sorted(index.orphans(), key=name_sort_key)
         report.origins[key] = origin
         report.order.append(key)
+        replaced, added = -1, []
+        if origin is not None:
+            rpid, ridx = origin.replaced_at
+            replaced = index.first[rpid] + ridx
+            added = [replaced] + [
+                index.first[p] + len(seq)
+                for p, seq in prefix.procs.items()
+                if p != rpid and len(t.procs[p]) > len(seq)
+            ]
         count = 0
         for r, (pid, idx, a) in enumerate(index.events):
             if not isinstance(a, Rec):
                 continue
             if origin is not None:
-                rpid, ridx = origin.replaced_at
                 shared = ridx if pid == rpid else len(prefix.procs.get(pid, ()))
                 if idx < shared:
-                    continue
+                    after = index.after(r)
+                    if all(after[v] for v in added):
+                        continue
             rep = race_report(index, r)
+            slept = {rep.subject}
             for racer in rep.sorted_racers():
                 count += 1
+                if r == replaced and racer in sleep:
+                    report.sleeping += 1
+                    continue
                 v = report_variant(index, rep, racer)
                 vkey = v.trace.key()
                 if vkey in pending_keys:
@@ -133,21 +173,23 @@ def explore(
                     continue
                 pending_keys.add(vkey)
                 report.variants_enqueued += 1
-                queue.append((v.trace, Origin(key, v.replaced_at, rep.subject, racer)))
+                origin_v = Origin(key, v.replaced_at, rep.subject, racer)
+                queue.append((v.trace, origin_v, frozenset(slept)))
+                slept.add(racer)
         report.race_counts[key] = count
 
-    record(run_random(program, seed, max_steps), None, None)
+    record(run_random(program, seed, max_steps), None, None, frozenset())
     while queue:
         if len(report.traces) >= max_traces:
             report.bounded = True
             break
-        prefix, origin = queue.popleft()
+        prefix, origin, sleep = queue.popleft()
         try:
             sys, _ = replay_prefix(program, prefix)
         except DivergenceError:
             report.divergences += 1
             continue
-        record(run_deterministic(sys, max_steps), prefix, origin)
+        record(run_deterministic(sys, max_steps), prefix, origin, sleep)
     return report
 
 

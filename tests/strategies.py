@@ -87,3 +87,52 @@ def interleavings(draw, max_events: int = 8) -> Interleaving:
 @st.composite
 def traces(draw, max_events: int = 8):
     return tr(draw(interleavings(max_events=max_events)))
+
+
+# Receive statements of a generated collector: unguarded, a guarded clause
+# ahead of a catch-all, a guarded clause alone (it may block), and a reply
+# to main through the pid literal <p1>.
+COLLECTOR_RECEIVES = {
+    "any": "receive { {val,M} -> M }",
+    "guarded": "receive { {val,M} when M > {k} -> {high,M}; {val,M} -> {low,M} }",
+    "only": "receive { {val,M} when M =< {k} -> M }",
+    "reply": "receive { {val,M} -> send {ack,M} to <p1> }",
+}
+
+
+@st.composite
+def programs(draw) -> str:
+    """The text of a small actor program. main spawns a collector that makes
+    1-4 receives, up to 2 proxies that each forward one message to the
+    collector, and 1-3 senders that each send one {val,N} to the collector
+    or a proxy; at most one collector receive replies to <p1>, and main
+    then ends by waiting for the reply. Small enough that ``enumerate_executions`` runs
+    every schedule in about a second."""
+    kinds = draw(st.lists(st.sampled_from(sorted(COLLECTOR_RECEIVES)), min_size=1, max_size=4))
+    if "reply" in kinds:  # one reply at most
+        first = kinds.index("reply") + 1
+        kinds[first:] = ["any" if k == "reply" else k for k in kinds[first:]]
+    receives = [
+        COLLECTOR_RECEIVES[kind].replace("{k}", str(draw(st.integers(1, 2))))
+        for kind in kinds
+    ]
+    proxies = [f"P{i}" for i in range(1, draw(st.integers(0, 2)) + 1)]
+    senders = draw(
+        st.lists(
+            st.tuples(st.sampled_from(["C"] + proxies), st.integers(1, 3)),
+            min_size=1,
+            max_size=3 if len(proxies) < 2 else 2,
+        )
+    )
+    main = ["C = spawn collector()"]
+    main += [f"{p} = spawn proxy(C)" for p in proxies]
+    main += [f"spawn gen({target}, {n})" for target, n in senders]
+    if "reply" in kinds:
+        main.append("receive { {ack,X} -> X }")
+    return (
+        "program { main main\n"
+        f"  def main() {{ {'; '.join(main)} }}\n"
+        "  def gen(T, N) { send {val,N} to T }\n"
+        "  def proxy(C) { receive { {val,M} -> send {val,M} to C } }\n"
+        f"  def collector() {{ {'; '.join(receives)} }} }}\n"
+    )

@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import example, given, settings
 
 from racetrace import (
     distinctness_check,
@@ -7,6 +8,9 @@ from racetrace import (
     parse_program,
     validate_trace,
 )
+
+from conftest import fixture_text
+from strategies import programs
 
 
 def test_explorer_reaches_every_execution(proga, progb, progc):
@@ -24,6 +28,30 @@ def test_explorer_reaches_every_execution(proga, progb, progc):
 def test_explorer_covers_all_traces_from_any_seed(progc, seed):
     full = set(enumerate_executions(progc)[0])
     assert set(explore(progc, seed=seed).traces) == full
+
+
+# progd: a proxy forwards one of two messages to the collector. A variant
+# at the proxy's receive changes which message the forwarded tag carries,
+# so the collector's receive, shared with the parent, races anew.
+@pytest.mark.parametrize("seed", range(6))
+def test_explorer_reharvests_a_shared_receive_whose_context_changed(seed):
+    program = parse_program(fixture_text("progd.prog"))
+    report = explore(program, seed=seed)
+    assert set(report.traces) == set(enumerate_executions(program)[0])
+    assert len(report.traces) == 4
+
+
+@settings(max_examples=100, deadline=None)
+@given(programs())
+@example(fixture_text("progd.prog"))
+def test_explorer_reaches_every_execution_of_generated_programs(text):
+    program = parse_program(text)
+    full, limited = enumerate_executions(program)
+    assert limited == 0
+    for seed in range(3):
+        report = explore(program, seed=seed)
+        assert set(report.traces) == set(full)
+        assert report.divergences == 0
 
 
 def test_explorer_is_seed_deterministic(progb):

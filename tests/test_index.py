@@ -158,6 +158,12 @@ def test_explore_validates_each_trace_and_each_variant_once(gencoll4, validated)
     # that admitted it validated nothing
     assert report.variants_enqueued > 0
     assert len(validated) == len(report.traces) + report.variants_enqueued
+    # every racer counted is enqueued once, found pending, or asleep: a
+    # sleeping racer is neither built nor replayed, so nothing validates it
+    assert report.sleeping > 0
+    assert sum(report.race_counts.values()) == (
+        report.variants_enqueued + report.duplicate_variants + report.sleeping
+    )
 
 
 # A program whose main process ends in a send to a non-pid, after it has
