@@ -33,8 +33,8 @@ events beyond the prefix. Two rules keep it from redoing its parent's work:
   sibling's variant, or the parent's own prefix. It still counts the racer
   in ``race_counts`` and in ``sleeping``. Tags are safe to compare across
   traces: r happened before none of their sends, so they are sent inside
-  the replayed prefix, and the simulator's names make a
-  tag name the same send in the parent and in the child.
+  the replayed prefix, and the simulator's names make a tag name the same
+  send in the parent and in the child.
 """
 
 from __future__ import annotations
@@ -75,7 +75,7 @@ class ExplorationReport:
     variants_enqueued: int = 0
     duplicate_traces: int = 0
     duplicate_variants: int = 0
-    sleeping: int = 0  # racers not enqueued: a sibling variant covers them
+    sleeping: int = 0  # racers not enqueued because a sleep set holds them
     divergences: int = 0
     step_limited: int = 0
     bounded: bool = False  # stopped at max_traces before the fixpoint
@@ -140,25 +140,25 @@ def explore(
         report.orphans[key] = sorted(index.orphans(), key=name_sort_key)
         report.origins[key] = origin
         report.order.append(key)
-        replaced, added = -1, []
+        # per process, how many of its events it shares with the parent; the
+        # replay added the rest, and each process's first added event is the
+        # one its other added events follow
+        shared: dict[Pid, int] = {}
+        replaced = -1
         if origin is not None:
             rpid, ridx = origin.replaced_at
+            shared = {p: len(seq) for p, seq in prefix.procs.items()}
+            shared[rpid] = ridx
             replaced = index.first[rpid] + ridx
-            added = [replaced] + [
-                index.first[p] + len(seq)
-                for p, seq in prefix.procs.items()
-                if p != rpid and len(t.procs[p]) > len(seq)
-            ]
+        added = [index.first[p] + n for p, n in shared.items() if len(t.procs[p]) > n]
         count = 0
         for r, (pid, idx, a) in enumerate(index.events):
             if not isinstance(a, Rec):
                 continue
-            if origin is not None:
-                shared = ridx if pid == rpid else len(prefix.procs.get(pid, ()))
-                if idx < shared:
-                    after = index.after(r)
-                    if all(after[v] for v in added):
-                        continue
+            if idx < shared.get(pid, 0):
+                after = index.after(r)
+                if all(after[v] for v in added):
+                    continue
             rep = race_report(index, r)
             slept = {rep.subject}
             for racer in rep.sorted_racers():

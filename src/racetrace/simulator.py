@@ -15,11 +15,11 @@ Each scheduler step evaluates ``_next_action`` once per process for
 ``enabled`` and once more for the pid it steps; ``step`` and
 ``replay_prefix`` evaluate only the pid they step. A state keeps its
 processes in canonical pid order: a spawned child's sort key is computed
-once and the child is inserted at its place, so no step sorts the pids. A received message is
-matched against its constraint once, which finds it and picks its clause;
-only that clause's pattern is matched again, for the bindings. The
-exhaustive run over every schedule, the reference ``explore`` is checked
-against, is ``racetrace.oracles.enumerate_executions``.
+once and the child is inserted at its place, so no step sorts the pids. A
+received message is matched against its constraint once, which finds it
+and picks its clause; only that clause's pattern is matched again, for the
+bindings. The exhaustive run over every schedule, the reference
+``explore`` is checked against, is ``racetrace.oracles.enumerate_executions``.
 
 Names are hierarchical and schedule-invariant: the initial process is
 ``p1``, the k-th process spawned by P is ``P.k``, and the k-th message sent
