@@ -56,23 +56,10 @@ def _read(path: str) -> str:
         raise CliError(f"cannot read {path}: {exc}") from exc
 
 
-def _load_trace(path: str) -> Trace:
+def _load(path: str, parse):
+    """parse(text of path); a parse or program error names the path."""
     try:
-        return parse_trace(_read(path))
-    except ParseError as exc:
-        raise CliError(f"{path}: {exc}") from exc
-
-
-def _load_interleaving(path: str) -> Interleaving:
-    try:
-        return parse_interleaving(_read(path))
-    except ParseError as exc:
-        raise CliError(f"{path}: {exc}") from exc
-
-
-def _load_program(path: str):
-    try:
-        return parse_program(_read(path))
+        return parse(_read(path))
     except (ParseError, ProgramError) as exc:
         raise CliError(f"{path}: {exc}") from exc
 
@@ -80,9 +67,9 @@ def _load_program(path: str):
 def _load_document(path: str):
     """Pick trace vs interleaving by extension (.trace / .itl)."""
     if path.endswith(".itl"):
-        return _load_interleaving(path)
+        return _load(path, parse_interleaving)
     if path.endswith(".trace"):
-        return _load_trace(path)
+        return _load(path, parse_trace)
     raise CliError(f"{path}: expected a .trace or .itl file")
 
 
@@ -91,7 +78,7 @@ def _emit(args, record: dict, text: str) -> None:
 
 
 def _require_valid_trace(path: str) -> Trace:
-    t = _load_trace(path)
+    t = _load(path, parse_trace)
     bad = validate_trace(t)
     if bad is not None:
         raise CliError(f"{path}: invalid trace: {bad}", FAIL)
@@ -144,8 +131,8 @@ def cmd_hb(args) -> int:
 
 
 def cmd_equiv(args) -> int:
-    s1 = _load_interleaving(args.a)
-    s2 = _load_interleaving(args.b)
+    s1 = _load(args.a, parse_interleaving)
+    s2 = _load(args.b, parse_interleaving)
     for path, s in ((args.a, s1), (args.b, s2)):
         bad = validate_interleaving(s)
         if bad is not None:
@@ -232,7 +219,7 @@ def cmd_orphans(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    program = _load_program(args.prog)
+    program = _load(args.prog, parse_program)
     t, outcome = run_random(program, args.seed, args.max_steps)
     text = serialize_trace(t)
     if args.emit_trace:
@@ -244,7 +231,7 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_replay(args) -> int:
-    program = _load_program(args.prog)
+    program = _load(args.prog, parse_program)
     prefix = _require_valid_trace(args.prefix)
     try:
         state, _ = replay_prefix(program, prefix)
@@ -266,7 +253,7 @@ def cmd_replay(args) -> int:
 
 
 def cmd_explore(args) -> int:
-    program = _load_program(args.prog)
+    program = _load(args.prog, parse_program)
     report = explore(program, seed=args.seed, max_steps=args.max_steps,
                      max_traces=args.max_traces)
     bad = distinctness_check(report)

@@ -8,8 +8,18 @@ The grammar (shared by trace, interleaving and program files):
     guard      ::= gatom (("and" | "or") gatom)*      (left associative)
     gatom      ::= "true" | operand CMP operand | "(" guard ")"
     operand    ::= VAR | INT | ATOM
-    constraint ::= CSID ":" clause (";" clause)*
-    clause     ::= pattern ["when" guard] "->" "."
+    clause     ::= pattern ["when" guard] "->"
+    constraint ::= CSID ":" clause "." (";" clause ".")*
+    document   ::= KEYWORD "{" "initial" ":" pid entries "}" [constraints]
+    entries    ::= (pid ":" ("ε" | action ("," action)*))*
+    constraints ::= "constraints" "{" (constraint [";"])* "}"
+
+A document is a trace (KEYWORD ``trace``) or an interleaving
+(``interleaving``). Its actions are ``spawn(pid)``, ``send(tag, term,
+pid)`` and ``rec(tag, CSID)``; each receive's CSID resolves against the
+``constraints`` block that follows the entries. A program's ``receive``
+reads its clauses by the same ``clause`` rule, each followed by one
+statement in place of ``.``.
 
 Atoms are lowercase identifiers, variables start with an uppercase letter,
 ``_`` is the wildcard. Pid names look like ``p1`` or ``p1.2``; tag names are
@@ -330,15 +340,20 @@ def _parse_operand(ts: TokenStream) -> Pattern:
 
 
 def parse_clause(ts: TokenStream) -> Clause:
-    tok = ts.peek()
+    """``pattern ["when" guard] "->"``: a clause up to its body."""
     pattern = parse_pattern(ts)
     guard: Guard = GTrue()
     if ts.accept_atom("when"):
         guard = parse_guard(ts)
     ts.expect_sym("->")
-    ts.expect_sym(".")
+    return Clause(pattern, guard)
+
+
+def constraint_at(cs_id: str, clauses: list[Clause], tok: Token) -> Constraint:
+    """``Constraint(cs_id, clauses)``; a clause it rejects (non-linear
+    pattern, unbound guard variable) is a ``ParseError`` at tok."""
     try:
-        return Clause(pattern, guard)
+        return Constraint(cs_id, tuple(clauses))
     except ValueError as exc:
         raise ParseError(str(exc), tok.line, tok.col) from exc
 
@@ -347,14 +362,13 @@ def parse_constraint(ts: TokenStream) -> Constraint:
     ident = ts.expect_atom()
     ts.expect_sym(":")
     clauses = [parse_clause(ts)]
+    ts.expect_sym(".")
     # A ';' continues this constraint unless the next tokens open a new one.
     while ts.at_sym(";") and not (ts.peek(1).kind == "atom" and ts.peek(2).text == ":"):
         ts.next()
         clauses.append(parse_clause(ts))
-    try:
-        return Constraint(ident.text, tuple(clauses))
-    except ValueError as exc:
-        raise ParseError(str(exc), ident.line, ident.col) from exc
+        ts.expect_sym(".")
+    return constraint_at(ident.text, clauses, ident)
 
 
 def parse_constraint_block(ts: TokenStream) -> dict[str, Constraint]:

@@ -37,15 +37,15 @@ from typing import Callable, Optional, Union
 from .parsing import (
     ParseError,
     TokenStream,
+    constraint_at,
     name_sort_key,
-    parse_guard,
+    parse_clause,
     parse_pattern,
     tokenize,
 )
 from .terms import (
     Clause,
     Constraint,
-    GTrue,
     Lst,
     Pattern,
     PidLit,
@@ -214,23 +214,13 @@ def _parse_stmt(ts: TokenStream, counter: list[int]) -> Stmt:
         clauses: list[Clause] = []
         bodies: list[tuple[Stmt, ...]] = []
         while True:
-            ctok = ts.peek()
-            pattern = parse_pattern(ts)
-            guard = GTrue()
-            if ts.accept_atom("when"):
-                guard = parse_guard(ts)
-            ts.expect_sym("->")
+            clauses.append(parse_clause(ts))
             bodies.append((_parse_stmt(ts, counter),))  # one statement per clause
-            try:
-                clauses.append(Clause(pattern, guard))
-            except ValueError as exc:
-                raise ParseError(str(exc), ctok.line, ctok.col) from exc
             if not ts.accept_sym(";"):
                 break
         ts.expect_sym("}")
         counter[0] += 1
-        cs = Constraint(f"cs{counter[0]}", tuple(clauses))
-        return ReceiveStmt(cs, tuple(bodies))
+        return ReceiveStmt(constraint_at(f"cs{counter[0]}", clauses, tok), tuple(bodies))
     return ExprStmt(parse_pattern(ts))
 
 

@@ -128,12 +128,30 @@ class GOr:
 Guard = Union[GTrue, Cmp, GAnd, GOr]
 
 
+# A chain `a and b or c ...` parses to a left-deep tree as deep as the chain
+# is long, while parenthesized right operands nest at most MAX_NESTING deep:
+# the walks below loop down the left spine and recurse only on the right.
+
+
+def _spine(g: Guard) -> tuple[Guard, list[Union[GAnd, GOr]]]:
+    """The leftmost operand of the chain g, and g's connectives from the
+    innermost (first applied) to g itself."""
+    spine: list[Union[GAnd, GOr]] = []
+    while isinstance(g, (GAnd, GOr)):
+        spine.append(g)
+        g = g.lhs
+    spine.reverse()
+    return g, spine
+
+
 def guard_vars(g: Guard) -> set[str]:
+    out: set[str] = set()
+    while isinstance(g, (GAnd, GOr)):
+        out |= guard_vars(g.rhs)
+        g = g.lhs
     if isinstance(g, Cmp):
-        return set(pattern_vars(g.lhs)) | set(pattern_vars(g.rhs))
-    if isinstance(g, (GAnd, GOr)):
-        return guard_vars(g.lhs) | guard_vars(g.rhs)
-    return set()
+        out.update(pattern_vars(g.lhs), pattern_vars(g.rhs))
+    return out
 
 
 def eval_guard(g: Guard, subst: Substitution) -> bool:
@@ -144,10 +162,14 @@ def eval_guard(g: Guard, subst: Substitution) -> bool:
     """
     if isinstance(g, GTrue):
         return True
-    if isinstance(g, GAnd):
-        return eval_guard(g.lhs, subst) and eval_guard(g.rhs, subst)
-    if isinstance(g, GOr):
-        return eval_guard(g.lhs, subst) or eval_guard(g.rhs, subst)
+    if isinstance(g, (GAnd, GOr)):
+        first, spine = _spine(g)
+        value = eval_guard(first, subst)
+        for c in spine:
+            # `false and x` stays false, `true or x` stays true; else x decides
+            if value == isinstance(c, GAnd):
+                value = eval_guard(c.rhs, subst)
+        return value
     assert isinstance(g, Cmp)
     lhs = _resolve(g.lhs, subst)
     rhs = _resolve(g.rhs, subst)
@@ -280,11 +302,14 @@ def render_guard(g: Guard) -> str:
     # The parser reads `and` and `or` left to right at one precedence level,
     # so only a connective on the right needs parentheses: a chain renders
     # flat and never nests deeper than the text it was parsed from.
-    op = "and" if isinstance(g, GAnd) else "or"
-    rhs = render_guard(g.rhs)
-    if isinstance(g.rhs, (GAnd, GOr)):
-        rhs = f"({rhs})"
-    return f"{render_guard(g.lhs)} {op} {rhs}"
+    first, spine = _spine(g)
+    parts = [render_guard(first)]
+    for c in spine:
+        rhs = render_guard(c.rhs)
+        if isinstance(c.rhs, (GAnd, GOr)):
+            rhs = f"({rhs})"
+        parts.append(f"{'and' if isinstance(c, GAnd) else 'or'} {rhs}")
+    return " ".join(parts)
 
 
 def render_clause(cl: Clause, body: str = ".") -> str:

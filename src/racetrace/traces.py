@@ -40,6 +40,7 @@ from typing import Iterable, Iterator, Optional, Union
 
 from .parsing import (
     ParseError,
+    Token,
     TokenStream,
     name_sort_key,
     parse_constraint_block,
@@ -556,7 +557,9 @@ def serialize_interleaving(s: Interleaving) -> str:
     return text + _render_constraints_block(table)
 
 
-def _parse_action(ts: TokenStream, constraints: dict[str, Constraint]) -> Action:
+def _parse_action(ts: TokenStream) -> Union[Action, tuple[Tag, Token]]:
+    """One action; a receive as its tag and constraint-id token, which
+    ``_parse_document`` resolves once it has read the constraints block."""
     tok = ts.peek()
     kind = ts.expect_atom().text
     ts.expect_sym("(")
@@ -575,53 +578,44 @@ def _parse_action(ts: TokenStream, constraints: dict[str, Constraint]) -> Action
     if kind == "rec":
         tag = parse_dotted_name(ts)
         ts.expect_sym(",")
-        cs_tok = ts.peek()
-        cs_id = ts.expect_atom().text
+        cs_tok = ts.expect_atom()
         ts.expect_sym(")")
-        if cs_id not in constraints:
-            raise ParseError(f"unknown constraint id {cs_id!r}", cs_tok.line, cs_tok.col)
-        return Rec(tag, constraints[cs_id])
+        return tag, cs_tok
     raise ParseError(f"unknown action {kind!r}", tok.line, tok.col)
 
 
 def _parse_document(text: str, keyword: str):
-    """Common scaffolding: '<keyword> { initial: pid ... }' + constraints."""
+    """'<keyword> { initial: pid entries }' and its constraints block, read
+    in one pass: the initial pid and, per entry, its pid, the pid's token
+    and its actions."""
     ts = TokenStream(tokenize(text))
-    # The constraint table is written after the body but needed to resolve
-    # rec actions, so scan ahead for it first.
-    probe = TokenStream(ts.tokens[:])
-    constraints: dict[str, Constraint] = {}
-    depth = 0
-    while probe.peek().kind != "eof":
-        tok = probe.peek()
-        if tok.kind == "atom" and tok.text == "constraints" and depth == 0:
-            constraints = parse_constraint_block(probe)
-            continue
-        if tok.kind == "sym" and tok.text == "{":
-            depth += 1
-        elif tok.kind == "sym" and tok.text == "}":
-            depth -= 1
-        probe.next()
     ts.expect_atom(keyword)
     ts.expect_sym("{")
     ts.expect_atom("initial")
     ts.expect_sym(":")
     initial = parse_dotted_name(ts)
-    entries: list[tuple[Pid, list[Action]]] = []
+    entries: list[tuple[Pid, Token, list]] = []
     while not ts.at_sym("}"):
+        pid_tok = ts.peek()
         pid = parse_dotted_name(ts)
         ts.expect_sym(":")
-        acts: list[Action] = []
-        if ts.accept_atom("ε"):
-            pass
-        else:
-            acts.append(_parse_action(ts, constraints))
+        acts = []
+        if not ts.accept_atom("ε"):
+            acts.append(_parse_action(ts))
             while ts.accept_sym(","):
-                acts.append(_parse_action(ts, constraints))
-        entries.append((pid, acts))
+                acts.append(_parse_action(ts))
+        entries.append((pid, pid_tok, acts))
     ts.expect_sym("}")
-    if ts.peek().kind == "atom" and ts.peek().text == "constraints":
-        parse_constraint_block(ts)  # already harvested by the probe
+    constraints = parse_constraint_block(ts) if ts.at_atom("constraints") else {}
+    for _, _, acts in entries:
+        for i, a in enumerate(acts):
+            if isinstance(a, tuple):
+                tag, cs_tok = a
+                if cs_tok.text not in constraints:
+                    raise ParseError(
+                        f"unknown constraint id {cs_tok.text!r}", cs_tok.line, cs_tok.col
+                    )
+                acts[i] = Rec(tag, constraints[cs_tok.text])
     tok = ts.peek()
     if tok.kind != "eof":
         raise ParseError(f"unexpected trailing input {tok.text!r}", tok.line, tok.col)
@@ -631,9 +625,9 @@ def _parse_document(text: str, keyword: str):
 def parse_trace(text: str) -> Trace:
     initial, entries = _parse_document(text, "trace")
     procs: dict[Pid, tuple[Action, ...]] = {}
-    for pid, acts in entries:
+    for pid, tok, acts in entries:
         if pid in procs:
-            raise ParseError(f"duplicate process entry {pid!r}", 0, 0)
+            raise ParseError(f"duplicate process entry {pid!r}", tok.line, tok.col)
         procs[pid] = tuple(acts)
     procs.setdefault(initial, ())
     return Trace(initial, procs)
@@ -642,10 +636,12 @@ def parse_trace(text: str) -> Trace:
 def parse_interleaving(text: str) -> Interleaving:
     initial, entries = _parse_document(text, "interleaving")
     events: list[Event] = []
-    for pid, acts in entries:
+    for pid, tok, acts in entries:
         if len(acts) != 1:
             raise ParseError(
-                f"interleaving lines carry exactly one action (process {pid})", 0, 0
+                f"interleaving lines carry exactly one action (process {pid})",
+                tok.line,
+                tok.col,
             )
         events.append(Event(pid, acts[0]))
     return Interleaving(initial, tuple(events))

@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from racetrace import parse_trace, validate_trace
+from racetrace import parse_trace, serialize_trace, validate_trace
 from racetrace.cli import main
 
 from conftest import FIXTURES, LONG_PROGRAM, fixture_text
@@ -144,6 +144,20 @@ def test_too_deeply_nested_guard_is_a_one_line_diagnostic(tmp_path, capsys):
     code, _, err = run_cli(capsys, "validate", str(deep))
     assert code == 2
     assert err == f"{deep}: 3:127: guard nests deeper than 100 parentheses\n"
+
+
+@pytest.mark.parametrize("ops", [("and",), ("or",), ("and", "or")], ids=["and", "or", "and-or"])
+def test_long_guard_chain_validates(tmp_path, capsys, ops):
+    guard = " ".join(f"{ops[i % len(ops)]} M > 0" for i in range(1, 3000))
+    text = (
+        "trace { initial: p1\n  p1: send(l1, 1, p1), rec(l1, cs1) }\n"
+        f"constraints {{ cs1: M when M > 0 {guard} -> . }}\n"
+    )
+    path = tmp_path / "chain.trace"
+    path.write_text(text)
+    assert run_cli(capsys, "validate", str(path)) == (0, "ok\n", "")
+    # text, not objects: equality of two separately parsed chains recurses
+    assert serialize_trace(parse_trace(text)) == text
 
 
 # ---------------------------------------------------------------------------
@@ -371,6 +385,22 @@ def test_send_to_a_missing_process_is_a_one_line_diagnostic(tmp_path, command):
     assert proc.returncode == 2
     assert "Traceback" not in proc.stderr
     assert proc.stderr == "p1: send target p9 is not a process\n"
+
+
+@pytest.mark.parametrize(
+    "receive, message",
+    [
+        ("{X,X} -> ok", "2:12: constraint cs1: non-linear pattern (repeated variable)"),
+        ("X when Y > 0 -> ok", "2:12: constraint cs1: guard uses unbound variable(s) Y"),
+    ],
+    ids=["non-linear", "unbound-guard-variable"],
+)
+def test_invalid_receive_clause_is_a_one_line_diagnostic(tmp_path, receive, message):
+    proc = _run_program(
+        tmp_path, "simulate", f"program {{ main f\n def f() {{ receive {{ {receive} }} }} }}\n"
+    )
+    assert proc.returncode == 2
+    assert proc.stderr == f"{tmp_path / 'bad.prog'}: {message}\n"
 
 
 class _ClosedPipe(io.StringIO):

@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import given, settings
 
 from racetrace import (
     DivergenceError,
@@ -25,6 +26,7 @@ from racetrace.parsing import ParseError
 from racetrace.terms import Atom, Int, Tup
 
 from conftest import LONG_PROGRAM, fixture_text
+from strategies import programs
 
 
 def val(n):
@@ -40,6 +42,15 @@ def test_program_roundtrip_on_fixture_files():
     for name in ("proga.prog", "progb.prog", "progc.prog", "progd.prog"):
         text = fixture_text(name)
         assert serialize_program(parse_program(text)) == text
+
+
+@settings(max_examples=40, deadline=None)
+@given(programs())
+def test_program_serialization_is_a_fixed_point(text):
+    program = parse_program(text)
+    once = serialize_program(program)
+    assert parse_program(once) == program
+    assert serialize_program(parse_program(once)) == once
 
 
 def test_unknown_main_rejected():

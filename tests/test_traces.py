@@ -13,6 +13,7 @@ from racetrace import (
     actions,
     in_sched,
     is_subtrace,
+    parse_interleaving,
     parse_trace,
     serialize_interleaving,
     serialize_trace,
@@ -20,6 +21,8 @@ from racetrace import (
     validate_interleaving,
     validate_trace,
 )
+from racetrace import traces as traces_module
+from racetrace.parsing import ParseError
 from racetrace.terms import Atom, Int, Tup
 
 from conftest import fixture_text
@@ -309,18 +312,73 @@ def test_epsilon_marks_idle_processes():
 
 
 def test_unknown_constraint_id_rejected():
-    with pytest.raises(Exception) as err:
+    with pytest.raises(ParseError) as err:
         parse_trace(
             "trace { initial: p1\n  p1: rec(l1, cs9) }\n"
             "constraints { cs1: {val,M} -> . }\n"
         )
-    assert "cs9" in str(err.value)
+    assert str(err.value) == "2:15: unknown constraint id 'cs9'"
+
+
+@pytest.mark.parametrize(
+    "parse, text, message",
+    [
+        (
+            parse_trace,
+            "trace { initial: p1\n  p1: ε\n  p1: ε }\n",
+            "3:3: duplicate process entry 'p1'",
+        ),
+        (
+            parse_interleaving,
+            "interleaving { initial: p1\n  p1: spawn(p2)\n  p2: ε }\n",
+            "3:3: interleaving lines carry exactly one action (process p2)",
+        ),
+        (
+            # a brace missing inside a message is reported where it is
+            # missing, not as an unknown id for a receive before it
+            parse_trace,
+            "trace { initial: p1\n"
+            "  p1: send(l1, {val,1}, p1), rec(l1, cs1), send(l2, {val,2, p1) }\n"
+            "constraints { cs1: {val,M} -> . }\n",
+            "2:63: expected '}', found ')'",
+        ),
+        (
+            parse_trace,
+            "trace { initial: p1\n  p1: send(l1, {val,1}, p1), rec(l1, cs1) }\n",
+            "2:38: unknown constraint id 'cs1'",
+        ),
+    ],
+    ids=["duplicate-entry", "itl-line", "missing-brace", "no-constraints-block"],
+)
+def test_document_errors_are_reported_where_they_are(parse, text, message):
+    with pytest.raises(ParseError) as err:
+        parse(text)
+    assert str(err.value) == message
+
+
+def test_each_document_reads_its_constraints_block_once(monkeypatch):
+    calls = []
+    original = traces_module.parse_constraint_block
+
+    def counting(ts):
+        calls.append(ts)
+        return original(ts)
+
+    monkeypatch.setattr(traces_module, "parse_constraint_block", counting)
+    parse_trace(fixture_text("fix_run.trace"))
+    assert len(calls) == 1
+    parse_interleaving(fixture_text("fix_s_a.itl"))
+    assert len(calls) == 2
+
+
+@settings(max_examples=60, deadline=None)
+@given(traces(max_events=8))
+def test_trace_roundtrip(t):
+    assert parse_trace(serialize_trace(t)) == t
 
 
 @settings(max_examples=60, deadline=None)
 @given(interleavings(max_events=6))
 def test_interleaving_roundtrip(s):
     text = serialize_interleaving(s)
-    from racetrace import parse_interleaving
-
     assert parse_interleaving(text) == s
