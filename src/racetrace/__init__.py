@@ -10,8 +10,7 @@ from .terms import (
     Atom,
     Clause,
     Constraint,
-    GAnd,
-    GOr,
+    GChain,
     GTrue,
     Cmp,
     Int,
@@ -93,7 +92,7 @@ from .oracles import (
 
 __all__ = [
     "Atom", "CandidateCheck", "Clause", "Cmp", "Constraint", "DivergenceError",
-    "Event", "EventId", "ExplorationReport", "GAnd", "GOr", "GTrue", "HbGraph",
+    "Event", "EventId", "ExplorationReport", "GChain", "GTrue", "HbGraph",
     "Int", "Interleaving", "Lst", "Origin", "Outcome", "ParseError", "PidLit",
     "Program", "ProgramError", "RaceReport", "Rec", "Send", "SimulationError",
     "Spawn", "SwapBudgetExhausted", "TagLit", "Trace", "Tup", "Var", "Variant",

@@ -21,6 +21,12 @@ pid)`` and ``rec(tag, CSID)``; each receive's CSID resolves against the
 reads its clauses by the same ``clause`` rule, each followed by one
 statement in place of ``.``.
 
+A guard is stored the way the ``guard`` production reads it: a lone gatom
+as itself, a chain as one ``terms.GChain`` of its first gatom and the (op,
+gatom) pairs that follow. A parenthesized chain in first place is spliced
+in (``(A and B) or C`` is ``A and B or C``); elsewhere it stays one operand,
+so the stored guard nests only as deep as its parentheses.
+
 Atoms are lowercase identifiers, variables start with an uppercase letter,
 ``_`` is the wildcard. Pid names look like ``p1`` or ``p1.2``; tag names are
 either dotted names (``p3.1``) or plain identifiers (``l1``). Tuples and lists
@@ -38,8 +44,7 @@ from .terms import (
     Clause,
     Cmp,
     Constraint,
-    GAnd,
-    GOr,
+    GChain,
     GTrue,
     Guard,
     Int,
@@ -224,7 +229,8 @@ def name_sort_key(name: str) -> tuple:
 
 # The functions that walk terms and guards (parsing, matching, evaluating,
 # rendering, equality) recurse once or twice per level: this keeps them well
-# inside Python's recursion limit.
+# inside Python's recursion limit. A guard's node, ``GChain``, mirrors the
+# ``guard`` production, so a guard nests only as deep as its parentheses.
 MAX_NESTING = 100
 
 
@@ -290,15 +296,14 @@ def parse_guard(ts: TokenStream) -> Guard:
 
 
 def _parse_guard(ts: TokenStream, depth: int) -> Guard:
-    """A guard inside `depth` open parentheses."""
+    """A guard inside `depth` open parentheses: a lone gatom, or one
+    ``GChain`` with a parenthesized chain in first place spliced in."""
     g = _parse_guard_atom(ts, depth)
-    while True:
-        if ts.accept_atom("and"):
-            g = GAnd(g, _parse_guard_atom(ts, depth))
-        elif ts.accept_atom("or"):
-            g = GOr(g, _parse_guard_atom(ts, depth))
-        else:
-            return g
+    first, rest = (g.first, list(g.rest)) if isinstance(g, GChain) else (g, [])
+    while ts.at_atom("and") or ts.at_atom("or"):
+        op = ts.next().text
+        rest.append((op, _parse_guard_atom(ts, depth)))
+    return GChain(first, tuple(rest)) if rest else first
 
 
 def _parse_guard_atom(ts: TokenStream, depth: int) -> Guard:

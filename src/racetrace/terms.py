@@ -114,44 +114,29 @@ class Cmp:
 
 
 @dataclass(frozen=True)
-class GAnd:
-    lhs: "Guard"
-    rhs: "Guard"
+class GChain:
+    """``first op g op g ...``: the grammar's ``guard`` production, read left
+    to right at one precedence level. Each pair in ``rest`` is an op
+    (``"and"`` or ``"or"``) and the guard it joins to the value so far.
+
+    ``first`` is never a chain (``(A and B) or C`` is ``A and B or C``), and
+    an operand in ``rest`` is a chain only where the text parenthesized it,
+    so a guard nests no deeper than its parentheses.
+    """
+
+    first: "Guard"
+    rest: tuple[tuple[str, "Guard"], ...]
 
 
-@dataclass(frozen=True)
-class GOr:
-    lhs: "Guard"
-    rhs: "Guard"
-
-
-Guard = Union[GTrue, Cmp, GAnd, GOr]
-
-
-# A chain `a and b or c ...` parses to a left-deep tree as deep as the chain
-# is long, while parenthesized right operands nest at most MAX_NESTING deep:
-# the walks below loop down the left spine and recurse only on the right.
-
-
-def _spine(g: Guard) -> tuple[Guard, list[Union[GAnd, GOr]]]:
-    """The leftmost operand of the chain g, and g's connectives from the
-    innermost (first applied) to g itself."""
-    spine: list[Union[GAnd, GOr]] = []
-    while isinstance(g, (GAnd, GOr)):
-        spine.append(g)
-        g = g.lhs
-    spine.reverse()
-    return g, spine
+Guard = Union[GTrue, Cmp, GChain]
 
 
 def guard_vars(g: Guard) -> set[str]:
-    out: set[str] = set()
-    while isinstance(g, (GAnd, GOr)):
-        out |= guard_vars(g.rhs)
-        g = g.lhs
     if isinstance(g, Cmp):
-        out.update(pattern_vars(g.lhs), pattern_vars(g.rhs))
-    return out
+        return set(pattern_vars(g.lhs) + pattern_vars(g.rhs))
+    if isinstance(g, GChain):
+        return guard_vars(g.first).union(*(guard_vars(x) for _, x in g.rest))
+    return set()
 
 
 def eval_guard(g: Guard, subst: Substitution) -> bool:
@@ -162,13 +147,12 @@ def eval_guard(g: Guard, subst: Substitution) -> bool:
     """
     if isinstance(g, GTrue):
         return True
-    if isinstance(g, (GAnd, GOr)):
-        first, spine = _spine(g)
-        value = eval_guard(first, subst)
-        for c in spine:
+    if isinstance(g, GChain):
+        value = eval_guard(g.first, subst)
+        for op, x in g.rest:
             # `false and x` stays false, `true or x` stays true; else x decides
-            if value == isinstance(c, GAnd):
-                value = eval_guard(c.rhs, subst)
+            if value == (op == "and"):
+                value = eval_guard(x, subst)
         return value
     assert isinstance(g, Cmp)
     lhs = _resolve(g.lhs, subst)
@@ -299,16 +283,12 @@ def render_guard(g: Guard) -> str:
         return "true"
     if isinstance(g, Cmp):
         return f"{render_term(g.lhs)} {g.op} {render_term(g.rhs)}"
-    # The parser reads `and` and `or` left to right at one precedence level,
-    # so only a connective on the right needs parentheses: a chain renders
-    # flat and never nests deeper than the text it was parsed from.
-    first, spine = _spine(g)
-    parts = [render_guard(first)]
-    for c in spine:
-        rhs = render_guard(c.rhs)
-        if isinstance(c.rhs, (GAnd, GOr)):
-            rhs = f"({rhs})"
-        parts.append(f"{'and' if isinstance(c, GAnd) else 'or'} {rhs}")
+    # Only an operand in `rest` can be a chain, and only that one takes
+    # parentheses: the guard renders with as many as the text it came from.
+    parts = [render_guard(g.first)]
+    for op, x in g.rest:
+        text = render_guard(x)
+        parts.append(f"{op} ({text})" if isinstance(x, GChain) else f"{op} {text}")
     return " ".join(parts)
 
 

@@ -165,8 +165,6 @@ def validate_interleaving(s: Interleaving) -> Optional[Violation]:
                 return Violation("4", f"event {j}", f"pid {a.child} spawned twice")
             if a.child == ev.pid:
                 return Violation("4", f"event {j}", f"pid {ev.pid} spawns itself")
-            if any(e.pid == a.child for e in events[:j]):
-                return Violation("1", f"event {j}", f"pid {a.child} acted before its spawn")
             spawned[a.child] = j
         elif isinstance(a, Send):
             # condition 4: tag uniqueness

@@ -156,8 +156,22 @@ def test_long_guard_chain_validates(tmp_path, capsys, ops):
     path = tmp_path / "chain.trace"
     path.write_text(text)
     assert run_cli(capsys, "validate", str(path)) == (0, "ok\n", "")
-    # text, not objects: equality of two separately parsed chains recurses
     assert serialize_trace(parse_trace(text)) == text
+
+
+@pytest.mark.parametrize("ops", [("and",), ("and", "or")], ids=["and", "and-or"])
+def test_long_guard_chain_equiv(tmp_path, capsys, ops):
+    # `equiv` compares the two parsed traces, so two separately parsed
+    # 3 000-term guards are compared with `==`
+    guard = " ".join(f"{ops[i % len(ops)]} M > 0" for i in range(1, 3000))
+    text = (
+        "interleaving { initial: p1\n  p1: send(l1, 1, p1)\n  p1: rec(l1, cs1) }\n"
+        f"constraints {{ cs1: M when M > 0 {guard} -> . }}\n"
+    )
+    a, b = tmp_path / "a.itl", tmp_path / "b.itl"
+    a.write_text(text)
+    b.write_text(text)
+    assert run_cli(capsys, "equiv", str(a), str(b)) == (0, "equivalent\n", "")
 
 
 # ---------------------------------------------------------------------------

@@ -18,8 +18,7 @@ from racetrace.parsing import (
 from racetrace.terms import (
     Atom,
     Cmp,
-    GAnd,
-    GOr,
+    GChain,
     Int,
     Lst,
     PidLit,
@@ -68,13 +67,17 @@ def test_constraint_parsing_and_rendering():
     assert render_constraint(cs) == text
 
 
+def guard(text):
+    return parse_constraint(TokenStream(tokenize(f"c: X when {text} -> ."))).clauses[0].guard
+
+
 def test_constraint_guard_connectives():
     text = "c: {val,M} when M > 0 and M < 5 or M == 9 -> ."
     cs = parse_constraint(TokenStream(tokenize(text)))
-    # left-associative: ((M>0 and M<5) or M==9)
+    # one chain, read left to right: ((M>0 and M<5) or M==9)
     m = Var("M")
-    assert cs.clauses[0].guard == GOr(
-        GAnd(Cmp(">", m, Int(0)), Cmp("<", m, Int(5))), Cmp("==", m, Int(9))
+    assert cs.clauses[0].guard == GChain(
+        Cmp(">", m, Int(0)), (("and", Cmp("<", m, Int(5))), ("or", Cmp("==", m, Int(9))))
     )
     # only a connective on the right keeps its parentheses
     assert render_constraint(cs) == text
@@ -84,6 +87,12 @@ def test_constraint_guard_connectives():
     assert render_constraint(grouped) == (
         "c: {val,M} when M > 0 and M < 5 or (M == 9 or M == 7) -> ."
     )
+    # a parenthesized chain in first place is spliced in; elsewhere it stays
+    # one operand, so these are the equality classes the guard text has
+    assert guard("(X > 0 and X < 5) or X == 9") == guard("X > 0 and X < 5 or X == 9")
+    assert guard("((X > 0 and X < 5)) or X == 9") == guard("X > 0 and X < 5 or X == 9")
+    assert guard("X > 0 and (X < 5 and X == 9)") != guard("X > 0 and X < 5 and X == 9")
+    assert guard("(X > 0)") == Cmp(">", Var("X"), Int(0))
 
 
 def test_parse_error_carries_position():
@@ -159,19 +168,28 @@ def test_guard_past_the_nesting_limit_is_a_parse_error():
 
 
 @pytest.mark.parametrize(
-    "ops", [("and",), ("or",), ("and", "or")], ids=["and", "or", "and-or"]
+    "ops, length",
+    [
+        pytest.param(ops, length, id="-".join(ops) + ("" if length == 150 else f"-{length}"))
+        for length in (150, 3000)
+        for ops in (("and",), ("or",), ("and", "or"))
+    ],
 )
-def test_long_guard_chain_round_trips(ops):
-    guard = "M > 0"
-    for i in range(1, 150):
-        guard += f" {ops[i % len(ops)]} M > {i}"
+def test_long_guard_chain_round_trips(ops, length):
+    chain = "M > 0"
+    for i in range(1, length):
+        chain += f" {ops[i % len(ops)]} M > {i}"
     text = (
         "trace { initial: p1\n  p1: send(l1, 1, p1), rec(l1, cs1) }\n"
-        f"constraints {{ cs1: M when {guard} -> . }}\n"
+        f"constraints {{ cs1: M when {chain} -> . }}\n"
     )
     t = parse_trace(text)
     assert serialize_trace(t) == text
     assert parse_trace(serialize_trace(t)) == t
+    # a chain is one flat node: `==`, `hash` and `repr` do not recurse per term
+    cs, again = (parsed.procs["p1"][1].cs for parsed in (t, parse_trace(text)))
+    assert cs == again and hash(cs) == hash(again)
+    assert repr(cs).startswith("Constraint(cs_id='cs1', clauses=(Clause(")
 
 
 def test_nonlinear_pattern_rejected_in_constraint():

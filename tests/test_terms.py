@@ -6,8 +6,7 @@ from racetrace import (
     Clause,
     Cmp,
     Constraint,
-    GAnd,
-    GOr,
+    GChain,
     GTrue,
     Int,
     Lst,
@@ -76,9 +75,18 @@ def test_mixed_kind_ordering_is_false():
 
 
 def test_guard_connectives():
-    g = GAnd(Cmp(">", Var("M"), Int(0)), GOr(Cmp("==", Var("M"), Int(2)), GTrue()))
+    # M > 0 and (M == 2 or true)
+    g = GChain(
+        Cmp(">", Var("M"), Int(0)),
+        (("and", GChain(Cmp("==", Var("M"), Int(2)), (("or", GTrue()),))),),
+    )
     assert eval_guard(g, {"M": Int(2)})
     assert not eval_guard(g, {"M": Int(0)})
+    # M > 0 and M == 2 or true: left to right, so the trailing `or` decides
+    flat = GChain(
+        Cmp(">", Var("M"), Int(0)), (("and", Cmp("==", Var("M"), Int(2))), ("or", GTrue()))
+    )
+    assert eval_guard(flat, {"M": Int(0)})
 
 
 def test_constraint_rejects_nonlinear_pattern():

@@ -58,6 +58,13 @@ def test_act_before_spawn_is_condition_1():
     s = Interleaving("p1", (Event("p2", Send("l1", val(1), "p1")),))
     bad = validate_interleaving(s)
     assert bad is not None and bad.condition == "1"
+    # spawned only after it acted: still reported where it first acts
+    late = Interleaving(
+        "p1", (Event("p2", Send("l1", val(1), "p1")), Event("p1", Spawn("p2")))
+    )
+    assert str(validate_interleaving(late)) == (
+        "condition 1 violated at event 0: pid p2 acts before being spawned"
+    )
 
 
 def test_duplicate_tag_is_condition_4():
