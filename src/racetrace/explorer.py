@@ -9,9 +9,19 @@ simulator's schedule-invariant naming makes trace-equal executions
 byte-identical.
 
 Each new trace is indexed and validated once (``valid_index``); its orphans,
-its race reports and their variants come from that one index, whose validity
-gates admit each variant without validating it, so a variant is validated
-once, by ``replay_prefix``.
+its race reports and their variants come from that one index. A variant is
+never indexed or validated: its validity gate admits it on the parent's
+index, and ``variant_order`` reads its replay order off the same index,
+raising ValueError if that order cannot be completed (a cycle).
+
+A replay resumes from its parent's run instead of ``initial_state``. Every
+run (the seed run, or a replay and its deterministic continuation) keeps a
+clone of its state before each receive, keyed by schedule position. A
+variant's order agrees with its parent's schedule up to some position c;
+it is queued with the parent's latest snapshot at or before c, and replayed
+from a clone of that snapshot, each action checked against the program.
+The child inherits the parent's snapshots up to its resume point; only
+queued variants hold snapshots, so the others are dropped after ``record``.
 
 A trace replayed from a variant keeps its parent's events up to the variant
 prefix. The replay adds the rewritten receive and, in each process, the
@@ -39,21 +49,24 @@ events beyond the prefix. Two rules keep it from redoing its parent's work:
 
 from __future__ import annotations
 
+import bisect
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Optional
 
 from .parsing import name_sort_key
-from .races import race_report, report_variant
+from .races import race_report, report_variant, variant_order
 from .simulator import (
     DivergenceError,
     Outcome,
     Program,
-    replay_prefix,
+    SysState,
+    initial_state,
+    replay_order,
     run_deterministic,
     run_random,
 )
-from .traces import Pid, Rec, Tag, Trace, valid_index
+from .traces import Action, Event, Pid, Rec, Tag, Trace, valid_index
 
 
 @dataclass(frozen=True)
@@ -106,6 +119,33 @@ class ExplorationReport:
         return "\n".join(lines) + "\n"
 
 
+class _Run:
+    """One run's schedule, and the states it can be resumed from: a clone of
+    the state before each receive, keyed by schedule position. The first
+    snapshots are inherited (position 0 holds ``initial_state``); a snapshot
+    is never stepped, only cloned."""
+
+    def __init__(self, schedule: list[Event], saved: list[tuple[int, SysState]]):
+        self.schedule = schedule
+        self.saved = saved
+
+    def before_step(self, sys: SysState, pid: Pid, action: Action) -> None:
+        at = len(self.schedule)
+        if isinstance(action, Rec) and self.saved[-1][0] < at:
+            self.saved.append((at, sys.clone()))
+        self.schedule.append(Event(pid, action))
+
+    def resume_point(self, order: tuple[Event, ...]) -> list[tuple[int, SysState]]:
+        """The snapshots up to the latest one inside the prefix that `order`
+        shares with this run's schedule."""
+        schedule = self.schedule
+        c = next(
+            (i for i, (a, b) in enumerate(zip(order, schedule)) if a != b),
+            min(len(order), len(schedule)),
+        )
+        return self.saved[: bisect.bisect_right(self.saved, c, key=lambda snap: snap[0])]
+
+
 def explore(
     program: Program,
     seed: int = 0,
@@ -114,12 +154,14 @@ def explore(
 ) -> ExplorationReport:
     report = ExplorationReport()
     pending_keys: set[str] = set()
-    # variant prefixes to replay, each with the origin of the trace it yields
-    # and the racers its replaced receive sleeps on
-    queue: deque[tuple[Trace, Origin, frozenset[Tag]]] = deque()
+    # variants to replay, each with the origin of the trace it yields, the
+    # racers its replaced receive sleeps on, and the parent's snapshots up to
+    # the one it resumes from
+    queue: deque[tuple[Trace, tuple[Event, ...], Origin, frozenset[Tag], list]] = deque()
 
     def record(
-        run: tuple[Trace, Outcome],
+        result: tuple[Trace, Outcome],
+        run: _Run,
         prefix: Optional[Trace],
         origin: Optional[Origin],
         sleep: frozenset[Tag],
@@ -127,7 +169,7 @@ def explore(
         """Record a run's trace unless already seen, then enqueue the variants
         of the races of its receives, except a shared receive that every
         added event happened after and a racer its replaced receive sleeps on."""
-        t, outcome = run
+        t, outcome = result
         if outcome.kind == "step-limit":
             report.step_limited += 1
         key = t.key()
@@ -174,22 +216,29 @@ def explore(
                 pending_keys.add(vkey)
                 report.variants_enqueued += 1
                 origin_v = Origin(key, v.replaced_at, rep.subject, racer)
-                queue.append((v.trace, origin_v, frozenset(slept)))
+                order = variant_order(index, rep, racer)
+                queue.append(
+                    (v.trace, order, origin_v, frozenset(slept), run.resume_point(order))
+                )
                 slept.add(racer)
         report.race_counts[key] = count
 
-    record(run_random(program, seed, max_steps), None, None, frozenset())
+    run = _Run([], [(0, initial_state(program))])
+    record(run_random(program, seed, max_steps, run.before_step), run, None, None, frozenset())
     while queue:
         if len(report.traces) >= max_traces:
             report.bounded = True
             break
-        prefix, origin, sleep = queue.popleft()
+        prefix, order, origin, sleep, saved = queue.popleft()
+        at, state = saved[-1]
+        run = _Run(list(order[:at]), saved)
+        sys = state.clone()
         try:
-            sys, _ = replay_prefix(program, prefix)
+            replay_order(sys, order, at, None, run.before_step)
         except DivergenceError:
             report.divergences += 1
             continue
-        record(run_deterministic(sys, max_steps), prefix, origin, sleep)
+        record(run_deterministic(sys, max_steps, run.before_step), run, prefix, origin, sleep)
     return report
 
 

@@ -40,18 +40,21 @@ is decided by one check per receive (no kept send addresses an erased
 process) and one forward traversal per candidate that survives the cheap
 checks (no other message waiting at the receive must precede it). The
 rewritten trace is built only for the racers a caller asks a variant of,
-cut from the caller's index in one pass over its events.
+cut from the caller's index in one pass over its events, and
+``variant_order`` reads the variant's linearization off the same index,
+so a replay needs neither a new index nor a validation.
 """
 
 from __future__ import annotations
 
+import heapq
 import itertools
 from dataclasses import dataclass
 from typing import Callable
 
 from .causality import EventId
 from .parsing import name_sort_key
-from .traces import Pid, Rec, Send, Spawn, Tag, Trace, TraceIndex, valid_index
+from .traces import Event, Pid, Rec, Send, Spawn, Tag, Trace, TraceIndex, valid_index
 from .terms import match
 
 
@@ -254,6 +257,63 @@ def report_variant(index: TraceIndex, report: RaceReport, racer: Tag) -> Variant
             procs[p] = seq[: len(seq) - gone.count(1, first, first + len(seq))]
     procs[pid] += (Rec(racer, index.events[r][2].cs),)
     return Variant(Trace(t.initial, procs), (pid, idx), report.subject, racer)
+
+
+def variant_order(index: TraceIndex, report: RaceReport, racer: Tag) -> tuple[Event, ...]:
+    """The linearization of ``report_variant(index, report, racer).trace``,
+    equal to ``linearize_index`` of the variant's own index, read off the
+    parent's index in one Kahn pass with a smallest-ready heap over the
+    graph the validity gate walks; the variant is neither indexed nor
+    validated.
+
+    The new receive takes r's place, so the variant's events keep their
+    relative numbering and the smallest ready event is the one
+    ``linearize_index`` would take; which events are ready depends only on
+    reachability, so the gate's pruned edges give the same order. The
+    graph: the kept events with their hb edges, a kept send's ordering
+    edges when its receive is kept, and the new receive, after its program
+    (or spawn) predecessor and after the racer's send s, which precedes
+    every other message still waiting at r. Raises ValueError if the pass
+    cannot complete: the variant is cyclic."""
+    events, rec_at, succ, hb_succ = index.events, index.rec_at, index.succ, index.hb_succ
+    pid, idx = report.receive
+    r = index.first[pid] + idx
+    s = index.send_at[racer]
+    gone, _ = _erased(index, r)
+    # r's program predecessor, or the spawn of its process when r comes first
+    pred = r - 1 if idx else next(
+        (v for v, (_, _, a) in enumerate(events) if isinstance(a, Spawn) and a.child == pid),
+        None,
+    )
+    waiting = [w for w in index.oldest_waiting(r).values() if not gone[w] and w != s]
+    out: dict[int, list[int]] = {}
+    preds = [0] * len(events)
+    for v, (_, _, a) in enumerate(events):
+        if gone[v]:
+            continue
+        # only a send whose receive is kept has ordering edges
+        ordered = isinstance(a, Send) and not gone[rec_at.get(a.tag, r)]
+        targets = [u for u in (succ[v] if ordered else hb_succ[v]) if not gone[u]]
+        if v == pred:
+            targets.append(r)
+        if v == s:
+            targets += [r, *waiting]
+        out[v] = targets
+        for u in targets:
+            preds[u] += 1
+    ready = [v for v in out if not preds[v]]  # ascending, so a heap already
+    order: list[int] = []
+    while ready:
+        v = heapq.heappop(ready)
+        order.append(v)
+        for u in out.get(v, ()):
+            preds[u] -= 1
+            if not preds[u]:
+                heapq.heappush(ready, u)
+    if len(order) != len(out) + 1:
+        raise ValueError(f"the variant consuming {racer} at {index.loc(r)} is cyclic")
+    new = Rec(racer, events[r][2].cs)
+    return tuple(Event(pid, new) if v == r else Event(events[v][0], events[v][2]) for v in order)
 
 
 def variant(t: Trace, tag: Tag, racer: Tag) -> Variant:

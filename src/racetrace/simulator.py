@@ -11,9 +11,18 @@ immediately, so per-sender FIFO holds by construction and cross-sender
 mailbox orders are explored by reordering sends. A receive consumes the
 oldest mailbox message matching its constraint.
 
+Replay is one loop, ``replay_order``: it steps a state along a logged
+order from any position, checking each action against the program, and
+raises ``DivergenceError`` at the first it does not perform.
+``replay_prefix`` validates and linearizes a trace, then runs it from
+``initial_state`` with the log's names aligned to the simulator's. A
+state's ``clone`` can be resumed instead: the explorer saves clones
+through the ``before_step`` hook that the replay loop and the schedulers
+call before each step, and replays a variant's order from one of them.
+
 Each scheduler step evaluates ``_next_action`` once per process for
 ``enabled`` and once more for the pid it steps; ``step`` and
-``replay_prefix`` evaluate only the pid they step. A state keeps its
+``replay_order`` evaluate only the pid they step. A state keeps its
 processes in canonical pid order: a spawned child's sort key is computed
 once and the child is inserted at its place, so no step sorts the pids. A
 received message is matched against its constraint once, which finds it
@@ -32,7 +41,7 @@ from __future__ import annotations
 import bisect
 import random
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Union
+from typing import TYPE_CHECKING, Callable, Optional, Sequence, Union
 
 from .parsing import (
     ParseError,
@@ -61,7 +70,9 @@ from .terms import (
     render_term,
 )
 from .causality import linearize_index
-from .traces import Action, Pid, Rec, Send, Spawn, Tag, Trace, TraceIndex, validate_trace
+from .traces import (
+    Action, Event, Pid, Rec, Send, Spawn, Tag, Trace, TraceIndex, validate_trace,
+)
 
 
 class ProgramError(Exception):
@@ -508,7 +519,18 @@ class Outcome:
         return self.kind
 
 
-def _run(sys: SysState, max_steps: int, pick: Callable[[int], int]) -> tuple[Trace, Outcome]:
+if TYPE_CHECKING:
+    # Called with the state, the pid and the action it will record, before
+    # each step. Kept out of the running module: typing caches a subscripted
+    # Callable with its arguments, which would keep each re-imported
+    # module's SysState, and so the whole module, alive.
+    StepHook = Callable[[SysState, Pid, Action], None]
+
+
+def _run(
+    sys: SysState, max_steps: int, pick: Callable[[int], int],
+    before_step: Optional[StepHook] = None,
+) -> tuple[Trace, Outcome]:
     """Step the pid at position pick(n) of the n enabled ones until none is
     enabled or max_steps steps were taken."""
     for _ in range(max_steps):
@@ -516,18 +538,26 @@ def _run(sys: SysState, max_steps: int, pick: Callable[[int], int]) -> tuple[Tra
         if not choices:
             blocked = tuple(pid for pid, proc in sys.procs.items() if proc.stmts)
             return sys.trace(), Outcome("deadlock", blocked) if blocked else Outcome("completed")
-        step(sys, choices[pick(len(choices))][0])
+        pid, action = choices[pick(len(choices))]
+        if before_step is not None:
+            before_step(sys, pid, action)
+        step(sys, pid)
     return sys.trace(), Outcome("step-limit")
 
 
-def run_random(program: Program, seed: int, max_steps: int = 10000) -> tuple[Trace, Outcome]:
+def run_random(
+    program: Program, seed: int, max_steps: int = 10000,
+    before_step: Optional[StepHook] = None,
+) -> tuple[Trace, Outcome]:
     """Scheduler picks uniformly among enabled pids with a seeded PRNG."""
-    return _run(initial_state(program), max_steps, random.Random(seed).randrange)
+    return _run(initial_state(program), max_steps, random.Random(seed).randrange, before_step)
 
 
-def run_deterministic(sys: SysState, max_steps: int = 10000) -> tuple[Trace, Outcome]:
+def run_deterministic(
+    sys: SysState, max_steps: int = 10000, before_step: Optional[StepHook] = None,
+) -> tuple[Trace, Outcome]:
     """Continue a state with the fixed smallest-enabled-pid policy."""
-    return _run(sys, max_steps, lambda n: 0)
+    return _run(sys, max_steps, lambda n: 0, before_step)
 
 
 # ---------------------------------------------------------------------------
@@ -571,22 +601,42 @@ class Alignment:
 def replay_prefix(program: Program, prefix: Trace) -> tuple[SysState, Alignment]:
     """Drive the program along one linearization of the prefix.
 
-    Every step checks that the program performs exactly the logged action
-    (names compared modulo the incremental alignment); the returned state can
-    be continued with the normal schedulers.
+    The prefix is validated and linearized, then replayed from
+    ``initial_state`` by ``replay_order``, with its names aligned to the
+    simulator's; the returned state can be continued with the normal
+    schedulers.
     """
     index = TraceIndex(prefix)
     bad = validate_trace(index)
     if bad is not None:
         raise ValueError(f"invalid prefix trace: {bad}")
-    order = linearize_index(index)
     sys = initial_state(program)
     align = Alignment()
     align.bind_pid(prefix.initial, "p1")
+    replay_order(sys, linearize_index(index).events, 0, align)
+    return sys, align
 
-    for i, event in enumerate(order.events):
-        sim_pid = align.pid_log_to_sim.get(event.pid)
-        if sim_pid is None:
+
+def replay_order(
+    sys: SysState,
+    order: Sequence[Event],
+    start: int = 0,
+    align: Optional[Alignment] = None,
+    before_step: Optional[StepHook] = None,
+) -> None:
+    """Step sys, which has taken ``order[:start]``, along ``order[start:]``.
+
+    Every step checks that the program performs exactly the logged action,
+    else raises DivergenceError at that position. Given an ``Alignment``,
+    names are compared modulo it, and each name a spawn or send introduces
+    is bound as it is replayed; without one, the order uses the simulator's
+    own names, as a trace the simulator recorded does. ``before_step`` is
+    called before each step.
+    """
+    for i in range(start, len(order)):
+        event = order[i]
+        sim_pid = event.pid if align is None else align.pid_log_to_sim.get(event.pid)
+        if sim_pid not in sys.procs:
             raise DivergenceError(i, f"pid {event.pid} has no simulator counterpart")
         nxt = _next_action(sys, sim_pid)
         if nxt is None:
@@ -596,34 +646,38 @@ def replay_prefix(program: Program, prefix: Trace) -> tuple[SysState, Alignment]
         if isinstance(logged, Spawn):
             if not isinstance(actual, Spawn):
                 raise DivergenceError(i, f"expected spawn, program does {actual}")
-            step(sys, sim_pid)
-            align.bind_pid(logged.child, actual.child)
         elif isinstance(logged, Send):
             if not isinstance(actual, Send):
                 raise DivergenceError(i, f"expected send, program does {actual}")
-            if align.pid_sim_to_log.get(actual.target) != logged.target:
+            target, value = actual.target, actual.value
+            if align is not None:
+                target, value = align.pid_sim_to_log.get(target), align.sim_value_to_log(value)
+            if target != logged.target:
                 raise DivergenceError(
                     i, f"send targets {actual.target}, log says {logged.target}"
                 )
-            if align.sim_value_to_log(actual.value) != logged.value:
+            if value != logged.value:
                 raise DivergenceError(
                     i,
                     f"send value {render_term(actual.value)} differs from "
                     f"logged {render_term(logged.value)}",
                 )
-            step(sys, sim_pid)
-            align.bind_tag(logged.tag, actual.tag)
         else:
             assert isinstance(logged, Rec)
             if not isinstance(actual, Rec):
                 raise DivergenceError(i, f"expected receive, program does {actual}")
-            if align.tag_sim_to_log.get(actual.tag) != logged.tag:
+            tag = actual.tag if align is None else align.tag_sim_to_log.get(actual.tag)
+            if tag != logged.tag:
                 raise DivergenceError(
-                    i,
-                    f"receive consumes {align.tag_sim_to_log.get(actual.tag, actual.tag)}, "
-                    f"log says {logged.tag}",
+                    i, f"receive consumes {tag or actual.tag}, log says {logged.tag}"
                 )
             if not actual.cs.same_clauses(logged.cs):
                 raise DivergenceError(i, "receive constraint differs from the log")
-            step(sys, sim_pid)
-    return sys, align
+        if before_step is not None:
+            before_step(sys, sim_pid, actual)
+        step(sys, sim_pid)
+        if align is not None:
+            if isinstance(logged, Spawn):
+                align.bind_pid(logged.child, actual.child)
+            elif isinstance(logged, Send):
+                align.bind_tag(logged.tag, actual.tag)

@@ -161,10 +161,10 @@ def validate_interleaving(s: Interleaving) -> Optional[Violation]:
             return Violation("1", f"event {j}", f"pid {ev.pid} acts before being spawned")
         if isinstance(a, Spawn):
             # condition 4: pid uniqueness
+            # (a self-spawn is one too: the spawning pid is alive, so it is
+            # the initial pid or spawned already)
             if a.child in spawned or a.child == s.initial:
                 return Violation("4", f"event {j}", f"pid {a.child} spawned twice")
-            if a.child == ev.pid:
-                return Violation("4", f"event {j}", f"pid {ev.pid} spawns itself")
             spawned[a.child] = j
         elif isinstance(a, Send):
             # condition 4: tag uniqueness

@@ -6,10 +6,13 @@ from racetrace import (
     enumerate_executions,
     explore,
     parse_program,
+    replay_prefix,
+    run_deterministic,
     validate_trace,
+    variant,
 )
 
-from conftest import fixture_text
+from conftest import GENCOLL4, fixture_text
 from strategies import programs
 
 
@@ -52,6 +55,42 @@ def test_explorer_reaches_every_execution_of_generated_programs(text):
         report = explore(program, seed=seed)
         assert set(report.traces) == set(full)
         assert report.divergences == 0
+
+
+def _assert_rebuilt_from_origins(program, report, max_steps):
+    """Each trace with an origin is what replaying its variant from
+    ``initial_state`` and continuing deterministically gives: the reference
+    for resuming the replay from the parent's snapshot."""
+    for key in report.order:
+        origin = report.origins[key]
+        if origin is None:
+            continue
+        parent = report.traces[origin.parent_key]
+        prefix = variant(parent, origin.old_tag, origin.new_tag).trace
+        sys, _ = replay_prefix(program, prefix)
+        assert run_deterministic(sys, max_steps)[0].key() == key
+
+
+@pytest.mark.parametrize("max_steps", [10000, 9, 6])  # 6 and 9 cut some runs short
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize(
+    "text",
+    [fixture_text(f"prog{c}.prog") for c in "abcd"] + [GENCOLL4],
+    ids=["proga", "progb", "progc", "progd", "gencoll4"],
+)
+def test_resumed_replays_equal_replays_from_the_start(text, seed, max_steps):
+    program = parse_program(text)
+    report = explore(program, seed=seed, max_steps=max_steps)
+    assert report.divergences == 0
+    _assert_rebuilt_from_origins(program, report, max_steps)
+
+
+@settings(max_examples=60, deadline=None)
+@given(programs())
+def test_resumed_replays_equal_replays_from_the_start_on_generated_programs(text):
+    program = parse_program(text)
+    for seed in range(3):
+        _assert_rebuilt_from_origins(program, explore(program, seed=seed), 10000)
 
 
 def test_explorer_is_seed_deterministic(progb):

@@ -149,17 +149,25 @@ def test_orphans_hb_graph_and_replay_validate_once(run_trace, proga, validated):
     assert validated == [prefix]
 
 
-def test_explore_validates_each_trace_and_each_variant_once(gencoll4, validated):
+def test_explore_indexes_and_validates_each_trace_once(gencoll4, validated, monkeypatch):
+    indexed = []
+    init = TraceIndex.__init__
+
+    def counting_init(self, t):
+        indexed.append(t)
+        init(self, t)
+
+    monkeypatch.setattr(TraceIndex, "__init__", counting_init)
     report = explore(gencoll4, seed=0)
     assert len(report.traces) == 24 and not report.bounded
     for t in report.traces.values():
         assert sum(v is t for v in validated) == 1
-    # each enqueued variant is validated once, when it is replayed; the gate
-    # that admitted it validated nothing
+    # no variant is indexed or validated: the gate admitted it on its
+    # parent's index, and its replay order is read off the same index
     assert report.variants_enqueued > 0
-    assert len(validated) == len(report.traces) + report.variants_enqueued
-    # every racer counted is enqueued once, found pending, or asleep: a
-    # sleeping racer is neither built nor replayed, so nothing validates it
+    assert len(validated) == len(report.traces)
+    assert indexed == validated
+    # every racer counted is enqueued once, found pending, or asleep
     assert report.sleeping > 0
     assert sum(report.race_counts.values()) == (
         report.variants_enqueued + report.duplicate_variants + report.sleeping

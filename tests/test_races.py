@@ -15,12 +15,14 @@ from racetrace import (
     validate_trace,
     variant,
 )
-from racetrace.races import _erased, race_report, report_variant
+from racetrace.causality import linearize_index
+from racetrace.races import _erased, race_report, report_variant, variant_order
 from racetrace.terms import Atom, Int, Tup
 from racetrace.traces import valid_index
 
 from conftest import fixture_text
 from strategies import CS_ANY, CS_POS, traces
+from test_golden import REASONS_TRACE
 
 
 def val(n):
@@ -295,6 +297,24 @@ def test_gate_equals_validating_the_built_variant(t):
             (p, i) for p, seq in reference.procs.items() for i in range(len(seq))
         } - {(pid, idx)}
         assert dead == set(t.procs) - set(reference.procs)
+
+
+@settings(max_examples=150, deadline=None)
+@given(traces(max_events=10))
+@example(DANGLING_SEND)
+@example(REASONS_TRACE)
+@example(parse_trace(fixture_text("fix_run.trace")))
+@example(parse_trace(fixture_text("fix_tau_a.trace")))
+@example(parse_trace(fixture_text("variant_run_l2_l6.trace")))
+def test_variant_order_is_the_variants_linearization(t):
+    for index, _, report, check in _survivors(t):
+        built = report_variant(index, report, check.tag).trace
+        if check.in_race_set:
+            expected = linearize_index(valid_index(built)).events
+            assert variant_order(index, report, check.tag) == expected, check.tag
+        elif validate_trace(built).condition == "d":
+            with pytest.raises(ValueError, match="is cyclic"):
+                variant_order(index, report, check.tag)
 
 
 def test_gate_rejects_a_variant_with_a_dangling_send():

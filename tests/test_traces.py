@@ -79,6 +79,19 @@ def test_duplicate_tag_is_condition_4():
     assert bad is not None and bad.condition == "4"
 
 
+def test_self_spawn_is_a_second_spawn_in_an_interleaving_only():
+    # the spawning pid is alive, so it already counts as spawned
+    for events, message in (
+        ((Event("p1", Spawn("p1")),), "event 0: pid p1 spawned twice"),
+        ((Event("p1", Spawn("p2")), Event("p2", Spawn("p2"))), "event 1: pid p2 spawned twice"),
+    ):
+        bad = validate_interleaving(Interleaving("p1", events))
+        assert str(bad) == f"condition 4 violated at {message}"
+    # a trace is checked in event order, where p2 comes before its spawner p3
+    t = Trace("p1", {"p1": (Spawn("p3"),), "p3": (Spawn("p2"),), "p2": (Spawn("p2"),)})
+    assert str(validate_trace(t)) == "condition a violated at p2[0]: pid p2 spawns itself"
+
+
 def test_non_matching_receive_is_condition_2():
     s = Interleaving(
         "p1",
