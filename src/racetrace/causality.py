@@ -5,23 +5,22 @@ position of the action in that process's sequence. The happened-before
 relation is generated by program order, spawn-before-child and
 send-before-receive edges, closed transitively.
 
-Besides happened-before edges, the graph records *ordering constraints*: for
-a receive of message L, every other matching send to the same process that is
-not consumed earlier must be scheduled after L's send (otherwise the receive
-would not take the oldest matching message). These constraints are not part
-of happened-before — the events involved are causally independent — but every
-valid linearization must respect them, so they participate in cycle checks,
-``linearize`` and ``enumerate_linearizations``.
+Besides happened-before edges, valid linearizations respect *ordering
+constraints*: for a receive of message L, every other matching send to the
+same process that is not consumed earlier must be scheduled after L's send
+(otherwise the receive would not take the oldest matching message). These
+constraints are not part of happened-before — the events involved are
+causally independent — but they take part in cycle checks, ``linearize``
+and ``enumerate_linearizations``, through ``TraceIndex.succ``.
 
-Everything here is computed from one ``TraceIndex`` per call, validated once:
-``HbGraph`` is built from the index's adjacency lists in O(N + E), and the
-ordering constraints come from the index's single mailbox-rule helper
-(``TraceIndex.waiting``). ``linearize`` runs Kahn's algorithm with a heap over
-event numbers, which order events by ``(name_sort_key(pid), index)``: O(E +
-N log N). ``enumerate_linearizations`` backtracks with an explicit stack, so
-trace length is not bounded by the recursion limit. ``HbGraph.reach`` is a
-plain depth-first search per query and serves as the reference for the
-index's per-receive traversal.
+Everything here is computed from one ``TraceIndex`` per call, validated once.
+``HbGraph`` is a view of that index: it adds only the event ids and the edge
+labels that ``racetrace hb`` prints, and answers ``reach`` and
+``reachable_pairs`` with ``TraceIndex.after`` and ``find_cycle`` with the
+cycle search of validation. ``linearize`` runs Kahn's algorithm with a heap
+over event numbers, which order events by ``(name_sort_key(pid), index)``:
+O(E + N log N). ``enumerate_linearizations`` backtracks with an explicit
+stack, so trace length is not bounded by the recursion limit.
 
 ``causally_equivalent`` decides equivalence by trace equality; its
 brute-force references, the swap search ``swap_equiv_oracle`` and the
@@ -31,8 +30,7 @@ event-pair closure ``hb_relation``, live in ``racetrace.oracles``.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field
-from itertools import chain
+from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
 from .traces import (
@@ -55,71 +53,51 @@ class EventId(NamedTuple):
 
 @dataclass
 class HbGraph:
+    """The happened-before edges of one trace, labelled, as a view of the
+    ``TraceIndex`` they were read from: every query is answered by the
+    index's own traversals."""
+
+    index: TraceIndex
     nodes: list[EventId]
-    edges: dict[EventId, set[EventId]]
     labels: dict[tuple[EventId, EventId], str]  # "program" | "spawn" | "message TAG"
-    order_constraints: set[tuple[EventId, EventId]] = field(default_factory=set)
+
+    def _number(self, e: EventId) -> int:
+        pid, i = e
+        seq = self.index.trace.procs.get(pid)
+        if seq is None or not 0 <= i < len(seq):
+            raise KeyError(f"unknown event {e}")
+        return self.index.first[pid] + i
 
     def reach(self, src: EventId, dst: EventId) -> bool:
         """True iff dst is reachable from src via happened-before edges.
 
         Irreflexive: reach(e, e) is False unless e lies on a cycle (which
-        cannot happen for a valid trace).
+        cannot happen for a valid trace). KeyError for an unknown event.
         """
-        if src not in self.edges and src not in self.nodes:
-            raise KeyError(f"unknown event {src}")
-        seen = {src}
-        stack = [src]
-        while stack:
-            for nxt in self.edges.get(stack.pop(), ()):
-                if nxt == dst:
-                    return True
-                if nxt not in seen:
-                    seen.add(nxt)
-                    stack.append(nxt)
-        return False
+        v, w = self._number(src), self._number(dst)
+        return bool(self.index.after(v)[w])
 
     def reachable_pairs(self) -> set[tuple[EventId, EventId]]:
-        pairs: set[tuple[EventId, EventId]] = set()
-        for src in self.nodes:
-            seen: set[EventId] = set()
-            stack = list(self.edges.get(src, ()))
-            while stack:
-                node = stack.pop()
-                if node in seen:
-                    continue
-                seen.add(node)
-                stack.extend(self.edges.get(node, ()))
-            pairs.update((src, dst) for dst in seen)
-        return pairs
+        nodes = self.nodes
+        return {
+            (src, nodes[w])
+            for v, src in enumerate(nodes)
+            for w, hit in enumerate(self.index.after(v))
+            if hit
+        }
 
     def find_cycle(self) -> Optional[list[EventId]]:
-        """A cycle over hb edges plus ordering constraints, or None.
-
-        Roots are tried in node order and successors in ``EventId`` order,
-        by the same search that decides condition (d) of ``validate_trace``.
-        """
-        succ: dict[EventId, set[EventId]] = {n: set(self.edges.get(n, ())) for n in self.nodes}
-        for src, dst in self.order_constraints:
-            succ.setdefault(src, set()).add(dst)
-        ids = list(self.nodes)
-        number = {n: k for k, n in enumerate(ids)}
-        for dst in chain.from_iterable(succ.values()):
-            if dst not in number:
-                number[dst] = len(ids)
-                ids.append(dst)
-        adjacency = [[number[d] for d in sorted(succ.get(n, ()))] for n in ids]
-        cycle = first_cycle(len(self.nodes), adjacency)
-        return None if cycle is None else [ids[k] for k in cycle]
+        """A cycle over hb edges plus mailbox-ordering edges, or None: the
+        one condition (d) of ``validate_trace`` reports."""
+        cycle = first_cycle(len(self.nodes), self.index.succ)
+        return None if cycle is None else [self.nodes[k] for k in cycle]
 
 
 def _graph(index: TraceIndex) -> HbGraph:
     events = index.events
     nodes = [EventId(pid, i) for pid, i, _ in events]
-    edges: dict[EventId, set[EventId]] = {}
     labels: dict[tuple[EventId, EventId], str] = {}
     for v, succ in enumerate(index.hb_succ):
-        edges[nodes[v]] = {nodes[w] for w in succ}
         a = events[v][2]
         for w in succ:
             b = events[w][2]
@@ -132,23 +110,14 @@ def _graph(index: TraceIndex) -> HbGraph:
             else:
                 label = "program"
             labels[(nodes[v], nodes[w])] = label
-
-    constraints: set[tuple[EventId, EventId]] = set()
-    for r, (pid, _, a) in enumerate(events):
-        if not isinstance(a, Rec) or a.tag not in index.send_at:
-            continue
-        subject_send = nodes[index.send_at[a.tag]]
-        sends = chain.from_iterable(index.sends_to.get(pid, {}).values())
-        constraints.update(
-            (subject_send, nodes[w])
-            for w in index.waiting(r, sends)
-            if events[w][2].tag != a.tag
-        )
-    return HbGraph(nodes, edges, labels, constraints)
+    return HbGraph(index, nodes, labels)
 
 
 def hb_graph_unchecked(t: Trace) -> HbGraph:
-    """Build the graph without validating the trace first."""
+    """Build the graph without validating the trace first.
+
+    No library code calls it; it stays as the name the benchmark's span
+    for graph building is bound to."""
     return _graph(TraceIndex(t))
 
 
@@ -159,9 +128,6 @@ def hb_graph(t: Trace) -> HbGraph:
 def independent(t: Trace, e1: EventId, e2: EventId) -> bool:
     """Neither event happened before the other."""
     graph = hb_graph(t)
-    for e in (e1, e2):
-        if e.pid not in t.procs or not 0 <= e.index < len(t.procs[e.pid]):
-            raise KeyError(f"unknown event {e}")
     return not graph.reach(e1, e2) and not graph.reach(e2, e1)
 
 

@@ -27,10 +27,12 @@ valid interleaving is such an order.
 Trace-level work goes through a ``TraceIndex``, built once per trace in
 O(N): events numbered once, sends and receives by tag, per-target send lists
 and integer hb adjacency lists. The mailbox rule is stated once, in
-``TraceIndex.waiting``; validation conditions (c) and (d), the hb graph's
-ordering constraints and the race check's ``blocked_by`` all read it from
-there. ``validate_interleaving`` keeps its own, independent statement
+``TraceIndex.waiting``; validation conditions (c) and (d), the ordering
+edges of ``TraceIndex.succ`` and the race check's ``blocked_by`` all read it
+from there. ``validate_interleaving`` keeps its own, independent statement
 (condition 3), as do the brute-force references in ``racetrace.oracles``.
+Its check is one pass in which each receive scans its process's unconsumed
+messages, oldest first, up to its own.
 """
 
 from __future__ import annotations
@@ -148,13 +150,21 @@ class Violation:
 
 
 def validate_interleaving(s: Interleaving) -> Optional[Violation]:
-    """None when valid, otherwise the first violated condition."""
-    events = s.events
-    spawned: dict[Pid, int] = {}
-    sends: dict[Tag, tuple[int, Event]] = {}
-    received: dict[Tag, int] = {}
+    """None when valid, otherwise the first violated condition.
 
-    for j, ev in enumerate(events):
+    One pass with a mailbox per process. Conditions 1, 2 and 4 end the pass;
+    the first condition-3 violation is kept and reported only after it, so
+    any violation of the other three is reported first. O(events + the
+    unconsumed sends each receive scans).
+    """
+    spawned: set[Pid] = set()
+    sends: dict[Tag, Send] = {}
+    received: set[Tag] = set()
+    # per process, its unconsumed messages in send order: tag -> value
+    mailbox: dict[Pid, dict[Tag, Term]] = {}
+    late: Optional[Violation] = None
+
+    for j, ev in enumerate(s.events):
         a = ev.action
         # condition 1: pid alive
         if ev.pid != s.initial and ev.pid not in spawned:
@@ -165,52 +175,43 @@ def validate_interleaving(s: Interleaving) -> Optional[Violation]:
             # the initial pid or spawned already)
             if a.child in spawned or a.child == s.initial:
                 return Violation("4", f"event {j}", f"pid {a.child} spawned twice")
-            spawned[a.child] = j
+            spawned.add(a.child)
         elif isinstance(a, Send):
             # condition 4: tag uniqueness
             if a.tag in sends:
                 return Violation("4", f"event {j}", f"tag {a.tag} sent twice")
-            sends[a.tag] = (j, ev)
+            sends[a.tag] = a
+            mailbox.setdefault(a.target, {})[a.tag] = a.value
         elif isinstance(a, Rec):
             if a.tag in received:
                 return Violation("4", f"event {j}", f"tag {a.tag} received twice")
             # condition 2: a preceding matching send to this process
             if a.tag not in sends:
                 return Violation("2", f"event {j}", f"no prior send of tag {a.tag}")
-            _, send_ev = sends[a.tag]
-            assert isinstance(send_ev.action, Send)
-            if send_ev.action.target != ev.pid:
-                return Violation(
-                    "2", f"event {j}", f"tag {a.tag} was sent to {send_ev.action.target}"
-                )
-            if not match(send_ev.action.value, a.cs):
+            send = sends[a.tag]
+            if send.target != ev.pid:
+                return Violation("2", f"event {j}", f"tag {a.tag} was sent to {send.target}")
+            if not match(send.value, a.cs):
                 return Violation(
                     "2",
                     f"event {j}",
-                    f"value {render_term(send_ev.action.value)} does not match {a.cs.cs_id}",
+                    f"value {render_term(send.value)} does not match {a.cs.cs_id}",
                 )
-            received[a.tag] = j
-
-    # condition 3: each consumed message is the oldest matching one
-    for tag, j in received.items():
-        rec_ev = events[j]
-        assert isinstance(rec_ev.action, Rec)
-        send_idx, _ = sends[tag]
-        for i in range(send_idx):
-            other = events[i].action
-            if not isinstance(other, Send) or other.target != rec_ev.pid:
-                continue
-            if other.tag == tag or not match(other.value, rec_ev.action.cs):
-                continue
-            other_rec = received.get(other.tag)
-            if other_rec is None or other_rec > j:
-                return Violation(
-                    "3",
-                    f"event {j}",
-                    f"message {other.tag} was sent before {tag}, matches "
-                    f"{rec_ev.action.cs.cs_id} and is not received earlier",
-                )
-    return None
+            received.add(a.tag)
+            # condition 3: no older matching message is still in the mailbox
+            box = mailbox[ev.pid]
+            for other, value in box.items():
+                if other == a.tag:
+                    break
+                if late is None and match(value, a.cs):
+                    late = Violation(
+                        "3",
+                        f"event {j}",
+                        f"message {other} was sent before {a.tag}, matches "
+                        f"{a.cs.cs_id} and is not received earlier",
+                    )
+            del box[a.tag]
+    return late
 
 
 def actions(pid: Pid, s: Interleaving) -> tuple[Action, ...]:

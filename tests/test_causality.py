@@ -79,6 +79,11 @@ def test_same_process_never_independent(tau_a):
 def test_unknown_event_rejected(tau_a):
     with pytest.raises(KeyError):
         independent(tau_a, EventId("p1", 0), EventId("p9", 0))
+    g = hb_graph(tau_a)
+    for unknown in (EventId("p9", 0), EventId("p1", 99), EventId("p1", -1)):
+        for src, dst in ((EventId("p1", 0), unknown), (unknown, EventId("p1", 0))):
+            with pytest.raises(KeyError):
+                g.reach(src, dst)
 
 
 @settings(max_examples=60, deadline=None)

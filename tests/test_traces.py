@@ -10,9 +10,11 @@ from racetrace import (
     Send,
     Spawn,
     Trace,
+    Violation,
     actions,
     in_sched,
     is_subtrace,
+    linearize,
     parse_interleaving,
     parse_trace,
     serialize_interleaving,
@@ -23,7 +25,7 @@ from racetrace import (
 )
 from racetrace import traces as traces_module
 from racetrace.parsing import ParseError
-from racetrace.terms import Atom, Int, Tup
+from racetrace.terms import Atom, Int, Tup, match, render_term
 
 from conftest import fixture_text
 from strategies import CS_ANY, CS_POS, interleavings, traces
@@ -118,6 +120,94 @@ def test_blocking_send_from_other_sender_also_violates_condition_3():
     )
     bad = validate_interleaving(s)
     assert bad is not None and bad.condition == "3"
+
+
+def _two_pass_validate_interleaving(s):
+    """The two-pass statement of conditions 1-4: conditions 1, 2 and 4 in
+    one pass, then condition 3 by rescanning, for each receive, every event
+    before its message's send."""
+    events = s.events
+    spawned = {}
+    sends = {}
+    received = {}
+    for j, ev in enumerate(events):
+        a = ev.action
+        if ev.pid != s.initial and ev.pid not in spawned:
+            return Violation("1", f"event {j}", f"pid {ev.pid} acts before being spawned")
+        if isinstance(a, Spawn):
+            if a.child in spawned or a.child == s.initial:
+                return Violation("4", f"event {j}", f"pid {a.child} spawned twice")
+            spawned[a.child] = j
+        elif isinstance(a, Send):
+            if a.tag in sends:
+                return Violation("4", f"event {j}", f"tag {a.tag} sent twice")
+            sends[a.tag] = (j, ev)
+        elif isinstance(a, Rec):
+            if a.tag in received:
+                return Violation("4", f"event {j}", f"tag {a.tag} received twice")
+            if a.tag not in sends:
+                return Violation("2", f"event {j}", f"no prior send of tag {a.tag}")
+            send = sends[a.tag][1].action
+            if send.target != ev.pid:
+                return Violation("2", f"event {j}", f"tag {a.tag} was sent to {send.target}")
+            if not match(send.value, a.cs):
+                return Violation(
+                    "2",
+                    f"event {j}",
+                    f"value {render_term(send.value)} does not match {a.cs.cs_id}",
+                )
+            received[a.tag] = j
+    for tag, j in received.items():
+        rec_ev = events[j]
+        send_idx, _ = sends[tag]
+        for i in range(send_idx):
+            other = events[i].action
+            if not isinstance(other, Send) or other.target != rec_ev.pid:
+                continue
+            if other.tag == tag or not match(other.value, rec_ev.action.cs):
+                continue
+            other_rec = received.get(other.tag)
+            if other_rec is None or other_rec > j:
+                return Violation(
+                    "3",
+                    f"event {j}",
+                    f"message {other.tag} was sent before {tag}, matches "
+                    f"{rec_ev.action.cs.cs_id} and is not received earlier",
+                )
+    return None
+
+
+def _with_swaps(s):
+    """s, then s with each pair of its events swapped: often invalid."""
+    yield s
+    events = list(s.events)
+    for i, j in itertools.combinations(range(len(events)), 2):
+        swapped = list(events)
+        swapped[i], swapped[j] = events[j], events[i]
+        yield Interleaving(s.initial, tuple(swapped))
+
+
+@settings(max_examples=80, deadline=None)
+@given(interleavings(max_events=8), traces(max_events=8))
+def test_one_pass_validation_equals_two_pass_reference(s, t):
+    for base in (s, linearize(t)):
+        for m in _with_swaps(base):
+            assert validate_interleaving(m) == _two_pass_validate_interleaving(m), m
+
+
+def test_a_later_condition_2_violation_is_reported_before_condition_3():
+    # event 2 takes l2 past the older matching l1 (condition 3); event 3
+    # receives a tag never sent (condition 2), which is reported instead
+    events = (
+        Event("p1", Send("l1", val(1), "p1")),
+        Event("p1", Send("l2", val(2), "p1")),
+        Event("p1", Rec("l2", CS_ANY)),
+    )
+    assert validate_interleaving(Interleaving("p1", events)).condition == "3"
+    both = Interleaving("p1", events + (Event("p1", Rec("l9", CS_ANY)),))
+    assert str(validate_interleaving(both)) == (
+        "condition 2 violated at event 3: no prior send of tag l9"
+    )
 
 
 # ---------------------------------------------------------------------------
