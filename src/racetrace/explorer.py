@@ -3,16 +3,18 @@
 The loop: run one seeded execution and record its trace; compute the race
 sets of its receives and one race variant per (receive, racer) pair; replay
 each variant prefix and continue deterministically to completion; recurse on
-the races of the resulting traces. Complete traces and pending variants are
-deduplicated by canonical serialization, which is sound because the
-simulator's schedule-invariant naming makes trace-equal executions
-byte-identical.
+the races of the resulting traces. Complete traces are deduplicated by
+canonical serialization, which is sound because the simulator's
+schedule-invariant naming makes trace-equal executions byte-identical.
+Pending variants are deduplicated by their replay order, the variant
+trace's canonical linearization, so two orders are equal iff the variant
+traces are.
 
 Each new trace is indexed and validated once (``valid_index``); its orphans,
 its race reports and their variants come from that one index. A variant is
-never indexed or validated: its validity gate admits it on the parent's
-index, and ``variant_order`` reads its replay order off the same index,
-raising ValueError if that order cannot be completed (a cycle).
+never built as a trace, indexed or validated: its validity gate admits it
+on the parent's index, and ``variant_order`` reads its replay order off the
+same index, raising ValueError if that order cannot be completed (a cycle).
 
 A replay resumes from its parent's run instead of ``initial_state``. Every
 run (the seed run, or a replay and its deterministic continuation) keeps a
@@ -55,7 +57,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .parsing import name_sort_key
-from .races import race_report, report_variant, variant_order
+from .races import race_report, variant_order
 from .simulator import (
     DivergenceError,
     Outcome,
@@ -66,7 +68,7 @@ from .simulator import (
     run_deterministic,
     run_random,
 )
-from .traces import Action, Event, Pid, Rec, Tag, Trace, valid_index
+from .traces import Action, Event, Pid, Rec, Spawn, Tag, Trace, valid_index
 
 
 @dataclass(frozen=True)
@@ -153,16 +155,16 @@ def explore(
     max_traces: int = 10000,
 ) -> ExplorationReport:
     report = ExplorationReport()
-    pending_keys: set[str] = set()
-    # variants to replay, each with the origin of the trace it yields, the
-    # racers its replaced receive sleeps on, and the parent's snapshots up to
-    # the one it resumes from
-    queue: deque[tuple[Trace, tuple[Event, ...], Origin, frozenset[Tag], list]] = deque()
+    pending: set[tuple[Event, ...]] = set()
+    # variants to replay, as their orders, each with the origin of the trace
+    # it yields, the racers its replaced receive sleeps on, and the parent's
+    # snapshots up to the one it resumes from
+    queue: deque[tuple[tuple[Event, ...], Origin, frozenset[Tag], list]] = deque()
 
     def record(
         result: tuple[Trace, Outcome],
         run: _Run,
-        prefix: Optional[Trace],
+        prefix: tuple[Event, ...],
         origin: Optional[Origin],
         sleep: frozenset[Tag],
     ) -> None:
@@ -182,14 +184,18 @@ def explore(
         report.orphans[key] = sorted(index.orphans(), key=name_sort_key)
         report.origins[key] = origin
         report.order.append(key)
-        # per process, how many of its events it shares with the parent; the
-        # replay added the rest, and each process's first added event is the
-        # one its other added events follow
+        # per process, how many of its events it shares with the parent, read
+        # off the variant's order (a process spawned there without events
+        # shares 0); the replay added the rest, and each process's first
+        # added event is the one its other added events follow
         shared: dict[Pid, int] = {}
         replaced = -1
         if origin is not None:
             rpid, ridx = origin.replaced_at
-            shared = {p: len(seq) for p, seq in prefix.procs.items()}
+            for e in prefix:
+                shared[e.pid] = shared.get(e.pid, 0) + 1
+                if isinstance(e.action, Spawn):
+                    shared[e.action.child] = 0
             shared[rpid] = ridx
             replaced = index.first[rpid] + ridx
         added = [index.first[p] + n for p, n in shared.items() if len(t.procs[p]) > n]
@@ -208,28 +214,24 @@ def explore(
                 if r == replaced and racer in sleep:
                     report.sleeping += 1
                     continue
-                v = report_variant(index, rep, racer)
-                vkey = v.trace.key()
-                if vkey in pending_keys:
+                order = variant_order(index, rep, racer)
+                if order in pending:
                     report.duplicate_variants += 1
                     continue
-                pending_keys.add(vkey)
+                pending.add(order)
                 report.variants_enqueued += 1
-                origin_v = Origin(key, v.replaced_at, rep.subject, racer)
-                order = variant_order(index, rep, racer)
-                queue.append(
-                    (v.trace, order, origin_v, frozenset(slept), run.resume_point(order))
-                )
+                origin_v = Origin(key, rep.receive, rep.subject, racer)
+                queue.append((order, origin_v, frozenset(slept), run.resume_point(order)))
                 slept.add(racer)
         report.race_counts[key] = count
 
     run = _Run([], [(0, initial_state(program))])
-    record(run_random(program, seed, max_steps, run.before_step), run, None, None, frozenset())
+    record(run_random(program, seed, max_steps, run.before_step), run, (), None, frozenset())
     while queue:
         if len(report.traces) >= max_traces:
             report.bounded = True
             break
-        prefix, order, origin, sleep, saved = queue.popleft()
+        order, origin, sleep, saved = queue.popleft()
         at, state = saved[-1]
         run = _Run(list(order[:at]), saved)
         sys = state.clone()
@@ -238,7 +240,7 @@ def explore(
         except DivergenceError:
             report.divergences += 1
             continue
-        record(run_deterministic(sys, max_steps, run.before_step), run, prefix, origin, sleep)
+        record(run_deterministic(sys, max_steps, run.before_step), run, order, origin, sleep)
     return report
 
 

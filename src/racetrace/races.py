@@ -22,8 +22,8 @@ reference that checks this one: ``racetrace.oracles.declarative_race_oracle``.
 A race variant rewrites the receive to consume the racer and erases every
 action that happened after the original receive, yielding a (usually partial)
 trace that can drive a replayed execution into a new equivalence class. What
-it keeps is stated once, in ``_erased``, which the validity gate and the
-variant builder both read; the paper's inductive ``rdep`` is the tests'
+it keeps is stated once, in ``_erased``, which the validity gate and
+``variant_order`` both read; the paper's inductive ``rdep`` is the tests'
 reference for it.
 
 Cost: ``all_races`` and ``race_set`` index and validate the trace once, then
@@ -38,11 +38,10 @@ reads the same index and validates nothing: the rewritten trace keeps the
 events the receive did not happen before and adds the new receive, so it
 is decided by one check per receive (no kept send addresses an erased
 process) and one forward traversal per candidate that survives the cheap
-checks (no other message waiting at the receive must precede it). The
-rewritten trace is built only for the racers a caller asks a variant of,
-cut from the caller's index in one pass over its events, and
-``variant_order`` reads the variant's linearization off the same index,
-so a replay needs neither a new index nor a validation.
+checks (no other message waiting at the receive must precede it). A
+variant is its replay order: ``variant_order`` reads the variant's
+linearization off the same index, so a replay needs neither a new index
+nor a validation, and ``variant`` projects that order onto its processes.
 """
 
 from __future__ import annotations
@@ -54,7 +53,9 @@ from typing import Callable
 
 from .causality import EventId
 from .parsing import name_sort_key
-from .traces import Event, Pid, Rec, Send, Spawn, Tag, Trace, TraceIndex, valid_index
+from .traces import (
+    Event, Interleaving, Pid, Rec, Send, Spawn, Tag, Trace, TraceIndex, tr, valid_index,
+)
 from .terms import match
 
 
@@ -143,7 +144,7 @@ def _erased(index: TraceIndex, r: int) -> tuple[bytearray, set[Pid]]:
     the events r happened before (``index.after(r)``), and the pids whose
     spawn is among them. A variant keeps every other event, which is what
     the paper's ``rdep`` keeps once r is rewritten, and ``notdep(r)`` in
-    Optimal DPOR's terms; the validity gate and ``report_variant`` both
+    Optimal DPOR's terms; the validity gate and ``variant_order`` both
     read it from here."""
     gone = index.after(r)
     gone[r] = 1
@@ -239,32 +240,14 @@ def orphans(t: Trace) -> set[Tag]:
 # ---------------------------------------------------------------------------
 
 
-def report_variant(index: TraceIndex, report: RaceReport, racer: Tag) -> Variant:
-    """The variant for a racer of `report`, a report on the trace `index`
-    holds, cut from the receive's traversal (``_erased``): every process
-    whose spawn is kept keeps its kept events, in ``procs`` order, and the
-    receive's process ends with rec(racer). The race set's validity gate
-    proved this trace valid on the same index, so it is not checked here."""
-    pid, idx = report.receive
-    t = index.trace
-    r = index.first[pid] + idx
-    gone, dead = _erased(index, r)
-    procs: dict[Pid, tuple] = {}
-    for p, seq in t.procs.items():
-        if p not in dead:
-            # gone is closed under program order: the kept events are a prefix
-            first = index.first[p]
-            procs[p] = seq[: len(seq) - gone.count(1, first, first + len(seq))]
-    procs[pid] += (Rec(racer, index.events[r][2].cs),)
-    return Variant(Trace(t.initial, procs), (pid, idx), report.subject, racer)
-
-
 def variant_order(index: TraceIndex, report: RaceReport, racer: Tag) -> tuple[Event, ...]:
-    """The linearization of ``report_variant(index, report, racer).trace``,
-    equal to ``linearize_index`` of the variant's own index, read off the
-    parent's index in one Kahn pass with a smallest-ready heap over the
-    graph the validity gate walks; the variant is neither indexed nor
-    validated.
+    """The variant for a racer of `report`, a report on the trace `index`
+    holds, as its linearization: the events ``_erased`` keeps, and the
+    receive rewritten to rec(racer). It equals ``linearize_index`` of the
+    variant trace's own index, so two orders are equal iff the two variant
+    traces are. It is read off the parent's index in one Kahn pass with a
+    smallest-ready heap over the graph the validity gate walks; the variant
+    is neither indexed nor validated.
 
     The new receive takes r's place, so the variant's events keep their
     relative numbering and the smallest ready event is the one
@@ -324,4 +307,5 @@ def variant(t: Trace, tag: Tag, racer: Tag) -> Variant:
         detail = next((c.reason() for c in report.candidates if c.tag == racer), None)
         why = f" ({detail})" if detail else ""
         raise ValueError(f"{racer} is not in the race set of {tag}{why}")
-    return report_variant(index, report, racer)
+    order = variant_order(index, report, racer)
+    return Variant(tr(Interleaving(t.initial, order)), report.receive, report.subject, racer)

@@ -71,7 +71,8 @@ from .terms import (
 )
 from .causality import linearize_index
 from .traces import (
-    Action, Event, Pid, Rec, Send, Spawn, Tag, Trace, TraceIndex, validate_trace,
+    Action, Event, Pid, Rec, Send, Spawn, Tag, Trace, TraceIndex, render_action,
+    validate_trace,
 )
 
 
@@ -645,27 +646,27 @@ def replay_order(
         logged = event.action
         if isinstance(logged, Spawn):
             if not isinstance(actual, Spawn):
-                raise DivergenceError(i, f"expected spawn, program does {actual}")
+                raise DivergenceError(i, f"expected spawn, program does {render_action(actual)}")
         elif isinstance(logged, Send):
             if not isinstance(actual, Send):
-                raise DivergenceError(i, f"expected send, program does {actual}")
+                raise DivergenceError(i, f"expected send, program does {render_action(actual)}")
             target, value = actual.target, actual.value
             if align is not None:
                 target, value = align.pid_sim_to_log.get(target), align.sim_value_to_log(value)
             if target != logged.target:
                 raise DivergenceError(
-                    i, f"send targets {actual.target}, log says {logged.target}"
+                    i, f"send targets {target or actual.target}, log says {logged.target}"
                 )
             if value != logged.value:
                 raise DivergenceError(
                     i,
-                    f"send value {render_term(actual.value)} differs from "
+                    f"send value {render_term(value)} differs from "
                     f"logged {render_term(logged.value)}",
                 )
         else:
             assert isinstance(logged, Rec)
             if not isinstance(actual, Rec):
-                raise DivergenceError(i, f"expected receive, program does {actual}")
+                raise DivergenceError(i, f"expected receive, program does {render_action(actual)}")
             tag = actual.tag if align is None else align.tag_sim_to_log.get(actual.tag)
             if tag != logged.tag:
                 raise DivergenceError(

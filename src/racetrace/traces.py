@@ -112,13 +112,6 @@ class Trace:
     initial: Pid
     procs: dict[Pid, tuple[Action, ...]]
 
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, Trace)
-            and self.initial == other.initial
-            and self.procs == other.procs
-        )
-
     def pids(self) -> list[Pid]:
         return sorted(self.procs, key=name_sort_key)
 

@@ -2,18 +2,25 @@ import pytest
 from hypothesis import example, given, settings
 
 from racetrace import (
+    Interleaving,
+    Rec,
     distinctness_check,
     enumerate_executions,
     explore,
     parse_program,
     replay_prefix,
     run_deterministic,
+    serialize_trace,
+    tr,
     validate_trace,
     variant,
 )
+from racetrace.races import race_report, variant_order
+from racetrace.traces import valid_index
 
 from conftest import GENCOLL4, fixture_text
 from strategies import programs
+from test_races import reference_variant
 
 
 def test_explorer_reaches_every_execution(proga, progb, progc):
@@ -91,6 +98,95 @@ def test_resumed_replays_equal_replays_from_the_start_on_generated_programs(text
     program = parse_program(text)
     for seed in range(3):
         _assert_rebuilt_from_origins(program, explore(program, seed=seed), 10000)
+
+
+def _assert_orders_key_variants(report):
+    """The explorer's pending set holds variant orders: over every racer of
+    every explored trace, equal orders must be equal variant traces, and
+    equal variant traces equal orders. Returns how many variants repeat."""
+    by_order, by_key = {}, {}
+    pairs = 0
+    for t in report.traces.values():
+        index = valid_index(t)
+        for r, (_, _, a) in enumerate(index.events):
+            if not isinstance(a, Rec):
+                continue
+            rep = race_report(index, r)
+            for racer in rep.racers:
+                order = variant_order(index, rep, racer)
+                key = serialize_trace(tr(Interleaving(t.initial, order)))
+                assert by_order.setdefault(order, key) == key
+                assert by_key.setdefault(key, order) == order
+                pairs += 1
+    return pairs - len(by_key)
+
+
+@pytest.mark.parametrize(
+    "text, seed",
+    [(GENCOLL4, 0)] + [(fixture_text("progd.prog"), seed) for seed in range(6)],
+    ids=["gencoll4"] + [f"progd-{seed}" for seed in range(6)],
+)
+def test_variant_orders_and_variant_traces_correspond(text, seed):
+    repeats = _assert_orders_key_variants(explore(parse_program(text), seed=seed))
+    if text == GENCOLL4:
+        assert repeats > 0  # the same variant is reached from several traces
+
+
+@settings(max_examples=60, deadline=None)
+@given(programs())
+def test_variant_orders_and_variant_traces_correspond_on_generated_programs(text):
+    program = parse_program(text)
+    for seed in range(3):
+        _assert_orders_key_variants(explore(program, seed=seed))
+
+
+# When p1.2's only event, a receive, takes p1.1's go, sent after p1.1's
+# second receive, a variant there keeps the spawn of p1.2 and none of its
+# events. In the replay p1.2 can take s instead, so its reply pp can race
+# at p1.1's first receive, which the variant shares with its parent.
+SPAWNED_WITHOUT_EVENTS = """program { main main
+  def main() { spawn a(); spawn p(); spawn s(); spawn t();
+    send {a,1} to <p1.1>; send {b,1} to <p1.1>; send k to <p1.3> }
+  def a() { receive { X -> ok }; receive { {b,Y} -> ok }; send go to <p1.2>;
+    receive { Z -> ok }; receive { W -> ok } }
+  def p() { receive { X -> send pp to <p1.1> } }
+  def s() { receive { k -> send s to <p1.2> } }
+  def t() { send {b,2} to <p1.1> } }
+"""
+
+
+def _reference_race_counts(report):
+    """Each trace's race count, with the shared-prefix skip read off the
+    variant trace built by ``rdep`` instead of the variant's order."""
+    counts = {}
+    for key in report.order:
+        t, origin = report.traces[key], report.origins[key]
+        index = valid_index(t)
+        shared = {}
+        if origin is not None:
+            pid, idx = origin.replaced_at
+            prefix = reference_variant(report.traces[origin.parent_key], pid, idx, origin.new_tag)
+            shared = {p: len(seq) for p, seq in prefix.procs.items()}
+            shared[pid] = idx
+        added = [index.first[p] + n for p, n in shared.items() if len(t.procs[p]) > n]
+        counts[key] = sum(
+            len(race_report(index, r).racers)
+            for r, (pid, idx, a) in enumerate(index.events)
+            if isinstance(a, Rec)
+            and not (idx < shared.get(pid, 0) and all(index.after(r)[v] for v in added))
+        )
+    return counts
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize(
+    "text",
+    [SPAWNED_WITHOUT_EVENTS, fixture_text("progd.prog"), GENCOLL4],
+    ids=["spawned-without-events", "progd", "gencoll4"],
+)
+def test_shared_prefix_skip_reads_the_variant_order_like_its_trace(text, seed):
+    report = explore(parse_program(text), seed=seed)
+    assert report.race_counts == _reference_race_counts(report)
 
 
 def test_explorer_is_seed_deterministic(progb):

@@ -16,7 +16,7 @@ from racetrace import (
     variant,
 )
 from racetrace.causality import linearize_index
-from racetrace.races import _erased, race_report, report_variant, variant_order
+from racetrace.races import _erased, race_report, variant_order
 from racetrace.terms import Atom, Int, Tup
 from racetrace.traces import valid_index
 
@@ -271,12 +271,14 @@ def _survivors(t):
 @given(traces(max_events=10))
 @example(DANGLING_SEND)
 def test_index_built_variant_equals_rdep(t):
-    for index, _, report, check in _survivors(t):
+    for report in all_races(t):
         pid, idx = report.receive
-        built = report_variant(index, report, check.tag).trace
-        reference = reference_variant(t, pid, idx, check.tag)
-        assert built == reference, (report.subject, check.tag)
-        assert list(built.procs) == list(reference.procs), (report.subject, check.tag)
+        for racer in report.racers:
+            built = variant(t, report.subject, racer)
+            assert built.trace == reference_variant(t, pid, idx, racer), (
+                report.subject, racer,
+            )
+            assert built.replaced_at == (pid, idx)
 
 
 @settings(max_examples=150, deadline=None)
@@ -308,7 +310,8 @@ def test_gate_equals_validating_the_built_variant(t):
 @example(parse_trace(fixture_text("variant_run_l2_l6.trace")))
 def test_variant_order_is_the_variants_linearization(t):
     for index, _, report, check in _survivors(t):
-        built = report_variant(index, report, check.tag).trace
+        pid, idx = report.receive
+        built = reference_variant(t, pid, idx, check.tag)
         if check.in_race_set:
             expected = linearize_index(valid_index(built)).events
             assert variant_order(index, report, check.tag) == expected, check.tag

@@ -23,7 +23,7 @@ from racetrace import (
 )
 from racetrace import simulator
 from racetrace.parsing import ParseError
-from racetrace.terms import Atom, Int, Tup
+from racetrace.terms import Atom, Int, PidLit, Tup
 
 from conftest import LONG_PROGRAM, fixture_text
 from strategies import programs
@@ -279,6 +279,35 @@ def test_replay_detects_divergence(proga, tau_a):
     )
     with pytest.raises(DivergenceError, match="differs from logged"):
         replay_prefix(proga, type(tau_a)("p1", mutated_procs))
+
+
+def test_divergence_messages_render_actions_in_the_logs_names(proga, tau_a):
+    def divergence(**procs):
+        with pytest.raises(DivergenceError) as info:
+            replay_prefix(proga, type(tau_a)("p1", {**tau_a.procs, **procs}))
+        return str(info.value)
+
+    p1 = tau_a.procs["p1"]
+    # the program's third action is a send, not a spawn
+    assert divergence(p1=p1[:2] + (Spawn("p4"),), p2=(), p4=()) == (
+        "divergence at prefix event 2: expected spawn, program does "
+        "send(p1.1, {val,1}, p1.1)"
+    )
+    # the program sends to the log's p2 (the simulator's p1.1)
+    assert divergence(p1=p1[:2] + (Send("l1", val(1), "p3"),), p2=()) == (
+        "divergence at prefix event 2: send targets p2, log says p3"
+    )
+    # a pid in the value is printed in the log's names too
+    prog = parse_program(
+        "program { main f def f() { P = spawn g(); send P to P } "
+        "def g() { receive { X -> ok } } }"
+    )
+    t = type(tau_a)("p1", {"p1": (Spawn("p2"), Send("l1", PidLit("p1"), "p2")), "p2": ()})
+    with pytest.raises(DivergenceError) as info:
+        replay_prefix(prog, t)
+    assert str(info.value) == (
+        "divergence at prefix event 1: send value <p2> differs from logged <p1>"
+    )
 
 
 def test_replay_accepts_foreign_names(proga, tau_a):
