@@ -307,5 +307,6 @@ def variant(t: Trace, tag: Tag, racer: Tag) -> Variant:
         detail = next((c.reason() for c in report.candidates if c.tag == racer), None)
         why = f" ({detail})" if detail else ""
         raise ValueError(f"{racer} is not in the race set of {tag}{why}")
-    order = variant_order(index, report, racer)
-    return Variant(tr(Interleaving(t.initial, order)), report.receive, report.subject, racer)
+    procs = tr(Interleaving(t.initial, variant_order(index, report, racer))).procs
+    kept = Trace(t.initial, {p: procs[p] for p in t.procs if p in procs})  # parent's order
+    return Variant(kept, report.receive, report.subject, racer)

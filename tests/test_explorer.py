@@ -13,7 +13,6 @@ from racetrace import (
     serialize_trace,
     tr,
     validate_trace,
-    variant,
 )
 from racetrace.races import race_report, variant_order
 from racetrace.traces import valid_index
@@ -40,6 +39,27 @@ def test_explorer_covers_all_traces_from_any_seed(progc, seed):
     assert set(explore(progc, seed=seed).traces) == full
 
 
+def _assert_orders_key_variants(report):
+    """The explorer's pending set holds variant orders: over every racer of
+    every explored trace, equal variant traces must be equal orders (equal
+    orders are equal traces, as the trace is projected from the order).
+    Returns how many variants repeat."""
+    by_key = {}
+    pairs = 0
+    for t in report.traces.values():
+        index = valid_index(t)
+        for r, (_, _, a) in enumerate(index.events):
+            if not isinstance(a, Rec):
+                continue
+            rep = race_report(index, r)
+            for racer in rep.racers:
+                order = variant_order(index, rep, racer)
+                key = serialize_trace(tr(Interleaving(t.initial, order)))
+                assert by_key.setdefault(key, order) == order
+                pairs += 1
+    return pairs - len(by_key)
+
+
 # progd: a proxy forwards one of two messages to the collector. A variant
 # at the proxy's receive changes which message the forwarded tag carries,
 # so the collector's receive, shared with the parent, races anew.
@@ -49,6 +69,7 @@ def test_explorer_reharvests_a_shared_receive_whose_context_changed(seed):
     report = explore(program, seed=seed)
     assert set(report.traces) == set(enumerate_executions(program)[0])
     assert len(report.traces) == 4
+    _assert_orders_key_variants(report)
 
 
 @settings(max_examples=100, deadline=None)
@@ -73,7 +94,7 @@ def _assert_rebuilt_from_origins(program, report, max_steps):
         if origin is None:
             continue
         parent = report.traces[origin.parent_key]
-        prefix = variant(parent, origin.old_tag, origin.new_tag).trace
+        prefix = reference_variant(parent, *origin.replaced_at, origin.new_tag)
         sys, _ = replay_prefix(program, prefix)
         assert run_deterministic(sys, max_steps)[0].key() == key
 
@@ -90,6 +111,9 @@ def test_resumed_replays_equal_replays_from_the_start(text, seed, max_steps):
     report = explore(program, seed=seed, max_steps=max_steps)
     assert report.divergences == 0
     _assert_rebuilt_from_origins(program, report, max_steps)
+    repeats = _assert_orders_key_variants(report)
+    if text == GENCOLL4 and max_steps == 10000:
+        assert repeats > 0  # the same variant is reached from several traces
 
 
 @settings(max_examples=60, deadline=None)
@@ -97,47 +121,9 @@ def test_resumed_replays_equal_replays_from_the_start(text, seed, max_steps):
 def test_resumed_replays_equal_replays_from_the_start_on_generated_programs(text):
     program = parse_program(text)
     for seed in range(3):
-        _assert_rebuilt_from_origins(program, explore(program, seed=seed), 10000)
-
-
-def _assert_orders_key_variants(report):
-    """The explorer's pending set holds variant orders: over every racer of
-    every explored trace, equal orders must be equal variant traces, and
-    equal variant traces equal orders. Returns how many variants repeat."""
-    by_order, by_key = {}, {}
-    pairs = 0
-    for t in report.traces.values():
-        index = valid_index(t)
-        for r, (_, _, a) in enumerate(index.events):
-            if not isinstance(a, Rec):
-                continue
-            rep = race_report(index, r)
-            for racer in rep.racers:
-                order = variant_order(index, rep, racer)
-                key = serialize_trace(tr(Interleaving(t.initial, order)))
-                assert by_order.setdefault(order, key) == key
-                assert by_key.setdefault(key, order) == order
-                pairs += 1
-    return pairs - len(by_key)
-
-
-@pytest.mark.parametrize(
-    "text, seed",
-    [(GENCOLL4, 0)] + [(fixture_text("progd.prog"), seed) for seed in range(6)],
-    ids=["gencoll4"] + [f"progd-{seed}" for seed in range(6)],
-)
-def test_variant_orders_and_variant_traces_correspond(text, seed):
-    repeats = _assert_orders_key_variants(explore(parse_program(text), seed=seed))
-    if text == GENCOLL4:
-        assert repeats > 0  # the same variant is reached from several traces
-
-
-@settings(max_examples=60, deadline=None)
-@given(programs())
-def test_variant_orders_and_variant_traces_correspond_on_generated_programs(text):
-    program = parse_program(text)
-    for seed in range(3):
-        _assert_orders_key_variants(explore(program, seed=seed))
+        report = explore(program, seed=seed)
+        _assert_rebuilt_from_origins(program, report, 10000)
+        _assert_orders_key_variants(report)
 
 
 # When p1.2's only event, a receive, takes p1.1's go, sent after p1.1's

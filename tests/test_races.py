@@ -275,9 +275,9 @@ def test_index_built_variant_equals_rdep(t):
         pid, idx = report.receive
         for racer in report.racers:
             built = variant(t, report.subject, racer)
-            assert built.trace == reference_variant(t, pid, idx, racer), (
-                report.subject, racer,
-            )
+            reference = reference_variant(t, pid, idx, racer)
+            assert built.trace == reference, (report.subject, racer)
+            assert list(built.trace.procs) == list(reference.procs), (report.subject, racer)
             assert built.replaced_at == (pid, idx)
 
 
