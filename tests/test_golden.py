@@ -146,3 +146,9 @@ def test_hb_pairs_output_is_exact(capsys):
     code = main(["hb", "--pairs", str(FIXTURES / "fix_run.trace")])
     assert code == 0
     assert capsys.readouterr().out == fixture_text("hb_pairs_run.txt")
+
+
+def test_races_explain_output_is_exact(capsys):
+    code = main(["races", "--explain", str(FIXTURES / "fix_run.trace")])
+    assert code == 0
+    assert capsys.readouterr().out == fixture_text("races_explain_run.txt")
