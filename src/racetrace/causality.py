@@ -17,9 +17,10 @@ Everything here is computed from one ``TraceIndex`` per call, validated once.
 ``HbGraph`` is a view of that index: it adds only the event ids and the edge
 labels that ``racetrace hb`` prints, and answers ``reach`` and
 ``reachable_pairs`` with ``TraceIndex.after`` and ``find_cycle`` with the
-cycle search of validation. ``linearize`` runs Kahn's algorithm with a heap
-over event numbers, which order events by ``(name_sort_key(pid), index)``:
-O(E + N log N). ``enumerate_linearizations`` backtracks with an explicit
+cycle search of validation. ``linearize`` is ``traces.smallest_first`` over
+event numbers, which order events by ``(name_sort_key(pid), index)``; the
+same Kahn pass orders a race variant, so a variant's order is its trace's
+linearization. ``enumerate_linearizations`` backtracks with an explicit
 stack, so trace length is not bounded by the recursion limit.
 
 ``causally_equivalent`` decides equivalence by trace equality; its
@@ -29,7 +30,6 @@ event-pair closure ``hb_relation``, live in ``racetrace.oracles``.
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
@@ -41,6 +41,7 @@ from .traces import (
     Trace,
     TraceIndex,
     first_cycle,
+    smallest_first,
     tr,
     valid_index,
 )
@@ -136,14 +137,6 @@ def independent(t: Trace, e1: EventId, e2: EventId) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def _pred_counts(succ: list[list[int]]) -> list[int]:
-    preds = [0] * len(succ)
-    for targets in succ:
-        for w in targets:
-            preds[w] += 1
-    return preds
-
-
 def _to_interleaving(index: TraceIndex, order: list[int]) -> Interleaving:
     events = index.events
     return Interleaving(
@@ -154,18 +147,8 @@ def _to_interleaving(index: TraceIndex, order: list[int]) -> Interleaving:
 def linearize_index(index: TraceIndex) -> Interleaving:
     """Deterministic linearization of a validated index: always the
     smallest ready event, ties broken by smallest pid, then index."""
-    succ = index.succ
-    preds = _pred_counts(succ)
-    ready = [v for v, c in enumerate(preds) if c == 0]
-    order: list[int] = []
-    while ready:
-        node = heapq.heappop(ready)
-        order.append(node)
-        for nxt in succ[node]:
-            preds[nxt] -= 1
-            if preds[nxt] == 0:
-                heapq.heappush(ready, nxt)
-    if len(order) != len(succ):
+    order = smallest_first(index.succ, range(len(index.events)))
+    if len(order) != len(index.events):
         raise ValueError("trace graph is cyclic")  # unreachable on valid traces
     return _to_interleaving(index, order)
 
@@ -179,7 +162,10 @@ def enumerate_linearizations(t: Trace, cap: int = 10000) -> list[Interleaving]:
     """All members of sched(t); raises if there are more than cap."""
     index = valid_index(t)
     succ = index.succ
-    preds = _pred_counts(succ)
+    preds = [0] * len(succ)
+    for targets in succ:
+        for w in targets:
+            preds[w] += 1
     out: list[Interleaving] = []
     order: list[int] = []
     # one frame per depth: the ready events, ascending, and the next to try

@@ -1,20 +1,22 @@
 """Message races, race variants and orphan messages.
 
 A message L' races with a received message L when some causally equivalent
-prefix of the execution could have consumed L' at L's receive instead. The
-constructive check per candidate send(L', v', p):
+prefix of the execution could have consumed L' at L's receive instead. With
+selective receives and per-sender FIFO delivery only a sender's oldest
+message waiting at the receive (``TraceIndex.oldest_waiting``) can be L':
 
-  * v' matches the receive constraint;
-  * L' was not already consumed before the receive;
-  * the receive did not happen before the send of L';
-  * no earlier send from the same sender to p is still in the way (matching
-    and unconsumed at the receive), which would make *it* the racer instead;
-  * finally, the rewritten trace must remain valid. The per-sender check
-    above is not enough on its own: a foreign blocking message can be forced
-    ahead of L' through a chain of orderings (e.g. the blocker precedes, in
-    its own sender, a message that an earlier receive pins before L'). The
-    validity gate decides this exactly, on the parent's hb graph, and the
-    earlier per-candidate checks survive as explanations.
+  * it matches the receive constraint and was not consumed before the
+    receive;
+  * it is not L itself, and the receive did not happen before its send;
+  * the rewritten trace must remain valid. The per-sender rule is not
+    enough on its own: a foreign blocking message can be forced ahead of L'
+    through a chain of orderings (e.g. the blocker precedes, in its own
+    sender, a message that an earlier receive pins before L'). The validity
+    gate decides this exactly, on the parent's hb graph.
+
+Every other send addressed to the receiver gets a ``CandidateCheck`` that
+says which of these it fails (a later message of a sender is ``blocked_by``
+its oldest); the table explains the race set and does not decide it.
 
 The declarative definition, a search over subtraces, is kept apart as the
 reference that checks this one: ``racetrace.oracles.declarative_race_oracle``.
@@ -22,31 +24,29 @@ reference that checks this one: ``racetrace.oracles.declarative_race_oracle``.
 A race variant rewrites the receive to consume the racer and erases every
 action that happened after the original receive, yielding a (usually partial)
 trace that can drive a replayed execution into a new equivalence class. What
-it keeps is stated once, in ``_erased``, which the validity gate and
-``variant_order`` both read; the paper's inductive ``rdep`` is the tests'
-reference for it.
+it keeps is stated once, in ``_erased`` and ``_kept_succ``, which the
+validity gate and ``variant_order`` both read; the paper's inductive
+``rdep`` is the tests' reference for it.
 
 Cost: ``all_races`` and ``race_set`` index and validate the trace once, then
 call ``race_report`` -- the one per-receive builder, which the explorer
-calls too -- for the receives they report on. Each receive's report is one
-pass over the sends addressed to its process, in sender order:
-``blocked_by`` is the sender's oldest message the receive could take
-(``TraceIndex.oldest_waiting``, the one statement of the mailbox rule) when
-that precedes the candidate, and ``hb_excluded`` reads one forward
-traversal from the receive shared by all its candidates. The validity gate
-reads the same index and validates nothing: the rewritten trace keeps the
-events the receive did not happen before and adds the new receive, so it
-is decided by one check per receive (no kept send addresses an erased
-process) and one forward traversal per candidate that survives the cheap
-checks (no other message waiting at the receive must precede it). A
-variant is its replay order: ``variant_order`` reads the variant's
-linearization off the same index, so a replay needs neither a new index
-nor a validation, and ``variant`` projects that order onto its processes.
+calls too -- for the receives they report on. Each receive reads its
+``oldest_waiting`` messages and one forward traversal from the receive,
+shared by all its candidates, and then lists the candidate table in one
+pass over the sends addressed to its process. The validity gate reads the
+same index and validates nothing: the rewritten trace keeps the events the
+receive did not happen before and adds the new receive, so it is decided
+by one check per receive (no kept send addresses an erased process) and
+one forward traversal per survivor (no other message waiting at the
+receive must precede it). A variant is its replay order: ``variant_order``
+reads the variant's linearization off the same index, with the one
+canonical order ``traces.smallest_first``, so a replay needs neither a new
+index nor a validation, and ``variant`` projects that order onto its
+processes.
 """
 
 from __future__ import annotations
 
-import heapq
 import itertools
 from dataclasses import dataclass
 from typing import Callable
@@ -54,7 +54,8 @@ from typing import Callable
 from .causality import EventId
 from .parsing import name_sort_key
 from .traces import (
-    Event, Interleaving, Pid, Rec, Send, Spawn, Tag, Trace, TraceIndex, tr, valid_index,
+    Event, Interleaving, Pid, Rec, Send, Spawn, Tag, Trace, TraceIndex, smallest_first, tr,
+    valid_index,
 )
 from .terms import match
 
@@ -107,35 +108,40 @@ class Variant:
 
 def race_report(index: TraceIndex, r: int) -> RaceReport:
     """The race set of receive event r of a validated trace's index: the one
-    builder behind ``race_set``, ``all_races`` and the explorer."""
+    builder behind ``race_set``, ``all_races`` and the explorer.
+
+    Only a sender's oldest message waiting at r can race there: its later
+    ones are sent after it, and its earlier ones are consumed or do not
+    match. So the survivors are the ``oldest_waiting`` messages other than
+    r's own that r did not happen before, and the racers are the survivors
+    the validity gate admits. The candidate table only explains that
+    answer."""
     pid, idx, rec = index.events[r]
     oldest = index.oldest_waiting(r)
     after = index.after(r)
-    gate: Callable[[int], bool] | None = None  # built for the first survivor
+    own = index.send_at[rec.tag]
+    survivors = {s for s in oldest.values() if s != own and not after[s]}
+    gate = _variant_gate(index, r, oldest) if survivors else None
+    racers = {index.events[s][2].tag for s in survivors if not gate(s)}
     checks: list[CandidateCheck] = []
     for q, sends in index.sends_to.get(pid, {}).items():
         first = oldest.get(q)
-        blocker = None if first is None else index.events[first][2].tag
         for s in sends:
-            send = index.events[s][2]
-            if send.tag == rec.tag:
+            if s == own:
                 continue
+            send = index.events[s][2]
             matches = match(send.value, rec.cs)
             already = index.consumed_before(send.tag, r)
             hb_excluded = bool(after[s])
-            blocked_by = blocker if first is not None and first < s else None
-            survives = matches and not already and not hb_excluded and blocked_by is None
-            if survives and gate is None:
-                gate = _variant_gate(index, r, oldest)
-            infeasible = survives and gate(s)
+            blocked_by = index.events[first][2].tag if first is not None and first < s else None
+            in_race_set = send.tag in racers
             checks.append(
                 CandidateCheck(
                     send.tag, q, matches, already, hb_excluded, blocked_by,
-                    infeasible, survives and not infeasible,
+                    s in survivors and not in_race_set, in_race_set,
                 )
             )
     checks.sort(key=lambda c: name_sort_key(c.tag))
-    racers = {c.tag for c in checks if c.in_race_set}
     return RaceReport(EventId(pid, idx), rec.tag, racers, checks)
 
 
@@ -170,10 +176,9 @@ def _variant_gate(
     (ii) the new receive closes a cycle: it orders s before W, the oldest
         message per sender still waiting at r inside K (r's own message,
         now unconsumed, among them), so s is infeasible iff some w in W
-        other than s reaches s through K's hb and ordering edges. One
-        forward traversal per candidate decides it. A send whose receive
-        is erased keeps only its hb edges, since its ordering edges were
-        that receive's.
+        other than s reaches s through K's hb and ordering edges
+        (``_kept_succ``). One forward traversal per candidate decides it;
+        a visited node's kept edges are read once for all of r's.
     """
     gone, dead = _erased(index, r)
     if any(
@@ -183,29 +188,37 @@ def _variant_gate(
         for v in sends
     ):
         return lambda s: True
-    events, rec_at = index.events, index.rec_at
     waiting = [w for w in oldest.values() if not gone[w]]
-    succ, hb_succ = index.succ, index.hb_succ
+    kept: list[list[int] | None] = [None] * len(index.events)
 
     def infeasible(s: int) -> bool:
-        seen = bytearray(len(events))
+        seen = bytearray(len(index.events))
         stack = [w for w in waiting if w != s]
         for w in stack:
             seen[w] = 1
         while stack:
             v = stack.pop()
-            a = events[v][2]
-            # only a send whose receive K keeps has ordering edges
-            ordered = isinstance(a, Send) and not gone[rec_at.get(a.tag, r)]
-            for u in succ[v] if ordered else hb_succ[v]:
+            if kept[v] is None:
+                kept[v] = _kept_succ(index, r, gone, v)
+            for u in kept[v]:
                 if u == s:
                     return True
-                if not gone[u] and not seen[u]:
+                if not seen[u]:
                     seen[u] = 1
                     stack.append(u)
         return False
 
     return infeasible
+
+
+def _kept_succ(index: TraceIndex, r: int, gone: bytearray, v: int) -> list[int]:
+    """The edges out of kept event v that every variant cut at receive r
+    keeps (``gone`` is ``_erased``'s marks): its hb and ordering edges to
+    kept events, except that a send whose receive is erased keeps only its
+    hb edges, since its ordering edges were that receive's."""
+    a = index.events[v][2]
+    ordered = isinstance(a, Send) and not gone[index.rec_at.get(a.tag, r)]
+    return [u for u in (index.succ if ordered else index.hb_succ)[v] if not gone[u]]
 
 
 def _receive(index: TraceIndex, tag: Tag) -> int:
@@ -245,55 +258,34 @@ def variant_order(index: TraceIndex, report: RaceReport, racer: Tag) -> tuple[Ev
     holds, as its linearization: the events ``_erased`` keeps, and the
     receive rewritten to rec(racer). It equals ``linearize_index`` of the
     variant trace's own index, so two orders are equal iff the two variant
-    traces are. It is read off the parent's index in one Kahn pass with a
-    smallest-ready heap over the graph the validity gate walks; the variant
-    is neither indexed nor validated.
+    traces are. It is read off the parent's index by ``smallest_first``,
+    as ``linearize_index`` is, over the graph the validity gate walks; the
+    variant is neither indexed nor validated.
 
     The new receive takes r's place, so the variant's events keep their
     relative numbering and the smallest ready event is the one
     ``linearize_index`` would take; which events are ready depends only on
     reachability, so the gate's pruned edges give the same order. The
-    graph: the kept events with their hb edges, a kept send's ordering
-    edges when its receive is kept, and the new receive, after its program
-    (or spawn) predecessor and after the racer's send s, which precedes
-    every other message still waiting at r. Raises ValueError if the pass
-    cannot complete: the variant is cyclic."""
-    events, rec_at, succ, hb_succ = index.events, index.rec_at, index.succ, index.hb_succ
+    graph: the kept events with their ``_kept_succ`` edges, and the new
+    receive, after its program (or spawn) predecessor and after the racer's
+    send s, which precedes every other message still waiting at r. Raises
+    ValueError if the pass cannot complete: the variant is cyclic."""
+    events = index.events
     pid, idx = report.receive
     r = index.first[pid] + idx
     s = index.send_at[racer]
     gone, _ = _erased(index, r)
     # r's program predecessor, or the spawn of its process when r comes first
+    # (the initial process cannot start with a receive: no one sends first)
     pred = r - 1 if idx else next(
-        (v for v, (_, _, a) in enumerate(events) if isinstance(a, Spawn) and a.child == pid),
-        None,
+        v for v, (_, _, a) in enumerate(events) if isinstance(a, Spawn) and a.child == pid
     )
-    waiting = [w for w in index.oldest_waiting(r).values() if not gone[w] and w != s]
-    out: dict[int, list[int]] = {}
-    preds = [0] * len(events)
-    for v, (_, _, a) in enumerate(events):
-        if gone[v]:
-            continue
-        # only a send whose receive is kept has ordering edges
-        ordered = isinstance(a, Send) and not gone[rec_at.get(a.tag, r)]
-        targets = [u for u in (succ[v] if ordered else hb_succ[v]) if not gone[u]]
-        if v == pred:
-            targets.append(r)
-        if v == s:
-            targets += [r, *waiting]
-        out[v] = targets
-        for u in targets:
-            preds[u] += 1
-    ready = [v for v in out if not preds[v]]  # ascending, so a heap already
-    order: list[int] = []
-    while ready:
-        v = heapq.heappop(ready)
-        order.append(v)
-        for u in out.get(v, ()):
-            preds[u] -= 1
-            if not preds[u]:
-                heapq.heappush(ready, u)
-    if len(order) != len(out) + 1:
+    nodes = [v for v in range(len(events)) if not gone[v] or v == r]
+    out = [[] if gone[v] else _kept_succ(index, r, gone, v) for v in range(len(events))]
+    out[pred].append(r)
+    out[s] += [r, *(w for w in index.oldest_waiting(r).values() if not gone[w] and w != s)]
+    order = smallest_first(out, nodes)
+    if len(order) != len(nodes):
         raise ValueError(f"the variant consuming {racer} at {index.loc(r)} is cyclic")
     new = Rec(racer, events[r][2].cs)
     return tuple(Event(pid, new) if v == r else Event(events[v][0], events[v][2]) for v in order)

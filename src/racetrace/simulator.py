@@ -598,6 +598,16 @@ class Alignment:
             return Lst(tuple(self.sim_value_to_log(x) for x in value.items))
         return value
 
+    def sim_action_to_log(self, a: Action) -> Action:
+        """`a` in the log's names; a name the log has not bound stays."""
+        pids, tags = self.pid_sim_to_log, self.tag_sim_to_log
+        if isinstance(a, Spawn):
+            return Spawn(pids.get(a.child, a.child))
+        if isinstance(a, Send):
+            value = self.sim_value_to_log(a.value)
+            return Send(tags.get(a.tag, a.tag), value, pids.get(a.target, a.target))
+        return Rec(tags.get(a.tag, a.tag), a.cs)
+
 
 def replay_prefix(program: Program, prefix: Trace) -> tuple[SysState, Alignment]:
     """Drive the program along one linearization of the prefix.
@@ -644,12 +654,11 @@ def replay_order(
             raise DivergenceError(i, f"pid {event.pid} ({sim_pid}) is not enabled")
         actual = nxt[0]
         logged = event.action
-        if isinstance(logged, Spawn):
-            if not isinstance(actual, Spawn):
-                raise DivergenceError(i, f"expected spawn, program does {render_action(actual)}")
-        elif isinstance(logged, Send):
-            if not isinstance(actual, Send):
-                raise DivergenceError(i, f"expected send, program does {render_action(actual)}")
+        if type(actual) is not type(logged):
+            kind = {Spawn: "spawn", Send: "send", Rec: "receive"}[type(logged)]
+            shown = actual if align is None else align.sim_action_to_log(actual)
+            raise DivergenceError(i, f"expected {kind}, program does {render_action(shown)}")
+        if isinstance(logged, Send):
             target, value = actual.target, actual.value
             if align is not None:
                 target, value = align.pid_sim_to_log.get(target), align.sim_value_to_log(value)
@@ -663,10 +672,7 @@ def replay_order(
                     f"send value {render_term(value)} differs from "
                     f"logged {render_term(logged.value)}",
                 )
-        else:
-            assert isinstance(logged, Rec)
-            if not isinstance(actual, Rec):
-                raise DivergenceError(i, f"expected receive, program does {render_action(actual)}")
+        elif isinstance(logged, Rec):
             tag = actual.tag if align is None else align.tag_sim_to_log.get(actual.tag)
             if tag != logged.tag:
                 raise DivergenceError(

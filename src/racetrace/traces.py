@@ -27,9 +27,9 @@ valid interleaving is such an order.
 Trace-level work goes through a ``TraceIndex``, built once per trace in
 O(N): events numbered once, sends and receives by tag, per-target send lists
 and integer hb adjacency lists. The mailbox rule is stated once, in
-``TraceIndex.waiting``; validation conditions (c) and (d), the ordering
-edges of ``TraceIndex.succ`` and the race check's ``blocked_by`` all read it
-from there. ``validate_interleaving`` keeps its own, independent statement
+``TraceIndex.oldest_waiting``; validation conditions (c) and (d), the
+ordering edges of ``TraceIndex.succ`` and the race sets all read it from
+there. ``validate_interleaving`` keeps its own, independent statement
 (condition 3), as do the brute-force references in ``racetrace.oracles``.
 Its check is one pass in which each receive scans its process's unconsumed
 messages, oldest first, up to its own.
@@ -38,7 +38,8 @@ messages, oldest first, up to its own.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional, Union
+from heapq import heapify, heappop, heappush
+from typing import Iterable, Optional, Sequence, Union
 
 from .parsing import (
     ParseError,
@@ -247,9 +248,9 @@ class TraceIndex:
       every reader tolerates that.
 
     The mailbox rule -- a receive takes the oldest matching message -- is
-    stated once, in ``waiting``; ``oldest_waiting`` and the ordering edges
-    in ``succ`` read it from there. Those per-receive answers are computed
-    on first use and kept; nothing else changes after construction.
+    stated once, in ``oldest_waiting``; the ordering edges in ``succ`` read
+    it from there. Those per-receive answers are computed on first use and
+    kept; nothing else changes after construction.
     """
 
     def __init__(self, t: Trace):
@@ -289,32 +290,23 @@ class TraceIndex:
         """Tags that are sent but never received."""
         return set(self.send_at) - set(self.rec_at)
 
-    def waiting(self, r: int, sends: Iterable[int]) -> Iterator[int]:
-        """The sends among `sends` (addressed to receive r's process) that
-        match r's constraint and are still unconsumed when r runs, in order.
-
-        This is the one statement of the mailbox rule: r must take the
-        oldest of these, so every one of them other than r's own message
-        must be sent after it. Lazy, so callers that need only the first
-        per sender stop matching there.
-        """
-        rec = self.events[r][2]
-        for s in sends:
-            send = self.events[s][2]
-            if not self.consumed_before(send.tag, r) and match(send.value, rec.cs):
-                yield s
-
     def oldest_waiting(self, r: int) -> dict[Pid, int]:
         """Per sender, its oldest message that receive r could take (r's
-        own message included). O(sends to r's process) lookups, one match
-        per sender until the first hit."""
+        own message included): matching r's constraint and unconsumed when
+        r runs. This is the one statement of the mailbox rule: r takes the
+        oldest such message, so every other must be sent after r's own.
+        O(sends to r's process) lookups, one match per sender until the
+        first hit."""
         oldest = self._oldest.get(r)
         if oldest is None:
             oldest = {}
+            rec = self.events[r][2]
             for q, sends in self.sends_to.get(self.events[r][0], {}).items():
-                first = next(self.waiting(r, sends), None)
-                if first is not None:
-                    oldest[q] = first
+                for s in sends:
+                    send = self.events[s][2]
+                    if not self.consumed_before(send.tag, r) and match(send.value, rec.cs):
+                        oldest[q] = s
+                        break
             self._oldest[r] = oldest
         return oldest
 
@@ -324,9 +316,9 @@ class TraceIndex:
         list sorted by ``EventId`` (pid string, then index).
 
         A receive of message L orders L's send before every other message
-        it could have taken (``waiting``). Only the oldest such message per
-        sender gets an edge: the later ones follow it in program order, so
-        the edge set has the same transitive closure -- hence the same
+        it could have taken. Only the oldest such message per sender
+        (``oldest_waiting``) gets an edge: the later ones follow it in
+        program order, so the edge set has the same transitive closure -- hence the same
         linearizations -- and a depth-first search that takes successors in
         this order meets the pruned edges' targets already finished, so it
         walks, and reports cycles, exactly as over the full edge set. Meant
@@ -396,6 +388,28 @@ def first_cycle(roots: int, succ: list[list[int]]) -> Optional[list[int]]:
                 color[node] = 2
                 stack.pop()
     return None
+
+
+def smallest_first(succ: list[list[int]], nodes: Sequence[int]) -> list[int]:
+    """Kahn's algorithm over `nodes`, always taking the smallest ready node:
+    the one canonical order of a graph. ``succ[v]`` lists the edges out of
+    node v, each to a node. The order is shorter than `nodes` iff they hold
+    a cycle. O(E + N log N)."""
+    preds = [0] * len(succ)
+    for v in nodes:
+        for u in succ[v]:
+            preds[u] += 1
+    ready = [v for v in nodes if not preds[v]]
+    heapify(ready)
+    order: list[int] = []
+    while ready:
+        v = heappop(ready)
+        order.append(v)
+        for u in succ[v]:
+            preds[u] -= 1
+            if not preds[u]:
+                heappush(ready, u)
+    return order
 
 
 # ---------------------------------------------------------------------------

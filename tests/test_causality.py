@@ -2,7 +2,7 @@ import itertools
 from collections import Counter
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 
 from racetrace import (
     Event,
@@ -18,6 +18,7 @@ from racetrace import (
     independent,
     in_sched,
     linearize,
+    parse_trace,
     swap_equiv_oracle,
     tr,
     validate_interleaving,
@@ -25,6 +26,7 @@ from racetrace import (
 from racetrace.oracles import _directly_related, hb_relation
 from racetrace.terms import Atom, Int, Tup
 
+from conftest import fixture_text
 from strategies import CS_ANY, interleavings, traces
 
 
@@ -120,6 +122,17 @@ def test_linearize_run_has_18_events(run_trace):
 def test_linearize_single_process():
     t = Trace("p1", {"p1": (Send("l1", val(1), "p1"), Rec("l1", CS_ANY))})
     assert [e.action for e in linearize(t).events] == list(t.procs["p1"])
+
+
+@settings(max_examples=100, deadline=None)
+@given(traces())
+@example(parse_trace(fixture_text("fix_run.trace")))
+@example(parse_trace(fixture_text("fix_tau_a.trace")))
+@example(parse_trace(fixture_text("variant_run_l2_l6.trace")))
+def test_linearize_is_the_first_enumerated_linearization(t):
+    # the enumerator tries ready events in ascending order, so its first
+    # schedule is the smallest-first order, found by its own backtracking
+    assert linearize(t) == enumerate_linearizations(t)[0]
 
 
 def test_enumerate_linearizations_count(tau_a):

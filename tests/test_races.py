@@ -1,3 +1,5 @@
+from typing import Callable
+
 import pytest
 from hypothesis import example, given, settings
 
@@ -8,20 +10,25 @@ from racetrace import (
     Trace,
     all_races,
     declarative_race_oracle,
+    explore,
     orphans,
+    parse_program,
     parse_trace,
     race_set,
     serialize_trace,
     validate_trace,
     variant,
 )
-from racetrace.causality import linearize_index
-from racetrace.races import _erased, race_report, variant_order
-from racetrace.terms import Atom, Int, Tup
-from racetrace.traces import valid_index
+from racetrace.causality import EventId, linearize_index
+from racetrace.parsing import name_sort_key
+from racetrace.races import (
+    CandidateCheck, RaceReport, _erased, _variant_gate, race_report, variant_order,
+)
+from racetrace.terms import Atom, Int, Tup, match
+from racetrace.traces import TraceIndex, valid_index
 
-from conftest import fixture_text
-from strategies import CS_ANY, CS_POS, traces
+from conftest import GENCOLL4, fixture_text
+from strategies import CS_ANY, CS_POS, programs, traces
 from test_golden import REASONS_TRACE
 
 
@@ -335,6 +342,81 @@ def test_oracle_agrees_on_a_dangling_send():
     assert declarative_race_oracle(DANGLING_SEND, "p1.1", "p1.1.1") == (
         "p1.1.1" in race_set(DANGLING_SEND, "p1.1").racers
     )
+
+
+# ---------------------------------------------------------------------------
+# The full candidate scan, the reference of race_report
+# ---------------------------------------------------------------------------
+
+
+def _reference_race_report(index: TraceIndex, r: int) -> RaceReport:
+    """Every send addressed to r's process checked in turn, and the validity
+    gate asked about each that survives the cheap checks: how race sets were
+    decided before ``race_report`` read them off ``oldest_waiting``."""
+    pid, idx, rec = index.events[r]
+    oldest = index.oldest_waiting(r)
+    after = index.after(r)
+    gate: Callable[[int], bool] | None = None  # built for the first survivor
+    checks: list[CandidateCheck] = []
+    for q, sends in index.sends_to.get(pid, {}).items():
+        first = oldest.get(q)
+        blocker = None if first is None else index.events[first][2].tag
+        for s in sends:
+            send = index.events[s][2]
+            if send.tag == rec.tag:
+                continue
+            matches = match(send.value, rec.cs)
+            already = index.consumed_before(send.tag, r)
+            hb_excluded = bool(after[s])
+            blocked_by = blocker if first is not None and first < s else None
+            survives = matches and not already and not hb_excluded and blocked_by is None
+            if survives and gate is None:
+                gate = _variant_gate(index, r, oldest)
+            infeasible = survives and gate(s)
+            checks.append(
+                CandidateCheck(
+                    send.tag, q, matches, already, hb_excluded, blocked_by,
+                    infeasible, survives and not infeasible,
+                )
+            )
+    checks.sort(key=lambda c: name_sort_key(c.tag))
+    racers = {c.tag for c in checks if c.in_race_set}
+    return RaceReport(EventId(pid, idx), rec.tag, racers, checks)
+
+
+def _assert_reports_equal_the_full_scan(t):
+    index = valid_index(t)
+    for r, (_, _, a) in enumerate(index.events):
+        if isinstance(a, Rec):
+            assert race_report(index, r) == _reference_race_report(index, r), index.loc(r)
+
+
+@settings(max_examples=300, deadline=None)
+@given(traces(max_events=12))
+@example(DANGLING_SEND)
+@example(REASONS_TRACE)
+@example(parse_trace(fixture_text("fix_run.trace")))
+@example(parse_trace(fixture_text("fix_tau_a.trace")))
+@example(parse_trace(fixture_text("variant_run_l2_l6.trace")))
+def test_race_report_equals_the_full_scan(t):
+    _assert_reports_equal_the_full_scan(t)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [fixture_text(f"prog{c}.prog") for c in "abcd"] + [GENCOLL4],
+    ids=["proga", "progb", "progc", "progd", "gencoll4"],
+)
+def test_race_report_equals_the_full_scan_on_explored_traces(text):
+    for t in explore(parse_program(text)).traces.values():
+        _assert_reports_equal_the_full_scan(t)
+
+
+@settings(max_examples=40, deadline=None)
+@given(programs())
+def test_race_report_equals_the_full_scan_on_generated_programs(text):
+    for t in explore(parse_program(text)).traces.values():
+        _assert_reports_equal_the_full_scan(t)
 
 
 # ---------------------------------------------------------------------------

@@ -26,7 +26,7 @@ from racetrace.parsing import ParseError
 from racetrace.terms import Atom, Int, PidLit, Tup
 
 from conftest import LONG_PROGRAM, fixture_text
-from strategies import programs
+from strategies import CS_ANY, programs
 
 
 def val(n):
@@ -288,10 +288,15 @@ def test_divergence_messages_render_actions_in_the_logs_names(proga, tau_a):
         return str(info.value)
 
     p1 = tau_a.procs["p1"]
-    # the program's third action is a send, not a spawn
+    # the program's third action is a send, not a spawn; its target is the
+    # log's p2, and its tag, which the log has not bound, stays as it is
     assert divergence(p1=p1[:2] + (Spawn("p4"),), p2=(), p4=()) == (
         "divergence at prefix event 2: expected spawn, program does "
-        "send(p1.1, {val,1}, p1.1)"
+        "send(p1.1, {val,1}, p2)"
+    )
+    # the program's receive takes the message the log calls l1
+    assert divergence(p2=(Send("l9", val(1), "p1"),)) == (
+        "divergence at prefix event 3: expected send, program does rec(l1, cs1)"
     )
     # the program sends to the log's p2 (the simulator's p1.1)
     assert divergence(p1=p1[:2] + (Send("l1", val(1), "p3"),), p2=()) == (
@@ -307,6 +312,19 @@ def test_divergence_messages_render_actions_in_the_logs_names(proga, tau_a):
         replay_prefix(prog, t)
     assert str(info.value) == (
         "divergence at prefix event 1: send value <p2> differs from logged <p1>"
+    )
+    # the program's second process sends where the log has it receive
+    prog = parse_program(
+        "program { main f def f() { P = spawn g(); send {val,1} to P } "
+        "def g() { send x to <p1> } }"
+    )
+    t = type(tau_a)(
+        "p1", {"p1": (Spawn("p2"), Send("l1", val(1), "p2")), "p2": (Rec("l1", CS_ANY),)}
+    )
+    with pytest.raises(DivergenceError) as info:
+        replay_prefix(prog, t)
+    assert str(info.value) == (
+        "divergence at prefix event 2: expected receive, program does send(p1.1.1, x, p1)"
     )
 
 
