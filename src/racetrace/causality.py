@@ -13,7 +13,8 @@ constraints are not part of happened-before — the events involved are
 causally independent — but they take part in cycle checks, ``linearize``
 and ``enumerate_linearizations``, through ``TraceIndex.succ``.
 
-Everything here is computed from one ``TraceIndex`` per call, validated once.
+Everything here is computed from one ``TraceIndex`` per call, validated once:
+each function takes a trace or an index ``valid_index`` returned.
 ``HbGraph`` is a view of that index: it adds only the event ids and the edge
 labels that ``racetrace hb`` prints, and answers ``reach`` and
 ``reachable_pairs`` with ``TraceIndex.after`` and ``find_cycle`` with the
@@ -122,11 +123,11 @@ def hb_graph_unchecked(t: Trace) -> HbGraph:
     return _graph(TraceIndex(t))
 
 
-def hb_graph(t: Trace) -> HbGraph:
+def hb_graph(t: Trace | TraceIndex) -> HbGraph:
     return _graph(valid_index(t))
 
 
-def independent(t: Trace, e1: EventId, e2: EventId) -> bool:
+def independent(t: Trace | TraceIndex, e1: EventId, e2: EventId) -> bool:
     """Neither event happened before the other."""
     graph = hb_graph(t)
     return not graph.reach(e1, e2) and not graph.reach(e2, e1)
@@ -144,21 +145,17 @@ def _to_interleaving(index: TraceIndex, order: list[int]) -> Interleaving:
     )
 
 
-def linearize_index(index: TraceIndex) -> Interleaving:
-    """Deterministic linearization of a validated index: always the
-    smallest ready event, ties broken by smallest pid, then index."""
+def linearize(t: Trace | TraceIndex) -> Interleaving:
+    """Deterministic linearization: always the smallest ready event, ties
+    broken by smallest pid, then index."""
+    index = valid_index(t)
     order = smallest_first(index.succ, range(len(index.events)))
     if len(order) != len(index.events):
         raise ValueError("trace graph is cyclic")  # unreachable on valid traces
     return _to_interleaving(index, order)
 
 
-def linearize(t: Trace) -> Interleaving:
-    """Deterministic linearization; ties broken by smallest pid, then index."""
-    return linearize_index(valid_index(t))
-
-
-def enumerate_linearizations(t: Trace, cap: int = 10000) -> list[Interleaving]:
+def enumerate_linearizations(t: Trace | TraceIndex, cap: int = 10000) -> list[Interleaving]:
     """All members of sched(t); raises if there are more than cap."""
     index = valid_index(t)
     succ = index.succ

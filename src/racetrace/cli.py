@@ -3,9 +3,9 @@
 Exit codes: 0 success / analysis-positive, 1 analysis-negative (invalid
 document, receive tag not in the trace, non-equivalent, divergence, failed
 check) or stdout closed by its reader, 2 usage, parse and program errors
-(static, or raised while the program runs). Diagnostics go to stderr, one
-line each, results to stdout. With ``--json`` each result is emitted as one
-JSON record per line.
+(static, or raised while the program runs) and files that cannot be read or
+written. Diagnostics go to stderr, one line each, results to stdout. With
+``--json`` each result is emitted as one JSON record per line.
 """
 
 from __future__ import annotations
@@ -32,10 +32,11 @@ from .simulator import (
 )
 from .traces import (
     Interleaving,
-    Trace,
+    TraceIndex,
     parse_interleaving,
     parse_trace,
     serialize_trace,
+    valid_index,
     validate_interleaving,
     validate_trace,
 )
@@ -52,8 +53,15 @@ class CliError(Exception):
 def _read(path: str) -> str:
     try:
         return Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise CliError(f"cannot read {path}: {exc}") from exc
+
+
+def _write(path: str, text: str) -> None:
+    try:
+        Path(path).write_text(text, encoding="utf-8")
+    except OSError as exc:
+        raise CliError(f"cannot write {path}: {exc}") from exc
 
 
 def _load(path: str, parse):
@@ -77,12 +85,12 @@ def _emit(args, record: dict, text: str) -> None:
     print(json.dumps(record, sort_keys=True) if args.json else text)
 
 
-def _require_valid_trace(path: str) -> Trace:
+def _require_valid_trace(path: str) -> TraceIndex:
     t = _load(path, parse_trace)
-    bad = validate_trace(t)
-    if bad is not None:
-        raise CliError(f"{path}: invalid trace: {bad}", FAIL)
-    return t
+    try:
+        return valid_index(t)
+    except ValueError as exc:
+        raise CliError(f"{path}: {exc}", FAIL) from exc
 
 
 # ---------------------------------------------------------------------------
@@ -204,10 +212,10 @@ def cmd_variant(args) -> int:
         raise CliError(str(exc), FAIL) from exc
     text = serialize_trace(v.trace)
     if args.output:
-        Path(args.output).write_text(text, encoding="utf-8")
+        _write(args.output, text)
         _emit(args, {"written": args.output}, f"wrote {args.output}")
     else:
-        sys.stdout.write(text)
+        _emit(args, {"trace": text}, text.rstrip("\n"))
     return OK
 
 
@@ -223,7 +231,7 @@ def cmd_simulate(args) -> int:
     t, outcome = run_random(program, args.seed, args.max_steps)
     text = serialize_trace(t)
     if args.emit_trace:
-        Path(args.emit_trace).write_text(text, encoding="utf-8")
+        _write(args.emit_trace, text)
     _emit(args, {"outcome": str(outcome), "trace": text}, f"outcome: {outcome}")
     if not args.json and not args.emit_trace:
         sys.stdout.write(text)
@@ -260,11 +268,13 @@ def cmd_explore(args) -> int:
     if bad is not None:
         raise CliError(f"distinctness check failed: {bad}", FAIL)
     if args.out:
-        out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
+        try:
+            Path(args.out).mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise CliError(f"cannot write {args.out}: {exc}") from exc
         for n, key in enumerate(report.order, start=1):
-            (out / f"trace-{n:04d}.trace").write_text(key, encoding="utf-8")
-        (out / "report.txt").write_text(report.render(), encoding="utf-8")
+            _write(os.path.join(args.out, f"trace-{n:04d}.trace"), key)
+        _write(os.path.join(args.out, "report.txt"), report.render())
     if args.check_oracle:
         expected, limited = enumerate_executions(program, args.max_steps)
         if limited:

@@ -28,21 +28,21 @@ it keeps is stated once, in ``_erased`` and ``_kept_succ``, which the
 validity gate and ``variant_order`` both read; the paper's inductive
 ``rdep`` is the tests' reference for it.
 
-Cost: ``all_races`` and ``race_set`` index and validate the trace once, then
-call ``race_report`` -- the one per-receive builder, which the explorer
-calls too -- for the receives they report on. Each receive reads its
-``oldest_waiting`` messages and one forward traversal from the receive,
-shared by all its candidates, and then lists the candidate table in one
-pass over the sends addressed to its process. The validity gate reads the
-same index and validates nothing: the rewritten trace keeps the events the
-receive did not happen before and adds the new receive, so it is decided
-by one check per receive (no kept send addresses an erased process) and
-one forward traversal per survivor (no other message waiting at the
-receive must precede it). A variant is its replay order: ``variant_order``
-reads the variant's linearization off the same index, with the one
-canonical order ``traces.smallest_first``, so a replay needs neither a new
-index nor a validation, and ``variant`` projects that order onto its
-processes.
+Cost: ``all_races`` and ``race_set`` validate the trace once, or not at all
+given an index ``valid_index`` returned, then call ``race_report`` -- the
+one per-receive builder, which the explorer calls too -- for the receives
+they report on. Each receive reads its ``oldest_waiting`` messages and one
+forward traversal from the receive, shared by all its candidates, and then
+lists the candidate table in one pass over the sends addressed to its
+process. The validity gate reads the same index and validates nothing: the
+rewritten trace keeps the events the receive did not happen before and adds
+the new receive, so it is decided by one check per receive (no kept send
+addresses an erased process) and one forward traversal per survivor (no
+other message waiting at the receive must precede it). A variant is its
+replay order: ``variant_order`` reads the variant's linearization off the
+same index, with the one canonical order ``traces.smallest_first``, so a
+replay needs neither a new index nor a validation, and ``variant`` projects
+that order onto its processes.
 """
 
 from __future__ import annotations
@@ -228,12 +228,12 @@ def _receive(index: TraceIndex, tag: Tag) -> int:
     return r
 
 
-def race_set(t: Trace, tag: Tag) -> RaceReport:
+def race_set(t: Trace | TraceIndex, tag: Tag) -> RaceReport:
     index = valid_index(t)
     return race_report(index, _receive(index, tag))
 
 
-def all_races(t: Trace) -> list[RaceReport]:
+def all_races(t: Trace | TraceIndex) -> list[RaceReport]:
     """One report per receive event, in process order then index order."""
     index = valid_index(t)
     return [
@@ -243,7 +243,7 @@ def all_races(t: Trace) -> list[RaceReport]:
     ]
 
 
-def orphans(t: Trace) -> set[Tag]:
+def orphans(t: Trace | TraceIndex) -> set[Tag]:
     """Tags that are sent but never received."""
     return valid_index(t).orphans()
 
@@ -256,15 +256,15 @@ def orphans(t: Trace) -> set[Tag]:
 def variant_order(index: TraceIndex, report: RaceReport, racer: Tag) -> tuple[Event, ...]:
     """The variant for a racer of `report`, a report on the trace `index`
     holds, as its linearization: the events ``_erased`` keeps, and the
-    receive rewritten to rec(racer). It equals ``linearize_index`` of the
-    variant trace's own index, so two orders are equal iff the two variant
-    traces are. It is read off the parent's index by ``smallest_first``,
-    as ``linearize_index`` is, over the graph the validity gate walks; the
-    variant is neither indexed nor validated.
+    receive rewritten to rec(racer). It equals ``linearize`` of the variant
+    trace, so two orders are equal iff the two variant traces are. It is
+    read off the parent's index by ``smallest_first``, as ``linearize``'s
+    is, over the graph the validity gate walks; the variant is neither
+    indexed nor validated.
 
     The new receive takes r's place, so the variant's events keep their
     relative numbering and the smallest ready event is the one
-    ``linearize_index`` would take; which events are ready depends only on
+    ``linearize`` would take; which events are ready depends only on
     reachability, so the gate's pruned edges give the same order. The
     graph: the kept events with their ``_kept_succ`` edges, and the new
     receive, after its program (or spawn) predecessor and after the racer's
@@ -291,9 +291,10 @@ def variant_order(index: TraceIndex, report: RaceReport, racer: Tag) -> tuple[Ev
     return tuple(Event(pid, new) if v == r else Event(events[v][0], events[v][2]) for v in order)
 
 
-def variant(t: Trace, tag: Tag, racer: Tag) -> Variant:
+def variant(t: Trace | TraceIndex, tag: Tag, racer: Tag) -> Variant:
     """The race variant of t that consumes `racer` at `tag`'s receive."""
     index = valid_index(t)
+    t = index.trace
     report = race_report(index, _receive(index, tag))
     if racer not in report.racers:
         detail = next((c.reason() for c in report.candidates if c.tag == racer), None)

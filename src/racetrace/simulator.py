@@ -14,11 +14,11 @@ oldest mailbox message matching its constraint.
 Replay is one loop, ``replay_order``: it steps a state along a logged
 order from any position, checking each action against the program, and
 raises ``DivergenceError`` at the first it does not perform.
-``replay_prefix`` validates and linearizes a trace, then runs it from
-``initial_state`` with the log's names aligned to the simulator's. A
-state's ``clone`` can be resumed instead: the explorer saves clones
-through the ``before_step`` hook that the replay loop and the schedulers
-call before each step, and replays a variant's order from one of them.
+``replay_prefix`` runs the ``linearize`` order of a trace or of its index,
+validated once, from ``initial_state`` with the log's names aligned to the
+simulator's. A state's ``clone`` can be resumed instead: the explorer saves
+clones through the ``before_step`` hook that the replay loop and the
+schedulers call before each step, and replays a variant's order from one.
 
 Each scheduler step evaluates ``_next_action`` once per process for
 ``enabled`` and once more for the pid it steps; ``step`` and
@@ -69,11 +69,8 @@ from .terms import (
     render_clause,
     render_term,
 )
-from .causality import linearize_index
-from .traces import (
-    Action, Event, Pid, Rec, Send, Spawn, Tag, Trace, TraceIndex, render_action,
-    validate_trace,
-)
+from .causality import linearize
+from .traces import Action, Event, Pid, Rec, Send, Spawn, Tag, Trace, TraceIndex, render_action
 
 
 class ProgramError(Exception):
@@ -609,22 +606,22 @@ class Alignment:
         return Rec(tags.get(a.tag, a.tag), a.cs)
 
 
-def replay_prefix(program: Program, prefix: Trace) -> tuple[SysState, Alignment]:
+def replay_prefix(program: Program, prefix: Trace | TraceIndex) -> tuple[SysState, Alignment]:
     """Drive the program along one linearization of the prefix.
 
-    The prefix is validated and linearized, then replayed from
-    ``initial_state`` by ``replay_order``, with its names aligned to the
-    simulator's; the returned state can be continued with the normal
-    schedulers.
+    The prefix, a trace or its index, is linearized and so validated once,
+    then replayed from ``initial_state`` by ``replay_order``, with its names
+    aligned to the simulator's; the returned state can be continued with
+    the normal schedulers. ValueError "invalid prefix: ..." if it is invalid.
     """
-    index = TraceIndex(prefix)
-    bad = validate_trace(index)
-    if bad is not None:
-        raise ValueError(f"invalid prefix trace: {bad}")
+    try:
+        order = linearize(prefix)
+    except ValueError as exc:
+        raise ValueError(f"invalid prefix: {exc}") from exc
     sys = initial_state(program)
     align = Alignment()
-    align.bind_pid(prefix.initial, "p1")
-    replay_order(sys, linearize_index(index).events, 0, align)
+    align.bind_pid(order.initial, "p1")
+    replay_order(sys, order.events, 0, align)
     return sys, align
 
 

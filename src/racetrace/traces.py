@@ -26,13 +26,14 @@ valid interleaving is such an order.
 
 Trace-level work goes through a ``TraceIndex``, built once per trace in
 O(N): events numbered once, sends and receives by tag, per-target send lists
-and integer hb adjacency lists. The mailbox rule is stated once, in
-``TraceIndex.oldest_waiting``; validation conditions (c) and (d), the
-ordering edges of ``TraceIndex.succ`` and the race sets all read it from
-there. ``validate_interleaving`` keeps its own, independent statement
-(condition 3), as do the brute-force references in ``racetrace.oracles``.
-Its check is one pass in which each receive scans its process's unconsumed
-messages, oldest first, up to its own.
+and integer hb adjacency lists; ``valid_index`` alone validates it, and
+every trace-level analysis takes a trace or the index it returned. The
+mailbox rule is stated once, in ``TraceIndex.oldest_waiting``; validation
+conditions (c) and (d), the ordering edges of ``TraceIndex.succ`` and the
+race sets all read it from there. ``validate_interleaving`` keeps its own,
+independent statement (condition 3), as do the brute-force references in
+``racetrace.oracles``. Its check is one pass in which each receive scans its
+process's unconsumed messages, oldest first, up to its own.
 """
 
 from __future__ import annotations
@@ -249,8 +250,8 @@ class TraceIndex:
 
     The mailbox rule -- a receive takes the oldest matching message -- is
     stated once, in ``oldest_waiting``; the ordering edges in ``succ`` read
-    it from there. Those per-receive answers are computed on first use and
-    kept; nothing else changes after construction.
+    it from there. Those per-receive answers and a pass of ``valid_index``
+    are kept once known; nothing else changes after construction.
     """
 
     def __init__(self, t: Trace):
@@ -280,6 +281,7 @@ class TraceIndex:
                 self.hb_succ[self.send_at[a.tag]].append(v)
         self._oldest: dict[int, dict[Pid, int]] = {}
         self._succ: Optional[list[list[int]]] = None
+        self._valid = False
 
     def consumed_before(self, tag: Tag, r: int) -> bool:
         """Message `tag` was received by r's process before event r."""
@@ -496,12 +498,14 @@ def validate_trace(t: Union[Trace, TraceIndex]) -> Optional[Violation]:
     return None
 
 
-def valid_index(t: Trace) -> TraceIndex:
-    """Index t and validate it once; ValueError unless t is a valid trace."""
-    index = TraceIndex(t)
-    bad = validate_trace(index)
+def valid_index(t: Union[Trace, TraceIndex]) -> TraceIndex:
+    """The index of t (t itself if an index), validated unless it has passed
+    before; ValueError, on every call, unless t is a valid trace."""
+    index = t if isinstance(t, TraceIndex) else TraceIndex(t)
+    bad = None if index._valid else validate_trace(index)
     if bad is not None:
         raise ValueError(f"invalid trace: {bad}")
+    index._valid = True
     return index
 
 

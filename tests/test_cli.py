@@ -60,6 +60,15 @@ def test_validate_missing_file(capsys):
     assert code == 2 and "cannot read" in err
 
 
+def test_undecodable_file_names_its_path(tmp_path, capsys):
+    bad = tmp_path / "latin1.trace"
+    bad.write_bytes(b"\xfftrace { initial: p1 }\n")
+    code, out, err = run_cli(capsys, "validate", str(bad))
+    assert code == 2 and out == ""
+    assert err.startswith(f"cannot read {bad}: 'utf-8' codec can't decode byte 0xff")
+    assert err.count("\n") == 1
+
+
 def test_parse_error_is_usage(tmp_path, capsys):
     bad = tmp_path / "bad.trace"
     bad.write_text("trace { initial: p1\n  p1: send( }\n")
@@ -235,6 +244,15 @@ def test_variant_to_stdout(capsys):
     assert out == fixture_text("variant_run_l2_l6.trace")
 
 
+def test_variant_json_to_stdout(capsys):
+    code, out, _ = run_cli(
+        capsys, "--json", "variant", fx("fix_run.trace"), "--receive", "l2", "--with", "l6"
+    )
+    assert code == 0
+    assert json_lines(out) == [{"trace": fixture_text("variant_run_l2_l6.trace")}]
+    assert len(out.splitlines()) == 1
+
+
 def test_variant_to_file(tmp_path, capsys):
     target = tmp_path / "v.trace"
     code, out, _ = run_cli(
@@ -265,6 +283,27 @@ def test_orphans(capsys):
 # ---------------------------------------------------------------------------
 # simulate / replay / explore
 # ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["variant", fx("fix_run.trace"), "--receive", "l2", "--with", "l6", "-o"],
+        ["simulate", fx("proga.prog"), "--emit-trace"],
+        ["explore", fx("progc.prog"), "--out"],
+    ],
+    ids=["variant", "simulate", "explore"],
+)
+def test_unwritable_output_is_a_one_line_diagnostic(tmp_path, capsys, command):
+    # variant and simulate write into a missing directory; explore's --out
+    # names an existing file, not a directory
+    target = tmp_path / "missing" / "x.trace"
+    if command[0] == "explore":
+        target = tmp_path / "file"
+        target.write_text("")
+    code, out, err = run_cli(capsys, *command, str(target))
+    assert code == 2 and out == ""
+    assert err.startswith(f"cannot write {target}: ") and err.count("\n") == 1
 
 
 def test_simulate_emit_trace(tmp_path, capsys):

@@ -32,10 +32,11 @@ from racetrace import (
 )
 from racetrace import traces as traces_module
 from racetrace.causality import hb_graph_unchecked
+from racetrace.cli import main
 from racetrace.terms import Atom, Int, Tup, match
-from racetrace.traces import TraceIndex, first_cycle
+from racetrace.traces import TraceIndex, first_cycle, valid_index
 
-from conftest import fixture_text
+from conftest import FIXTURES, fixture_text
 from strategies import CS_ANY, traces
 from test_golden import REASONS_TRACE
 
@@ -233,6 +234,44 @@ def test_explore_indexes_and_validates_each_trace_once(gencoll4, validated, monk
     assert sum(report.race_counts.values()) == (
         report.variants_enqueued + report.duplicate_variants + report.sleeping
     )
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["hb", "fix_run.trace"],
+        ["races", "fix_run.trace"],
+        ["variant", "fix_run.trace", "--receive", "l2", "--with", "l6"],
+        ["orphans", "fix_run.trace"],
+        ["replay", "proga.prog", "--prefix", "fix_tau_a.trace"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_each_trace_command_validates_its_input_once(argv, validated, capsys):
+    # the command validates the trace and hands the index to the analysis
+    paths = [str(FIXTURES / a) if a.endswith((".trace", ".prog")) else a for a in argv]
+    assert main(paths) == 0
+    capsys.readouterr()
+    trace_file = next(a for a in argv if a.endswith(".trace"))
+    assert validated == [parse_trace(fixture_text(trace_file))]
+
+
+def test_an_index_is_validated_until_it_passes(run_trace, validated):
+    bad = Trace("p1", {"p1": (Rec("l1", CS_ANY),)})
+    index = TraceIndex(bad)
+    for _ in range(2):
+        with pytest.raises(ValueError, match="invalid trace: condition b"):
+            valid_index(index)
+    with pytest.raises(ValueError, match="invalid trace: condition b"):
+        race_set(TraceIndex(bad), "l1")
+    assert len(validated) == 3
+
+    # an index that passed is taken as it is
+    validated.clear()
+    index = valid_index(run_trace)
+    assert valid_index(index) is index
+    assert [r.racers for r in all_races(index)] == [r.racers for r in all_races(run_trace)]
+    assert validated == [run_trace, run_trace]
 
 
 # A program whose main process ends in a send to a non-pid, after it has

@@ -19,7 +19,7 @@ from racetrace import (
     validate_trace,
     variant,
 )
-from racetrace.causality import EventId, linearize_index
+from racetrace.causality import EventId, linearize
 from racetrace.parsing import name_sort_key
 from racetrace.races import (
     CandidateCheck, RaceReport, _erased, _variant_gate, race_report, variant_order,
@@ -320,7 +320,7 @@ def test_variant_order_is_the_variants_linearization(t):
         pid, idx = report.receive
         built = reference_variant(t, pid, idx, check.tag)
         if check.in_race_set:
-            expected = linearize_index(valid_index(built)).events
+            expected = linearize(built).events
             assert variant_order(index, report, check.tag) == expected, check.tag
         elif validate_trace(built).condition == "d":
             with pytest.raises(ValueError, match="is cyclic"):
