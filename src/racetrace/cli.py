@@ -16,7 +16,7 @@ import os
 import sys
 from pathlib import Path
 
-from .causality import causally_equivalent, hb_graph
+from .causality import hb_graph
 from .explorer import distinctness_check, explore
 from .oracles import enumerate_executions, swap_equiv_oracle
 from .parsing import ParseError, name_sort_key
@@ -36,6 +36,7 @@ from .traces import (
     parse_interleaving,
     parse_trace,
     serialize_trace,
+    tr,
     valid_index,
     validate_interleaving,
     validate_trace,
@@ -141,11 +142,13 @@ def cmd_hb(args) -> int:
 def cmd_equiv(args) -> int:
     s1 = _load(args.a, parse_interleaving)
     s2 = _load(args.b, parse_interleaving)
+    projected = []
     for path, s in ((args.a, s1), (args.b, s2)):
-        bad = validate_interleaving(s)
-        if bad is not None:
-            raise CliError(f"{path}: invalid interleaving: {bad}", FAIL)
-    equivalent = causally_equivalent(s1, s2)
+        try:
+            projected.append(tr(s))
+        except ValueError as exc:
+            raise CliError(f"{path}: {exc}", FAIL) from exc
+    equivalent = projected[0] == projected[1]
     if args.oracle:
         by_swaps = swap_equiv_oracle(s1, s2)
         if by_swaps != equivalent:

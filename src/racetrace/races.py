@@ -33,8 +33,11 @@ given an index ``valid_index`` returned, then call ``race_report`` -- the
 one per-receive builder, which the explorer calls too -- for the receives
 they report on. Each receive reads its ``oldest_waiting`` messages and one
 forward traversal from the receive, shared by all its candidates, and then
-lists the candidate table in one pass over the sends addressed to its
-process. The validity gate reads the same index and validates nothing: the
+lists the candidate table in one pass over ``sends_by_tag``, the sends
+addressed to its process in table order, sorted once per index. An entry
+costs lookups, not a match: its match answer is shared by every receive
+with the same clauses (``TraceIndex.matches``), and no receive sorts its
+table. The validity gate reads the same index and validates nothing: the
 rewritten trace keeps the events the receive did not happen before and adds
 the new receive, so it is decided by one check per receive (no kept send
 addresses an erased process) and one forward traversal per survivor (no
@@ -57,7 +60,6 @@ from .traces import (
     Event, Interleaving, Pid, Rec, Send, Spawn, Tag, Trace, TraceIndex, smallest_first, tr,
     valid_index,
 )
-from .terms import match
 
 
 @dataclass(frozen=True)
@@ -124,24 +126,20 @@ def race_report(index: TraceIndex, r: int) -> RaceReport:
     gate = _variant_gate(index, r, oldest) if survivors else None
     racers = {index.events[s][2].tag for s in survivors if not gate(s)}
     checks: list[CandidateCheck] = []
-    for q, sends in index.sends_to.get(pid, {}).items():
+    for s in index.sends_by_tag(pid):
+        if s == own:
+            continue
+        q, _, send = index.events[s]
         first = oldest.get(q)
-        for s in sends:
-            if s == own:
-                continue
-            send = index.events[s][2]
-            matches = match(send.value, rec.cs)
-            already = index.consumed_before(send.tag, r)
-            hb_excluded = bool(after[s])
-            blocked_by = index.events[first][2].tag if first is not None and first < s else None
-            in_race_set = send.tag in racers
-            checks.append(
-                CandidateCheck(
-                    send.tag, q, matches, already, hb_excluded, blocked_by,
-                    s in survivors and not in_race_set, in_race_set,
-                )
+        in_race_set = send.tag in racers
+        checks.append(
+            CandidateCheck(
+                send.tag, q, index.matches(s, r), index.consumed_before(send.tag, r),
+                bool(after[s]),
+                index.events[first][2].tag if first is not None and first < s else None,
+                s in survivors and not in_race_set, in_race_set,
             )
-    checks.sort(key=lambda c: name_sort_key(c.tag))
+        )
     return RaceReport(EventId(pid, idx), rec.tag, racers, checks)
 
 

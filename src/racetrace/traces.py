@@ -250,8 +250,10 @@ class TraceIndex:
 
     The mailbox rule -- a receive takes the oldest matching message -- is
     stated once, in ``oldest_waiting``; the ordering edges in ``succ`` read
-    it from there. Those per-receive answers and a pass of ``valid_index``
-    are kept once known; nothing else changes after construction.
+    it from there. ``matches`` asks ``terms.match`` once per send and clause
+    list, and ``sends_by_tag`` sorts each receiver's sends once. These
+    answers and a pass of ``valid_index`` are kept once known; nothing else
+    changes after construction.
     """
 
     def __init__(self, t: Trace):
@@ -280,6 +282,10 @@ class TraceIndex:
             elif isinstance(a, Rec) and a.tag in self.send_at:
                 self.hb_succ[self.send_at[a.tag]].append(v)
         self._oldest: dict[int, dict[Pid, int]] = {}
+        self._clauses: dict[int, int] = {}  # receive -> id of its clause list
+        self._clause_ids: dict[tuple, int] = {}
+        self._matches: dict[tuple[int, int], bool] = {}
+        self._by_tag: dict[Pid, list[int]] = {}
         self._succ: Optional[list[list[int]]] = None
         self._valid = False
 
@@ -292,25 +298,56 @@ class TraceIndex:
         """Tags that are sent but never received."""
         return set(self.send_at) - set(self.rec_at)
 
+    def matches(self, s: int, r: int) -> bool:
+        """Send s's value matches receive r's constraint. ``terms.match`` is
+        asked once per send and clause list: constraints with equal clauses
+        share their answers, whatever their ids."""
+        cl = self._clauses.get(r)
+        if cl is None:
+            ids = self._clause_ids
+            cl = self._clauses[r] = ids.setdefault(self.events[r][2].cs.clauses, len(ids))
+        hit = self._matches.get((s, cl))
+        if hit is None:
+            hit = self._matches[s, cl] = match(self.events[s][2].value, self.events[r][2].cs)
+        return hit
+
+    def sends_by_tag(self, pid: Pid) -> list[int]:
+        """The sends addressed to pid, sorted once by ``name_sort_key`` of
+        their tags (ties in event order): the order of a candidate table."""
+        if pid not in self._by_tag:
+            sends = [s for q_sends in self.sends_to.get(pid, {}).values() for s in q_sends]
+            self._by_tag[pid] = sorted(sends, key=lambda s: name_sort_key(self.events[s][2].tag))
+        return self._by_tag[pid]
+
     def oldest_waiting(self, r: int) -> dict[Pid, int]:
         """Per sender, its oldest message that receive r could take (r's
         own message included): matching r's constraint and unconsumed when
         r runs. This is the one statement of the mailbox rule: r takes the
         oldest such message, so every other must be sent after r's own.
-        O(sends to r's process) lookups, one match per sender until the
-        first hit."""
-        oldest = self._oldest.get(r)
-        if oldest is None:
-            oldest = {}
-            rec = self.events[r][2]
-            for q, sends in self.sends_to.get(self.events[r][0], {}).items():
-                for s in sends:
-                    send = self.events[s][2]
-                    if not self.consumed_before(send.tag, r) and match(send.value, rec.cs):
-                        oldest[q] = s
-                        break
-            self._oldest[r] = oldest
-        return oldest
+
+        The first call for a process answers for all its receives, in
+        program order, with a cursor per sender past the prefix of its
+        sends consumed so far: what r's process consumed before r, it has
+        consumed before every later receive too. So a process costs its
+        receives times its senders, plus the sends each receive scans past
+        its senders' cursors, one ``matches`` each until the first hit."""
+        if r not in self._oldest:
+            pid = self.events[r][0]
+            senders = self.sends_to.get(pid, {})
+            cursor = dict.fromkeys(senders, 0)
+            for v in range(self.first[pid], self.first[pid] + len(self.trace.procs[pid])):
+                if not isinstance(self.events[v][2], Rec):
+                    continue
+                oldest = self._oldest[v] = {}
+                for q, sends in senders.items():
+                    for k in range(cursor[q], len(sends)):
+                        if self.consumed_before(self.events[sends[k]][2].tag, v):
+                            if k == cursor[q]:
+                                cursor[q] = k + 1
+                        elif self.matches(sends[k], v):
+                            oldest[q] = sends[k]
+                            break
+        return self._oldest[r]
 
     @property
     def succ(self) -> list[list[int]]:
@@ -425,9 +462,9 @@ def validate_trace(t: Union[Trace, TraceIndex]) -> Optional[Violation]:
     Takes the trace or its ``TraceIndex``, so a caller that goes on to use
     the index builds it once. Conditions (a)-(c) are single passes over the
     index; (d) is one depth-first search over ``TraceIndex.succ``, linear
-    in events plus edges. Per receive, the mailbox rule costs one lookup per
-    send addressed to its process, and match calls only until each sender's
-    oldest matching message is found, instead of a scan of the whole trace.
+    in events plus edges. Per receive, the mailbox rule costs a lookup per
+    sender plus the sends it scans past that sender's cursor, and
+    ``terms.match`` runs at most once per send and clause list.
     """
     index = t if isinstance(t, TraceIndex) else TraceIndex(t)
     t = index.trace
@@ -465,10 +502,11 @@ def validate_trace(t: Union[Trace, TraceIndex]) -> Optional[Violation]:
         pid, _, rec = events[r]
         if tag not in index.send_at:
             return Violation("b", index.loc(r), f"no send of tag {tag}")
-        send = events[index.send_at[tag]][2]
+        s = index.send_at[tag]
+        send = events[s][2]
         if send.target != pid:
             return Violation("b", index.loc(r), f"tag {tag} was sent to {send.target}")
-        if not match(send.value, rec.cs):
+        if not index.matches(s, r):
             return Violation(
                 "b",
                 index.loc(r),

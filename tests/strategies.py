@@ -28,6 +28,9 @@ from racetrace import (
 )
 
 CS_ANY = Constraint("csa", (Clause(Tup((Atom("val"), Var("M"))), GTrue()),))
+# CS_ANY's clauses under another id: receives that share match answers
+CS_ANY_B = Constraint("csb", CS_ANY.clauses)
+# CS_ANY's pattern under a guard: receives that must not share them
 CS_POS = Constraint(
     "csp", (Clause(Tup((Atom("val"), Var("M"))), Cmp(">", Var("M"), Int(0))),)
 )
@@ -51,7 +54,7 @@ def interleavings(draw, max_events: int = 8) -> Interleaving:
         receivable = [
             (p, cs)
             for p in pids
-            for cs in (CS_ANY, CS_POS)
+            for cs in (CS_ANY, CS_ANY_B, CS_POS)
             if any(matching_clause(v, cs) is not None for _, v in mailboxes[p])
         ]
         if receivable:

@@ -19,6 +19,7 @@ from racetrace import (
     initial_state,
     linearize,
     orphans,
+    parse_interleaving,
     parse_program,
     parse_trace,
     race_set,
@@ -30,6 +31,8 @@ from racetrace import (
     validate_trace,
     variant,
 )
+from racetrace import parsing as parsing_module
+from racetrace import terms as terms_module
 from racetrace import traces as traces_module
 from racetrace.causality import hb_graph_unchecked
 from racetrace.cli import main
@@ -154,20 +157,61 @@ def test_pruned_ordering_edges_report_the_full_graphs_cycle(t):
             assert bad.where == " -> ".join(f"{p}[{i}]" for p, i in cycle)
 
 
+@settings(max_examples=200, deadline=None)
+@given(traces(max_events=12))
+@example(parse_trace(fixture_text("fix_run.trace")))
+@example(parse_trace(fixture_text("fix_tau_a.trace")))
+@example(parse_trace(fixture_text("variant_run_l2_l6.trace")))
+@example(REASONS_TRACE)
+def test_matches_is_terms_match(t):
+    # receives of csa and csb share answers, csp's guard keeps its own; the
+    # running example's cs1/cs2 and cs3/cs4 have equal clauses too
+    index = TraceIndex(t)
+    for r, (_, _, rec) in enumerate(index.events):
+        for s, (_, _, send) in enumerate(index.events):
+            if isinstance(rec, Rec) and isinstance(send, Send):
+                assert index.matches(s, r) == match(send.value, rec.cs), (s, r)
+
+
+def _reference_oldest_waiting(index, r):
+    """oldest_waiting by a scan of each sender's sends from its first, for
+    every receive afresh."""
+    oldest = {}
+    rec = index.events[r][2]
+    for q, sends in index.sends_to.get(index.events[r][0], {}).items():
+        for s in sends:
+            send = index.events[s][2]
+            if not index.consumed_before(send.tag, r) and match(send.value, rec.cs):
+                oldest[q] = s
+                break
+    return oldest
+
+
+@settings(max_examples=200, deadline=None)
+@given(traces(max_events=12))
+@example(parse_trace(fixture_text("fix_run.trace")))
+def test_oldest_waiting_equals_a_rescan_per_receive(t):
+    # invalid mutations included; a process's last receive is asked first
+    for m in _swap_mutations(t):
+        index = TraceIndex(m)
+        for r in reversed(range(len(index.events))):
+            if isinstance(index.events[r][2], Rec):
+                assert index.oldest_waiting(r) == _reference_oldest_waiting(index, r), m
+
+
 # ---------------------------------------------------------------------------
 # Each public entry point validates its input once
 # ---------------------------------------------------------------------------
 
 
-@pytest.fixture
-def validated(monkeypatch):
-    """The traces passed to validate_trace, wherever racetrace calls it."""
+def _record_calls(monkeypatch, original, arg=lambda a: a):
+    """The first arguments passed to `original`, wherever racetrace calls
+    it, each as arg(argument)."""
     seen = []
-    original = traces_module.validate_trace
 
-    def counting(t):
-        seen.append(t.trace if isinstance(t, TraceIndex) else t)
-        return original(t)
+    def counting(first, *rest):
+        seen.append(arg(first))
+        return original(first, *rest)
 
     for name, module in list(sys.modules.items()):
         if name == "racetrace" or name.startswith("racetrace."):
@@ -175,6 +219,16 @@ def validated(monkeypatch):
                 if value is original:
                     monkeypatch.setattr(module, attr, counting)
     return seen
+
+
+@pytest.fixture
+def validated(monkeypatch):
+    """The traces passed to validate_trace, wherever racetrace calls it."""
+    return _record_calls(
+        monkeypatch,
+        traces_module.validate_trace,
+        lambda t: t.trace if isinstance(t, TraceIndex) else t,
+    )
 
 
 def _gates(reports):
@@ -254,6 +308,14 @@ def test_each_trace_command_validates_its_input_once(argv, validated, capsys):
     capsys.readouterr()
     trace_file = next(a for a in argv if a.endswith(".trace"))
     assert validated == [parse_trace(fixture_text(trace_file))]
+
+
+def test_equiv_validates_each_input_once(monkeypatch, capsys):
+    seen = _record_calls(monkeypatch, traces_module.validate_interleaving)
+    names = ["fix_s_a.itl", "fix_s_b.itl"]
+    assert main(["equiv", *(str(FIXTURES / n) for n in names)]) == 0
+    capsys.readouterr()
+    assert seen == [parse_interleaving(fixture_text(n)) for n in names]
 
 
 def test_an_index_is_validated_until_it_passes(run_trace, validated):
@@ -346,6 +408,18 @@ def test_2001_event_fifo_chain():
     # deep, then stops at the second
     with pytest.raises(ValueError, match="more than 1 linearizations"):
         enumerate_linearizations(t, cap=1)
+
+
+def test_race_tables_match_each_message_once_per_clause_list(monkeypatch):
+    # a match per (receive, send) pair and a sort per receive made 40 200
+    # match and 39 802 name_sort_key calls here
+    t = _fifo_chain(200)
+    matched = _record_calls(monkeypatch, terms_module.match)
+    sort_keys = _record_calls(monkeypatch, parsing_module.name_sort_key)
+    reports = all_races(t)
+    assert sum(len(rep.candidates) for rep in reports) == 200 * 199
+    assert len(matched) <= 200  # 200 sends, one clause list
+    assert len(sort_keys) <= 401  # the events
 
 
 def test_2001_event_chain_with_one_linearization():
