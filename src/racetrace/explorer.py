@@ -11,10 +11,10 @@ trace's canonical linearization, so two orders are equal iff the variant
 traces are.
 
 Each new trace is indexed and validated once (``valid_index``); its orphans,
-its race reports and their variants come from that one index. A variant is
-never built as a trace, indexed or validated: its validity gate admits it
-on the parent's index, and ``variant_order`` reads its replay order off the
-same index, raising ValueError if that order cannot be completed (a cycle).
+race sets (``racers_at``; no candidate table) and variants come from that
+one index. A variant is never built as a trace, indexed or validated: its
+validity gate admits it on the parent's index, and ``variant_order`` reads
+its replay order off the same index, raising ValueError on a cycle.
 
 A replay resumes from its parent's run instead of ``initial_state``. Every
 run (the seed run, or a replay and its deterministic continuation) keeps a
@@ -57,7 +57,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .parsing import name_sort_key
-from .races import race_report, variant_order
+from .races import racers_at, variant_order
 from .simulator import (
     DivergenceError,
     Outcome,
@@ -207,20 +207,19 @@ def explore(
                 after = index.after(r)
                 if all(after[v] for v in added):
                     continue
-            rep = race_report(index, r)
-            slept = {rep.subject}
-            for racer in rep.sorted_racers():
+            slept = {a.tag}
+            for racer in sorted(racers_at(index, r), key=name_sort_key):
                 count += 1
                 if r == replaced and racer in sleep:
                     report.sleeping += 1
                     continue
-                order = variant_order(index, rep, racer)
+                order = variant_order(index, r, racer)
                 if order in pending:
                     report.duplicate_variants += 1
                     continue
                 pending.add(order)
                 report.variants_enqueued += 1
-                origin_v = Origin(key, rep.receive, rep.subject, racer)
+                origin_v = Origin(key, (pid, idx), a.tag, racer)
                 queue.append((order, origin_v, frozenset(slept), run.resume_point(order)))
                 slept.add(racer)
         report.race_counts[key] = count

@@ -14,9 +14,9 @@ message waiting at the receive (``TraceIndex.oldest_waiting``) can be L':
     sender, a message that an earlier receive pins before L'). The validity
     gate decides this exactly, on the parent's hb graph.
 
-Every other send addressed to the receiver gets a ``CandidateCheck`` that
-says which of these it fails (a later message of a sender is ``blocked_by``
-its oldest); the table explains the race set and does not decide it.
+``racers_at`` decides this. ``race_report`` adds a ``CandidateCheck`` per
+other send addressed to the receiver, saying which of these it fails (a
+later message of a sender is ``blocked_by`` its oldest): it explains.
 
 The declarative definition, a search over subtraces, is kept apart as the
 reference that checks this one: ``racetrace.oracles.declarative_race_oracle``.
@@ -28,24 +28,23 @@ it keeps is stated once, in ``_erased`` and ``_kept_succ``, which the
 validity gate and ``variant_order`` both read; the paper's inductive
 ``rdep`` is the tests' reference for it.
 
-Cost: ``all_races`` and ``race_set`` validate the trace once, or not at all
-given an index ``valid_index`` returned, then call ``race_report`` -- the
-one per-receive builder, which the explorer calls too -- for the receives
-they report on. Each receive reads its ``oldest_waiting`` messages and one
-forward traversal from the receive, shared by all its candidates, and then
-lists the candidate table in one pass over ``sends_by_tag``, the sends
-addressed to its process in table order, sorted once per index. An entry
-costs lookups, not a match: its match answer is shared by every receive
-with the same clauses (``TraceIndex.matches``), and no receive sorts its
-table. The validity gate reads the same index and validates nothing: the
-rewritten trace keeps the events the receive did not happen before and adds
-the new receive, so it is decided by one check per receive (no kept send
-addresses an erased process) and one forward traversal per survivor (no
-other message waiting at the receive must precede it). A variant is its
-replay order: ``variant_order`` reads the variant's linearization off the
-same index, with the one canonical order ``traces.smallest_first``, so a
-replay needs neither a new index nor a validation, and ``variant`` projects
-that order onto its processes.
+Cost: ``racers_at`` reads the receive's ``oldest_waiting`` messages, at most
+one per sender, and stops there when no other sender has one waiting.
+Otherwise it marks the cut once (``_erased``, one forward traversal), and
+the validity gate reads that cut and validates nothing: the rewritten trace
+keeps the events the receive did not happen before and adds the new
+receive, so one check per receive (no kept send addresses an erased
+process) and one forward traversal per survivor (no other message waiting
+at the receive must precede it) decide it. The explorer and ``variant``
+read only ``racers_at``. ``all_races`` and ``race_set`` validate once, or
+not at all given an index ``valid_index`` returned, and add each receive's
+table: one more traversal and one pass over ``sends_by_tag``, the
+receiver's sends in table order, sorted once per index, each entry's match
+answer shared by every receive with the same clauses (``matches``). A
+variant is its replay order: ``variant_order`` reads it off the same index
+with the one canonical order ``traces.smallest_first``, so a replay needs
+neither a new index nor a validation; ``variant`` projects it onto its
+processes.
 """
 
 from __future__ import annotations
@@ -108,23 +107,30 @@ class Variant:
     new_tag: Tag
 
 
-def race_report(index: TraceIndex, r: int) -> RaceReport:
+def racers_at(index: TraceIndex, r: int) -> set[Tag]:
     """The race set of receive event r of a validated trace's index: the one
-    builder behind ``race_set``, ``all_races`` and the explorer.
+    statement of the race decision. Only a sender's oldest message waiting
+    at r can race (its later ones are sent after it): those other than r's
+    own that r did not happen before and that the validity gate admits."""
+    own = index.send_at[index.events[r][2].tag]
+    oldest = index.oldest_waiting(r)
+    if all(s == own for s in oldest.values()):
+        return set()
+    gone, dead = _erased(index, r)
+    infeasible = _variant_gate(index, r, oldest, gone, dead)
+    survivors = (s for s in oldest.values() if s != own and not gone[s])
+    return {index.events[s][2].tag for s in survivors if not infeasible(s)}
 
-    Only a sender's oldest message waiting at r can race there: its later
-    ones are sent after it, and its earlier ones are consumed or do not
-    match. So the survivors are the ``oldest_waiting`` messages other than
-    r's own that r did not happen before, and the racers are the survivors
-    the validity gate admits. The candidate table only explains that
-    answer."""
+
+def race_report(index: TraceIndex, r: int) -> RaceReport:
+    """``racers_at`` and the candidate table that explains it. A row passes
+    the cheap checks iff it is its sender's oldest message waiting at r that
+    r did not happen before, and it is then infeasible iff not a racer."""
     pid, idx, rec = index.events[r]
+    racers = racers_at(index, r)
     oldest = index.oldest_waiting(r)
     after = index.after(r)
     own = index.send_at[rec.tag]
-    survivors = {s for s in oldest.values() if s != own and not after[s]}
-    gate = _variant_gate(index, r, oldest) if survivors else None
-    racers = {index.events[s][2].tag for s in survivors if not gate(s)}
     checks: list[CandidateCheck] = []
     for s in index.sends_by_tag(pid):
         if s == own:
@@ -137,7 +143,7 @@ def race_report(index: TraceIndex, r: int) -> RaceReport:
                 send.tag, q, index.matches(s, r), index.consumed_before(send.tag, r),
                 bool(after[s]),
                 index.events[first][2].tag if first is not None and first < s else None,
-                s in survivors and not in_race_set, in_race_set,
+                first == s and not after[s] and not in_race_set, in_race_set,
             )
         )
     return RaceReport(EventId(pid, idx), rec.tag, racers, checks)
@@ -158,19 +164,19 @@ def _erased(index: TraceIndex, r: int) -> tuple[bytearray, set[Pid]]:
 
 
 def _variant_gate(
-    index: TraceIndex, r: int, oldest: dict[Pid, int]
+    index: TraceIndex, r: int, oldest: dict[Pid, int], gone: bytearray, dead: set[Pid]
 ) -> Callable[[int], bool]:
     """The validity gate of receive r's candidates, read off the parent's
     index: the returned function tells, for a send s that survives the
     cheap checks, whether the variant consuming s at r is *not* a valid
     trace. The variant is never built.
 
-    The variant keeps K, the events ``_erased`` does not mark, and ends r's
-    process with rec(s). K is a subtrace of a valid trace, so the variant
-    is invalid in two cases only:
+    The variant keeps K, the events ``gone`` (``_erased``'s cut) does not
+    mark, and ends r's process with rec(s). K is a subtrace of a valid
+    trace, so the variant is invalid in two cases only:
 
-    (i) a kept send addresses a process whose spawn is erased: condition
-        (a), the same for every candidate at r;
+    (i) a kept send addresses a process whose spawn is erased (``dead``):
+        condition (a), the same for every candidate at r;
     (ii) the new receive closes a cycle: it orders s before W, the oldest
         message per sender still waiting at r inside K (r's own message,
         now unconsumed, among them), so s is infeasible iff some w in W
@@ -178,7 +184,6 @@ def _variant_gate(
         (``_kept_succ``). One forward traversal per candidate decides it;
         a visited node's kept edges are read once for all of r's.
     """
-    gone, dead = _erased(index, r)
     if any(
         not gone[v]
         for child in dead
@@ -251,8 +256,8 @@ def orphans(t: Trace | TraceIndex) -> set[Tag]:
 # ---------------------------------------------------------------------------
 
 
-def variant_order(index: TraceIndex, report: RaceReport, racer: Tag) -> tuple[Event, ...]:
-    """The variant for a racer of `report`, a report on the trace `index`
+def variant_order(index: TraceIndex, r: int, racer: Tag) -> tuple[Event, ...]:
+    """The variant for a racer of receive event r of the trace `index`
     holds, as its linearization: the events ``_erased`` keeps, and the
     receive rewritten to rec(racer). It equals ``linearize`` of the variant
     trace, so two orders are equal iff the two variant traces are. It is
@@ -269,8 +274,7 @@ def variant_order(index: TraceIndex, report: RaceReport, racer: Tag) -> tuple[Ev
     send s, which precedes every other message still waiting at r. Raises
     ValueError if the pass cannot complete: the variant is cyclic."""
     events = index.events
-    pid, idx = report.receive
-    r = index.first[pid] + idx
+    pid, idx, rec = events[r]
     s = index.send_at[racer]
     gone, _ = _erased(index, r)
     # r's program predecessor, or the spawn of its process when r comes first
@@ -285,7 +289,7 @@ def variant_order(index: TraceIndex, report: RaceReport, racer: Tag) -> tuple[Ev
     order = smallest_first(out, nodes)
     if len(order) != len(nodes):
         raise ValueError(f"the variant consuming {racer} at {index.loc(r)} is cyclic")
-    new = Rec(racer, events[r][2].cs)
+    new = Rec(racer, rec.cs)
     return tuple(Event(pid, new) if v == r else Event(events[v][0], events[v][2]) for v in order)
 
 
@@ -293,11 +297,12 @@ def variant(t: Trace | TraceIndex, tag: Tag, racer: Tag) -> Variant:
     """The race variant of t that consumes `racer` at `tag`'s receive."""
     index = valid_index(t)
     t = index.trace
-    report = race_report(index, _receive(index, tag))
-    if racer not in report.racers:
+    r = _receive(index, tag)
+    if racer not in racers_at(index, r):
+        report = race_report(index, r)
         detail = next((c.reason() for c in report.candidates if c.tag == racer), None)
         why = f" ({detail})" if detail else ""
         raise ValueError(f"{racer} is not in the race set of {tag}{why}")
-    procs = tr(Interleaving(t.initial, variant_order(index, report, racer))).procs
+    procs = tr(Interleaving(t.initial, variant_order(index, r, racer))).procs
     kept = Trace(t.initial, {p: procs[p] for p in t.procs if p in procs})  # parent's order
-    return Variant(kept, report.receive, report.subject, racer)
+    return Variant(kept, EventId(*index.events[r][:2]), tag, racer)

@@ -14,7 +14,7 @@ from racetrace import (
     tr,
     validate_trace,
 )
-from racetrace.races import race_report, variant_order
+from racetrace.races import racers_at, variant_order
 from racetrace.traces import valid_index
 
 from conftest import GENCOLL4, fixture_text
@@ -51,9 +51,8 @@ def _assert_orders_key_variants(report):
         for r, (_, _, a) in enumerate(index.events):
             if not isinstance(a, Rec):
                 continue
-            rep = race_report(index, r)
-            for racer in rep.racers:
-                order = variant_order(index, rep, racer)
+            for racer in racers_at(index, r):
+                order = variant_order(index, r, racer)
                 key = serialize_trace(tr(Interleaving(t.initial, order)))
                 assert by_key.setdefault(key, order) == order
                 pairs += 1
@@ -156,7 +155,7 @@ def _reference_race_counts(report):
             shared[pid] = idx
         added = [index.first[p] + n for p, n in shared.items() if len(t.procs[p]) > n]
         counts[key] = sum(
-            len(race_report(index, r).racers)
+            len(racers_at(index, r))
             for r, (pid, idx, a) in enumerate(index.events)
             if isinstance(a, Rec)
             and not (idx < shared.get(pid, 0) and all(index.after(r)[v] for v in added))

@@ -32,6 +32,7 @@ from racetrace import (
     variant,
 )
 from racetrace import parsing as parsing_module
+from racetrace import races as races_module
 from racetrace import terms as terms_module
 from racetrace import traces as traces_module
 from racetrace.causality import hb_graph_unchecked
@@ -206,7 +207,9 @@ def test_oldest_waiting_equals_a_rescan_per_receive(t):
 
 def _record_calls(monkeypatch, original, arg=lambda a: a):
     """The first arguments passed to `original`, wherever racetrace calls
-    it, each as arg(argument)."""
+    it, each as arg(argument): a function or class bound in a racetrace
+    module, or a method of a class bound there (its first argument is
+    self)."""
     seen = []
 
     def counting(first, *rest):
@@ -215,9 +218,11 @@ def _record_calls(monkeypatch, original, arg=lambda a: a):
 
     for name, module in list(sys.modules.items()):
         if name == "racetrace" or name.startswith("racetrace."):
-            for attr, value in list(vars(module).items()):
-                if value is original:
-                    monkeypatch.setattr(module, attr, counting)
+            classes = [v for v in vars(module).values() if isinstance(v, type)]
+            for owner in [module, *classes]:
+                for attr, value in list(vars(owner).items()):
+                    if value is original:
+                        monkeypatch.setattr(owner, attr, counting)
     return seen
 
 
@@ -420,6 +425,54 @@ def test_race_tables_match_each_message_once_per_clause_list(monkeypatch):
     assert sum(len(rep.candidates) for rep in reports) == 200 * 199
     assert len(matched) <= 200  # 200 sends, one clause list
     assert len(sort_keys) <= 401  # the events
+
+
+# ---------------------------------------------------------------------------
+# Race decisions without their explanation
+# ---------------------------------------------------------------------------
+
+
+def _gencoll(n):
+    """n generators each send one {val,N} to a collector that makes n
+    unguarded receives: n! traces, every receive racing."""
+    spawns = "".join(f"; spawn gen(C, {v})" for v in range(1, n + 1))
+    receives = "; ".join("receive { {val,X} -> X }" for _ in range(n))
+    return (
+        f"program {{ main main\n  def main() {{ C = spawn collector(){spawns} }}\n"
+        f"  def gen(C, N) {{ send {{val,N}} to C }}\n  def collector() {{ {receives} }} }}\n"
+    )
+
+
+def _one_sender(n):
+    """main sends n {val,i} to one receiver, which makes n receives: one
+    trace, and no race at any receive."""
+    sends = "".join(f"; send {{val,{i}}} to C" for i in range(1, n + 1))
+    receives = "; ".join("receive { {val,X} -> X }" for _ in range(n))
+    return (
+        f"program {{ main main\n  def main() {{ C = spawn collector(){sends} }}\n"
+        f"  def collector() {{ {receives} }} }}\n"
+    )
+
+
+def test_explore_and_variant_build_no_candidate_table(monkeypatch, progb, run_trace):
+    # explore built 1 300 rows at n=5 when it read race reports
+    rows = _record_calls(monkeypatch, races_module.CandidateCheck)
+    assert len(explore(parse_program(_gencoll(5)), seed=1).traces) == 120
+    assert len(explore(progb).traces) == 4
+    assert variant(run_trace, "l2", "l6").new_tag == "l6"
+    assert rows == []
+    # a refusal still words its reason from the table
+    with pytest.raises(ValueError, match=r"l1 is not in the race set of l2 \(received earlier\)"):
+        variant(run_trace, "l2", "l1")
+    assert rows
+
+
+def test_explore_without_races_walks_from_no_receive(monkeypatch):
+    # with the candidate table, every receive walked after(r): quadratic
+    walks = _record_calls(monkeypatch, TraceIndex.after)
+    report = explore(parse_program(_one_sender(500)))
+    assert len(report.traces) == 1 and report.variants_enqueued == 0
+    assert walks == []
 
 
 def test_2001_event_chain_with_one_linearization():

@@ -22,7 +22,7 @@ from racetrace import (
 from racetrace.causality import EventId, linearize
 from racetrace.parsing import name_sort_key
 from racetrace.races import (
-    CandidateCheck, RaceReport, _erased, _variant_gate, race_report, variant_order,
+    CandidateCheck, RaceReport, _erased, _variant_gate, race_report, racers_at, variant_order,
 )
 from racetrace.terms import Atom, Int, Tup, match
 from racetrace.traces import TraceIndex, valid_index
@@ -316,15 +316,15 @@ def test_gate_equals_validating_the_built_variant(t):
 @example(parse_trace(fixture_text("fix_tau_a.trace")))
 @example(parse_trace(fixture_text("variant_run_l2_l6.trace")))
 def test_variant_order_is_the_variants_linearization(t):
-    for index, _, report, check in _survivors(t):
+    for index, r, report, check in _survivors(t):
         pid, idx = report.receive
         built = reference_variant(t, pid, idx, check.tag)
         if check.in_race_set:
             expected = linearize(built).events
-            assert variant_order(index, report, check.tag) == expected, check.tag
+            assert variant_order(index, r, check.tag) == expected, check.tag
         elif validate_trace(built).condition == "d":
             with pytest.raises(ValueError, match="is cyclic"):
-                variant_order(index, report, check.tag)
+                variant_order(index, r, check.tag)
 
 
 def test_gate_rejects_a_variant_with_a_dangling_send():
@@ -371,7 +371,7 @@ def _reference_race_report(index: TraceIndex, r: int) -> RaceReport:
             blocked_by = blocker if first is not None and first < s else None
             survives = matches and not already and not hb_excluded and blocked_by is None
             if survives and gate is None:
-                gate = _variant_gate(index, r, oldest)
+                gate = _variant_gate(index, r, oldest, *_erased(index, r))
             infeasible = survives and gate(s)
             checks.append(
                 CandidateCheck(
@@ -388,7 +388,9 @@ def _assert_reports_equal_the_full_scan(t):
     index = valid_index(t)
     for r, (_, _, a) in enumerate(index.events):
         if isinstance(a, Rec):
-            assert race_report(index, r) == _reference_race_report(index, r), index.loc(r)
+            reference = _reference_race_report(index, r)
+            assert race_report(index, r) == reference, index.loc(r)
+            assert racers_at(index, r) == reference.racers, index.loc(r)
 
 
 @settings(max_examples=300, deadline=None)
