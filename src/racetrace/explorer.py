@@ -16,14 +16,11 @@ one index. A variant is never built as a trace, indexed or validated: its
 validity gate admits it on the parent's index, and ``variant_order`` reads
 its replay order off the same index, raising ValueError on a cycle.
 
-A replay resumes from its parent's run instead of ``initial_state``. Every
-run (the seed run, or a replay and its deterministic continuation) keeps a
-clone of its state before each receive, keyed by schedule position. A
-variant's order agrees with its parent's schedule up to some position c;
-it is queued with the parent's latest snapshot at or before c, and replayed
-from a clone of that snapshot, each action checked against the program.
-The child inherits the parent's snapshots up to its resume point; only
-queued variants hold snapshots, so the others are dropped after ``record``.
+Each variant is replayed from ``initial_state``, as stateless model
+checkers replay every schedule (VeriSoft, Concuerror): ``replay_order``
+checks each action against the program, and ``run_deterministic``
+continues from where the order ends. A queued variant holds only its
+order, its origin and its sleep set.
 
 A trace replayed from a variant keeps its parent's events up to the variant
 prefix. The replay adds the rewritten receive and, in each process, the
@@ -51,7 +48,6 @@ events beyond the prefix. Two rules keep it from redoing its parent's work:
 
 from __future__ import annotations
 
-import bisect
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Optional
@@ -62,13 +58,12 @@ from .simulator import (
     DivergenceError,
     Outcome,
     Program,
-    SysState,
     initial_state,
     replay_order,
     run_deterministic,
     run_random,
 )
-from .traces import Action, Event, Pid, Rec, Spawn, Tag, Trace, valid_index
+from .traces import Event, Pid, Rec, Spawn, Tag, Trace, valid_index
 
 
 @dataclass(frozen=True)
@@ -121,33 +116,6 @@ class ExplorationReport:
         return "\n".join(lines) + "\n"
 
 
-class _Run:
-    """One run's schedule, and the states it can be resumed from: a clone of
-    the state before each receive, keyed by schedule position. The first
-    snapshots are inherited (position 0 holds ``initial_state``); a snapshot
-    is never stepped, only cloned."""
-
-    def __init__(self, schedule: list[Event], saved: list[tuple[int, SysState]]):
-        self.schedule = schedule
-        self.saved = saved
-
-    def before_step(self, sys: SysState, pid: Pid, action: Action) -> None:
-        at = len(self.schedule)
-        if isinstance(action, Rec) and self.saved[-1][0] < at:
-            self.saved.append((at, sys.clone()))
-        self.schedule.append(Event(pid, action))
-
-    def resume_point(self, order: tuple[Event, ...]) -> list[tuple[int, SysState]]:
-        """The snapshots up to the latest one inside the prefix that `order`
-        shares with this run's schedule."""
-        schedule = self.schedule
-        c = next(
-            (i for i, (a, b) in enumerate(zip(order, schedule)) if a != b),
-            min(len(order), len(schedule)),
-        )
-        return self.saved[: bisect.bisect_right(self.saved, c, key=lambda snap: snap[0])]
-
-
 def explore(
     program: Program,
     seed: int = 0,
@@ -157,13 +125,11 @@ def explore(
     report = ExplorationReport()
     pending: set[tuple[Event, ...]] = set()
     # variants to replay, as their orders, each with the origin of the trace
-    # it yields, the racers its replaced receive sleeps on, and the parent's
-    # snapshots up to the one it resumes from
-    queue: deque[tuple[tuple[Event, ...], Origin, frozenset[Tag], list]] = deque()
+    # it yields and the racers its replaced receive sleeps on
+    queue: deque[tuple[tuple[Event, ...], Origin, frozenset[Tag]]] = deque()
 
     def record(
         result: tuple[Trace, Outcome],
-        run: _Run,
         prefix: tuple[Event, ...],
         origin: Optional[Origin],
         sleep: frozenset[Tag],
@@ -220,26 +186,23 @@ def explore(
                 pending.add(order)
                 report.variants_enqueued += 1
                 origin_v = Origin(key, (pid, idx), a.tag, racer)
-                queue.append((order, origin_v, frozenset(slept), run.resume_point(order)))
+                queue.append((order, origin_v, frozenset(slept)))
                 slept.add(racer)
         report.race_counts[key] = count
 
-    run = _Run([], [(0, initial_state(program))])
-    record(run_random(program, seed, max_steps, run.before_step), run, (), None, frozenset())
+    record(run_random(program, seed, max_steps), (), None, frozenset())
     while queue:
         if len(report.traces) >= max_traces:
             report.bounded = True
             break
-        order, origin, sleep, saved = queue.popleft()
-        at, state = saved[-1]
-        run = _Run(list(order[:at]), saved)
-        sys = state.clone()
+        order, origin, sleep = queue.popleft()
+        sys = initial_state(program)
         try:
-            replay_order(sys, order, at, None, run.before_step)
+            replay_order(sys, order)
         except DivergenceError:
             report.divergences += 1
             continue
-        record(run_deterministic(sys, max_steps, run.before_step), run, order, origin, sleep)
+        record(run_deterministic(sys, max_steps), order, origin, sleep)
     return report
 
 

@@ -112,24 +112,33 @@ def racers_at(index: TraceIndex, r: int) -> set[Tag]:
     statement of the race decision. Only a sender's oldest message waiting
     at r can race (its later ones are sent after it): those other than r's
     own that r did not happen before and that the validity gate admits."""
+    return _decide(index, r)[0]
+
+
+def _decide(index: TraceIndex, r: int) -> tuple[set[Tag], bytearray | None]:
+    """``racers_at``, and the cut ``_erased`` marked for it; None when no
+    other sender has a message waiting at r, and nothing was marked."""
     own = index.send_at[index.events[r][2].tag]
     oldest = index.oldest_waiting(r)
     if all(s == own for s in oldest.values()):
-        return set()
+        return set(), None
     gone, dead = _erased(index, r)
     infeasible = _variant_gate(index, r, oldest, gone, dead)
     survivors = (s for s in oldest.values() if s != own and not gone[s])
-    return {index.events[s][2].tag for s in survivors if not infeasible(s)}
+    return {index.events[s][2].tag for s in survivors if not infeasible(s)}, gone
 
 
 def race_report(index: TraceIndex, r: int) -> RaceReport:
     """``racers_at`` and the candidate table that explains it. A row passes
     the cheap checks iff it is its sender's oldest message waiting at r that
-    r did not happen before, and it is then infeasible iff not a racer."""
+    r did not happen before, and it is then infeasible iff not a racer. The
+    table reads the decision's cut, which marks a send iff r happened
+    before it, and walks from r itself only when the decision did not."""
     pid, idx, rec = index.events[r]
-    racers = racers_at(index, r)
+    racers, after = _decide(index, r)
+    if after is None:
+        after = index.after(r)
     oldest = index.oldest_waiting(r)
-    after = index.after(r)
     own = index.send_at[rec.tag]
     checks: list[CandidateCheck] = []
     for s in index.sends_by_tag(pid):

@@ -12,23 +12,22 @@ mailbox orders are explored by reordering sends. A receive consumes the
 oldest mailbox message matching its constraint.
 
 Replay is one loop, ``replay_order``: it steps a state along a logged
-order from any position, checking each action against the program, and
-raises ``DivergenceError`` at the first it does not perform.
-``replay_prefix`` runs the ``linearize`` order of a trace or of its index,
-validated once, from ``initial_state`` with the log's names aligned to the
-simulator's. A state's ``clone`` can be resumed instead: the explorer saves
-clones through the ``before_step`` hook that the replay loop and the
-schedulers call before each step, and replays a variant's order from one.
+order, checking each action against the program, and raises
+``DivergenceError`` at the first it does not perform. ``replay_prefix``
+runs the ``linearize`` order of a trace or of its index, validated once,
+from ``initial_state`` with the log's names aligned to the simulator's;
+the explorer replays each variant's order from ``initial_state`` too.
 
-Each scheduler step evaluates ``_next_action`` once per process for
-``enabled`` and once more for the pid it steps; ``step`` and
-``replay_order`` evaluate only the pid they step. A state keeps its
-processes in canonical pid order: a spawned child's sort key is computed
-once and the child is inserted at its place, so no step sorts the pids. A
-received message is matched against its constraint once, which finds it
-and picks its clause; only that clause's pattern is matched again, for the
-bindings. The exhaustive run over every schedule, the reference
-``explore`` is checked against, is ``racetrace.oracles.enumerate_executions``.
+Each step evaluates a process's next action once: a scheduler step once
+per process, to find the enabled ones, and then applies the one it picks;
+``step`` and ``replay_order`` evaluate only the pid they step, check it,
+and apply what they evaluated. A state keeps its processes in canonical
+pid order: a spawned child's sort key is computed once and the child is
+inserted at its place, so no step sorts the pids. A received message is
+matched against its constraint once, which finds it and picks its clause;
+only that clause's pattern is matched again, for the bindings. The
+exhaustive run over every schedule, the reference ``explore`` is checked
+against, is ``racetrace.oracles.enumerate_executions``.
 
 Names are hierarchical and schedule-invariant: the initial process is
 ``p1``, the k-th process spawned by P is ``P.k``, and the k-th message sent
@@ -39,9 +38,10 @@ serialize byte-identically.
 from __future__ import annotations
 
 import bisect
+import itertools
 import random
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Optional, Sequence, Union
+from typing import Callable, Optional, Sequence, Union
 
 from .parsing import (
     ParseError,
@@ -429,9 +429,11 @@ def _oldest_match(proc: ProcState, cs: Constraint) -> Optional[tuple[int, int]]:
     return None
 
 
-def _next_action(
-    sys: SysState, pid: Pid
-) -> Optional[tuple[Action, Optional[tuple[int, int]]]]:
+# a process's next action, with the ``_oldest_match`` of a receive
+_NextAction = tuple[Action, Optional[tuple[int, int]]]
+
+
+def _next_action(sys: SysState, pid: Pid) -> Optional[_NextAction]:
     """The action pid would record next, with the ``_oldest_match`` of a
     receive; None when pid has nothing left or its receive cannot fire."""
     proc = sys.procs[pid]
@@ -456,10 +458,15 @@ def _next_action(
     return Rec(proc.mailbox[found[0]][0], stmt.cs), found
 
 
+def _enabled_next(sys: SysState) -> list[tuple[Pid, _NextAction]]:
+    """Pids that can fire, with their ``_next_action``, in pid order."""
+    nexts = ((pid, _next_action(sys, pid)) for pid in sys.procs)
+    return [(pid, nxt) for pid, nxt in nexts if nxt is not None]
+
+
 def enabled(sys: SysState) -> list[tuple[Pid, Action]]:
     """Pids that can fire, with the action each would record, in pid order."""
-    nexts = ((pid, _next_action(sys, pid)) for pid in sys.procs)
-    return [(pid, nxt[0]) for pid, nxt in nexts if nxt is not None]
+    return [(pid, nxt[0]) for pid, nxt in _enabled_next(sys)]
 
 
 def step(sys: SysState, pid: Pid) -> Action:
@@ -467,6 +474,12 @@ def step(sys: SysState, pid: Pid) -> Action:
     nxt = _next_action(sys, pid) if pid in sys.procs else None
     if nxt is None:
         raise SimulationError(f"pid {pid} is not enabled")
+    _apply(sys, pid, nxt)
+    return nxt[0]
+
+
+def _apply(sys: SysState, pid: Pid, nxt: _NextAction) -> None:
+    """Perform pid's next action, as ``_next_action`` just evaluated it."""
     action, found = nxt
     if isinstance(action, Send) and action.target not in sys.procs:
         raise SimulationError(f"{pid}: send target {action.target} is not a process")
@@ -498,7 +511,6 @@ def step(sys: SysState, pid: Pid) -> Action:
 
     sys.recorded[pid].append(action)
     _settle(proc)
-    return action
 
 
 # ---------------------------------------------------------------------------
@@ -517,45 +529,27 @@ class Outcome:
         return self.kind
 
 
-if TYPE_CHECKING:
-    # Called with the state, the pid and the action it will record, before
-    # each step. Kept out of the running module: typing caches a subscripted
-    # Callable with its arguments, which would keep each re-imported
-    # module's SysState, and so the whole module, alive.
-    StepHook = Callable[[SysState, Pid, Action], None]
-
-
-def _run(
-    sys: SysState, max_steps: int, pick: Callable[[int], int],
-    before_step: Optional[StepHook] = None,
-) -> tuple[Trace, Outcome]:
+def _run(sys: SysState, max_steps: int, pick: Callable[[int], int]) -> tuple[Trace, Outcome]:
     """Step the pid at position pick(n) of the n enabled ones until none is
-    enabled or max_steps steps were taken."""
-    for _ in range(max_steps):
-        choices = enabled(sys)
+    enabled, or until max_steps steps were taken and one still is."""
+    for taken in itertools.count():
+        choices = _enabled_next(sys)
         if not choices:
             blocked = tuple(pid for pid, proc in sys.procs.items() if proc.stmts)
             return sys.trace(), Outcome("deadlock", blocked) if blocked else Outcome("completed")
-        pid, action = choices[pick(len(choices))]
-        if before_step is not None:
-            before_step(sys, pid, action)
-        step(sys, pid)
-    return sys.trace(), Outcome("step-limit")
+        if taken == max_steps:
+            return sys.trace(), Outcome("step-limit")
+        _apply(sys, *choices[pick(len(choices))])
 
 
-def run_random(
-    program: Program, seed: int, max_steps: int = 10000,
-    before_step: Optional[StepHook] = None,
-) -> tuple[Trace, Outcome]:
+def run_random(program: Program, seed: int, max_steps: int = 10000) -> tuple[Trace, Outcome]:
     """Scheduler picks uniformly among enabled pids with a seeded PRNG."""
-    return _run(initial_state(program), max_steps, random.Random(seed).randrange, before_step)
+    return _run(initial_state(program), max_steps, random.Random(seed).randrange)
 
 
-def run_deterministic(
-    sys: SysState, max_steps: int = 10000, before_step: Optional[StepHook] = None,
-) -> tuple[Trace, Outcome]:
+def run_deterministic(sys: SysState, max_steps: int = 10000) -> tuple[Trace, Outcome]:
     """Continue a state with the fixed smallest-enabled-pid policy."""
-    return _run(sys, max_steps, lambda n: 0, before_step)
+    return _run(sys, max_steps, lambda n: 0)
 
 
 # ---------------------------------------------------------------------------
@@ -621,28 +615,22 @@ def replay_prefix(program: Program, prefix: Trace | TraceIndex) -> tuple[SysStat
     sys = initial_state(program)
     align = Alignment()
     align.bind_pid(order.initial, "p1")
-    replay_order(sys, order.events, 0, align)
+    replay_order(sys, order.events, align)
     return sys, align
 
 
 def replay_order(
-    sys: SysState,
-    order: Sequence[Event],
-    start: int = 0,
-    align: Optional[Alignment] = None,
-    before_step: Optional[StepHook] = None,
+    sys: SysState, order: Sequence[Event], align: Optional[Alignment] = None
 ) -> None:
-    """Step sys, which has taken ``order[:start]``, along ``order[start:]``.
+    """Step sys along ``order``.
 
     Every step checks that the program performs exactly the logged action,
     else raises DivergenceError at that position. Given an ``Alignment``,
     names are compared modulo it, and each name a spawn or send introduces
     is bound as it is replayed; without one, the order uses the simulator's
-    own names, as a trace the simulator recorded does. ``before_step`` is
-    called before each step.
+    own names, as a trace the simulator recorded does.
     """
-    for i in range(start, len(order)):
-        event = order[i]
+    for i, event in enumerate(order):
         sim_pid = event.pid if align is None else align.pid_log_to_sim.get(event.pid)
         if sim_pid not in sys.procs:
             raise DivergenceError(i, f"pid {event.pid} has no simulator counterpart")
@@ -677,9 +665,7 @@ def replay_order(
                 )
             if not actual.cs.same_clauses(logged.cs):
                 raise DivergenceError(i, "receive constraint differs from the log")
-        if before_step is not None:
-            before_step(sys, sim_pid, actual)
-        step(sys, sim_pid)
+        _apply(sys, sim_pid, nxt)
         if align is not None:
             if isinstance(logged, Spawn):
                 align.bind_pid(logged.child, actual.child)

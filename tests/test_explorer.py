@@ -86,8 +86,10 @@ def test_explorer_reaches_every_execution_of_generated_programs(text):
 
 def _assert_rebuilt_from_origins(program, report, max_steps):
     """Each trace with an origin is what replaying its variant from
-    ``initial_state`` and continuing deterministically gives: the reference
-    for resuming the replay from the parent's snapshot."""
+    ``initial_state`` and continuing deterministically gives, the variant
+    rebuilt independently: by ``rdep`` from the parent trace, then replayed
+    by ``replay_prefix`` along its ``linearize`` order instead of the
+    explorer's ``variant_order``."""
     for key in report.order:
         origin = report.origins[key]
         if origin is None:

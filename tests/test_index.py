@@ -1,6 +1,7 @@
 """TraceIndex against the slow references, validation call counts, and scale."""
 
 import sys
+from collections import Counter
 
 import pytest
 from hypothesis import example, given, settings
@@ -33,6 +34,7 @@ from racetrace import (
 )
 from racetrace import parsing as parsing_module
 from racetrace import races as races_module
+from racetrace import simulator as simulator_module
 from racetrace import terms as terms_module
 from racetrace import traces as traces_module
 from racetrace.causality import hb_graph_unchecked
@@ -377,6 +379,35 @@ def test_only_the_stepped_process_is_evaluated():
     assert step(sys, "p1.1") == Rec("p1.1", sys.program.defs["g"].body[0].cs)
 
 
+def test_each_step_evaluates_a_process_once(monkeypatch, progc):
+    # replay_order applies the action it evaluated and checked against the
+    # log: one evaluation per event
+    t, _ = run_random(progc, 2)
+    order = linearize(t).events
+    evaluated = _record_calls(
+        monkeypatch,
+        simulator_module._next_action,
+        lambda sys: (sum(map(len, sys.recorded.values())), len(sys.procs)),
+    )
+    sys = initial_state(progc)
+    simulator_module.replay_order(sys, order)
+    assert sys.trace() == t
+    assert len(evaluated) == len(order)
+
+    # a scheduler evaluates each process once per state it steps from, and
+    # once in the state where none is enabled
+    evaluated.clear()
+    run_deterministic(initial_state(progc))
+    assert Counter(evaluated) == {(taken, procs): procs for taken, procs in set(evaluated)}
+
+
+def test_explore_replays_from_the_initial_state(monkeypatch):
+    # every variant is replayed from initial_state: no state is copied
+    clones = _record_calls(monkeypatch, simulator_module.SysState.clone)
+    assert len(explore(parse_program(_gencoll(4)), seed=1).traces) == 24
+    assert clones == []
+
+
 # ---------------------------------------------------------------------------
 # Scale: no recursion limit, no quadratic rescans
 # ---------------------------------------------------------------------------
@@ -465,6 +496,26 @@ def test_explore_and_variant_build_no_candidate_table(monkeypatch, progb, run_tr
     with pytest.raises(ValueError, match=r"l1 is not in the race set of l2 \(received earlier\)"):
         variant(run_trace, "l2", "l1")
     assert rows
+
+
+def _fanin(k, m):
+    """k senders each send m {val,i} to p1.1, which receives them round by
+    round: every receive but the last races."""
+    senders = [f"p1.{j}" for j in range(2, k + 2)]
+    procs = {"p1": tuple(Spawn(f"p1.{j}") for j in range(1, k + 2))}
+    procs["p1.1"] = tuple(Rec(f"{q}.{i}", CS_ANY) for i in range(1, m + 1) for q in senders)
+    for q in senders:
+        procs[q] = tuple(Send(f"{q}.{i}", val(i), "p1.1") for i in range(1, m + 1))
+    return Trace("p1", procs)
+
+
+def test_race_tables_walk_once_per_receive(monkeypatch):
+    # the table reads the cut the race decision marked, and walks from a
+    # receive itself only where the decision did not (the last one here)
+    walks = _record_calls(monkeypatch, TraceIndex.after)
+    reports = all_races(_fanin(3, 2))
+    assert [len(rep.racers) for rep in reports] == [2, 2, 2, 2, 1, 0]
+    assert len(walks) == len(reports)
 
 
 def test_explore_without_races_walks_from_no_receive(monkeypatch):

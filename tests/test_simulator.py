@@ -11,6 +11,7 @@ from racetrace import (
     Spawn,
     enabled,
     enumerate_executions,
+    explore,
     initial_state,
     name_sort_key,
     parse_program,
@@ -156,6 +157,20 @@ def test_run_outcomes(proga, progb):
     # guard, or finish; both runs end quiescent
     _, o = run_random(progb, seed=3)
     assert o.kind in ("completed", "deadlock")
+
+
+# main spawns two processes that do nothing: every run takes exactly 2 steps
+TWO_SPAWNS = "program { main main def main() { spawn f(); spawn f() } def f() { } }"
+
+
+def test_a_run_that_ends_at_the_step_limit_is_complete():
+    program = parse_program(TWO_SPAWNS)
+    for max_steps, outcome in ((2, Outcome("completed")), (1, Outcome("step-limit"))):
+        assert run_random(program, 0, max_steps)[1] == outcome
+        assert run_deterministic(initial_state(program), max_steps)[1] == outcome
+        limited = int(outcome.kind == "step-limit")
+        assert enumerate_executions(program, max_steps)[1] == limited
+        assert explore(program, max_steps=max_steps).step_limited == limited
 
 
 def test_deadlock_reports_blocked_pids():
