@@ -251,9 +251,10 @@ class TraceIndex:
     The mailbox rule -- a receive takes the oldest matching message -- is
     stated once, in ``oldest_waiting``; the ordering edges in ``succ`` read
     it from there. ``matches`` asks ``terms.match`` once per send and clause
-    list, and ``sends_by_tag`` sorts each receiver's sends once. These
-    answers and a pass of ``valid_index`` are kept once known; nothing else
-    changes after construction.
+    list, ``table_header`` sorts each receiver's sends once, and
+    ``match_column`` lays their match answers out once per clause list.
+    These answers and a pass of ``valid_index`` are kept once known; nothing
+    else changes after construction.
     """
 
     def __init__(self, t: Trace):
@@ -285,7 +286,8 @@ class TraceIndex:
         self._clauses: dict[int, int] = {}  # receive -> id of its clause list
         self._clause_ids: dict[tuple, int] = {}
         self._matches: dict[tuple[int, int], bool] = {}
-        self._by_tag: dict[Pid, list[int]] = {}
+        self._headers: dict[Pid, tuple[tuple[int, Pid, Tag, Optional[int]], ...]] = {}
+        self._columns: dict[tuple[Pid, int], tuple[bool, ...]] = {}
         self._succ: Optional[list[list[int]]] = None
         self._valid = False
 
@@ -298,26 +300,53 @@ class TraceIndex:
         """Tags that are sent but never received."""
         return set(self.send_at) - set(self.rec_at)
 
-    def matches(self, s: int, r: int) -> bool:
-        """Send s's value matches receive r's constraint. ``terms.match`` is
-        asked once per send and clause list: constraints with equal clauses
-        share their answers, whatever their ids."""
+    def _clause_id(self, r: int) -> int:
+        """The id of receive r's clause list: equal clauses, equal ids."""
         cl = self._clauses.get(r)
         if cl is None:
             ids = self._clause_ids
             cl = self._clauses[r] = ids.setdefault(self.events[r][2].cs.clauses, len(ids))
+        return cl
+
+    def matches(self, s: int, r: int) -> bool:
+        """Send s's value matches receive r's constraint. ``terms.match`` is
+        asked once per send and clause list: constraints with equal clauses
+        share their answers, whatever their ids."""
+        cl = self._clause_id(r)
         hit = self._matches.get((s, cl))
         if hit is None:
             hit = self._matches[s, cl] = match(self.events[s][2].value, self.events[r][2].cs)
         return hit
 
-    def sends_by_tag(self, pid: Pid) -> list[int]:
+    def table_header(self, pid: Pid) -> tuple[tuple[int, Pid, Tag, Optional[int]], ...]:
         """The sends addressed to pid, sorted once by ``name_sort_key`` of
-        their tags (ties in event order): the order of a candidate table."""
-        if pid not in self._by_tag:
-            sends = [s for q_sends in self.sends_to.get(pid, {}).values() for s in q_sends]
-            self._by_tag[pid] = sorted(sends, key=lambda s: name_sort_key(self.events[s][2].tag))
-        return self._by_tag[pid]
+        their tags (ties in event order), the order of a candidate table:
+        per send, ``(send, sender, tag, c)`` with c the receive of pid that
+        consumed it, or None. So the send was consumed before a receive r
+        of pid iff c is not None and c < r."""
+        header = self._headers.get(pid)
+        if header is None:
+            events, rec_at = self.events, self.rec_at
+            rows = []
+            for q, sends in self.sends_to.get(pid, {}).items():
+                for s in sends:
+                    tag = events[s][2].tag
+                    c = rec_at.get(tag)
+                    rows.append((s, q, tag, c if c is not None and events[c][0] == pid else None))
+            rows.sort(key=lambda row: name_sort_key(row[2]))
+            header = self._headers[pid] = tuple(rows)
+        return header
+
+    def match_column(self, r: int) -> tuple[bool, ...]:
+        """Per entry of ``table_header`` of r's process, whether the send
+        matches r's constraint: one column per process and clause list,
+        read off ``matches``."""
+        key = (self.events[r][0], self._clause_id(r))
+        column = self._columns.get(key)
+        if column is None:
+            header = self.table_header(key[0])
+            column = self._columns[key] = tuple(self.matches(s, r) for s, _, _, _ in header)
+        return column
 
     def oldest_waiting(self, r: int) -> dict[Pid, int]:
         """Per sender, its oldest message that receive r could take (r's

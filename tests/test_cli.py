@@ -272,6 +272,25 @@ def test_variant_refuses_non_racer(capsys):
     assert "not in the race set" in err and "received earlier" in err
 
 
+@pytest.mark.parametrize(
+    "tag, reason",
+    [
+        ("l2", "it is the message this receive consumed"),
+        ("l3", "no send of l3 is addressed to p3"),
+        ("nosuch", "no send of nosuch is addressed to p3"),
+    ],
+    ids=["own-message", "sent-elsewhere", "never-sent"],
+)
+def test_variant_refusal_without_a_table_row_names_its_reason(capsys, tag, reason):
+    # the receive's own message and a message not sent to its process have
+    # no candidate row to word the refusal from
+    code, out, err = run_cli(
+        capsys, "variant", fx("fix_run.trace"), "--receive", "l2", "--with", tag
+    )
+    assert code == 1 and out == ""
+    assert err == f"{tag} is not in the race set of l2 ({reason})\n"
+
+
 def test_orphans(capsys):
     code, out, _ = run_cli(capsys, "orphans", fx("fix_run.trace"))
     assert code == 0 and out.strip() == "{l7, l8}"

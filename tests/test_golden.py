@@ -152,3 +152,9 @@ def test_races_explain_output_is_exact(capsys):
     code = main(["races", "--explain", str(FIXTURES / "fix_run.trace")])
     assert code == 0
     assert capsys.readouterr().out == fixture_text("races_explain_run.txt")
+
+
+def test_races_explain_json_output_is_exact(capsys):
+    code = main(["--json", "races", "--explain", str(FIXTURES / "fix_run.trace")])
+    assert code == 0
+    assert capsys.readouterr().out == fixture_text("races_explain_run.json")

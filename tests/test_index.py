@@ -458,6 +458,16 @@ def test_race_tables_match_each_message_once_per_clause_list(monkeypatch):
     assert len(sort_keys) <= 401  # the events
 
 
+def test_race_tables_read_one_match_column_per_clause_list(monkeypatch):
+    # a TraceIndex.matches call per table row made 40 200 here; validation,
+    # oldest_waiting and the receiver's one match column make about 200 each
+    t = _fifo_chain(200)
+    asked = _record_calls(monkeypatch, TraceIndex.matches)
+    reports = all_races(t)
+    assert sum(len(rep.candidates) for rep in reports) == 200 * 199
+    assert len(asked) <= 600
+
+
 # ---------------------------------------------------------------------------
 # Race decisions without their explanation
 # ---------------------------------------------------------------------------

@@ -85,6 +85,28 @@ def test_candidate_explanations(run_trace):
     assert by_tag["l8"].in_race_set and by_tag["l8"].blocked_by is None
 
 
+def test_a_candidate_row_is_an_immutable_named_tuple(run_trace):
+    fields = ("l8", "p5", True, False, False, None, False, True)
+    row = CandidateCheck(*fields)
+    assert row in race_set(run_trace, "l2").candidates
+    with pytest.raises(AttributeError):
+        row.in_race_set = False
+    keywords = CandidateCheck(
+        tag="l8", sender="p5", matches=True, already_received=False, hb_excluded=False,
+        blocked_by=None, infeasible=False, in_race_set=True,
+    )
+    assert keywords == row and hash(keywords) == hash(row)
+    assert len({row, keywords}) == 1
+    # it iterates, and equals the plain tuple of its fields
+    assert tuple(row) == fields and row == fields
+    assert repr(row) == (
+        "CandidateCheck(tag='l8', sender='p5', matches=True, already_received=False, "
+        "hb_excluded=False, blocked_by=None, infeasible=False, in_race_set=True)"
+    )
+    assert all(f"{name}=" in repr(row) for name in CandidateCheck._fields)
+    assert row.reason() == "races"
+
+
 def test_blocked_by_earlier_send():
     # p3 sends two matching messages; only the older one can race
     t = Trace(
