@@ -1,6 +1,14 @@
 """Tokenizer and parsers for the textual term / constraint syntax.
 
-The grammar (shared by trace, interleaving and program files):
+The grammar (shared by trace, interleaving and program files), over tokens
+that ``tokenize`` reads one line at a time, skipping whitespace
+(``str.isspace``; only ``\\n`` ends a line) and ``%`` comments:
+
+    INT        ::= ["-"] digit+                  (digit: str.isdecimal)
+    ATOM | VAR ::= letter (alnum | "_")*         (letter: str.isalpha; VAR
+                                                  if it is upper case)
+    VAR        ::= "_" (alnum | "_")+            (alnum: str.isalnum)
+    SYM        ::= "->" | "==" | "/=" | "=<" | ">=" | one of {}[]()<>,;:.#=_
 
     term       ::= INT | ATOM | "{" terms "}" | "[" terms "]"
                  | "<" pidname ">" | "#" tagname
@@ -27,8 +35,10 @@ gatom) pairs that follow. A parenthesized chain in first place is spliced
 in (``(A and B) or C`` is ``A and B or C``); elsewhere it stays one operand,
 so the stored guard nests only as deep as its parentheses.
 
-Atoms are lowercase identifiers, variables start with an uppercase letter,
-``_`` is the wildcard. Pid names look like ``p1`` or ``p1.2``; tag names are
+A character that starts no token is a ``ParseError`` "unexpected
+character" at its line and column, both counted from 1 in characters; an
+integer literal past Python's limit on ``int()`` of a digit string is one at
+the literal. Pid names look like ``p1`` or ``p1.2``; tag names are
 either dotted names (``p3.1``) or plain identifiers (``l1``). Tuples and lists
 nest at most ``MAX_NESTING`` (100) deep in a term or pattern, and
 parentheses at most as deep in a guard; a deeper one is a ``ParseError`` at
@@ -37,7 +47,10 @@ the opening bracket or parenthesis past the limit.
 
 from __future__ import annotations
 
+import re
+import sys
 from dataclasses import dataclass
+from typing import Callable, TypeVar
 
 from .terms import (
     Atom,
@@ -59,6 +72,9 @@ from .terms import (
 )
 
 
+T = TypeVar("T")
+
+
 class ParseError(Exception):
     def __init__(self, message: str, line: int, col: int):
         super().__init__(f"{line}:{col}: {message}")
@@ -75,83 +91,54 @@ class Token:
     col: int
 
 
-_TWO_CHAR = ("->", "==", "/=", "=<", ">=")
-_ONE_CHAR = "{}[]()<>,;:.#=_"
+# One alternative per token class, tried in this order after whitespace;
+# ``bad`` is any other character, ``end`` the end of the line.
+_TOKEN = re.compile(
+    r"""\s*(?:
+        (?P<comment> %.* )
+      | (?P<int> -?\d+ )
+      | (?P<word> [^\W\d_]\w* )
+      | (?P<var> _\w+ )
+      | (?P<sym> -> | == | /= | =< | >= | [{}\[\]()<>,;:.\#=_] )
+      | (?P<bad> . )
+      | (?P<end> $ )
+    )""",
+    re.VERBOSE,
+)
 
 
 def tokenize(text: str) -> list[Token]:
     toks: list[Token] = []
-    line, col = 1, 1
-    i, n = 0, len(text)
-    while i < n:
-        c = text[i]
-        if c == "\n":
-            i += 1
-            line += 1
-            col = 1
-            continue
-        if c.isspace():
-            i += 1
-            col += 1
-            continue
-        if c == "%":  # comment to end of line
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        start_col = col
-        if text[i : i + 2] in _TWO_CHAR:
-            toks.append(Token("sym", text[i : i + 2], line, start_col))
-            i += 2
-            col += 2
-            continue
-        if c.isdigit() or (c == "-" and i + 1 < n and text[i + 1].isdigit()):
-            j = i + 1
-            while j < n and text[j].isdigit():
-                j += 1
-            toks.append(Token("int", text[i:j], line, start_col))
-            col += j - i
-            i = j
-            continue
-        if c.isalpha() or c == "ε":  # epsilon marks an empty sequence
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            word = text[i:j]
-            kind = "var" if word[0].isupper() else "atom"
-            if word == "ε":
-                kind = "atom"
-                j = i + 1
-                word = "ε"
-            toks.append(Token(kind, word, line, start_col))
-            col += j - i
-            i = j
-            continue
-        if c == "_":
-            j = i + 1
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            word = text[i:j]
-            toks.append(Token("var" if len(word) > 1 else "sym", word, line, start_col))
-            col += j - i
-            i = j
-            continue
-        if c in _ONE_CHAR:
-            toks.append(Token("sym", c, line, start_col))
-            i += 1
-            col += 1
-            continue
-        raise ParseError(f"unexpected character {c!r}", line, col)
+    for line, source in enumerate(text.split("\n"), 1):
+        pos = 0
+        while True:
+            m = _TOKEN.match(source, pos)
+            kind = m.lastgroup
+            col = m.start(kind) + 1
+            if kind in ("comment", "end"):
+                break
+            lexeme = m[kind]
+            # \w also takes numerals that are not letters, such as '²'
+            if kind == "word" and lexeme[0].isalpha():
+                kind = "var" if lexeme[0].isupper() else "atom"
+            elif kind in ("word", "bad"):
+                raise ParseError(f"unexpected character {lexeme[0]!r}", line, col)
+            toks.append(Token(kind, lexeme, line, col))
+            pos = m.end()
     toks.append(Token("eof", "", line, col))
     return toks
 
 
 class TokenStream:
     def __init__(self, tokens: list[Token]):
-        self.tokens = tokens
+        # two more copies of the final eof, so that peek(ahead) for
+        # ahead <= 2 is one index
+        self.tokens = tokens + tokens[-1:] * 2
         self.pos = 0
 
     def peek(self, ahead: int = 0) -> Token:
-        return self.tokens[min(self.pos + ahead, len(self.tokens) - 1)]
+        """The token `ahead` places on (at most 2); eof past the end."""
+        return self.tokens[self.pos + ahead]
 
     def next(self) -> Token:
         tok = self.peek()
@@ -191,6 +178,21 @@ class TokenStream:
             what = repr(text) if text else "an identifier"
             raise ParseError(f"expected {what}, found {tok.text!r}", tok.line, tok.col)
         return self.next()
+
+    def sep_list(self, item: Callable[[TokenStream], T], close: str, sep: str = ",") -> list[T]:
+        """``item (sep item)* close``, or ``close`` alone."""
+        items: list[T] = []
+        if not self.accept_sym(close):
+            items.append(item(self))
+            while self.accept_sym(sep):
+                items.append(item(self))
+            self.expect_sym(close)
+        return items
+
+    def expect_eof(self) -> None:
+        tok = self.peek()
+        if tok.kind != "eof":
+            raise ParseError(f"unexpected trailing input {tok.text!r}", tok.line, tok.col)
 
     def error(self, message: str) -> ParseError:
         tok = self.peek()
@@ -243,7 +245,13 @@ def _parse_pattern(ts: TokenStream, depth: int) -> Pattern:
     tok = ts.peek()
     if tok.kind == "int":
         ts.next()
-        return Int(int(tok.text))
+        try:
+            return Int(int(tok.text))
+        except ValueError:  # past Python's limit on int() of a digit string
+            raise ParseError(
+                f"integer literal longer than {sys.get_int_max_str_digits()} digits",
+                tok.line, tok.col,
+            ) from None
     if tok.kind == "var":
         ts.next()
         return Var(tok.text)
@@ -255,9 +263,9 @@ def _parse_pattern(ts: TokenStream, depth: int) -> Pattern:
     if (ts.at_sym("{") or ts.at_sym("[")) and depth == MAX_NESTING:
         raise ts.error(f"term nests deeper than {MAX_NESTING} tuples and lists")
     if ts.accept_sym("{"):
-        return Tup(tuple(_parse_pattern_list(ts, "}", depth + 1)))
+        return Tup(tuple(ts.sep_list(lambda ts: _parse_pattern(ts, depth + 1), "}")))
     if ts.accept_sym("["):
-        return Lst(tuple(_parse_pattern_list(ts, "]", depth + 1)))
+        return Lst(tuple(ts.sep_list(lambda ts: _parse_pattern(ts, depth + 1), "]")))
     if ts.accept_sym("<"):
         pid = parse_dotted_name(ts)
         ts.expect_sym(">")
@@ -265,17 +273,6 @@ def _parse_pattern(ts: TokenStream, depth: int) -> Pattern:
     if ts.accept_sym("#"):
         return TagLit(parse_dotted_name(ts))
     raise ts.error(f"expected a term, found {tok.text!r}")
-
-
-def _parse_pattern_list(ts: TokenStream, close: str, depth: int) -> list[Pattern]:
-    items: list[Pattern] = []
-    if ts.accept_sym(close):
-        return items
-    items.append(_parse_pattern(ts, depth))
-    while ts.accept_sym(","):
-        items.append(_parse_pattern(ts, depth))
-    ts.expect_sym(close)
-    return items
 
 
 def parse_term(ts: TokenStream):
@@ -327,16 +324,9 @@ def _parse_guard_atom(ts: TokenStream, depth: int) -> Guard:
 
 def _parse_operand(ts: TokenStream) -> Pattern:
     tok = ts.peek()
-    if tok.kind == "int":
-        ts.next()
-        return Int(int(tok.text))
-    if tok.kind == "var":
-        ts.next()
-        return Var(tok.text)
-    if tok.kind == "atom":
-        ts.next()
-        return Atom(tok.text)
-    raise ts.error(f"expected a guard operand, found {tok.text!r}")
+    if tok.kind not in ("int", "var", "atom"):
+        raise ts.error(f"expected a guard operand, found {tok.text!r}")
+    return _parse_pattern(ts, 0)
 
 
 # ---------------------------------------------------------------------------

@@ -155,47 +155,26 @@ def parse_program(text: str) -> Program:
     while ts.at_atom("def"):
         ts.next()
         name_tok = ts.expect_atom()
-        params = _parse_params(ts)
+        ts.expect_sym("(")
+        params = tuple(ts.sep_list(_parse_param, ")"))
         ts.expect_sym("{")
-        body = _parse_stmts(ts, counter)
-        ts.expect_sym("}")
+        body = tuple(ts.sep_list(lambda ts: _parse_stmt(ts, counter), "}", ";"))
         if name_tok.text in defs:
             raise ParseError(f"function {name_tok.text!r} defined twice",
                              name_tok.line, name_tok.col)
         defs[name_tok.text] = FunDef(name_tok.text, params, body)
     ts.expect_sym("}")
-    tok = ts.peek()
-    if tok.kind != "eof":
-        raise ParseError(f"unexpected trailing input {tok.text!r}", tok.line, tok.col)
+    ts.expect_eof()
     program = Program(defs, main)
     check_program(program)
     return program
 
 
-def _parse_params(ts: TokenStream) -> tuple[str, ...]:
-    ts.expect_sym("(")
-    params: list[str] = []
-    if not ts.at_sym(")"):
-        while True:
-            tok = ts.peek()
-            if tok.kind != "var":
-                raise ParseError(f"expected a parameter name, found {tok.text!r}",
-                                 tok.line, tok.col)
-            params.append(ts.next().text)
-            if not ts.accept_sym(","):
-                break
-    ts.expect_sym(")")
-    return tuple(params)
-
-
-def _parse_stmts(ts: TokenStream, counter: list[int]) -> tuple[Stmt, ...]:
-    stmts: list[Stmt] = []
-    if ts.at_sym("}"):
-        return ()
-    stmts.append(_parse_stmt(ts, counter))
-    while ts.accept_sym(";"):
-        stmts.append(_parse_stmt(ts, counter))
-    return tuple(stmts)
+def _parse_param(ts: TokenStream) -> str:
+    tok = ts.next()
+    if tok.kind != "var":
+        raise ParseError(f"expected a parameter name, found {tok.text!r}", tok.line, tok.col)
+    return tok.text
 
 
 def _parse_stmt(ts: TokenStream, counter: list[int]) -> Stmt:
@@ -237,13 +216,7 @@ def _parse_spawn_expr(ts: TokenStream) -> SpawnExpr:
     ts.expect_atom("spawn")
     fname = ts.expect_atom().text
     ts.expect_sym("(")
-    args: list[Pattern] = []
-    if not ts.at_sym(")"):
-        args.append(parse_pattern(ts))
-        while ts.accept_sym(","):
-            args.append(parse_pattern(ts))
-    ts.expect_sym(")")
-    return SpawnExpr(fname, tuple(args))
+    return SpawnExpr(fname, tuple(ts.sep_list(parse_pattern, ")")))
 
 
 def check_program(program: Program) -> None:

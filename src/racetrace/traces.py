@@ -693,9 +693,7 @@ def _parse_document(text: str, keyword: str):
                         f"unknown constraint id {cs_tok.text!r}", cs_tok.line, cs_tok.col
                     )
                 acts[i] = Rec(tag, constraints[cs_tok.text])
-    tok = ts.peek()
-    if tok.kind != "eof":
-        raise ParseError(f"unexpected trailing input {tok.text!r}", tok.line, tok.col)
+    ts.expect_eof()
     return initial, entries
 
 

@@ -76,6 +76,24 @@ def test_parse_error_is_usage(tmp_path, capsys):
     assert code == 2 and err
 
 
+@pytest.mark.parametrize(
+    "command, name, text, position",
+    [
+        ("validate", "sup.trace", "trace { initial: p1\n  p1: send(l1, {val,\u00b2}, p1) }\n",
+         "2:21"),
+        ("simulate", "sup.prog", "program { main f\n def f() { X = \u00b2 } }\n", "2:16"),
+    ],
+    ids=["trace", "program"],
+)
+def test_digit_that_is_not_decimal_is_an_unexpected_character(tmp_path, capsys, command, name,
+                                                             text, position):
+    path = tmp_path / name
+    path.write_text(text, encoding="utf-8")
+    code, out, err = run_cli(capsys, command, str(path))
+    assert code == 2 and out == ""
+    assert err == f"{path}: {position}: unexpected character '\u00b2'\n"
+
+
 # ---------------------------------------------------------------------------
 # hb / equiv
 # ---------------------------------------------------------------------------

@@ -15,6 +15,7 @@ from racetrace import (
     initial_state,
     name_sort_key,
     parse_program,
+    parse_trace,
     replay_prefix,
     run_deterministic,
     run_random,
@@ -133,6 +134,17 @@ def test_send_to_non_pid_rejected():
     )
     with pytest.raises(SimulationError, match="not a pid"):
         enabled(initial_state(program))
+
+
+def test_send_to_a_pid_not_yet_spawned_rejected():
+    # p1.1 names a pid, but no process of that name exists at the send
+    program = parse_program(
+        "program { main f\n def f() { send ok to <p1.1>; P = spawn g() }\n def g() { ok } }"
+    )
+    assert enabled(initial_state(program)) == [("p1", Send("p1.1", Atom("ok"), "p1.1"))]
+    with pytest.raises(SimulationError) as info:
+        run_random(program, seed=0)
+    assert str(info.value) == "p1: send target p1.1 is not a process"
 
 
 # ---------------------------------------------------------------------------
@@ -341,6 +353,29 @@ def test_divergence_messages_render_actions_in_the_logs_names(proga, tau_a):
     assert str(info.value) == (
         "divergence at prefix event 2: expected receive, program does send(p1.1.1, x, p1)"
     )
+
+
+def test_receive_divergences_name_the_logs_tags():
+    def divergence(program, trace):
+        with pytest.raises(DivergenceError) as info:
+            replay_prefix(parse_program(program), parse_trace(trace))
+        return str(info.value)
+
+    # the program's receive takes the second message, which the log calls l2
+    assert divergence(
+        "program { main f def f() { P = spawn g(); send {val,1} to P; send {val,2} to P } "
+        "def g() { receive { {val,2} -> ok } } }",
+        "trace { initial: p1\n p1: spawn(p2), send(l1, {val,1}, p2), send(l2, {val,2}, p2)\n"
+        " p2: rec(l1, c) }\n"
+        "constraints { c: {val,M} -> . }\n",
+    ) == "divergence at prefix event 3: receive consumes l2, log says l1"
+    # both take l1, under different clauses
+    assert divergence(
+        "program { main f def f() { P = spawn g(); send {val,1} to P } "
+        "def g() { receive { X -> ok } } }",
+        "trace { initial: p1\n p1: spawn(p2), send(l1, {val,1}, p2)\n p2: rec(l1, c) }\n"
+        "constraints { c: {val,M} -> . }\n",
+    ) == "divergence at prefix event 2: receive constraint differs from the log"
 
 
 def test_replay_accepts_foreign_names(proga, tau_a):

@@ -1,0 +1,178 @@
+"""The token layer: positions, kinds and the characters no token accepts.
+
+The property test checks ``tokenize`` against the lexical rules stated
+independently of its pattern: the tokens tile the input, so that only
+whitespace and ``%`` comments lie between them, and each kind agrees with
+``str.isalpha``, ``isupper`` and ``isdecimal`` of its text.
+"""
+
+import sys
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from racetrace import ParseError, parse_program, parse_trace
+from racetrace.parsing import TokenStream, parse_constraint, tokenize
+
+SYMBOLS = {"->", "==", "/=", "=<", ">=", *"{}[]()<>,;:.#=_"}
+# ASCII, letters of every case, decimal digits of other scripts, numerals
+# that are not decimal ('²', '½', 'Ⅷ'), whitespace that does not end a
+# line ('\r', '\x0b', '\xa0', '\u2028', '\x85') and a byte-order mark
+ALPHABET = [
+    *"abcXYZ_019 -%>=</{}[](),;:.#\t\n",
+    "ε", "é", "ǅ", "ﬁ", "Σ", "٣", "²", "½", "Ⅷ",
+    "\r\n", "\x0b", "\xa0", "\u2028", "\x85", "\ufeff", "% c\n", "->", "=<",
+]
+
+
+def starts_a_token(line: str, i: int) -> bool:
+    c, after = line[i], line[i + 1 : i + 2]
+    return (
+        c.isspace() or c.isalpha() or c.isdecimal() or c == "%"
+        or c in SYMBOLS or c + after in SYMBOLS or (c == "-" and after.isdecimal())
+    )
+
+
+def word_char(c: str) -> bool:
+    return c.isalnum() or c == "_"
+
+
+def kind_agrees(kind: str, text: str) -> bool:
+    if kind == "int":
+        digits = text[1:] if text.startswith("-") else text
+        return digits.isdecimal()
+    if kind == "sym":
+        return text in SYMBOLS
+    if not all(map(word_char, text)):
+        return False
+    if kind == "var":
+        return text[0].isalpha() and text[0].isupper() or text[0] == "_" and len(text) > 1
+    return kind == "atom" and text[0].isalpha() and not text[0].isupper()
+
+
+def skippable(gap: str, to_line_end: bool) -> bool:
+    """Whitespace only; up to the end of a line it may end in a comment."""
+    if to_line_end:
+        gap = gap.partition("%")[0]
+    return not gap or gap.isspace()
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.lists(st.sampled_from(ALPHABET), max_size=30).map("".join))
+def test_tokens_tile_the_input(text):
+    lines = text.split("\n")
+    try:
+        toks = tokenize(text)
+    except ParseError as err:
+        line = lines[err.line - 1]
+        assert not starts_a_token(line, err.col - 1)
+        assert err.message == f"unexpected character {line[err.col - 1]!r}"
+        return
+    *toks, eof = toks
+    at_line, at_col = 1, 1  # just past the previous token
+    for tok in toks:
+        while at_line < tok.line:
+            assert skippable(lines[at_line - 1][at_col - 1 :], to_line_end=True)
+            at_line, at_col = at_line + 1, 1
+        line = lines[tok.line - 1]
+        assert skippable(line[at_col - 1 : tok.col - 1], to_line_end=False)
+        end = tok.col - 1 + len(tok.text)
+        assert line[tok.col - 1 : end] == tok.text
+        assert kind_agrees(tok.kind, tok.text), tok
+        # each token is the longest one that starts there
+        rest = line[end : end + 1]
+        if rest:
+            if tok.kind in ("atom", "var") or tok.text == "_":
+                assert not word_char(rest)
+            if tok.kind == "int":
+                assert not rest.isdecimal()
+            if tok.kind == "sym":
+                assert tok.text + rest not in SYMBOLS
+        at_col = end + 1
+    while at_line < len(lines):
+        assert skippable(lines[at_line - 1][at_col - 1 :], to_line_end=True)
+        at_line, at_col = at_line + 1, 1
+    last = lines[-1][at_col - 1 :]
+    assert skippable(last, to_line_end=True)
+    # eof sits past the last token, at a final comment if there is one
+    assert (eof.kind, eof.text) == ("eof", "")
+    assert (eof.line, eof.col) == (len(lines), at_col + len(last) - len(last.lstrip()))
+
+
+def positions(text):
+    return [(t.kind, t.text, t.line, t.col) for t in tokenize(text)]
+
+
+@pytest.mark.parametrize(
+    "text, expected",
+    [
+        # a tab is one column
+        ("a\tB", [("atom", "a", 1, 1), ("var", "B", 1, 3), ("eof", "", 1, 4)]),
+        # '\r' is whitespace on its line; only '\n' starts a new one
+        ("a\r\nb\r\n", [("atom", "a", 1, 1), ("atom", "b", 2, 1), ("eof", "", 3, 1)]),
+        ("a\u2028b", [("atom", "a", 1, 1), ("atom", "b", 1, 3), ("eof", "", 1, 4)]),
+        # a comment does not move the column: eof sits where it starts
+        ("a  % note", [("atom", "a", 1, 1), ("eof", "", 1, 4)]),
+        ("a\n  % note\n% more", [("atom", "a", 1, 1), ("eof", "", 3, 1)]),
+        ("_ _x", [("sym", "_", 1, 1), ("var", "_x", 1, 3), ("eof", "", 1, 5)]),
+        ("-1->", [("int", "-1", 1, 1), ("sym", "->", 1, 3), ("eof", "", 1, 5)]),
+        # words start with a letter and go on with letters, numerals and '_'
+        ("εx ǅ ٣ a²", [("atom", "εx", 1, 1), ("atom", "ǅ", 1, 4), ("int", "٣", 1, 6),
+                       ("atom", "a²", 1, 8), ("eof", "", 1, 10)]),
+    ],
+    ids=["tab", "crlf", "line-separator", "comment-at-eof", "comment-lines", "underscore",
+         "minus", "unicode-words"],
+)
+def test_token_positions(text, expected):
+    assert positions(text) == expected
+
+
+@pytest.mark.parametrize(
+    "text, char, col",
+    [("a - 1", "-", 3), ("a -b", "-", 3), ("²", "²", 1), ("1²", "²", 2), ("-²", "-", 1),
+     ("½x", "½", 1), ("x /y", "/", 3), ("\ufeffa", "\ufeff", 1)],
+)
+def test_unexpected_character(text, char, col):
+    with pytest.raises(ParseError) as err:
+        tokenize(f"ok\n{text}")
+    assert (err.value.message, err.value.line, err.value.col) == (
+        f"unexpected character {char!r}", 2, col
+    )
+
+
+# ---------------------------------------------------------------------------
+# Integer literals past Python's limit on converting digit strings
+# ---------------------------------------------------------------------------
+
+LIMIT = sys.get_int_max_str_digits()
+LONG = "7" * (LIMIT + 1)
+TOO_LONG = f"integer literal longer than {LIMIT} digits"
+
+
+def error_at(parse, text):
+    with pytest.raises(ParseError) as err:
+        parse(text)
+    return str(err.value)
+
+
+def test_long_integer_in_a_trace():
+    text = f"trace {{ initial: p1\n  p1: send(l1, {{val,-{LONG}}}, p1) }}\n"
+    assert error_at(parse_trace, text) == f"2:21: {TOO_LONG}"
+
+
+def test_long_integer_in_a_guard():
+    text = f"c: X when X > {LONG} -> ."
+    assert error_at(lambda t: parse_constraint(TokenStream(tokenize(t))), text) == (
+        f"1:15: {TOO_LONG}"
+    )
+
+
+def test_long_integer_in_a_program():
+    text = f"program {{ main f\n def f() {{ X = {LONG} }} }}\n"
+    assert error_at(parse_program, text) == f"2:16: {TOO_LONG}"
+
+
+def test_integer_at_the_limit_parses():
+    t = parse_trace(f"trace {{ initial: p1\n  p1: send(l1, {LONG[1:]}, p1) }}\n")
+    assert str(t.procs["p1"][0].value.value) == LONG[1:]
