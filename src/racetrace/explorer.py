@@ -81,7 +81,6 @@ class ExplorationReport:
     orphans: dict[str, list[Tag]] = field(default_factory=dict)
     race_counts: dict[str, int] = field(default_factory=dict)
     origins: dict[str, Optional[Origin]] = field(default_factory=dict)
-    order: list[str] = field(default_factory=list)  # insertion order of keys
     variants_enqueued: int = 0
     duplicate_traces: int = 0
     duplicate_variants: int = 0
@@ -89,6 +88,11 @@ class ExplorationReport:
     divergences: int = 0
     step_limited: int = 0
     bounded: bool = False  # stopped at max_traces before the fixpoint
+
+    @property
+    def order(self) -> list[str]:
+        """The keys of the traces, in the order they were recorded."""
+        return list(self.traces)
 
     def render(self) -> str:
         lines = [
@@ -102,7 +106,7 @@ class ExplorationReport:
             f"bounded: {'yes' if self.bounded else 'no'}",
             "",
         ]
-        for n, key in enumerate(self.order, start=1):
+        for n, key in enumerate(self.traces, start=1):
             origin = self.origins[key]
             via = (
                 f" via {origin.old_tag}->{origin.new_tag} at "
@@ -149,7 +153,6 @@ def explore(
         report.outcomes[key] = str(outcome)
         report.orphans[key] = sorted(index.orphans(), key=name_sort_key)
         report.origins[key] = origin
-        report.order.append(key)
         # per process, how many of its events it shares with the parent, read
         # off the variant's order (a process spawned there without events
         # shares 0); the replay added the rest, and each process's first
@@ -215,21 +218,16 @@ def distinctness_check(report: ExplorationReport) -> Optional[str]:
     unique and serializations are byte-equal iff traces are equal, so the
     traces are then pairwise distinct: O(T) serializations, no pairwise
     comparison."""
-    keys = report.order
-    position: dict[str, int] = {}
-    for key in keys:
-        if key in position:
-            return f"duplicate traces under keys {key!r} and {key!r}"
-        position[key] = len(position)
-    for key in keys:
-        own = report.traces[key].key()
+    position = {key: n for n, key in enumerate(report.traces)}
+    for key, t in report.traces.items():
+        own = t.key()
         if own == key:
             continue
         if own in position:
             k1, k2 = sorted((key, own), key=position.__getitem__)
             return f"duplicate traces under keys {k1!r} and {k2!r}"
         return f"trace under key {key!r} does not serialize to its key"
-    for key in keys:
+    for key in report.traces:
         origin = report.origins.get(key)
         if origin is None:
             continue

@@ -215,12 +215,17 @@ def parse_dotted_name(ts: TokenStream) -> str:
 
 
 def name_sort_key(name: str) -> tuple:
-    """Order dotted names numerically: p1.2 < p1.10, l2 < l10."""
+    """Order dotted names numerically: p1.2 < p1.10, l2 < l10, l01 ties l1.
+
+    The number that ends a part is keyed by its length and digits without
+    leading zeros, which orders it like ``int()`` at any length; a part
+    without one sorts before a part that ends in 0."""
     key: list[tuple] = []
     for part in name.split("."):
         alpha = part.rstrip("0123456789")
         digits = part[len(alpha) :]
-        key.append((alpha, int(digits) if digits else -1))
+        number = digits.lstrip("0")
+        key.append((alpha, len(number) if digits else -1, number))
     return tuple(key)
 
 

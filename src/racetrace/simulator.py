@@ -1,10 +1,11 @@
 """A deterministic toy actor language that records traces as it runs.
 
 Programs consist of function definitions whose bodies are statements:
-variable binds, ``spawn f(args)``, ``send term to pid``, selective
-``receive`` with pattern/guard clauses, and bare value expressions. Local
-steps (binds of plain terms, value expressions) execute silently; the global
-actions -- spawn, send, receive -- are scheduled one at a time and recorded.
+``spawn f(args)``, ``send term to pid``, selective ``receive`` with
+pattern/guard clauses, and value binds. A spawn or bind may name a variable
+(``X = spawn f()``); a bind that names none is a bare value expression.
+Binds execute silently; the global actions -- spawn, send, receive -- are
+scheduled one at a time and recorded.
 
 Scheduling realizes message delivery: a send enqueues at the target mailbox
 immediately, so per-sender FIFO holds by construction and cross-sender
@@ -18,16 +19,20 @@ runs the ``linearize`` order of a trace or of its index, validated once,
 from ``initial_state`` with the log's names aligned to the simulator's;
 the explorer replays each variant's order from ``initial_state`` too.
 
+A state is the program and its processes, in canonical pid order. A
+process owns what the run keeps of it: statements, bindings, mailbox,
+recorded actions, the counts of children spawned and messages sent, which
+name the next ones, and its ``name_sort_key``, computed once at its spawn
+to insert it in place, so no step sorts the pids.
+
 Each step evaluates a process's next action once: a scheduler step once
 per process, to find the enabled ones, and then applies the one it picks;
 ``step`` and ``replay_order`` evaluate only the pid they step, check it,
-and apply what they evaluated. A state keeps its processes in canonical
-pid order: a spawned child's sort key is computed once and the child is
-inserted at its place, so no step sorts the pids. A received message is
-matched against its constraint once, which finds it and picks its clause;
-only that clause's pattern is matched again, for the bindings. The
-exhaustive run over every schedule, the reference ``explore`` is checked
-against, is ``racetrace.oracles.enumerate_executions``.
+and apply what they evaluated. A received message is matched against its
+constraint once, which finds it and picks its clause; only that clause's
+pattern is matched again, for the bindings. The exhaustive run over every
+schedule, the reference ``explore`` is checked against, is
+``racetrace.oracles.enumerate_executions``.
 
 Names are hierarchical and schedule-invariant: the initial process is
 ``p1``, the k-th process spawned by P is ``P.k``, and the k-th message sent
@@ -41,6 +46,7 @@ import bisect
 import itertools
 import random
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import Callable, Optional, Sequence, Union
 
 from .parsing import (
@@ -95,15 +101,16 @@ class DivergenceError(Exception):
 
 
 @dataclass(frozen=True)
-class SpawnExpr:
+class SpawnStmt:
+    var: Optional[str]  # None for a bare spawn statement
     fname: str
     args: tuple[Pattern, ...]
 
 
 @dataclass(frozen=True)
 class BindStmt:
-    var: Optional[str]  # None for a bare spawn statement
-    expr: Union[SpawnExpr, Pattern]
+    var: Optional[str]  # None for a bare value expression
+    value: Pattern
 
 
 @dataclass(frozen=True)
@@ -118,12 +125,7 @@ class ReceiveStmt:
     bodies: tuple[tuple["Stmt", ...], ...]  # one body per clause
 
 
-@dataclass(frozen=True)
-class ExprStmt:
-    value: Pattern
-
-
-Stmt = Union[BindStmt, SendStmt, ReceiveStmt, ExprStmt]
+Stmt = Union[SpawnStmt, BindStmt, SendStmt, ReceiveStmt]
 
 
 @dataclass(frozen=True)
@@ -179,14 +181,6 @@ def _parse_param(ts: TokenStream) -> str:
 
 def _parse_stmt(ts: TokenStream, counter: list[int]) -> Stmt:
     tok = ts.peek()
-    if tok.kind == "var" and ts.peek(1).kind == "sym" and ts.peek(1).text == "=":
-        ts.next()
-        ts.next()
-        if ts.at_atom("spawn"):
-            return BindStmt(tok.text, _parse_spawn_expr(ts))
-        return BindStmt(tok.text, parse_pattern(ts))
-    if ts.at_atom("spawn"):
-        return BindStmt(None, _parse_spawn_expr(ts))
     if ts.at_atom("send"):
         ts.next()
         value = parse_pattern(ts)
@@ -209,14 +203,17 @@ def _parse_stmt(ts: TokenStream, counter: list[int]) -> Stmt:
         ts.expect_sym("}")
         counter[0] += 1
         return ReceiveStmt(constraint_at(f"cs{counter[0]}", clauses, tok), tuple(bodies))
-    return ExprStmt(parse_pattern(ts))
-
-
-def _parse_spawn_expr(ts: TokenStream) -> SpawnExpr:
-    ts.expect_atom("spawn")
-    fname = ts.expect_atom().text
-    ts.expect_sym("(")
-    return SpawnExpr(fname, tuple(ts.sep_list(parse_pattern, ")")))
+    var = None
+    if tok.kind == "var" and ts.peek(1).kind == "sym" and ts.peek(1).text == "=":
+        ts.next()
+        ts.next()
+        var = tok.text
+    if ts.at_atom("spawn"):
+        ts.next()
+        fname = ts.expect_atom().text
+        ts.expect_sym("(")
+        return SpawnStmt(var, fname, tuple(ts.sep_list(parse_pattern, ")")))
+    return BindStmt(var, parse_pattern(ts))
 
 
 def check_program(program: Program) -> None:
@@ -229,34 +226,32 @@ def check_program(program: Program) -> None:
 
 
 def _check_stmts(program: Program, stmts: tuple[Stmt, ...], bound: set[str],
-                 where: str) -> set[str]:
+                 where: str) -> None:
     for stmt in stmts:
-        if isinstance(stmt, BindStmt):
-            if isinstance(stmt.expr, SpawnExpr):
-                callee = program.defs.get(stmt.expr.fname)
-                if callee is None:
-                    raise ProgramError(f"{where}: unknown function {stmt.expr.fname!r}")
-                if len(callee.params) != len(stmt.expr.args):
-                    raise ProgramError(
-                        f"{where}: {stmt.expr.fname} expects {len(callee.params)} "
-                        f"argument(s), got {len(stmt.expr.args)}"
-                    )
-                for arg in stmt.expr.args:
-                    _check_expr(arg, bound, where)
-            else:
-                _check_expr(stmt.expr, bound, where)
+        if isinstance(stmt, SpawnStmt):
+            callee = program.defs.get(stmt.fname)
+            if callee is None:
+                raise ProgramError(f"{where}: unknown function {stmt.fname!r}")
+            if len(callee.params) != len(stmt.args):
+                raise ProgramError(
+                    f"{where}: {stmt.fname} expects {len(callee.params)} "
+                    f"argument(s), got {len(stmt.args)}"
+                )
+            for arg in stmt.args:
+                _check_expr(arg, bound, where)
+            if stmt.var is not None:
+                bound.add(stmt.var)
+        elif isinstance(stmt, BindStmt):
+            _check_expr(stmt.value, bound, where)
             if stmt.var is not None:
                 bound.add(stmt.var)
         elif isinstance(stmt, SendStmt):
             _check_expr(stmt.value, bound, where)
             _check_expr(stmt.target, bound, where)
-        elif isinstance(stmt, ReceiveStmt):
+        else:
             for clause, body in zip(stmt.cs.clauses, stmt.bodies):
                 _check_stmts(program, body, bound | set(pattern_vars(clause.pattern)),
                              where)
-        else:
-            _check_expr(stmt.value, bound, where)
-    return bound
 
 
 def _check_expr(expr: Pattern, bound: set[str], where: str) -> None:
@@ -282,22 +277,19 @@ def serialize_program(program: Program) -> str:
 
 
 def _render_stmt(stmt: Stmt) -> str:
-    if isinstance(stmt, BindStmt):
-        rhs = (
-            f"spawn {stmt.expr.fname}({', '.join(render_term(a) for a in stmt.expr.args)})"
-            if isinstance(stmt.expr, SpawnExpr)
-            else render_term(stmt.expr)
-        )
-        return rhs if stmt.var is None else f"{stmt.var} = {rhs}"
-    if isinstance(stmt, SendStmt):
+    if isinstance(stmt, SpawnStmt):
+        rhs = f"spawn {stmt.fname}({', '.join(render_term(a) for a in stmt.args)})"
+    elif isinstance(stmt, BindStmt):
+        rhs = render_term(stmt.value)
+    elif isinstance(stmt, SendStmt):
         return f"send {render_term(stmt.value)} to {render_term(stmt.target)}"
-    if isinstance(stmt, ReceiveStmt):
+    else:
         rendered = (
             render_clause(clause, _render_stmt(body[0]))
             for clause, body in zip(stmt.cs.clauses, stmt.bodies)
         )
         return "receive { " + "; ".join(rendered) + " }"
-    return render_term(stmt.value)
+    return rhs if stmt.var is None else f"{stmt.var} = {rhs}"
 
 
 # ---------------------------------------------------------------------------
@@ -307,55 +299,50 @@ def _render_stmt(stmt: Stmt) -> str:
 
 @dataclass
 class ProcState:
+    """A process and all the run keeps of it (see the module docstring)."""
+
     pid: Pid
-    mailbox: list[tuple[Tag, Term]]
+    key: tuple  # name_sort_key(pid)
     stmts: list[Stmt]
     env: dict[str, Term]
+    mailbox: list[tuple[Tag, Term]] = field(default_factory=list)
+    recorded: list[Action] = field(default_factory=list)
+    spawns: int = 0
+    sends: int = 0
 
     def clone(self) -> "ProcState":
-        return ProcState(self.pid, list(self.mailbox), list(self.stmts), dict(self.env))
+        return ProcState(self.pid, self.key, list(self.stmts), dict(self.env),
+                         list(self.mailbox), list(self.recorded), self.spawns, self.sends)
 
 
 @dataclass
 class SysState:
     program: Program
     procs: dict[Pid, ProcState]  # in canonical pid order (``name_sort_key``)
-    recorded: dict[Pid, list[Action]]
-    keys: list[tuple]  # the ``name_sort_key`` of each pid of procs, in order
-    spawn_counts: dict[Pid, int] = field(default_factory=dict)
-    tag_counts: dict[Pid, int] = field(default_factory=dict)
 
     def clone(self) -> "SysState":
-        return SysState(
-            self.program,
-            {p: ps.clone() for p, ps in self.procs.items()},
-            {p: list(a) for p, a in self.recorded.items()},
-            list(self.keys),
-            dict(self.spawn_counts),
-            dict(self.tag_counts),
-        )
+        return SysState(self.program, {p: ps.clone() for p, ps in self.procs.items()})
 
     def trace(self) -> Trace:
-        return Trace("p1", {p: tuple(a) for p, a in self.recorded.items()})
+        return Trace("p1", {p: tuple(ps.recorded) for p, ps in self.procs.items()})
 
     def add_proc(self, proc: ProcState) -> None:
-        """Add a spawned process at its place in canonical pid order; its sort
-        key is computed here, once, so no step sorts the pids again."""
-        key = name_sort_key(proc.pid)
-        at = bisect.bisect(self.keys, key)
-        self.keys.insert(at, key)
-        procs = list(self.procs.items())
-        procs.insert(at, (proc.pid, proc))
-        self.procs = dict(procs)
-        self.recorded[proc.pid] = []
+        """Add a spawned process at its place in canonical pid order, found by
+        the sort key it was created with, so no step sorts the pids again."""
+        procs = list(self.procs.values())
+        procs.insert(bisect.bisect(procs, proc.key, key=attrgetter("key")), proc)
+        self.procs = {ps.pid: ps for ps in procs}
+
+
+def _start(pid: Pid, fdef: FunDef, env: dict[str, Term]) -> ProcState:
+    """A new process about to run fdef's body, settled."""
+    proc = ProcState(pid, name_sort_key(pid), list(fdef.body), env)
+    _settle(proc)
+    return proc
 
 
 def initial_state(program: Program) -> SysState:
-    main = program.defs[program.main]
-    proc = ProcState("p1", [], list(main.body), {})
-    sys = SysState(program, {"p1": proc}, {"p1": []}, [name_sort_key("p1")])
-    _settle(proc)
-    return sys
+    return SysState(program, {"p1": _start("p1", program.defs[program.main], {})})
 
 
 def _eval(expr: Pattern, env: dict[str, Term]) -> Term:
@@ -374,22 +361,13 @@ def _eval(expr: Pattern, env: dict[str, Term]) -> Term:
 
 
 def _settle(proc: ProcState) -> None:
-    """Run local statements silently until the next global action."""
-    while proc.stmts:
+    """Run the leading binds silently, up to the next global action."""
+    while proc.stmts and isinstance(proc.stmts[0], BindStmt):
         stmt = proc.stmts[0]
-        if isinstance(stmt, (SendStmt, ReceiveStmt)):
-            return
-        if isinstance(stmt, BindStmt):
-            if isinstance(stmt.expr, SpawnExpr):
-                return
-            value = _eval(stmt.expr, proc.env)
-            proc.stmts.pop(0)
-            if stmt.var is not None:
-                proc.env[stmt.var] = value
-            continue
-        assert isinstance(stmt, ExprStmt)
-        _eval(stmt.value, proc.env)  # evaluated for effect-freedom, then dropped
+        value = _eval(stmt.value, proc.env)
         proc.stmts.pop(0)
+        if stmt.var is not None:
+            proc.env[stmt.var] = value
 
 
 def _oldest_match(proc: ProcState, cs: Constraint) -> Optional[tuple[int, int]]:
@@ -413,10 +391,10 @@ def _next_action(sys: SysState, pid: Pid) -> Optional[_NextAction]:
     if not proc.stmts:
         return None
     stmt = proc.stmts[0]
-    if isinstance(stmt, BindStmt):  # settled: must be a spawn bind
-        return Spawn(f"{pid}.{sys.spawn_counts.get(pid, 0) + 1}"), None
+    if isinstance(stmt, SpawnStmt):
+        return Spawn(f"{pid}.{proc.spawns + 1}"), None
     if isinstance(stmt, SendStmt):
-        tag = f"{pid}.{sys.tag_counts.get(pid, 0) + 1}"
+        tag = f"{pid}.{proc.sends + 1}"
         value = _eval(stmt.value, proc.env)
         target = _eval(stmt.target, proc.env)
         if not isinstance(target, PidLit):
@@ -460,20 +438,15 @@ def _apply(sys: SysState, pid: Pid, nxt: _NextAction) -> None:
     stmt = proc.stmts.pop(0)
 
     if isinstance(action, Spawn):
-        assert isinstance(stmt, BindStmt) and isinstance(stmt.expr, SpawnExpr)
-        sys.spawn_counts[pid] = sys.spawn_counts.get(pid, 0) + 1
-        fdef = sys.program.defs[stmt.expr.fname]
-        env = {
-            name: _eval(arg, proc.env)
-            for name, arg in zip(fdef.params, stmt.expr.args)
-        }
-        child = ProcState(action.child, [], list(fdef.body), env)
-        sys.add_proc(child)
+        assert isinstance(stmt, SpawnStmt)
+        proc.spawns += 1
+        fdef = sys.program.defs[stmt.fname]
+        env = {name: _eval(arg, proc.env) for name, arg in zip(fdef.params, stmt.args)}
+        sys.add_proc(_start(action.child, fdef, env))
         if stmt.var is not None:
             proc.env[stmt.var] = PidLit(action.child)
-        _settle(child)
     elif isinstance(action, Send):
-        sys.tag_counts[pid] = sys.tag_counts.get(pid, 0) + 1
+        proc.sends += 1
         sys.procs[action.target].mailbox.append((action.tag, action.value))
     else:
         assert isinstance(stmt, ReceiveStmt) and found is not None
@@ -482,7 +455,7 @@ def _apply(sys: SysState, pid: Pid, nxt: _NextAction) -> None:
         proc.env.update(match_pattern(stmt.cs.clauses[idx].pattern, value))
         proc.stmts = list(stmt.bodies[idx]) + proc.stmts
 
-    sys.recorded[pid].append(action)
+    proc.recorded.append(action)
     _settle(proc)
 
 

@@ -94,6 +94,32 @@ def test_digit_that_is_not_decimal_is_an_unexpected_character(tmp_path, capsys, 
     assert err == f"{path}: {position}: unexpected character '\u00b2'\n"
 
 
+# a tag, a pid and a constraint id that each end in the number n, and a race
+NAMED_TRACE = """trace {{ initial: p1
+  p1: spawn(p1.{n}), spawn(p1.1), send(l{n}, {{val,1}}, p1.{n})
+  p1.1: send(l1, {{val,2}}, p1.{n})
+  p1.{n}: rec(l{n}, cs{n}), rec(l1, cs{n}) }}
+constraints {{ cs{n}: {{val,X}} -> . }}
+"""
+
+
+@pytest.mark.parametrize(
+    "command",
+    [["validate"], ["hb"], ["races"], ["races", "--explain"], ["orphans"]],
+    ids=["validate", "hb", "races", "explain", "orphans"],
+)
+def test_names_may_end_in_a_number_past_the_int_digit_limit(tmp_path, capsys, command):
+    # 5 000 digits is past Python's 4 300-digit limit on int() of a digit
+    # string; the results are those for names ending in 7, renamed
+    long = "7" * 5000
+    short_path, long_path = tmp_path / "short.trace", tmp_path / "long.trace"
+    short_path.write_text(NAMED_TRACE.format(n="7"))
+    long_path.write_text(NAMED_TRACE.format(n=long))
+    code, short_out, _ = run_cli(capsys, *command, str(short_path))
+    assert code == 0 and short_out
+    assert run_cli(capsys, *command, str(long_path)) == (0, short_out.replace("7", long), "")
+
+
 # ---------------------------------------------------------------------------
 # hb / equiv
 # ---------------------------------------------------------------------------

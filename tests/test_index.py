@@ -387,7 +387,7 @@ def test_each_step_evaluates_a_process_once(monkeypatch, progc):
     evaluated = _record_calls(
         monkeypatch,
         simulator_module._next_action,
-        lambda sys: (sum(map(len, sys.recorded.values())), len(sys.procs)),
+        lambda sys: (sum(len(ps.recorded) for ps in sys.procs.values()), len(sys.procs)),
     )
     sys = initial_state(progc)
     simulator_module.replay_order(sys, order)

@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from racetrace import (
     ParseError,
@@ -200,3 +202,33 @@ def test_nonlinear_pattern_rejected_in_constraint():
 def test_name_sort_key_is_numeric():
     names = ["p1.10", "p1.2", "p2", "p1", "l10", "l2"]
     assert sorted(names, key=name_sort_key) == ["l2", "l10", "p1", "p1.2", "p1.10", "p2"]
+    assert name_sort_key("l01") == name_sort_key("l1")
+    # past Python's 4 300-digit limit on int() of a digit string
+    assert name_sort_key("l" + "9" * 5000) < name_sort_key("l1" + "0" * 5000)
+    assert name_sort_key("l" + "0" * 5000 + "1") == name_sort_key("l1")
+
+
+def _int_sort_key(name):
+    """The key ``name_sort_key`` must agree with: ``int()`` of the digits
+    that end each part, -1 for a part without."""
+    key = []
+    for part in name.split("."):
+        alpha = part.rstrip("0123456789")
+        digits = part[len(alpha):]
+        key.append((alpha, int(digits) if digits else -1))
+    return tuple(key)
+
+
+# a part is letters, then leading zeros, then digits, each possibly empty
+_parts = st.tuples(st.sampled_from(["", "l", "p", "cs"]), st.sampled_from(["", "0", "00"]),
+                   st.text("0123456789", max_size=3)).map("".join)
+_names = st.lists(_parts, min_size=1, max_size=3).map(".".join)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_names, _names)
+def test_name_sort_key_orders_like_int_of_the_digits(a, b):
+    key_a, key_b = name_sort_key(a), name_sort_key(b)
+    ref_a, ref_b = _int_sort_key(a), _int_sort_key(b)
+    assert (key_a < key_b) == (ref_a < ref_b)
+    assert (key_a == key_b) == (ref_a == ref_b)

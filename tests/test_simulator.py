@@ -128,6 +128,31 @@ def test_step_of_disabled_pid_rejected(proga):
         step(sys, "p1.1")
 
 
+def test_clone_of_a_mid_run_state_is_independent():
+    # enumerate_executions steps clones of one state: a clone shares no
+    # mailbox, log or spawn and send count with the state it came from
+    program = parse_program(
+        "program { main main\n"
+        "  def main() { A = spawn worker(); send {val,1} to A; send {val,2} to A;"
+        " send {val,3} to A }\n"
+        "  def worker() { spawn idle(); receive { {val,X} -> ok }; spawn idle();"
+        " receive { {val,Y} -> ok }; receive { {val,Z} -> ok } }\n"
+        "  def idle() { ok } }\n"
+    )
+    sys = initial_state(program)
+    for pid in ("p1", "p1", "p1", "p1.1", "p1.1"):
+        step(sys, pid)
+    # p1.1 holds {val,2}; p1 and p1.1 have each named a message or a child
+    trace, nexts = sys.trace(), enabled(sys)
+    assert nexts == [("p1", Send("p1.3", val(3), "p1.1")), ("p1.1", Spawn("p1.1.2"))]
+
+    clone = sys.clone()
+    clone_run = run_deterministic(clone)
+    assert clone_run[1] == Outcome("completed") and clone.trace() != trace
+    assert sys.trace() == trace and enabled(sys) == nexts
+    assert run_deterministic(sys) == clone_run
+
+
 def test_send_to_non_pid_rejected():
     program = parse_program(
         "program { main f\n def f() { X = ok; send ok to X } }"
