@@ -32,10 +32,11 @@ Cost: ``racers_at`` reads the receive's ``oldest_waiting`` messages, at most
 one per sender, and stops there when no other sender has one waiting.
 Otherwise it marks the cut once (``_erased``, one forward traversal), and
 the validity gate reads that cut and validates nothing: the rewritten trace
-keeps the events the receive did not happen before and adds the new
-receive, so one check per receive (no kept send addresses an erased
-process) and one forward traversal per survivor (no other message waiting
-at the receive must precede it) decide it. The explorer and ``variant``
+keeps the events the receive did not happen before and adds the new receive,
+so one check (no kept send addresses an erased process) and one forward
+traversal from all the messages waiting at the receive (no other may precede
+a survivor) decide it for every survivor at once: linear in the events and
+edges kept, whatever the number of senders. The explorer and ``variant``
 read only ``racers_at``. ``all_races`` and ``race_set`` validate once, or
 not at all given an index ``valid_index`` returned, and add each receive's
 table: one more traversal when the decision made none, and per-receiver
@@ -198,8 +199,11 @@ def _variant_gate(
         message per sender still waiting at r inside K (r's own message,
         now unconsumed, among them), so s is infeasible iff some w in W
         other than s reaches s through K's hb and ordering edges
-        (``_kept_succ``). One forward traversal per candidate decides it;
-        a visited node's kept edges are read once for all of r's.
+        (``_kept_succ``). K is acyclic, being part of a valid trace's
+        graph, so no path leads from s back to s, and s is infeasible iff
+        a kept edge enters it from an event W reaches (W included). One
+        traversal from all of W answers every candidate: it reads each
+        kept event's edges at most once, whatever the size of W.
     """
     if any(
         not gone[v]
@@ -208,27 +212,16 @@ def _variant_gate(
         for v in sends
     ):
         return lambda s: True
-    waiting = [w for w in oldest.values() if not gone[w]]
-    kept: list[list[int] | None] = [None] * len(index.events)
-
-    def infeasible(s: int) -> bool:
-        seen = bytearray(len(index.events))
-        stack = [w for w in waiting if w != s]
-        for w in stack:
-            seen[w] = 1
-        while stack:
-            v = stack.pop()
-            if kept[v] is None:
-                kept[v] = _kept_succ(index, r, gone, v)
-            for u in kept[v]:
-                if u == s:
-                    return True
-                if not seen[u]:
-                    seen[u] = 1
-                    stack.append(u)
-        return False
-
-    return infeasible
+    stack = [w for w in oldest.values() if not gone[w]]
+    mark = bytearray(len(index.events))  # 1: in W, 2: entered by a kept edge
+    for w in stack:
+        mark[w] = 1
+    while stack:
+        for u in _kept_succ(index, r, gone, stack.pop()):
+            if not mark[u]:
+                stack.append(u)
+            mark[u] = 2
+    return lambda s: mark[s] == 2
 
 
 def _kept_succ(index: TraceIndex, r: int, gone: bytearray, v: int) -> list[int]:

@@ -39,6 +39,7 @@ from racetrace import terms as terms_module
 from racetrace import traces as traces_module
 from racetrace.causality import hb_graph_unchecked
 from racetrace.cli import main
+from racetrace.races import racers_at
 from racetrace.terms import Atom, Int, Tup, match
 from racetrace.traces import TraceIndex, first_cycle, valid_index
 
@@ -526,6 +527,37 @@ def test_race_tables_walk_once_per_receive(monkeypatch):
     reports = all_races(_fanin(3, 2))
     assert [len(rep.racers) for rep in reports] == [2, 2, 2, 2, 1, 0]
     assert len(walks) == len(reports)
+
+
+def test_the_validity_gate_reads_each_edge_list_once_per_receive(monkeypatch):
+    # one traversal per candidate read kept edge lists 31 730 times here:
+    # each of a receive's up to 19 candidates walked from the other waiting
+    # messages
+    reads = []
+
+    class CountedReads(list):
+        def __iter__(self):
+            reads.append(1)
+            return super().__iter__()
+
+    kept_succ = races_module._kept_succ
+    monkeypatch.setattr(races_module, "_kept_succ", lambda *a: CountedReads(kept_succ(*a)))
+    k, m = 20, 3
+    index = valid_index(_fanin(k, m))
+    receives = [r for r, (_, _, a) in enumerate(index.events) if isinstance(a, Rec)]
+    assert (len(index.events), len(receives)) == (141, 60)
+    senders = [f"p1.{j}" for j in range(2, k + 2)]
+    consumed = dict.fromkeys(senders, 0)
+    for r in receives:
+        reads.clear()
+        racers = racers_at(index, r)
+        assert len(reads) <= len(index.events), index.loc(r)
+        # every other sender's oldest unconsumed message races
+        q = index.events[r][2].tag.rsplit(".", 1)[0]
+        assert racers == {
+            f"{p}.{consumed[p] + 1}" for p in senders if p != q and consumed[p] < m
+        }, index.loc(r)
+        consumed[q] += 1
 
 
 def test_explore_without_races_walks_from_no_receive(monkeypatch):

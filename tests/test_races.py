@@ -22,10 +22,10 @@ from racetrace import (
 from racetrace.causality import EventId, linearize
 from racetrace.parsing import name_sort_key
 from racetrace.races import (
-    CandidateCheck, RaceReport, _erased, _variant_gate, race_report, racers_at, variant_order,
+    CandidateCheck, RaceReport, _erased, _kept_succ, race_report, racers_at, variant_order,
 )
 from racetrace.terms import Atom, Int, Tup, match
-from racetrace.traces import TraceIndex, valid_index
+from racetrace.traces import Pid, TraceIndex, valid_index
 
 from conftest import GENCOLL4, fixture_text
 from strategies import CS_ANY, CS_POS, programs, traces
@@ -239,6 +239,63 @@ DANGLING_SEND = Trace(
 )
 
 
+# Three traces for the validity gate's one traversal per receive, where an
+# event is reached along more than one path. At p2's receive of l2, the waiting l1 reaches p3's
+# receive of l4 along two paths (through p3's program order, and through p5):
+# l1 is still feasible, and races
+DIAMOND = Trace(
+    "p1",
+    {
+        "p1": (Spawn("p2"), Spawn("p3"), Spawn("p4"), Spawn("p5")),
+        "p2": (Rec("l2", CS_ANY),),
+        "p3": (Send("l1", val(1), "p2"), Send("l3", val(1), "p5"), Rec("l4", CS_ANY)),
+        "p4": (Send("l2", val(1), "p2"),),
+        "p5": (Rec("l3", CS_ANY), Send("l4", val(1), "p3")),
+    },
+)
+# At p2's receive of l1, both l1 (through l2, then the ordering edges
+# l2 -> l4 -> l5 of the earlier receives) and l3 (through l4) reach l5, so
+# l5 is forced behind them and infeasible; l3 races
+TWO_CHAINS = Trace(
+    "p1",
+    {
+        "p1": (Spawn("p2"), Spawn("p3"), Spawn("p4"), Spawn("p5")),
+        "p2": (Rec("l2", CS_POS), Rec("l4", CS_POS), Rec("l1", CS_ANY)),
+        "p3": (Send("l1", val(0), "p2"), Send("l2", val(1), "p2")),
+        "p4": (Send("l3", val(0), "p2"), Send("l4", val(1), "p2")),
+        "p5": (Send("l5", val(1), "p2"),),
+    },
+)
+# At p2's receive of l1, the waiting l3 is reached by l1 (through p3's
+# receive of l2), and reaches the waiting l5 itself (through l4 and the
+# ordering edge of p2's first receive): both are infeasible. l3's sender
+# comes first, so a traversal that starts from the last sender's message
+# reaches l3 before it starts from l3, and must still read l3's edges
+WAITING_REACHES_WAITING = Trace(
+    "p1",
+    {
+        "p1": (Spawn("p2"), Spawn("p3"), Spawn("p4"), Spawn("p5")),
+        "p2": (Rec("l4", CS_POS), Rec("l1", CS_ANY)),
+        "p3": (Rec("l2", CS_ANY), Send("l3", val(0), "p2"), Send("l4", val(1), "p2")),
+        "p4": (Send("l1", val(0), "p2"), Send("l2", val(0), "p3")),
+        "p5": (Send("l5", val(1), "p2"),),
+    },
+)
+
+
+def test_gate_on_diamonds_and_chains():
+    assert race_set(DIAMOND, "l2").racers == {"l1"}
+    assert race_set(TWO_CHAINS, "l1").racers == {"l3"}
+    assert race_set(WAITING_REACHES_WAITING, "l1").racers == set()
+    for t, subject, tag in (
+        (TWO_CHAINS, "l1", "l5"),
+        (WAITING_REACHES_WAITING, "l1", "l3"),
+        (WAITING_REACHES_WAITING, "l1", "l5"),
+    ):
+        check = {c.tag: c for c in race_set(t, subject).candidates}[tag]
+        assert _survives(check) and check.infeasible, (subject, tag)
+
+
 def _survives(c):
     return c.matches and not c.already_received and not c.hb_excluded and c.blocked_by is None
 
@@ -313,6 +370,9 @@ def test_index_built_variant_equals_rdep(t):
 @settings(max_examples=150, deadline=None)
 @given(traces(max_events=10))
 @example(DANGLING_SEND)
+@example(DIAMOND)
+@example(TWO_CHAINS)
+@example(WAITING_REACHES_WAITING)
 def test_gate_equals_validating_the_built_variant(t):
     for index, r, report, check in _survivors(t):
         pid, idx = report.receive
@@ -371,10 +431,47 @@ def test_oracle_agrees_on_a_dangling_send():
 # ---------------------------------------------------------------------------
 
 
+def _reference_gate(
+    index: TraceIndex, r: int, oldest: dict[Pid, int], gone: bytearray, dead: set[Pid]
+) -> Callable[[int], bool]:
+    """The validity gate as one forward traversal per candidate s, from the
+    other messages still waiting at r, looking for s: how the gate decided
+    before it answered every candidate at r with one traversal."""
+    if any(
+        not gone[v]
+        for child in dead
+        for sends in index.sends_to.get(child, {}).values()
+        for v in sends
+    ):
+        return lambda s: True
+    waiting = [w for w in oldest.values() if not gone[w]]
+    kept: list[list[int] | None] = [None] * len(index.events)
+
+    def infeasible(s: int) -> bool:
+        seen = bytearray(len(index.events))
+        stack = [w for w in waiting if w != s]
+        for w in stack:
+            seen[w] = 1
+        while stack:
+            v = stack.pop()
+            if kept[v] is None:
+                kept[v] = _kept_succ(index, r, gone, v)
+            for u in kept[v]:
+                if u == s:
+                    return True
+                if not seen[u]:
+                    seen[u] = 1
+                    stack.append(u)
+        return False
+
+    return infeasible
+
+
 def _reference_race_report(index: TraceIndex, r: int) -> RaceReport:
-    """Every send addressed to r's process checked in turn, and the validity
-    gate asked about each that survives the cheap checks: how race sets were
-    decided before ``race_report`` read them off ``oldest_waiting``."""
+    """Every send addressed to r's process checked in turn, and the
+    reference gate asked about each that survives the cheap checks: how race
+    sets were decided before ``race_report`` read them off
+    ``oldest_waiting``."""
     pid, idx, rec = index.events[r]
     oldest = index.oldest_waiting(r)
     after = index.after(r)
@@ -393,7 +490,7 @@ def _reference_race_report(index: TraceIndex, r: int) -> RaceReport:
             blocked_by = blocker if first is not None and first < s else None
             survives = matches and not already and not hb_excluded and blocked_by is None
             if survives and gate is None:
-                gate = _variant_gate(index, r, oldest, *_erased(index, r))
+                gate = _reference_gate(index, r, oldest, *_erased(index, r))
             infeasible = survives and gate(s)
             checks.append(
                 CandidateCheck(
@@ -422,6 +519,9 @@ def _assert_reports_equal_the_full_scan(t):
 @example(parse_trace(fixture_text("fix_run.trace")))
 @example(parse_trace(fixture_text("fix_tau_a.trace")))
 @example(parse_trace(fixture_text("variant_run_l2_l6.trace")))
+@example(DIAMOND)
+@example(TWO_CHAINS)
+@example(WAITING_REACHES_WAITING)
 def test_race_report_equals_the_full_scan(t):
     _assert_reports_equal_the_full_scan(t)
 
