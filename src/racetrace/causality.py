@@ -19,9 +19,9 @@ each function takes a trace or an index ``valid_index`` returned.
 labels that ``racetrace hb`` prints, and answers ``reach`` and
 ``reachable_pairs`` with ``TraceIndex.after`` and ``find_cycle`` with the
 cycle search of validation. ``linearize`` is ``traces.smallest_first`` over
-event numbers, which order events by ``(name_sort_key(pid), index)``; the
-same Kahn pass orders a race variant, so a variant's order is its trace's
-linearization. ``enumerate_linearizations`` backtracks with an explicit
+event numbers, which order events by ``(name_sort_key(pid), pid, index)``;
+the same Kahn pass orders a race variant, so a variant's order is its
+trace's linearization. ``enumerate_linearizations`` backtracks with an explicit
 stack, so trace length is not bounded by the recursion limit.
 
 ``causally_equivalent`` decides equivalence by trace equality; its

@@ -19,7 +19,7 @@ from pathlib import Path
 from .causality import hb_graph
 from .explorer import distinctness_check, explore
 from .oracles import enumerate_executions, swap_equiv_oracle
-from .parsing import ParseError, name_sort_key
+from .parsing import ParseError, name_sort_key, sorted_names
 from .races import all_races, orphans, race_set, variant
 from .simulator import (
     DivergenceError,
@@ -224,7 +224,7 @@ def cmd_variant(args) -> int:
 
 def cmd_orphans(args) -> int:
     t = _require_valid_trace(args.file)
-    tags = sorted(orphans(t), key=name_sort_key)
+    tags = sorted_names(orphans(t))
     _emit(args, {"orphans": tags}, _racer_brace_list(tags))
     return OK
 

@@ -6,9 +6,8 @@ each variant prefix and continue deterministically to completion; recurse on
 the races of the resulting traces. Complete traces are deduplicated by
 canonical serialization, which is sound because the simulator's
 schedule-invariant naming makes trace-equal executions byte-identical.
-Pending variants are deduplicated by their replay order, the variant
-trace's canonical linearization, so two orders are equal iff the variant
-traces are.
+No set of queued variants is kept: the two rules below decide which
+variants repeat one already queued, and those are not built.
 
 Each new trace is indexed and validated once (``valid_index``); its orphans,
 race sets (``racers_at``; no candidate table) and variants come from that
@@ -19,31 +18,34 @@ its replay order off the same index, raising ValueError on a cycle.
 Each variant is replayed from ``initial_state``, as stateless model
 checkers replay every schedule (VeriSoft, Concuerror): ``replay_order``
 checks each action against the program, and ``run_deterministic``
-continues from where the order ends. A queued variant holds only its
-order, its origin and its sleep set.
+continues from where the order ends.
 
 A trace replayed from a variant keeps its parent's events up to the variant
-prefix. The replay adds the rewritten receive and, in each process, the
+prefix. The replay adds the rewritten receive r' and, in each process, the
 events beyond the prefix. Two rules keep it from redoing its parent's work:
 
-* Shared-prefix skip. The parent already enqueued the variants of every
+* Shared-prefix rule. The parent already enqueued the variants of every
   receive r inside the prefix. The child skips r only when every added
-  event happened after r (``index.after(r)``). By program order, the first
-  added event of each process decides this. Then all the child changed
+  event happened after r (``index.after(r)``). Then all the child changed
   lies after r, and what r could be reordered with lies inside the prefix,
   as in the parent. Otherwise r's context changed, and its races are
-  reported again. For example, a variant at a proxy's receive makes the
-  forwarded tag carry another message, so the collector's receive of that
-  tag races anew.
+  reported again: a variant at a proxy's receive makes the forwarded tag
+  carry another message, so the collector's receive of that tag races anew.
+  At r' the test runs over the other added events. No prefix event
+  happened after r' (the prefix is closed under send and receive), so then
+  the child's cut at r' keeps exactly the parent's prefix, numbered alike:
+  ``variant_order(child, r', y) == variant_order(parent, r, y)`` for every
+  racer y, a variant the parent already reached. None is built; each racer
+  counts in ``sleeping`` or in ``duplicate_variants`` (the sleep-set
+  argument of Godefroid, LNCS 1032, 1996, stated on the index).
 * Sibling sleep set. When the variants of receive r are enqueued, each
   carries a sleep set: the tag r consumed, and the racers at r enqueued
-  before it. The child does not enqueue a racer in its sleep set at its own
-  rewritten receive, because its variant would cut the same prefix as a
-  sibling's variant, or the parent's own prefix. It still counts the racer
-  in ``race_counts`` and in ``sleeping``. Tags are safe to compare across
-  traces: r happened before none of their sends, so they are sent inside
-  the replayed prefix, and the simulator's names make a tag name the same
-  send in the parent and in the child.
+  before it. At r' the child counts a racer its sleep set holds in
+  ``sleeping`` and enqueues none, because its variant would cut the same
+  prefix as a sibling's variant, or the parent's own prefix. Tags are safe
+  to compare across traces: r happened before none of their sends, so they
+  are sent inside the replayed prefix, and the simulator's names make a
+  tag name the same send in the parent and in the child.
 """
 
 from __future__ import annotations
@@ -52,7 +54,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .parsing import name_sort_key
+from .parsing import sorted_names
 from .races import racers_at, variant_order
 from .simulator import (
     DivergenceError,
@@ -83,6 +85,7 @@ class ExplorationReport:
     origins: dict[str, Optional[Origin]] = field(default_factory=dict)
     variants_enqueued: int = 0
     duplicate_traces: int = 0
+    # racers at r' whose order the parent already enqueued: decided, not looked up
     duplicate_variants: int = 0
     sleeping: int = 0  # racers not enqueued because a sleep set holds them
     divergences: int = 0
@@ -127,7 +130,6 @@ def explore(
     max_traces: int = 10000,
 ) -> ExplorationReport:
     report = ExplorationReport()
-    pending: set[tuple[Event, ...]] = set()
     # variants to replay, as their orders, each with the origin of the trace
     # it yields and the racers its replaced receive sleeps on
     queue: deque[tuple[tuple[Event, ...], Origin, frozenset[Tag]]] = deque()
@@ -139,7 +141,7 @@ def explore(
         sleep: frozenset[Tag],
     ) -> None:
         """Record a run's trace unless already seen, then enqueue the variants
-        of the races of its receives, except a shared receive that every
+        of the races of its receives, except at a receive that every other
         added event happened after and a racer its replaced receive sleeps on."""
         t, outcome = result
         if outcome.kind == "step-limit":
@@ -151,12 +153,11 @@ def explore(
         index = valid_index(t)
         report.traces[key] = t
         report.outcomes[key] = str(outcome)
-        report.orphans[key] = sorted(index.orphans(), key=name_sort_key)
+        report.orphans[key] = sorted_names(index.orphans())
         report.origins[key] = origin
-        # per process, how many of its events it shares with the parent, read
-        # off the variant's order (a process spawned there without events
-        # shares 0); the replay added the rest, and each process's first
-        # added event is the one its other added events follow
+        # per process, how many events it shares with the parent, read off the
+        # variant's order (0 for a process spawned there without events); the
+        # replay added the rest, which follow each process's first added event
         shared: dict[Pid, int] = {}
         replaced = -1
         if origin is not None:
@@ -172,25 +173,24 @@ def explore(
         for r, (pid, idx, a) in enumerate(index.events):
             if not isinstance(a, Rec):
                 continue
-            if idx < shared.get(pid, 0):
+            repeats = False  # every added event but r happened after r
+            if idx < shared.get(pid, 0) or r == replaced:
                 after = index.after(r)
-                if all(after[v] for v in added):
+                repeats = all(after[v] for v in added if v != r)
+                if repeats and r != replaced:
                     continue
             slept = {a.tag}
-            for racer in sorted(racers_at(index, r), key=name_sort_key):
+            for racer in sorted_names(racers_at(index, r)):
                 count += 1
                 if r == replaced and racer in sleep:
                     report.sleeping += 1
-                    continue
-                order = variant_order(index, r, racer)
-                if order in pending:
+                elif repeats:
                     report.duplicate_variants += 1
-                    continue
-                pending.add(order)
-                report.variants_enqueued += 1
-                origin_v = Origin(key, (pid, idx), a.tag, racer)
-                queue.append((order, origin_v, frozenset(slept)))
-                slept.add(racer)
+                else:
+                    report.variants_enqueued += 1
+                    origin_v = Origin(key, (pid, idx), a.tag, racer)
+                    queue.append((variant_order(index, r, racer), origin_v, frozenset(slept)))
+                    slept.add(racer)
         report.race_counts[key] = count
 
     record(run_random(program, seed, max_steps), (), None, frozenset())

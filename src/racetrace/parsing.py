@@ -50,7 +50,7 @@ from __future__ import annotations
 import re
 import sys
 from dataclasses import dataclass
-from typing import Callable, TypeVar
+from typing import Callable, Iterable, TypeVar
 
 from .terms import (
     Atom,
@@ -227,6 +227,13 @@ def name_sort_key(name: str) -> tuple:
         number = digits.lstrip("0")
         key.append((alpha, len(number) if digits else -1, number))
     return tuple(key)
+
+
+def sorted_names(names: Iterable[str]) -> list[str]:
+    """The names in canonical order: by ``name_sort_key``, and names whose
+    keys tie (l01 and l1) by their text, so the order never depends on the
+    order the names came in."""
+    return sorted(names, key=lambda n: (name_sort_key(n), n))
 
 
 # ---------------------------------------------------------------------------

@@ -59,7 +59,7 @@ from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 from .causality import EventId
-from .parsing import name_sort_key
+from .parsing import sorted_names
 from .traces import (
     Event, Interleaving, Pid, Rec, Send, Spawn, Tag, Trace, TraceIndex, smallest_first, tr,
     valid_index,
@@ -101,7 +101,7 @@ class RaceReport:
     candidates: list[CandidateCheck]
 
     def sorted_racers(self) -> list[Tag]:
-        return sorted(self.racers, key=name_sort_key)
+        return sorted_names(self.racers)
 
 
 @dataclass

@@ -50,6 +50,7 @@ from .parsing import (
     parse_constraint_block,
     parse_dotted_name,
     parse_term,
+    sorted_names,
     tokenize,
 )
 from .terms import Constraint, Term, match, render_constraint, render_term
@@ -115,7 +116,7 @@ class Trace:
     procs: dict[Pid, tuple[Action, ...]]
 
     def pids(self) -> list[Pid]:
-        return sorted(self.procs, key=name_sort_key)
+        return sorted_names(self.procs)
 
     def events(self) -> list[tuple[Pid, int, Action]]:
         out = []
@@ -234,9 +235,9 @@ def tr(s: Interleaving) -> Trace:
 class TraceIndex:
     """One trace, numbered once, for validation, hb queries and race analysis.
 
-    Events are numbered 0..N-1 in ``Trace.events()`` order: pids sorted by
-    ``name_sort_key`` once, then by position. So event numbers order events
-    like ``(name_sort_key(pid), index)`` does. Construction is O(N) and
+    Events are numbered 0..N-1 in ``Trace.events()`` order: pids sorted
+    once (``sorted_names``), then by position. So event numbers order events
+    like ``(name_sort_key(pid), pid, index)`` does. Construction is O(N) and
     holds:
 
     * ``events``: ``(pid, index, action)`` per event number;
@@ -610,7 +611,7 @@ def _constraint_table(actions_iter: Iterable[Action]) -> dict[str, Constraint]:
 def _render_constraints_block(table: dict[str, Constraint]) -> str:
     if not table:
         return ""
-    lines = [render_constraint(table[k]) for k in sorted(table, key=name_sort_key)]
+    lines = [render_constraint(table[k]) for k in sorted_names(table)]
     return "constraints { " + "\n  ".join(lines) + " }\n"
 
 

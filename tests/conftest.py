@@ -51,13 +51,20 @@ def progc():
     return parse_program(fixture_text("progc.prog"))
 
 
-# n=4 generators each send {val,N} to a collector that makes 4 unguarded
-# receives: every consumption order is a trace, 24 in all
-GENCOLL4 = """program { main main
-  def main() { C = spawn collector(); spawn gen(C, 1); spawn gen(C, 2); spawn gen(C, 3); spawn gen(C, 4) }
-  def gen(C, N) { send {val,N} to C }
-  def collector() { receive { {val,X} -> X }; receive { {val,X} -> X }; receive { {val,X} -> X }; receive { {val,X} -> X } } }
-"""
+def gencoll_text(n: int) -> str:
+    """n generators each send {val,N} to a collector that makes n unguarded
+    receives: every consumption order is a trace, n! in all."""
+    spawns = "".join(f"; spawn gen(C, {i})" for i in range(1, n + 1))
+    receives = "; ".join("receive { {val,X} -> X }" for _ in range(n))
+    return (
+        "program { main main\n"
+        f"  def main() {{ C = spawn collector(){spawns} }}\n"
+        "  def gen(C, N) { send {val,N} to C }\n"
+        f"  def collector() {{ {receives} }} }}\n"
+    )
+
+
+GENCOLL4 = gencoll_text(4)  # 24 traces
 
 
 # main spawns a sink that does nothing and sends it 2 000 messages: one

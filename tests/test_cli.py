@@ -1,5 +1,6 @@
 import io
 import json
+import os
 import subprocess
 import sys
 
@@ -517,6 +518,36 @@ def test_invalid_receive_clause_is_a_one_line_diagnostic(tmp_path, receive, mess
     )
     assert proc.returncode == 2
     assert proc.stderr == f"{tmp_path / 'bad.prog'}: {message}\n"
+
+
+# three senders' messages wait at p1.4's first receive; l01 and l1 tie
+# under name_sort_key, so only the tie-break by text orders them
+TIED_TAGS = """trace { initial: p1
+  p1: spawn(p1.1), spawn(p1.2), spawn(p1.3), spawn(p1.4)
+  p1.1: send(l01, {val,1}, p1.4)
+  p1.2: send(l1, {val,2}, p1.4)
+  p1.3: send(l2, {val,3}, p1.4)
+  p1.4: rec(l2, csa), rec(l1, csa), rec(l01, csa) }
+constraints { csa: {val,M} -> . }
+"""
+
+
+def test_races_output_does_not_depend_on_the_hash_seed(tmp_path):
+    path = tmp_path / "tied.trace"
+    path.write_text(TIED_TAGS)
+    outputs = {
+        subprocess.run(
+            [sys.executable, "-m", "racetrace.cli", "races", str(path)],
+            capture_output=True, text=True, check=True,
+            env={**os.environ, "PYTHONHASHSEED": str(seed)},
+        ).stdout
+        for seed in range(6)
+    }
+    assert outputs == {
+        "p1.4[0] rec(l2): races = {l01, l1}\n"
+        "p1.4[1] rec(l1): races = {l01}\n"
+        "p1.4[2] rec(l01): races = {}\n"
+    }
 
 
 class _ClosedPipe(io.StringIO):

@@ -14,11 +14,13 @@ from racetrace import (
     tr,
     validate_trace,
 )
+from racetrace import explorer as explorer_module
 from racetrace.races import racers_at, variant_order
 from racetrace.traces import valid_index
 
-from conftest import GENCOLL4, fixture_text
+from conftest import GENCOLL4, fixture_text, gencoll_text
 from strategies import programs
+from test_explore_golden import RUNS, _program, _run_id
 from test_races import reference_variant
 
 
@@ -40,10 +42,11 @@ def test_explorer_covers_all_traces_from_any_seed(progc, seed):
 
 
 def _assert_orders_key_variants(report):
-    """The explorer's pending set holds variant orders: over every racer of
+    """A variant order stands for its variant trace: over every racer of
     every explored trace, equal variant traces must be equal orders (equal
-    orders are equal traces, as the trace is projected from the order).
-    Returns how many variants repeat."""
+    orders are equal traces, as the trace is projected from the order), so
+    orders that differ are variants that differ. Returns how many variants
+    repeat."""
     by_key = {}
     pairs = 0
     for t in report.traces.values():
@@ -59,13 +62,43 @@ def _assert_orders_key_variants(report):
     return pairs - len(by_key)
 
 
+def _explore_building_each_order_once(program, seed=0, max_traces=10000):
+    """explore's report, checked to build each variant order once and only
+    the ones it enqueues: every order ``variant_order`` returns to it differs
+    from the others."""
+    built = []
+
+    def building(*args):
+        built.append(variant_order(*args))
+        return built[-1]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(explorer_module, "variant_order", building)
+        report = explore(program, seed=seed, max_traces=max_traces)
+    assert len(built) == report.variants_enqueued
+    assert len(set(built)) == len(built)
+    return report
+
+
+@pytest.mark.parametrize("run", RUNS, ids=[_run_id(*r) for r in RUNS])
+def test_no_variant_order_is_built_twice_on_the_golden_runs(run):
+    name, seed, max_traces = run
+    _explore_building_each_order_once(_program(name), seed, max_traces)
+
+
+def test_no_variant_order_is_built_twice_on_gencoll5():
+    report = _explore_building_each_order_once(parse_program(gencoll_text(5)), seed=1)
+    assert (len(report.traces), report.variants_enqueued) == (120, 119)
+    assert (report.duplicate_variants, report.sleeping) == (41, 160)
+
+
 # progd: a proxy forwards one of two messages to the collector. A variant
 # at the proxy's receive changes which message the forwarded tag carries,
 # so the collector's receive, shared with the parent, races anew.
 @pytest.mark.parametrize("seed", range(6))
 def test_explorer_reharvests_a_shared_receive_whose_context_changed(seed):
     program = parse_program(fixture_text("progd.prog"))
-    report = explore(program, seed=seed)
+    report = _explore_building_each_order_once(program, seed)
     assert set(report.traces) == set(enumerate_executions(program)[0])
     assert len(report.traces) == 4
     _assert_orders_key_variants(report)
@@ -122,9 +155,10 @@ def test_resumed_replays_equal_replays_from_the_start(text, seed, max_steps):
 def test_resumed_replays_equal_replays_from_the_start_on_generated_programs(text):
     program = parse_program(text)
     for seed in range(3):
-        report = explore(program, seed=seed)
+        report = _explore_building_each_order_once(program, seed)
         _assert_rebuilt_from_origins(program, report, 10000)
         _assert_orders_key_variants(report)
+        _assert_rewritten_receive_repeats_its_parent(report)
 
 
 # When p1.2's only event, a receive, takes p1.1's go, sent after p1.1's
@@ -142,20 +176,29 @@ SPAWNED_WITHOUT_EVENTS = """program { main main
 """
 
 
+def _replay_split(report, key, index):
+    """Per process of the trace under key (indexed as index), how many of
+    its events it shares with its parent, and the event numbers of the
+    first events its replay added, read off the variant trace built by
+    ``rdep``; ({}, []) for the seed run."""
+    origin = report.origins[key]
+    shared = {}
+    if origin is not None:
+        pid, idx = origin.replaced_at
+        prefix = reference_variant(report.traces[origin.parent_key], pid, idx, origin.new_tag)
+        shared = {p: len(seq) for p, seq in prefix.procs.items()}
+        shared[pid] = idx
+    procs = index.trace.procs
+    return shared, [index.first[p] + n for p, n in shared.items() if len(procs[p]) > n]
+
+
 def _reference_race_counts(report):
     """Each trace's race count, with the shared-prefix skip read off the
     variant trace built by ``rdep`` instead of the variant's order."""
     counts = {}
     for key in report.order:
-        t, origin = report.traces[key], report.origins[key]
-        index = valid_index(t)
-        shared = {}
-        if origin is not None:
-            pid, idx = origin.replaced_at
-            prefix = reference_variant(report.traces[origin.parent_key], pid, idx, origin.new_tag)
-            shared = {p: len(seq) for p, seq in prefix.procs.items()}
-            shared[pid] = idx
-        added = [index.first[p] + n for p, n in shared.items() if len(t.procs[p]) > n]
+        index = valid_index(report.traces[key])
+        shared, added = _replay_split(report, key, index)
         counts[key] = sum(
             len(racers_at(index, r))
             for r, (pid, idx, a) in enumerate(index.events)
@@ -165,15 +208,47 @@ def _reference_race_counts(report):
     return counts
 
 
+def _assert_rewritten_receive_repeats_its_parent(report):
+    """The shared-prefix rule at a child's rewritten receive r', checked
+    from the report alone: where every event the replay added, other than
+    r', happened after r', the child's cut at r' is its parent's at r, so
+    each racer y at r' other than the tag r consumed is a racer at r with
+    the same variant order. Returns how many children meet the condition."""
+    met = 0
+    for key in report.order:
+        origin = report.origins[key]
+        if origin is None:
+            continue
+        child = valid_index(report.traces[key])
+        parent = valid_index(report.traces[origin.parent_key])
+        pid, idx = origin.replaced_at
+        rc, rp = child.first[pid] + idx, parent.first[pid] + idx
+        assert child.events[rc][2].tag == origin.new_tag
+        assert parent.events[rp][2].tag == origin.old_tag
+        _, added = _replay_split(report, key, child)
+        after = child.after(rc)
+        if not all(after[v] for v in added if v != rc):
+            continue
+        met += 1
+        parent_racers = racers_at(parent, rp)
+        for y in racers_at(child, rc) - {origin.old_tag}:
+            assert y in parent_racers
+            assert variant_order(child, rc, y) == variant_order(parent, rp, y)
+    return met
+
+
 @pytest.mark.parametrize("seed", range(4))
 @pytest.mark.parametrize(
     "text",
-    [SPAWNED_WITHOUT_EVENTS, fixture_text("progd.prog"), GENCOLL4],
-    ids=["spawned-without-events", "progd", "gencoll4"],
+    [SPAWNED_WITHOUT_EVENTS, fixture_text("progd.prog"), GENCOLL4, fixture_text("progc.prog")],
+    ids=["spawned-without-events", "progd", "gencoll4", "progc"],
 )
 def test_shared_prefix_skip_reads_the_variant_order_like_its_trace(text, seed):
     report = explore(parse_program(text), seed=seed)
     assert report.race_counts == _reference_race_counts(report)
+    met = _assert_rewritten_receive_repeats_its_parent(report)
+    if text == GENCOLL4:
+        assert met > 0
 
 
 def test_explorer_is_seed_deterministic(progb):

@@ -291,7 +291,7 @@ def test_explore_indexes_and_validates_each_trace_once(gencoll4, validated, monk
     assert report.variants_enqueued > 0
     assert len(validated) == len(report.traces)
     assert indexed == validated
-    # every racer counted is enqueued once, found pending, or asleep
+    # every racer counted is enqueued once, a duplicate at r', or asleep
     assert report.sleeping > 0
     assert sum(report.race_counts.values()) == (
         report.variants_enqueued + report.duplicate_variants + report.sleeping

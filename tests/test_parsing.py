@@ -15,6 +15,7 @@ from racetrace.parsing import (
     TokenStream,
     parse_constraint,
     parse_pattern,
+    sorted_names,
     tokenize,
 )
 from racetrace.terms import (
@@ -206,6 +207,11 @@ def test_name_sort_key_is_numeric():
     # past Python's 4 300-digit limit on int() of a digit string
     assert name_sort_key("l" + "9" * 5000) < name_sort_key("l1" + "0" * 5000)
     assert name_sort_key("l" + "0" * 5000 + "1") == name_sort_key("l1")
+
+
+def test_sorted_names_breaks_sort_key_ties_by_text():
+    assert sorted_names(["l1", "l10", "l01", "l2"]) == ["l01", "l1", "l2", "l10"]
+    assert sorted_names(["l01", "l1"]) == sorted_names(["l1", "l01"])
 
 
 def _int_sort_key(name):

@@ -421,6 +421,17 @@ def test_epsilon_marks_idle_processes():
     assert parse_trace(text) == t
 
 
+def test_key_does_not_depend_on_the_order_of_pids_whose_sort_keys_tie():
+    # q01 and q1 tie under name_sort_key; the canonical order puts q01 first
+    spawns = (Spawn("q01"), Spawn("q1"))
+    a = Trace("p1", {"p1": spawns, "q01": (Send("l1", val(1), "p1"),), "q1": ()})
+    b = Trace("p1", {"p1": spawns, "q1": (), "q01": a.procs["q01"]})
+    assert a == b
+    assert a.pids() == b.pids() == ["p1", "q01", "q1"]
+    assert a.key() == b.key()
+    assert parse_trace(b.key()) == a
+
+
 def test_unknown_constraint_id_rejected():
     with pytest.raises(ParseError) as err:
         parse_trace(
