@@ -15,10 +15,10 @@ and ``enumerate_linearizations``, through ``TraceIndex.succ``.
 
 Everything here is computed from one ``TraceIndex`` per call, validated once:
 each function takes a trace or an index ``valid_index`` returned.
-``HbGraph`` is a view of that index: it adds only the event ids and the edge
-labels that ``racetrace hb`` prints, and answers ``reach`` and
-``reachable_pairs`` with ``TraceIndex.after`` and ``find_cycle`` with the
-cycle search of validation. ``linearize`` is ``traces.smallest_first`` over
+``HbGraph`` is a view of that index: it adds only the event ids, lists the
+edges and the pairs ``racetrace hb`` prints in event-number order, answers
+``reach`` and ``pairs`` with ``TraceIndex.after`` and ``find_cycle`` with
+the cycle search of validation. ``linearize`` is ``traces.smallest_first`` over
 event numbers, which order events by ``(name_sort_key(pid), pid, index)``;
 the same Kahn pass orders a race variant, so a variant's order is its
 trace's linearization. ``enumerate_linearizations`` backtracks with an explicit
@@ -31,8 +31,9 @@ event-pair closure ``hb_relation``, live in ``racetrace.oracles``.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
-from typing import NamedTuple, Optional
+from typing import Iterator, NamedTuple, Optional
 
 from .traces import (
     Event,
@@ -55,13 +56,12 @@ class EventId(NamedTuple):
 
 @dataclass
 class HbGraph:
-    """The happened-before edges of one trace, labelled, as a view of the
+    """The happened-before edges of one trace, as a view of the
     ``TraceIndex`` they were read from: every query is answered by the
-    index's own traversals."""
+    index's own traversals, and every listing is in event-number order."""
 
     index: TraceIndex
     nodes: list[EventId]
-    labels: dict[tuple[EventId, EventId], str]  # "program" | "spawn" | "message TAG"
 
     def _number(self, e: EventId) -> int:
         pid, i = e
@@ -79,40 +79,42 @@ class HbGraph:
         v, w = self._number(src), self._number(dst)
         return bool(self.index.after(v)[w])
 
-    def reachable_pairs(self) -> set[tuple[EventId, EventId]]:
+    def edges(self) -> Iterator[tuple[EventId, EventId, str]]:
+        """Each hb edge once, by source then target event number, with its
+        kind: "message TAG" (send to its receive), "spawn" (to the child's
+        first action) or "program"."""
+        index, nodes = self.index, self.nodes
+        for v, succ in enumerate(index.hb_succ):
+            a = index.events[v][2]
+            for w in sorted(set(succ)):
+                b = index.events[w][2]
+                if isinstance(b, Rec) and index.send_at.get(b.tag) == v:
+                    yield nodes[v], nodes[w], f"message {b.tag}"
+                elif isinstance(a, Spawn) and w == index.first.get(a.child):
+                    yield nodes[v], nodes[w], "spawn"
+                else:
+                    yield nodes[v], nodes[w], "program"
+
+    def pairs(self) -> Iterator[tuple[EventId, EventId]]:
+        """The transitive closure of the hb edges, by source then target
+        event number: one ``TraceIndex.after`` traversal per event."""
         nodes = self.nodes
-        return {
-            (src, nodes[w])
-            for v, src in enumerate(nodes)
-            for w, hit in enumerate(self.index.after(v))
-            if hit
-        }
+        for v, src in enumerate(nodes):
+            for dst in itertools.compress(nodes, self.index.after(v)):
+                yield src, dst
+
+    def reachable_pairs(self) -> set[tuple[EventId, EventId]]:
+        return set(self.pairs())
 
     def find_cycle(self) -> Optional[list[EventId]]:
         """A cycle over hb edges plus mailbox-ordering edges, or None: the
         one condition (d) of ``validate_trace`` reports."""
-        cycle = first_cycle(len(self.nodes), self.index.succ)
+        cycle = first_cycle(self.index.succ)
         return None if cycle is None else [self.nodes[k] for k in cycle]
 
 
 def _graph(index: TraceIndex) -> HbGraph:
-    events = index.events
-    nodes = [EventId(pid, i) for pid, i, _ in events]
-    labels: dict[tuple[EventId, EventId], str] = {}
-    for v, succ in enumerate(index.hb_succ):
-        a = events[v][2]
-        for w in succ:
-            b = events[w][2]
-            if isinstance(b, Rec) and index.send_at.get(b.tag) == v:
-                label = f"message {b.tag}"
-            elif isinstance(a, Spawn) and index.trace.procs.get(a.child) and (
-                index.first[a.child] == w
-            ):
-                label = "spawn"
-            else:
-                label = "program"
-            labels[(nodes[v], nodes[w])] = label
-    return HbGraph(index, nodes, labels)
+    return HbGraph(index, [EventId(pid, i) for pid, i, _ in index.events])
 
 
 def hb_graph_unchecked(t: Trace) -> HbGraph:

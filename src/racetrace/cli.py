@@ -19,7 +19,7 @@ from pathlib import Path
 from .causality import hb_graph
 from .explorer import distinctness_check, explore
 from .oracles import enumerate_executions, swap_equiv_oracle
-from .parsing import ParseError, name_sort_key, sorted_names
+from .parsing import ParseError, sorted_names
 from .races import all_races, orphans, race_set, variant
 from .simulator import (
     DivergenceError,
@@ -119,21 +119,12 @@ def cmd_validate(args) -> int:
 
 
 def cmd_hb(args) -> int:
-    t = _require_valid_trace(args.file)
-    graph = hb_graph(t)
-    for (src, dst), label in sorted(
-        graph.labels.items(),
-        key=lambda kv: (name_sort_key(kv[0][0].pid), kv[0][0].index,
-                        name_sort_key(kv[0][1].pid), kv[0][1].index),
-    ):
-        text = f"{src.pid}[{src.index}] -> {dst.pid}[{dst.index}] ({label})"
-        _emit(args, {"from": list(src), "to": list(dst), "kind": label}, text)
+    graph = hb_graph(_require_valid_trace(args.file))
+    for src, dst, kind in graph.edges():
+        text = f"{src.pid}[{src.index}] -> {dst.pid}[{dst.index}] ({kind})"
+        _emit(args, {"from": list(src), "to": list(dst), "kind": kind}, text)
     if args.pairs:
-        for src, dst in sorted(
-            graph.reachable_pairs(),
-            key=lambda p: (name_sort_key(p[0].pid), p[0].index,
-                           name_sort_key(p[1].pid), p[1].index),
-        ):
+        for src, dst in graph.pairs():
             text = f"{src.pid}[{src.index}] ~> {dst.pid}[{dst.index}]"
             _emit(args, {"pair": [list(src), list(dst)]}, text)
     return OK
@@ -370,7 +361,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--prefix", required=True, metavar="FILE")
     p.add_argument("--continue", dest="cont", action="store_true",
                    help="continue deterministically after the prefix")
-    p.add_argument("--max-steps", type=_at_least(0), default=10000)
+    p.add_argument("--max-steps", type=_at_least(0), default=10000, metavar="N",
+                   help="stop at N actions from the initial state, the prefix's included")
     p.set_defaults(func=cmd_replay)
 
     p = sub.add_parser("explore", help="race-variant-driven state-space exploration")

@@ -59,7 +59,6 @@ from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 from .causality import EventId
-from .parsing import sorted_names
 from .traces import (
     Event, Interleaving, Pid, Rec, Send, Spawn, Tag, Trace, TraceIndex, smallest_first, tr,
     valid_index,
@@ -101,7 +100,9 @@ class RaceReport:
     candidates: list[CandidateCheck]
 
     def sorted_racers(self) -> list[Tag]:
-        return sorted_names(self.racers)
+        """The racers in canonical name order: the race-set rows of the
+        candidate table, which ``TraceIndex.table_header`` sorted once."""
+        return [c.tag for c in self.candidates if c.in_race_set]
 
 
 @dataclass

@@ -122,7 +122,7 @@ class SendStmt:
 @dataclass(frozen=True)
 class ReceiveStmt:
     cs: Constraint
-    bodies: tuple[tuple["Stmt", ...], ...]  # one body per clause
+    bodies: tuple["Stmt", ...]  # one statement per clause
 
 
 Stmt = Union[SpawnStmt, BindStmt, SendStmt, ReceiveStmt]
@@ -194,10 +194,10 @@ def _parse_stmt(ts: TokenStream, counter: list[int]) -> Stmt:
         ts.next()
         ts.expect_sym("{")
         clauses: list[Clause] = []
-        bodies: list[tuple[Stmt, ...]] = []
+        bodies: list[Stmt] = []
         while True:
             clauses.append(parse_clause(ts))
-            bodies.append((_parse_stmt(ts, counter),))  # one statement per clause
+            bodies.append(_parse_stmt(ts, counter))
             if not ts.accept_sym(";"):
                 break
         ts.expect_sym("}")
@@ -250,7 +250,7 @@ def _check_stmts(program: Program, stmts: tuple[Stmt, ...], bound: set[str],
             _check_expr(stmt.target, bound, where)
         else:
             for clause, body in zip(stmt.cs.clauses, stmt.bodies):
-                _check_stmts(program, body, bound | set(pattern_vars(clause.pattern)),
+                _check_stmts(program, (body,), bound | set(pattern_vars(clause.pattern)),
                              where)
 
 
@@ -285,7 +285,7 @@ def _render_stmt(stmt: Stmt) -> str:
         return f"send {render_term(stmt.value)} to {render_term(stmt.target)}"
     else:
         rendered = (
-            render_clause(clause, _render_stmt(body[0]))
+            render_clause(clause, _render_stmt(body))
             for clause, body in zip(stmt.cs.clauses, stmt.bodies)
         )
         return "receive { " + "; ".join(rendered) + " }"
@@ -453,7 +453,7 @@ def _apply(sys: SysState, pid: Pid, nxt: _NextAction) -> None:
         slot, idx = found
         _, value = proc.mailbox.pop(slot)
         proc.env.update(match_pattern(stmt.cs.clauses[idx].pattern, value))
-        proc.stmts = list(stmt.bodies[idx]) + proc.stmts
+        proc.stmts.insert(0, stmt.bodies[idx])
 
     proc.recorded.append(action)
     _settle(proc)
@@ -477,13 +477,14 @@ class Outcome:
 
 def _run(sys: SysState, max_steps: int, pick: Callable[[int], int]) -> tuple[Trace, Outcome]:
     """Step the pid at position pick(n) of the n enabled ones until none is
-    enabled, or until max_steps steps were taken and one still is."""
-    for taken in itertools.count():
+    enabled, or until the state holds max_steps recorded actions, counted
+    from the initial state, and one still is."""
+    for taken in itertools.count(sum(len(ps.recorded) for ps in sys.procs.values())):
         choices = _enabled_next(sys)
         if not choices:
             blocked = tuple(pid for pid, proc in sys.procs.items() if proc.stmts)
             return sys.trace(), Outcome("deadlock", blocked) if blocked else Outcome("completed")
-        if taken == max_steps:
+        if taken >= max_steps:
             return sys.trace(), Outcome("step-limit")
         _apply(sys, *choices[pick(len(choices))])
 
@@ -494,7 +495,8 @@ def run_random(program: Program, seed: int, max_steps: int = 10000) -> tuple[Tra
 
 
 def run_deterministic(sys: SysState, max_steps: int = 10000) -> tuple[Trace, Outcome]:
-    """Continue a state with the fixed smallest-enabled-pid policy."""
+    """Continue a state with the fixed smallest-enabled-pid policy, up to
+    max_steps actions from the initial state, the state's own included."""
     return _run(sys, max_steps, lambda n: 0)
 
 

@@ -46,7 +46,6 @@ from .parsing import (
     ParseError,
     Token,
     TokenStream,
-    name_sort_key,
     parse_constraint_block,
     parse_dotted_name,
     parse_term,
@@ -320,22 +319,21 @@ class TraceIndex:
         return hit
 
     def table_header(self, pid: Pid) -> tuple[tuple[int, Pid, Tag, Optional[int]], ...]:
-        """The sends addressed to pid, sorted once by ``name_sort_key`` of
-        their tags (ties in event order), the order of a candidate table:
-        per send, ``(send, sender, tag, c)`` with c the receive of pid that
-        consumed it, or None. So the send was consumed before a receive r
-        of pid iff c is not None and c < r."""
+        """The sends addressed to pid, sorted once by their tags
+        (``sorted_names``), the order of a candidate table: per send,
+        ``(send, sender, tag, c)`` with c the receive of pid that consumed
+        it, or None. So the send was consumed before a receive r of pid iff
+        c is not None and c < r. Meant for traces with unique tags."""
         header = self._headers.get(pid)
         if header is None:
             events, rec_at = self.events, self.rec_at
-            rows = []
+            rows = {}
             for q, sends in self.sends_to.get(pid, {}).items():
                 for s in sends:
                     tag = events[s][2].tag
                     c = rec_at.get(tag)
-                    rows.append((s, q, tag, c if c is not None and events[c][0] == pid else None))
-            rows.sort(key=lambda row: name_sort_key(row[2]))
-            header = self._headers[pid] = tuple(rows)
+                    rows[tag] = (s, q, tag, c if c is not None and events[c][0] == pid else None)
+            header = self._headers[pid] = tuple(rows[tag] for tag in sorted_names(rows))
         return header
 
     def match_column(self, r: int) -> tuple[bool, ...]:
@@ -423,16 +421,16 @@ class TraceIndex:
         return f"{pid}[{i}]"
 
 
-def first_cycle(roots: int, succ: list[list[int]]) -> Optional[list[int]]:
+def first_cycle(succ: list[list[int]]) -> Optional[list[int]]:
     """The cycle an iterative depth-first search meets first, or None.
 
-    Nodes are 0..len(succ)-1; the search starts from roots 0..roots-1 in
-    order and follows each successor list in order. The cycle is given as
+    Nodes are 0..len(succ)-1; the search starts from each node in order
+    and follows each successor list in order. The cycle is given as
     a path that starts and ends at the same node. O(V + E).
     """
     color = bytearray(len(succ))  # 0 unvisited, 1 on the stack, 2 done
     parent = [0] * len(succ)
-    for root in range(roots):
+    for root in range(len(succ)):
         if color[root]:
             continue
         color[root] = 1
@@ -559,7 +557,7 @@ def validate_trace(t: Union[Trace, TraceIndex]) -> Optional[Violation]:
             )
 
     # (d) the happened-before graph extended with ordering edges is acyclic
-    cycle = first_cycle(len(events), index.succ)
+    cycle = first_cycle(index.succ)
     if cycle is not None:
         pretty = " -> ".join(index.loc(v) for v in cycle)
         return Violation("d", pretty, "no linearization can order these events")

@@ -103,6 +103,41 @@ def test_hb_is_strict_partial_order(t):
                 assert (a, d) in pairs  # transitive
 
 
+# a spawned process without events, and a message its sender receives next
+SELF_SEND_AND_EMPTY_CHILD = parse_trace(
+    "trace { initial: p1\n  p1: spawn(p2), send(l1, {val,1}, p1), rec(l1, csa)\n  p2: ε }\n"
+    "constraints { csa: {val,M} -> . }\n"
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(traces(max_events=7))
+@example(parse_trace(fixture_text("fix_run.trace")))
+@example(SELF_SEND_AND_EMPTY_CHILD)
+def test_hb_edges_and_pairs_are_listed_once_in_event_order(t):
+    g = hb_graph(t)
+    number = {e: k for k, e in enumerate(g.nodes)}
+    expected, sent = {}, {}
+    for pid, i, a in t.events():
+        if i + 1 < len(t.procs[pid]):
+            expected[EventId(pid, i), EventId(pid, i + 1)] = "program"
+        if isinstance(a, Spawn) and t.procs[a.child]:
+            expected[EventId(pid, i), EventId(a.child, 0)] = "spawn"
+        if isinstance(a, Send):
+            sent[a.tag] = EventId(pid, i)
+    for pid, i, a in t.events():
+        if isinstance(a, Rec):  # a self-send received next is a message edge
+            expected[sent[a.tag], EventId(pid, i)] = f"message {a.tag}"
+
+    def by_number(pair):
+        return number[pair[0]], number[pair[1]]
+
+    edges = [((src, dst), kind) for src, dst, kind in g.edges()]
+    assert edges == sorted(expected.items(), key=lambda edge: by_number(edge[0]))
+    pairs = list(g.pairs())
+    assert pairs == sorted(g.reachable_pairs(), key=by_number)
+
+
 # ---------------------------------------------------------------------------
 # linearization
 # ---------------------------------------------------------------------------

@@ -550,6 +550,47 @@ def test_races_output_does_not_depend_on_the_hash_seed(tmp_path):
     }
 
 
+# pids p01 and p1 tie under name_sort_key, and so do tags l01 and l1; l1's
+# sender comes first in event order, and both messages race at rec(l2)
+TIED_PIDS_AND_TAGS = """trace { initial: p1
+  p1: spawn(p01), spawn(p2), rec(l2, csa), rec(l1, csa), rec(l01, csa)
+  p01: spawn(p3), send(l1, {val,1}, p1)
+  p2: send(l2, {val,2}, p1)
+  p3: send(l01, {val,3}, p1) }
+constraints { csa: {val,M} -> . }
+"""
+
+
+@pytest.mark.parametrize("pairs", [False, True], ids=["edges", "pairs"])
+def test_hb_lists_tied_pids_in_canonical_order(tmp_path, capsys, pairs):
+    # hb sorted by name_sort_key alone, and printed p01[1] -> p1[3] between
+    # p1's edges
+    path = tmp_path / "tied.trace"
+    path.write_text(TIED_PIDS_AND_TAGS)
+    code, out, _ = run_cli(capsys, "hb", *(["--pairs"] if pairs else []), str(path))
+    assert code == 0
+    arrow = " ~> " if pairs else " -> "
+    sources = [line.split(arrow)[0] for line in out.splitlines() if arrow in line]
+    pids = [src.split("[")[0] for src in sources]
+    assert [pid for k, pid in enumerate(pids) if pid != pids[k - 1] or k == 0] == [
+        "p01", "p1", "p2", "p3"
+    ]
+    assert ("p01[1] ~> p1[3]" if pairs else "p01[1] -> p1[3] (message l1)") in out
+
+
+def test_races_explain_lists_tied_tags_in_racer_order(tmp_path, capsys):
+    # the table sorted by name_sort_key alone and kept l1's row, whose sender
+    # comes first, before l01's
+    path = tmp_path / "tied.trace"
+    path.write_text(TIED_PIDS_AND_TAGS)
+    code, out, _ = run_cli(capsys, "races", "--explain", str(path))
+    assert code == 0
+    lines = out.splitlines()
+    assert lines[0] == "p1[2] rec(l2): races = {l01, l1}"
+    assert [line.split()[0] for line in lines[1:3]] == ["l01", "l1"]
+    assert all(line.endswith("=> races") for line in lines[1:3])
+
+
 class _ClosedPipe(io.StringIO):
     """A stdout whose reader has gone: every write raises BrokenPipeError."""
 

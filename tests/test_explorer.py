@@ -1,3 +1,5 @@
+import functools
+
 import pytest
 from hypothesis import example, given, settings
 
@@ -148,6 +150,47 @@ def test_resumed_replays_equal_replays_from_the_start(text, seed, max_steps):
     repeats = _assert_orders_key_variants(report)
     if text == GENCOLL4 and max_steps == 10000:
         assert repeats > 0  # the same variant is reached from several traces
+
+
+@functools.lru_cache(maxsize=None)
+def _reachable_within(text, max_steps):
+    return set(enumerate_executions(parse_program(text), max_steps)[0])
+
+
+@pytest.mark.parametrize("max_steps", [9, 6])
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize(
+    "text",
+    [fixture_text(f"prog{c}.prog") for c in "abcd"] + [GENCOLL4],
+    ids=["proga", "progb", "progc", "progd", "gencoll4"],
+)
+def test_the_step_budget_counts_from_the_initial_state(text, seed, max_steps):
+    # a run continued after a replayed prefix once got max_steps more steps,
+    # and recorded traces no run within max_steps steps reaches
+    report = explore(parse_program(text), seed=seed, max_steps=max_steps)
+    for key, t in report.traces.items():
+        assert sum(map(len, t.procs.values())) <= max_steps
+        if report.outcomes[key] != "step-limit":
+            assert key in _reachable_within(text, max_steps)
+
+
+# a server that takes three messages, and two clients that each send one
+# and respawn: no run of it ends
+NEVER_STOPPING = """program { main main
+  def main() { S = spawn server(); spawn client(S, 1); spawn client(S, 2) }
+  def server() { receive { {val,X} -> X }; receive { {val,X} -> X }; receive { {val,X} -> X } }
+  def client(S, N) { send {val,N} to S; spawn client(S, N) } }
+"""
+
+
+def test_a_program_that_never_stops_reaches_its_fixpoint_within_the_budget():
+    # when each continuation got a fresh budget, every replay grew its trace
+    # by up to 300 events, and the search stopped at max_traces
+    report = explore(parse_program(NEVER_STOPPING), max_steps=300, max_traces=20)
+    assert not report.bounded
+    assert len(report.traces) == 8
+    assert report.step_limited == 8
+    assert all(sum(map(len, t.procs.values())) <= 300 for t in report.traces.values())
 
 
 @settings(max_examples=60, deadline=None)

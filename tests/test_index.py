@@ -27,6 +27,7 @@ from racetrace import (
     replay_prefix,
     run_deterministic,
     run_random,
+    serialize_trace,
     step,
     validate_interleaving,
     validate_trace,
@@ -43,7 +44,7 @@ from racetrace.races import racers_at
 from racetrace.terms import Atom, Int, Tup, match
 from racetrace.traces import TraceIndex, first_cycle, valid_index
 
-from conftest import FIXTURES, fixture_text
+from conftest import FIXTURES, fixture_text, gencoll_text
 from strategies import CS_ANY, traces
 from test_golden import REASONS_TRACE
 
@@ -118,7 +119,7 @@ def _full_order_cycle(t):
                 edges[sent[a.tag]].add(EventId(q, j))
     ids = list(edges)
     number = {e: k for k, e in enumerate(ids)}
-    cycle = first_cycle(len(ids), [[number[d] for d in sorted(edges[e])] for e in ids])
+    cycle = first_cycle([[number[d] for d in sorted(edges[e])] for e in ids])
     return None if cycle is None else [ids[k] for k in cycle]
 
 
@@ -457,6 +458,31 @@ def test_race_tables_match_each_message_once_per_clause_list(monkeypatch):
     assert sum(len(rep.candidates) for rep in reports) == 200 * 199
     assert len(matched) <= 200  # 200 sends, one clause list
     assert len(sort_keys) <= 401  # the events
+
+
+def test_hb_pairs_sorts_each_pid_once(monkeypatch, tmp_path, capsys):
+    # the CLI sorted the edges and the 80 200 pairs by name_sort_key of both
+    # ends: 121 802 calls here
+    t = _fifo_chain(200)
+    path = tmp_path / "fifo.trace"
+    path.write_text(serialize_trace(t))
+    pairs = len(hb_graph(t).reachable_pairs())
+    sort_keys = _record_calls(monkeypatch, parsing_module.name_sort_key)
+    assert main(["hb", "--pairs", str(path)]) == 0
+    assert capsys.readouterr().out.count(" ~> ") == pairs
+    assert len(sort_keys) <= 2 * len(t.procs)
+
+
+def test_races_sorts_each_pid_and_tag_once(monkeypatch, tmp_path, capsys):
+    # each report sorted its racers by name_sort_key: 45 452 calls here
+    t, _ = run_random(parse_program(gencoll_text(300)), 1)
+    sends = sum(isinstance(a, Send) for seq in t.procs.values() for a in seq)
+    path = tmp_path / "gencoll.trace"
+    path.write_text(serialize_trace(t))
+    sort_keys = _record_calls(monkeypatch, parsing_module.name_sort_key)
+    assert main(["races", str(path)]) == 0
+    assert capsys.readouterr().out.count(" rec(") == 300
+    assert len(sort_keys) <= 2 * (len(t.procs) + sends)
 
 
 def test_race_tables_read_one_match_column_per_clause_list(monkeypatch):

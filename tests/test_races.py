@@ -498,7 +498,7 @@ def _reference_race_report(index: TraceIndex, r: int) -> RaceReport:
                     infeasible, survives and not infeasible,
                 )
             )
-    checks.sort(key=lambda c: name_sort_key(c.tag))
+    checks.sort(key=lambda c: (name_sort_key(c.tag), c.tag))
     racers = {c.tag for c in checks if c.in_race_set}
     return RaceReport(EventId(pid, idx), rec.tag, racers, checks)
 
