@@ -242,15 +242,13 @@ def cmd_replay(args) -> int:
         return FAIL
     if args.cont:
         t, outcome = run_deterministic(state, args.max_steps)
-        _emit(args, {"outcome": str(outcome), "trace": serialize_trace(t)},
-              f"outcome: {outcome}")
-        if not args.json:
-            sys.stdout.write(serialize_trace(t))
+        record, line = {"outcome": str(outcome)}, f"outcome: {outcome}"
     else:
-        _emit(args, {"result": "replayed", "trace": serialize_trace(state.trace())},
-              "replayed prefix")
-        if not args.json:
-            sys.stdout.write(serialize_trace(state.trace()))
+        t, record, line = state.trace(), {"result": "replayed"}, "replayed prefix"
+    text = serialize_trace(t)
+    _emit(args, {**record, "trace": text}, line)
+    if not args.json:
+        sys.stdout.write(text)
     return OK
 
 

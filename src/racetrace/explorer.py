@@ -65,7 +65,7 @@ from .simulator import (
     run_deterministic,
     run_random,
 )
-from .traces import Event, Pid, Rec, Spawn, Tag, Trace, valid_index
+from .traces import Event, Pid, Rec, Tag, Trace, valid_index
 
 
 @dataclass(frozen=True)
@@ -136,7 +136,7 @@ def explore(
 
     def record(
         result: tuple[Trace, Outcome],
-        prefix: tuple[Event, ...],
+        shared: dict[Pid, int],
         origin: Optional[Origin],
         sleep: frozenset[Tag],
     ) -> None:
@@ -155,17 +155,12 @@ def explore(
         report.outcomes[key] = str(outcome)
         report.orphans[key] = sorted_names(index.orphans())
         report.origins[key] = origin
-        # per process, how many events it shares with the parent, read off the
-        # variant's order (0 for a process spawned there without events); the
-        # replay added the rest, which follow each process's first added event
-        shared: dict[Pid, int] = {}
+        # per process, how many events it shares with the parent: what the
+        # replay of the variant's order recorded, less the rewritten receive;
+        # the run added the rest, which follow each process's first added event
         replaced = -1
         if origin is not None:
             rpid, ridx = origin.replaced_at
-            for e in prefix:
-                shared[e.pid] = shared.get(e.pid, 0) + 1
-                if isinstance(e.action, Spawn):
-                    shared[e.action.child] = 0
             shared[rpid] = ridx
             replaced = index.first[rpid] + ridx
         added = [index.first[p] + n for p, n in shared.items() if len(t.procs[p]) > n]
@@ -193,7 +188,7 @@ def explore(
                     slept.add(racer)
         report.race_counts[key] = count
 
-    record(run_random(program, seed, max_steps), (), None, frozenset())
+    record(run_random(program, seed, max_steps), {}, None, frozenset())
     while queue:
         if len(report.traces) >= max_traces:
             report.bounded = True
@@ -205,7 +200,8 @@ def explore(
         except DivergenceError:
             report.divergences += 1
             continue
-        record(run_deterministic(sys, max_steps), order, origin, sleep)
+        shared = {p: len(ps.recorded) for p, ps in sys.procs.items()}
+        record(run_deterministic(sys, max_steps), shared, origin, sleep)
     return report
 
 

@@ -507,7 +507,8 @@ def run_deterministic(sys: SysState, max_steps: int = 10000) -> tuple[Trace, Out
 
 @dataclass
 class Alignment:
-    """Bidirectional renaming between logged and simulator names.
+    """Renaming between logged and simulator names: pids both ways, tags
+    from the simulator's to the log's, the one direction replay reads.
 
     Pids and tags are kept in separate namespaces: the simulator names both
     hierarchically, so the k-th child and the k-th message of a process share
@@ -515,7 +516,6 @@ class Alignment:
 
     pid_log_to_sim: dict[str, str] = field(default_factory=dict)
     pid_sim_to_log: dict[str, str] = field(default_factory=dict)
-    tag_log_to_sim: dict[str, str] = field(default_factory=dict)
     tag_sim_to_log: dict[str, str] = field(default_factory=dict)
 
     def bind_pid(self, log_name: str, sim_name: str) -> None:
@@ -523,7 +523,6 @@ class Alignment:
         self.pid_sim_to_log[sim_name] = log_name
 
     def bind_tag(self, log_name: str, sim_name: str) -> None:
-        self.tag_log_to_sim[log_name] = sim_name
         self.tag_sim_to_log[sim_name] = log_name
 
     def sim_value_to_log(self, value: Term) -> Term:
@@ -574,9 +573,11 @@ def replay_order(
 
     Every step checks that the program performs exactly the logged action,
     else raises DivergenceError at that position. Given an ``Alignment``,
-    names are compared modulo it, and each name a spawn or send introduces
-    is bound as it is replayed; without one, the order uses the simulator's
-    own names, as a trace the simulator recorded does.
+    the program's action is translated once into the log's names, and each
+    name a spawn or send introduces is bound as it is replayed; without
+    one, the order uses the simulator's own names, as a trace the simulator
+    recorded does. Either way a send to a pid that is no process is the
+    program's error: SimulationError, as in ``simulate``.
     """
     for i, event in enumerate(order):
         sim_pid = event.pid if align is None else align.pid_log_to_sim.get(event.pid)
@@ -586,32 +587,24 @@ def replay_order(
         if nxt is None:
             raise DivergenceError(i, f"pid {event.pid} ({sim_pid}) is not enabled")
         actual = nxt[0]
+        shown = actual if align is None else align.sim_action_to_log(actual)
         logged = event.action
-        if type(actual) is not type(logged):
+        if type(shown) is not type(logged):
             kind = {Spawn: "spawn", Send: "send", Rec: "receive"}[type(logged)]
-            shown = actual if align is None else align.sim_action_to_log(actual)
             raise DivergenceError(i, f"expected {kind}, program does {render_action(shown)}")
         if isinstance(logged, Send):
-            target, value = actual.target, actual.value
-            if align is not None:
-                target, value = align.pid_sim_to_log.get(target), align.sim_value_to_log(value)
-            if target != logged.target:
-                raise DivergenceError(
-                    i, f"send targets {target or actual.target}, log says {logged.target}"
-                )
-            if value != logged.value:
+            if shown.target != logged.target:
+                raise DivergenceError(i, f"send targets {shown.target}, log says {logged.target}")
+            if shown.value != logged.value:
                 raise DivergenceError(
                     i,
-                    f"send value {render_term(value)} differs from "
+                    f"send value {render_term(shown.value)} differs from "
                     f"logged {render_term(logged.value)}",
                 )
         elif isinstance(logged, Rec):
-            tag = actual.tag if align is None else align.tag_sim_to_log.get(actual.tag)
-            if tag != logged.tag:
-                raise DivergenceError(
-                    i, f"receive consumes {tag or actual.tag}, log says {logged.tag}"
-                )
-            if not actual.cs.same_clauses(logged.cs):
+            if shown.tag != logged.tag:
+                raise DivergenceError(i, f"receive consumes {shown.tag}, log says {logged.tag}")
+            if not shown.cs.same_clauses(logged.cs):
                 raise DivergenceError(i, "receive constraint differs from the log")
         _apply(sys, sim_pid, nxt)
         if align is not None:

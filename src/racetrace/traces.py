@@ -243,6 +243,8 @@ class TraceIndex:
     * ``send_at`` / ``rec_at``: the first send / receive of each tag;
     * ``sends_to``: per target pid, per sender pid (both in event order),
       the sends addressed to the target;
+    * ``clause``: per receive, the id of its clause list (equal clauses,
+      equal ids), numbered as the receives come;
     * ``hb_succ``: integer adjacency lists of the happened-before edges
       (program order, spawn before the child's first action, send before
       its receive). A self-send received next lists its receive twice;
@@ -250,9 +252,10 @@ class TraceIndex:
 
     The mailbox rule -- a receive takes the oldest matching message -- is
     stated once, in ``oldest_waiting``; the ordering edges in ``succ`` read
-    it from there. ``matches`` asks ``terms.match`` once per send and clause
-    list, ``table_header`` sorts each receiver's sends once, and
-    ``match_column`` lays their match answers out once per clause list.
+    it from there, and ``succ`` lists successors in event-number order.
+    ``matches`` asks ``terms.match`` once per send and clause id,
+    ``table_header`` sorts each receiver's sends once, and ``match_column``
+    lays their match answers out once per clause id.
     These answers and a pass of ``valid_index`` are kept once known; nothing
     else changes after construction.
     """
@@ -268,12 +271,15 @@ class TraceIndex:
         self.send_at: dict[Tag, int] = {}
         self.rec_at: dict[Tag, int] = {}
         self.sends_to: dict[Pid, dict[Pid, list[int]]] = {}
+        self.clause: dict[int, int] = {}
+        ids: dict[tuple, int] = {}
         for v, (pid, _, a) in enumerate(events):
             if isinstance(a, Send):
                 self.send_at.setdefault(a.tag, v)
                 self.sends_to.setdefault(a.target, {}).setdefault(pid, []).append(v)
             elif isinstance(a, Rec):
                 self.rec_at.setdefault(a.tag, v)
+                self.clause[v] = ids.setdefault(a.cs.clauses, len(ids))
         self.hb_succ: list[list[int]] = [[] for _ in events]
         for v, (pid, i, a) in enumerate(events):
             if i + 1 < len(t.procs[pid]):
@@ -283,8 +289,6 @@ class TraceIndex:
             elif isinstance(a, Rec) and a.tag in self.send_at:
                 self.hb_succ[self.send_at[a.tag]].append(v)
         self._oldest: dict[int, dict[Pid, int]] = {}
-        self._clauses: dict[int, int] = {}  # receive -> id of its clause list
-        self._clause_ids: dict[tuple, int] = {}
         self._matches: dict[tuple[int, int], bool] = {}
         self._headers: dict[Pid, tuple[tuple[int, Pid, Tag, Optional[int]], ...]] = {}
         self._columns: dict[tuple[Pid, int], tuple[bool, ...]] = {}
@@ -300,19 +304,11 @@ class TraceIndex:
         """Tags that are sent but never received."""
         return set(self.send_at) - set(self.rec_at)
 
-    def _clause_id(self, r: int) -> int:
-        """The id of receive r's clause list: equal clauses, equal ids."""
-        cl = self._clauses.get(r)
-        if cl is None:
-            ids = self._clause_ids
-            cl = self._clauses[r] = ids.setdefault(self.events[r][2].cs.clauses, len(ids))
-        return cl
-
     def matches(self, s: int, r: int) -> bool:
         """Send s's value matches receive r's constraint. ``terms.match`` is
         asked once per send and clause list: constraints with equal clauses
         share their answers, whatever their ids."""
-        cl = self._clause_id(r)
+        cl = self.clause[r]
         hit = self._matches.get((s, cl))
         if hit is None:
             hit = self._matches[s, cl] = match(self.events[s][2].value, self.events[r][2].cs)
@@ -340,7 +336,7 @@ class TraceIndex:
         """Per entry of ``table_header`` of r's process, whether the send
         matches r's constraint: one column per process and clause list,
         read off ``matches``."""
-        key = (self.events[r][0], self._clause_id(r))
+        key = (self.events[r][0], self.clause[r])
         column = self._columns.get(key)
         if column is None:
             header = self.table_header(key[0])
@@ -380,14 +376,15 @@ class TraceIndex:
     @property
     def succ(self) -> list[list[int]]:
         """Adjacency lists of hb edges plus mailbox-ordering edges, each
-        list sorted by ``EventId`` (pid string, then index).
+        list in event-number order.
 
         A receive of message L orders L's send before every other message
         it could have taken. Only the oldest such message per sender
         (``oldest_waiting``) gets an edge: the later ones follow it in
-        program order, so the edge set has the same transitive closure -- hence the same
-        linearizations -- and a depth-first search that takes successors in
-        this order meets the pruned edges' targets already finished, so it
+        program order, so the edge set has the same transitive closure --
+        hence the same linearizations. A sender's later messages also have
+        larger event numbers, so a depth-first search that takes successors
+        in this order meets the pruned edges' targets already finished, and
         walks, and reports cycles, exactly as over the full edge set. Meant
         for traces that pass condition (a) (unique tags).
         """
@@ -397,11 +394,7 @@ class TraceIndex:
                 s = self.send_at.get(tag)
                 if s is not None:
                     extra[s].update(w for w in self.oldest_waiting(r).values() if w != s)
-            events = self.events
-            self._succ = [
-                sorted(extra[v].union(hb), key=lambda w: events[w][:2])
-                for v, hb in enumerate(self.hb_succ)
-            ]
+            self._succ = [sorted(extra[v].union(hb)) for v, hb in enumerate(self.hb_succ)]
         return self._succ
 
     def after(self, src: int) -> bytearray:

@@ -76,6 +76,17 @@ LONG_PROGRAM = (
 )
 
 
+# main spawns g, which the log calls p2, and then sends to the literal <p2>,
+# which names no process: the simulator calls the child p1.1
+SEND_TO_NO_PROCESS = (
+    "program { main f def f() { P = spawn g(); send {val,1} to <p2> } "
+    "def g() { receive { X -> ok } } }"
+)
+SEND_TO_NO_PROCESS_PREFIX = (
+    "trace { initial: p1\n p1: spawn(p2), send(l1, {val,1}, p2)\n p2: ε }\n"
+)
+
+
 @pytest.fixture
 def gencoll4():
     return parse_program(GENCOLL4)

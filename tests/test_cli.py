@@ -9,7 +9,13 @@ import pytest
 from racetrace import parse_trace, serialize_trace, validate_trace
 from racetrace.cli import main
 
-from conftest import FIXTURES, LONG_PROGRAM, fixture_text
+from conftest import (
+    FIXTURES,
+    LONG_PROGRAM,
+    SEND_TO_NO_PROCESS,
+    SEND_TO_NO_PROCESS_PREFIX,
+    fixture_text,
+)
 
 
 def fx(name):
@@ -404,6 +410,14 @@ def test_replay_divergence(tmp_path, capsys):
             "--emit-trace", str(target))
     code, out, _ = run_cli(capsys, "replay", fx("progb.prog"), "--prefix", str(target))
     assert code == 1 and "divergence" in out
+
+
+def test_replay_of_a_send_to_no_process_is_a_one_line_diagnostic(tmp_path, capsys):
+    prog, prefix = tmp_path / "p.prog", tmp_path / "prefix.trace"
+    prog.write_text(SEND_TO_NO_PROCESS)
+    prefix.write_text(SEND_TO_NO_PROCESS_PREFIX)
+    code, out, err = run_cli(capsys, "replay", str(prog), "--prefix", str(prefix))
+    assert (code, out, err) == (2, "", "p1: send target p2 is not a process\n")
 
 
 def test_explore_with_oracle_and_out(tmp_path, capsys):

@@ -28,8 +28,9 @@ def val(n):
     return Tup((Atom("val"), Int(n)))
 
 
-# pids whose string order (p1.10 < p1.3 < p1.9) differs from their numeric
-# order: the cycle reported depends on visiting successors in EventId order
+# pids whose string order (p1.10 < p1.3 < p1.9) differs from their canonical
+# order (p1.3 < p1.9 < p1.10): the cycle reported depends on visiting
+# successors in event-number order, which numbers pids canonically
 PID_ORDER_CYCLE = """trace { initial: p1
   p1: spawn(p1.10), spawn(p1.9), spawn(p1.3)
   p1.1.1: rec(p1.3.1, csa), send(p1.1.1.1, {val,0}, p1.10)
@@ -72,8 +73,8 @@ VIOLATIONS = [
         parse_trace(PID_ORDER_CYCLE).procs,
         Violation(
             "d",
-            "p1.3[1] -> p1.3[2] -> p1.1.1[0] -> p1.1.1[1] -> p1.10[1] -> p1.10[2] "
-            "-> p1.10[3] -> p1.3[1]",
+            "p1.3[0] -> p1.3[1] -> p1.3[2] -> p1.1.1[0] -> p1.1.1[1] -> p1.10[1] "
+            "-> p1.10[2] -> p1.3[0]",
             "no linearization can order these events",
         ),
     ),

@@ -103,7 +103,7 @@ def _full_order_cycle(t):
     """The first cycle of a depth-first search over hb edges plus an
     ordering edge from each receive's own send to every other message its
     process could take then (not only the oldest per sender), in the
-    order validation searches: roots in event order, successors by id."""
+    order validation searches: roots and successors in event order."""
     edges, sent = _direct_hb(t)
     for pid, i, a in t.events():
         if not isinstance(a, Rec) or a.tag not in sent:
@@ -119,7 +119,7 @@ def _full_order_cycle(t):
                 edges[sent[a.tag]].add(EventId(q, j))
     ids = list(edges)
     number = {e: k for k, e in enumerate(ids)}
-    cycle = first_cycle([[number[d] for d in sorted(edges[e])] for e in ids])
+    cycle = first_cycle([sorted(number[d] for d in edges[e]) for e in ids])
     return None if cycle is None else [ids[k] for k in cycle]
 
 
@@ -406,7 +406,7 @@ def test_each_step_evaluates_a_process_once(monkeypatch, progc):
 def test_explore_replays_from_the_initial_state(monkeypatch):
     # every variant is replayed from initial_state: no state is copied
     clones = _record_calls(monkeypatch, simulator_module.SysState.clone)
-    assert len(explore(parse_program(_gencoll(4)), seed=1).traces) == 24
+    assert len(explore(parse_program(gencoll_text(4)), seed=1).traces) == 24
     assert clones == []
 
 
@@ -500,17 +500,6 @@ def test_race_tables_read_one_match_column_per_clause_list(monkeypatch):
 # ---------------------------------------------------------------------------
 
 
-def _gencoll(n):
-    """n generators each send one {val,N} to a collector that makes n
-    unguarded receives: n! traces, every receive racing."""
-    spawns = "".join(f"; spawn gen(C, {v})" for v in range(1, n + 1))
-    receives = "; ".join("receive { {val,X} -> X }" for _ in range(n))
-    return (
-        f"program {{ main main\n  def main() {{ C = spawn collector(){spawns} }}\n"
-        f"  def gen(C, N) {{ send {{val,N}} to C }}\n  def collector() {{ {receives} }} }}\n"
-    )
-
-
 def _one_sender(n):
     """main sends n {val,i} to one receiver, which makes n receives: one
     trace, and no race at any receive."""
@@ -525,7 +514,7 @@ def _one_sender(n):
 def test_explore_and_variant_build_no_candidate_table(monkeypatch, progb, run_trace):
     # explore built 1 300 rows at n=5 when it read race reports
     rows = _record_calls(monkeypatch, races_module.CandidateCheck)
-    assert len(explore(parse_program(_gencoll(5)), seed=1).traces) == 120
+    assert len(explore(parse_program(gencoll_text(5)), seed=1).traces) == 120
     assert len(explore(progb).traces) == 4
     assert variant(run_trace, "l2", "l6").new_tag == "l6"
     assert rows == []

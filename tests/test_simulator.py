@@ -27,7 +27,12 @@ from racetrace import simulator
 from racetrace.parsing import ParseError
 from racetrace.terms import Atom, Int, PidLit, Tup
 
-from conftest import LONG_PROGRAM, fixture_text
+from conftest import (
+    LONG_PROGRAM,
+    SEND_TO_NO_PROCESS,
+    SEND_TO_NO_PROCESS_PREFIX,
+    fixture_text,
+)
 from strategies import CS_ANY, programs
 
 
@@ -380,6 +385,25 @@ def test_divergence_messages_render_actions_in_the_logs_names(proga, tau_a):
     )
 
 
+def test_replay_of_a_send_to_no_process_is_the_programs_error():
+    # replayed in the log's names, the send is the program's error, as in a
+    # run of its own; it is no divergence from the log
+    program = parse_program(SEND_TO_NO_PROCESS)
+    with pytest.raises(SimulationError) as info:
+        run_random(program, seed=0)
+    assert str(info.value) == "p1: send target p2 is not a process"
+    with pytest.raises(SimulationError) as info:
+        replay_prefix(program, parse_trace(SEND_TO_NO_PROCESS_PREFIX))
+    assert str(info.value) == "p1: send target p2 is not a process"
+    # a target spelled unlike the log's still diverges
+    with pytest.raises(DivergenceError) as info:
+        replay_prefix(
+            parse_program(SEND_TO_NO_PROCESS.replace("<p2>", "<p9>")),
+            parse_trace(SEND_TO_NO_PROCESS_PREFIX),
+        )
+    assert str(info.value) == "divergence at prefix event 1: send targets p9, log says p2"
+
+
 def test_receive_divergences_name_the_logs_tags():
     def divergence(program, trace):
         with pytest.raises(DivergenceError) as info:
@@ -409,6 +433,6 @@ def test_replay_accepts_foreign_names(proga, tau_a):
     sys, align = replay_prefix(proga, tau_a)
     assert align.pid_log_to_sim["p2"] == "p1.1"
     assert align.pid_log_to_sim["p3"] == "p1.2"
-    assert align.tag_log_to_sim["l1"] == "p1.1"
+    assert align.tag_sim_to_log["p1.1"] == "l1"
     t, outcome = run_deterministic(sys)
     assert outcome == Outcome("completed")
