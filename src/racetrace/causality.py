@@ -86,7 +86,7 @@ class HbGraph:
         index, nodes = self.index, self.nodes
         for v, succ in enumerate(index.hb_succ):
             a = index.events[v][2]
-            for w in sorted(set(succ)):
+            for w in sorted(succ):
                 b = index.events[w][2]
                 if isinstance(b, Rec) and index.send_at.get(b.tag) == v:
                     yield nodes[v], nodes[w], f"message {b.tag}"

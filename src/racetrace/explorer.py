@@ -11,9 +11,10 @@ variants repeat one already queued, and those are not built.
 
 Each new trace is indexed and validated once (``valid_index``); its orphans,
 race sets (``racers_at``; no candidate table) and variants come from that
-one index. A variant is never built as a trace, indexed or validated: its
-validity gate admits it on the parent's index, and ``variant_order`` reads
-its replay order off the same index, raising ValueError on a cycle.
+one index, which walks each receive's ``cut`` at most once. A variant is
+never built as a trace, indexed or validated: its validity gate admits it
+on the parent's index, and ``variant_order`` reads its replay order off the
+same index, raising ValueError on a cycle.
 
 Each variant is replayed from ``initial_state``, as stateless model
 checkers replay every schedule (VeriSoft, Concuerror): ``replay_order``
@@ -26,7 +27,7 @@ events beyond the prefix. Two rules keep it from redoing its parent's work:
 
 * Shared-prefix rule. The parent already enqueued the variants of every
   receive r inside the prefix. The child skips r only when every added
-  event happened after r (``index.after(r)``). Then all the child changed
+  event happened after r (``index.cut(r)``). Then all the child changed
   lies after r, and what r could be reordered with lies inside the prefix,
   as in the parent. Otherwise r's context changed, and its races are
   reported again: a variant at a proxy's receive makes the forwarded tag
@@ -168,10 +169,10 @@ def explore(
         for r, (pid, idx, a) in enumerate(index.events):
             if not isinstance(a, Rec):
                 continue
-            repeats = False  # every added event but r happened after r
+            repeats = False  # every added event is r or happened after r
             if idx < shared.get(pid, 0) or r == replaced:
-                after = index.after(r)
-                repeats = all(after[v] for v in added if v != r)
+                cut = index.cut(r)
+                repeats = all(cut[v] for v in added)
                 if repeats and r != replaced:
                     continue
             slept = {a.tag}

@@ -24,45 +24,40 @@ reference that checks this one: ``racetrace.oracles.declarative_race_oracle``.
 A race variant rewrites the receive to consume the racer and erases every
 action that happened after the original receive, yielding a (usually partial)
 trace that can drive a replayed execution into a new equivalence class. What
-it keeps is stated once, in ``_erased`` and ``_kept_succ``, which the
-validity gate and ``variant_order`` both read; the paper's inductive
-``rdep`` is the tests' reference for it.
+it erases is the receive's ``TraceIndex.cut``, one traversal per receive and
+index; the race decision, the candidate table, ``variant`` (the cut's
+projection) and ``variant_order`` all read it, and ``_kept_succ`` the edges
+it keeps. The paper's inductive ``rdep`` is the tests' reference for it.
 
 Cost: ``racers_at`` reads the receive's ``oldest_waiting`` messages, at most
 one per sender, and stops there when no other sender has one waiting.
-Otherwise it marks the cut once (``_erased``, one forward traversal), and
-the validity gate reads that cut and validates nothing: the rewritten trace
-keeps the events the receive did not happen before and adds the new receive,
-so one check (no kept send addresses an erased process) and one forward
-traversal from all the messages waiting at the receive (no other may precede
-a survivor) decide it for every survivor at once: linear in the events and
-edges kept, whatever the number of senders. The explorer and ``variant``
-read only ``racers_at``. ``all_races`` and ``race_set`` validate once, or
-not at all given an index ``valid_index`` returned, and add each receive's
-table: one more traversal when the decision made none, and per-receiver
-columns. The receiver's ``table_header`` (its sends in table order, each
-with its sender, tag and consuming receive) is built once per index, and
-zipped with a ``match_column`` built once per receiver and clause list. A
-row then costs a few comparisons with the receive's own values and one
-named-tuple construction. At 1 601 FIFO events (639 200 rows) the rows take
-nearly all of ``all_races``'s time, about 40 % of it in the cyclic garbage
-collector, which walks every row. A variant is its replay order:
-``variant_order`` reads it off the same index with the one canonical order
-``traces.smallest_first``, so a replay needs neither a new index nor a
-validation; ``variant`` projects it onto its processes.
+Otherwise it reads the cut, and the validity gate validates nothing: the
+rewritten trace keeps the events the receive did not happen before and adds
+the new receive, so one check (no kept send addresses a process whose
+``spawn_at`` is erased) and one forward traversal from all the messages
+waiting at the receive (no other may precede a survivor) decide it for every
+survivor at once: linear in the events and edges kept, whatever the number
+of senders. The explorer reads only ``racers_at``. ``all_races`` and
+``race_set`` validate once, or not at all given an index ``valid_index``
+returned, and add each receive's table: the cut, and per-receiver columns.
+The receiver's ``table_header`` (its sends in table order, each with its
+sender, tag and consuming receive) is built once per index, and zipped with
+a ``match_column`` built once per receiver and clause list. A row then costs
+a few comparisons with the receive's own values and one named-tuple
+construction. At 1 601 FIFO events (639 200 rows) the rows take nearly all
+of ``all_races``'s time, about 40 % of it in the cyclic garbage collector,
+which walks every row. A variant's replay order is ``variant_order``, read
+off the same index with the one canonical order ``traces.smallest_first``,
+so a replay needs neither a new index nor a validation.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 from .causality import EventId
-from .traces import (
-    Event, Interleaving, Pid, Rec, Send, Spawn, Tag, Trace, TraceIndex, smallest_first, tr,
-    valid_index,
-)
+from .traces import Event, Pid, Rec, Send, Tag, Trace, TraceIndex, smallest_first, valid_index
 
 
 class CandidateCheck(NamedTuple):
@@ -118,35 +113,26 @@ def racers_at(index: TraceIndex, r: int) -> set[Tag]:
     statement of the race decision. Only a sender's oldest message waiting
     at r can race (its later ones are sent after it): those other than r's
     own that r did not happen before and that the validity gate admits."""
-    return _decide(index, r)[0]
-
-
-def _decide(index: TraceIndex, r: int) -> tuple[set[Tag], bytearray | None]:
-    """``racers_at``, and the cut ``_erased`` marked for it; None when no
-    other sender has a message waiting at r, and nothing was marked."""
     own = index.send_at[index.events[r][2].tag]
     oldest = index.oldest_waiting(r)
     if all(s == own for s in oldest.values()):
-        return set(), None
-    gone, dead = _erased(index, r)
-    infeasible = _variant_gate(index, r, oldest, gone, dead)
+        return set()
+    gone = index.cut(r)
+    infeasible = _variant_gate(index, r, oldest, gone)
     survivors = (s for s in oldest.values() if s != own and not gone[s])
-    return {index.events[s][2].tag for s in survivors if not infeasible(s)}, gone
+    return {index.events[s][2].tag for s in survivors if not infeasible(s)}
 
 
 def race_report(index: TraceIndex, r: int) -> RaceReport:
     """``racers_at`` and the candidate table that explains it. A row passes
     the cheap checks iff it is its sender's oldest message waiting at r that
     r did not happen before, and it is then infeasible iff not a racer. The
-    table reads the decision's cut, which marks a send iff r happened
-    before it, and walks from r itself only when the decision did not. Its
-    rows zip r's process's ``table_header`` with r's ``match_column``, and
-    compare each entry with r's own values only."""
+    table reads r's ``cut``, which marks a send iff r happened before it.
+    Its rows zip r's process's ``table_header`` with r's ``match_column``,
+    and compare each entry with r's own values only."""
     events = index.events
     pid, idx, rec = events[r]
-    racers, after = _decide(index, r)
-    if after is None:
-        after = index.after(r)
+    racers, after = racers_at(index, r), index.cut(r)
     own = index.send_at[rec.tag]
     # per sender, its oldest message waiting at r and that message's tag; a
     # sender with none blocks nothing (no send is numbered len(events))
@@ -168,34 +154,20 @@ def race_report(index: TraceIndex, r: int) -> RaceReport:
     return RaceReport(EventId(pid, idx), rec.tag, racers, checks)
 
 
-def _erased(index: TraceIndex, r: int) -> tuple[bytearray, set[Pid]]:
-    """What every variant cut at receive r erases: the marks of r and of
-    the events r happened before (``index.after(r)``), and the pids whose
-    spawn is among them. A variant keeps every other event, which is what
-    the paper's ``rdep`` keeps once r is rewritten, and ``notdep(r)`` in
-    Optimal DPOR's terms; the validity gate and ``variant_order`` both
-    read it from here."""
-    gone = index.after(r)
-    gone[r] = 1
-    erased_events = itertools.compress(index.events, gone)
-    dead = {a.child for _, _, a in erased_events if isinstance(a, Spawn)}
-    return gone, dead
-
-
 def _variant_gate(
-    index: TraceIndex, r: int, oldest: dict[Pid, int], gone: bytearray, dead: set[Pid]
+    index: TraceIndex, r: int, oldest: dict[Pid, int], gone: bytearray
 ) -> Callable[[int], bool]:
     """The validity gate of receive r's candidates, read off the parent's
     index: the returned function tells, for a send s that survives the
     cheap checks, whether the variant consuming s at r is *not* a valid
     trace. The variant is never built.
 
-    The variant keeps K, the events ``gone`` (``_erased``'s cut) does not
-    mark, and ends r's process with rec(s). K is a subtrace of a valid
-    trace, so the variant is invalid in two cases only:
+    The variant keeps K, the events r's ``cut`` (``gone``) does not mark,
+    and ends r's process with rec(s). K is a subtrace of a valid trace, so
+    the variant is invalid in two cases only:
 
-    (i) a kept send addresses a process whose spawn is erased (``dead``):
-        condition (a), the same for every candidate at r;
+    (i) a kept send addresses a process whose spawn (``spawn_at``) is
+        erased: condition (a), the same for every candidate at r;
     (ii) the new receive closes a cycle: it orders s before W, the oldest
         message per sender still waiting at r inside K (r's own message,
         now unconsumed, among them), so s is infeasible iff some w in W
@@ -206,12 +178,8 @@ def _variant_gate(
         traversal from all of W answers every candidate: it reads each
         kept event's edges at most once, whatever the size of W.
     """
-    if any(
-        not gone[v]
-        for child in dead
-        for sends in index.sends_to.get(child, {}).values()
-        for v in sends
-    ):
+    to_dead = (index.sends_to.get(child, {}) for child, v in index.spawn_at.items() if gone[v])
+    if any(not gone[s] for senders in to_dead for sends in senders.values() for s in sends):
         return lambda s: True
     stack = [w for w in oldest.values() if not gone[w]]
     mark = bytearray(len(index.events))  # 1: in W, 2: entered by a kept edge
@@ -227,7 +195,7 @@ def _variant_gate(
 
 def _kept_succ(index: TraceIndex, r: int, gone: bytearray, v: int) -> list[int]:
     """The edges out of kept event v that every variant cut at receive r
-    keeps (``gone`` is ``_erased``'s marks): its hb and ordering edges to
+    keeps (``gone`` is r's ``cut``): its hb and ordering edges to
     kept events, except that a send whose receive is erased keeps only its
     hb edges, since its ordering edges were that receive's."""
     a = index.events[v][2]
@@ -269,7 +237,7 @@ def orphans(t: Trace | TraceIndex) -> set[Tag]:
 
 def variant_order(index: TraceIndex, r: int, racer: Tag) -> tuple[Event, ...]:
     """The variant for a racer of receive event r of the trace `index`
-    holds, as its linearization: the events ``_erased`` keeps, and the
+    holds, as its linearization: the events r's ``cut`` keeps, and the
     receive rewritten to rec(racer). It equals ``linearize`` of the variant
     trace, so two orders are equal iff the two variant traces are. It is
     read off the parent's index by ``smallest_first``, as ``linearize``'s
@@ -287,12 +255,10 @@ def variant_order(index: TraceIndex, r: int, racer: Tag) -> tuple[Event, ...]:
     events = index.events
     pid, idx, rec = events[r]
     s = index.send_at[racer]
-    gone, _ = _erased(index, r)
+    gone = index.cut(r)
     # r's program predecessor, or the spawn of its process when r comes first
     # (the initial process cannot start with a receive: no one sends first)
-    pred = r - 1 if idx else next(
-        v for v, (_, _, a) in enumerate(events) if isinstance(a, Spawn) and a.child == pid
-    )
+    pred = r - 1 if idx else index.spawn_at[pid]
     nodes = [v for v in range(len(events)) if not gone[v] or v == r]
     out = [[] if gone[v] else _kept_succ(index, r, gone, v) for v in range(len(events))]
     out[pred].append(r)
@@ -305,7 +271,10 @@ def variant_order(index: TraceIndex, r: int, racer: Tag) -> tuple[Event, ...]:
 
 
 def variant(t: Trace | TraceIndex, tag: Tag, racer: Tag) -> Variant:
-    """The race variant of t that consumes `racer` at `tag`'s receive."""
+    """The race variant of t that consumes `racer` at `tag`'s receive r,
+    read off r's ``cut``: each process whose spawn the cut keeps (and the
+    initial one) keeps the events r did not happen before, in t's process
+    order, and r's process ends in rec(racer)."""
     index = valid_index(t)
     t = index.trace
     r = _receive(index, tag)
@@ -318,6 +287,12 @@ def variant(t: Trace | TraceIndex, tag: Tag, racer: Tag) -> Variant:
                 else f"no send of {racer} is addressed to {index.events[r][0]}"
             )
         raise ValueError(f"{racer} is not in the race set of {tag} ({detail})")
-    procs = tr(Interleaving(t.initial, variant_order(index, r, racer))).procs
-    kept = Trace(t.initial, {p: procs[p] for p in t.procs if p in procs})  # parent's order
-    return Variant(kept, EventId(*index.events[r][:2]), tag, racer)
+    pid, idx, rec = index.events[r]
+    gone = index.cut(r)
+    procs = {
+        p: tuple(a for i, a in enumerate(seq) if not gone[index.first[p] + i])
+        for p, seq in t.procs.items()
+        if p == t.initial or not gone[index.spawn_at[p]]
+    }
+    procs[pid] += (Rec(racer, rec.cs),)
+    return Variant(Trace(t.initial, procs), EventId(pid, idx), tag, racer)

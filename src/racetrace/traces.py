@@ -240,15 +240,15 @@ class TraceIndex:
     holds:
 
     * ``events``: ``(pid, index, action)`` per event number;
-    * ``send_at`` / ``rec_at``: the first send / receive of each tag;
+    * ``send_at`` / ``rec_at`` / ``spawn_at``: the first send / receive of
+      each tag, and the first spawn of each child;
     * ``sends_to``: per target pid, per sender pid (both in event order),
       the sends addressed to the target;
     * ``clause``: per receive, the id of its clause list (equal clauses,
       equal ids), numbered as the receives come;
     * ``hb_succ``: integer adjacency lists of the happened-before edges
       (program order, spawn before the child's first action, send before
-      its receive). A self-send received next lists its receive twice;
-      every reader tolerates that.
+      its receive), each once: a self-send received next has one edge.
 
     The mailbox rule -- a receive takes the oldest matching message -- is
     stated once, in ``oldest_waiting``; the ordering edges in ``succ`` read
@@ -256,8 +256,8 @@ class TraceIndex:
     ``matches`` asks ``terms.match`` once per send and clause id,
     ``table_header`` sorts each receiver's sends once, and ``match_column``
     lays their match answers out once per clause id.
-    These answers and a pass of ``valid_index`` are kept once known; nothing
-    else changes after construction.
+    These answers, each receive's ``cut`` and a pass of ``valid_index`` are
+    kept once known; nothing else changes after construction.
     """
 
     def __init__(self, t: Trace):
@@ -270,6 +270,7 @@ class TraceIndex:
         self.events = events
         self.send_at: dict[Tag, int] = {}
         self.rec_at: dict[Tag, int] = {}
+        self.spawn_at: dict[Pid, int] = {}
         self.sends_to: dict[Pid, dict[Pid, list[int]]] = {}
         self.clause: dict[int, int] = {}
         ids: dict[tuple, int] = {}
@@ -280,6 +281,8 @@ class TraceIndex:
             elif isinstance(a, Rec):
                 self.rec_at.setdefault(a.tag, v)
                 self.clause[v] = ids.setdefault(a.cs.clauses, len(ids))
+            elif isinstance(a, Spawn):
+                self.spawn_at.setdefault(a.child, v)
         self.hb_succ: list[list[int]] = [[] for _ in events]
         for v, (pid, i, a) in enumerate(events):
             if i + 1 < len(t.procs[pid]):
@@ -287,11 +290,14 @@ class TraceIndex:
             if isinstance(a, Spawn) and t.procs.get(a.child):
                 self.hb_succ[v].append(self.first[a.child])
             elif isinstance(a, Rec) and a.tag in self.send_at:
-                self.hb_succ[self.send_at[a.tag]].append(v)
+                s = self.send_at[a.tag]
+                if not (i and s == v - 1):  # else it is the program edge
+                    self.hb_succ[s].append(v)
         self._oldest: dict[int, dict[Pid, int]] = {}
         self._matches: dict[tuple[int, int], bool] = {}
         self._headers: dict[Pid, tuple[tuple[int, Pid, Tag, Optional[int]], ...]] = {}
         self._columns: dict[tuple[Pid, int], tuple[bool, ...]] = {}
+        self._cuts: dict[int, bytearray] = {}
         self._succ: Optional[list[list[int]]] = None
         self._valid = False
 
@@ -409,6 +415,16 @@ class TraceIndex:
                     stack.append(nxt)
         return seen
 
+    def cut(self, r: int) -> bytearray:
+        """Marks of receive r and of every event r happened before: what each
+        race variant at r erases (``notdep(r)`` in Optimal DPOR's terms).
+        One ``after`` traversal per receive; callers must not change it."""
+        gone = self._cuts.get(r)
+        if gone is None:
+            gone = self._cuts[r] = self.after(r)
+            gone[r] = 1
+        return gone
+
     def loc(self, v: int) -> str:
         pid, i, _ = self.events[v]
         return f"{pid}[{i}]"
@@ -481,10 +497,11 @@ def validate_trace(t: Union[Trace, TraceIndex]) -> Optional[Violation]:
     """None iff some valid interleaving S has tr(S) = t.
 
     Takes the trace or its ``TraceIndex``, so a caller that goes on to use
-    the index builds it once. Conditions (a)-(c) are single passes over the
-    index; (d) is one depth-first search over ``TraceIndex.succ``, linear
-    in events plus edges. Per receive, the mailbox rule costs a lookup per
-    sender plus the sends it scans past that sender's cursor, and
+    the index builds it once. Condition (a) takes three passes (events,
+    processes, events), (b) and (c) one each; (d) is one depth-first search
+    over ``TraceIndex.succ``, linear in events plus edges. Per receive, the
+    mailbox rule costs a lookup per sender plus the sends it scans past
+    that sender's cursor, and
     ``terms.match`` runs at most once per send and clause list.
     """
     index = t if isinstance(t, TraceIndex) else TraceIndex(t)
@@ -494,14 +511,13 @@ def validate_trace(t: Union[Trace, TraceIndex]) -> Optional[Violation]:
         return Violation("a", t.initial, "initial pid has no entry")
 
     # (a) pid/tag uniqueness and spawn closure
-    spawned: set[Pid] = set()
+    spawn_at = index.spawn_at
     for v, (pid, _, a) in enumerate(events):
         if isinstance(a, Spawn):
-            if a.child in spawned or a.child == t.initial:
+            if spawn_at[a.child] != v or a.child == t.initial:
                 return Violation("a", index.loc(v), f"pid {a.child} spawned twice")
             if a.child == pid:
                 return Violation("a", index.loc(v), f"pid {pid} spawns itself")
-            spawned.add(a.child)
         elif isinstance(a, Send):
             if index.send_at[a.tag] != v:
                 return Violation("a", index.loc(v), f"tag {a.tag} sent twice")
@@ -509,13 +525,12 @@ def validate_trace(t: Union[Trace, TraceIndex]) -> Optional[Violation]:
             if index.rec_at[a.tag] != v:
                 return Violation("a", index.loc(v), f"tag {a.tag} received twice")
     for pid in t.procs:
-        if pid != t.initial and pid not in spawned:
+        if pid != t.initial and pid not in spawn_at:
             return Violation("a", pid, f"pid {pid} is never spawned")
-    known_pids = spawned.union(t.procs)
     for v, (_, _, a) in enumerate(events):
         if isinstance(a, Spawn) and a.child not in t.procs:
             return Violation("a", index.loc(v), f"spawned pid {a.child} has no entry")
-        if isinstance(a, Send) and a.target not in known_pids:
+        if isinstance(a, Send) and a.target not in spawn_at and a.target not in t.procs:
             return Violation("a", index.loc(v), f"unknown send target {a.target}")
 
     # (b) every receive has a unique matching send addressed to it

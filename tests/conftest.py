@@ -1,8 +1,13 @@
+import sys
 from pathlib import Path
 
 import pytest
 
 from racetrace import parse_interleaving, parse_program, parse_trace
+
+# the benchmark's input generators, which import only the standard library
+sys.path.append(str(Path(__file__).resolve().parents[1] / "perfbench"))
+import workloads  # noqa: E402
 
 FIXTURES = Path(__file__).parent / "fixtures"
 

@@ -44,8 +44,10 @@ from racetrace.races import racers_at
 from racetrace.terms import Atom, Int, Tup, match
 from racetrace.traces import TraceIndex, first_cycle, valid_index
 
-from conftest import FIXTURES, fixture_text, gencoll_text
+from conftest import FIXTURES, fixture_text, gencoll_text, workloads
 from strategies import CS_ANY, traces
+from test_causality import SELF_SEND_AND_EMPTY_CHILD
+from test_explore_golden import RUNS, _program
 from test_golden import REASONS_TRACE
 
 
@@ -125,10 +127,16 @@ def _full_order_cycle(t):
 
 @settings(max_examples=60, deadline=None)
 @given(traces(max_events=7))
+@example(SELF_SEND_AND_EMPTY_CHILD)
 def test_index_hb_answer_equals_reach(t):
     for m in _swap_mutations(t):
         index = TraceIndex(m)
         ids = [EventId(pid, i) for pid, i, _ in index.events]
+        # each direct edge once: a self-send received next has one edge
+        direct, _ = _direct_hb(m)
+        assert [[ids[w] for w in sorted(succ)] for succ in index.hb_succ] == [
+            sorted(direct[e], key=ids.index) for e in ids
+        ], m
         after = {
             (ids[v], ids[w])
             for v in range(len(ids))
@@ -573,6 +581,29 @@ def test_the_validity_gate_reads_each_edge_list_once_per_receive(monkeypatch):
             f"{p}.{consumed[p] + 1}" for p in senders if p != q and consumed[p] < m
         }, index.loc(r)
         consumed[q] += 1
+
+
+def test_each_receive_is_walked_once_per_index(monkeypatch, run_trace):
+    # explore's shared-prefix test, the race decision and each variant order
+    # read one cut per receive; when each walked its own, gencoll n=5 made
+    # 718 walks, up to 5 from one receive of one index
+    walks = []
+    after = TraceIndex.after
+
+    def counting(index, v):
+        walks.append((index, v))  # holds the index, so no id is reused
+        return after(index, v)
+
+    monkeypatch.setattr(TraceIndex, "after", counting)
+    assert len(explore(parse_program(workloads.gencoll_program(5, 1)), seed=1).traces) == 120
+    assert len(walks) == 480
+    for name, seed, max_traces in RUNS:
+        explore(_program(name), seed=seed, max_traces=max_traces)
+    progd = parse_program(fixture_text("progd.prog"))
+    for seed in range(6):
+        explore(progd, seed=seed)
+    variant(run_trace, "l2", "l6")
+    assert Counter((id(index), v) for index, v in walks).most_common(1)[0][1] == 1
 
 
 def test_explore_without_races_walks_from_no_receive(monkeypatch):

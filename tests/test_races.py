@@ -15,6 +15,7 @@ from racetrace import (
     parse_program,
     parse_trace,
     race_set,
+    run_random,
     serialize_trace,
     validate_trace,
     variant,
@@ -22,12 +23,12 @@ from racetrace import (
 from racetrace.causality import EventId, linearize
 from racetrace.parsing import name_sort_key
 from racetrace.races import (
-    CandidateCheck, RaceReport, _erased, _kept_succ, race_report, racers_at, variant_order,
+    CandidateCheck, RaceReport, _kept_succ, race_report, racers_at, variant_order,
 )
 from racetrace.terms import Atom, Int, Tup, match
 from racetrace.traces import Pid, TraceIndex, valid_index
 
-from conftest import GENCOLL4, fixture_text
+from conftest import GENCOLL4, fixture_text, workloads
 from strategies import CS_ANY, CS_POS, programs, traces
 from test_golden import REASONS_TRACE
 
@@ -380,9 +381,10 @@ def test_gate_equals_validating_the_built_variant(t):
         assert check.infeasible == (validate_trace(reference) is not None), (
             report.subject, check.tag,
         )
-        # the variant keeps exactly the events the helper does not erase,
-        # and drops exactly the processes whose spawn it erases
-        gone, dead = _erased(index, r)
+        # the variant keeps exactly the events the cut does not mark, and
+        # drops exactly the processes whose spawn it marks
+        gone = index.cut(r)
+        dead = _dead(index, gone)
         kept = {(p, i) for v, (p, i, _) in enumerate(index.events) if not gone[v]}
         assert kept == {
             (p, i) for p, seq in reference.procs.items() for i in range(len(seq))
@@ -409,6 +411,43 @@ def test_variant_order_is_the_variants_linearization(t):
                 variant_order(index, r, check.tag)
 
 
+def _gencoll_run(n):
+    return run_random(parse_program(workloads.gencoll_program(n, 1)), seed=1)[0]
+
+
+@pytest.mark.parametrize(
+    "t, racers",
+    [
+        # the collector's k-th of n receives races with the n - k messages
+        # still waiting
+        (_gencoll_run(30), 30 * 29 // 2),
+        (
+            parse_trace(workloads.fanin_trace(8, 3, 1)),
+            sum(len(racers) for _, racers in workloads.fanin_expected_races(8, 3, 1)),
+        ),
+    ],
+    ids=["gencoll30", "fanin8x3"],
+)
+def test_variants_at_scale_read_one_cut(t, racers):
+    # the generated traces above hold at most 10 events; here a variant
+    # keeps up to 61 events of up to 32 processes, and both readings of the
+    # cut, the projection ``variant`` and the order ``variant_order``, must
+    # agree with the references
+    index = valid_index(t)
+    count = 0
+    for r, (pid, idx, a) in enumerate(index.events):
+        if not isinstance(a, Rec):
+            continue
+        for y in racers_at(index, r):
+            built = variant(index, a.tag, y)
+            reference = reference_variant(t, pid, idx, y)
+            assert built.trace == reference, (a.tag, y)
+            assert list(built.trace.procs) == list(reference.procs), (a.tag, y)
+            assert linearize(built.trace).events == variant_order(index, r, y), (a.tag, y)
+            count += 1
+    assert count == racers
+
+
 def test_gate_rejects_a_variant_with_a_dangling_send():
     check = {c.tag: c for c in race_set(DANGLING_SEND, "p1.1").candidates}["p1.1.1"]
     assert _survives(check) and check.infeasible and not check.in_race_set
@@ -429,6 +468,11 @@ def test_oracle_agrees_on_a_dangling_send():
 # ---------------------------------------------------------------------------
 # The full candidate scan, the reference of race_report
 # ---------------------------------------------------------------------------
+
+
+def _dead(index: TraceIndex, gone: bytearray) -> set[Pid]:
+    """The processes whose spawn the cut `gone` marks."""
+    return {child for child, v in index.spawn_at.items() if gone[v]}
 
 
 def _reference_gate(
@@ -490,7 +534,8 @@ def _reference_race_report(index: TraceIndex, r: int) -> RaceReport:
             blocked_by = blocker if first is not None and first < s else None
             survives = matches and not already and not hb_excluded and blocked_by is None
             if survives and gate is None:
-                gate = _reference_gate(index, r, oldest, *_erased(index, r))
+                gone = index.cut(r)
+                gate = _reference_gate(index, r, oldest, gone, _dead(index, gone))
             infeasible = survives and gate(s)
             checks.append(
                 CandidateCheck(
