@@ -137,7 +137,7 @@ def declarative_race_oracle(t: Trace, tag: Tag, other: Tag) -> bool:
     if r is None:
         raise ValueError(f"no receive event for tag {tag}")
     pid, idx, rec = index.events[r]
-    others = [p for p in t.pids() if p != pid]
+    others = [p for p in t.procs if p != pid]
     ranges = [range(len(t.procs[p]) + 1) for p in others]
     for cut in itertools.product(*ranges):
         procs = {p: t.procs[p][:n] for p, n in zip(others, cut)}

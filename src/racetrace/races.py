@@ -124,7 +124,12 @@ def racers_at(index: TraceIndex, r: int) -> set[Tag]:
 
 
 def race_report(index: TraceIndex, r: int) -> RaceReport:
-    """``racers_at`` and the candidate table that explains it. A row passes
+    """``racers_at`` and the candidate table that explains it."""
+    return _explain(index, r, racers_at(index, r))
+
+
+def _explain(index: TraceIndex, r: int, racers: set[Tag]) -> RaceReport:
+    """The report of receive r with its race set ``racers``. A row passes
     the cheap checks iff it is its sender's oldest message waiting at r that
     r did not happen before, and it is then infeasible iff not a racer. The
     table reads r's ``cut``, which marks a send iff r happened before it.
@@ -132,7 +137,7 @@ def race_report(index: TraceIndex, r: int) -> RaceReport:
     and compare each entry with r's own values only."""
     events = index.events
     pid, idx, rec = events[r]
-    racers, after = racers_at(index, r), index.cut(r)
+    after = index.cut(r)
     own = index.send_at[rec.tag]
     # per sender, its oldest message waiting at r and that message's tag; a
     # sender with none blocks nothing (no send is numbered len(events))
@@ -278,8 +283,8 @@ def variant(t: Trace | TraceIndex, tag: Tag, racer: Tag) -> Variant:
     index = valid_index(t)
     t = index.trace
     r = _receive(index, tag)
-    if racer not in racers_at(index, r):
-        report = race_report(index, r)
+    if racer not in (racers := racers_at(index, r)):
+        report = _explain(index, r, racers)
         detail = next((c.reason() for c in report.candidates if c.tag == racer), None)
         if detail is None:  # no row: the receive's own message, or not sent to it
             detail = (

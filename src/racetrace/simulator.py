@@ -19,11 +19,11 @@ runs the ``linearize`` order of a trace or of its index, validated once,
 from ``initial_state`` with the log's names aligned to the simulator's;
 the explorer replays each variant's order from ``initial_state`` too.
 
-A state is the program and its processes, in canonical pid order. A
-process owns what the run keeps of it: statements, bindings, mailbox,
-recorded actions, the counts of children spawned and messages sent, which
-name the next ones, and its ``name_sort_key``, computed once at its spawn
-to insert it in place, so no step sorts the pids.
+A state is the program and its processes, in canonical pid order: on the
+simulator's names the spawn tree's preorder, so a new child ``P.k`` goes
+right after P's subtree and no step sorts or keys a pid. A process owns what
+the run keeps of it: statements, bindings, mailbox, recorded actions, and
+the counts of children spawned and messages sent, which name the next ones.
 
 Each step evaluates a process's next action once: a scheduler step once
 per process, to find the enabled ones, and then applies the one it picks;
@@ -42,18 +42,15 @@ serialize byte-identically.
 
 from __future__ import annotations
 
-import bisect
 import itertools
 import random
 from dataclasses import dataclass, field
-from operator import attrgetter
 from typing import Callable, Optional, Sequence, Union
 
 from .parsing import (
     ParseError,
     TokenStream,
     constraint_at,
-    name_sort_key,
     parse_clause,
     parse_pattern,
     tokenize,
@@ -302,7 +299,6 @@ class ProcState:
     """A process and all the run keeps of it (see the module docstring)."""
 
     pid: Pid
-    key: tuple  # name_sort_key(pid)
     stmts: list[Stmt]
     env: dict[str, Term]
     mailbox: list[tuple[Tag, Term]] = field(default_factory=list)
@@ -311,14 +307,14 @@ class ProcState:
     sends: int = 0
 
     def clone(self) -> "ProcState":
-        return ProcState(self.pid, self.key, list(self.stmts), dict(self.env),
+        return ProcState(self.pid, list(self.stmts), dict(self.env),
                          list(self.mailbox), list(self.recorded), self.spawns, self.sends)
 
 
 @dataclass
 class SysState:
     program: Program
-    procs: dict[Pid, ProcState]  # in canonical pid order (``name_sort_key``)
+    procs: dict[Pid, ProcState]  # in canonical pid order: the spawn tree's preorder
 
     def clone(self) -> "SysState":
         return SysState(self.program, {p: ps.clone() for p, ps in self.procs.items()})
@@ -327,16 +323,20 @@ class SysState:
         return Trace("p1", {p: tuple(ps.recorded) for p, ps in self.procs.items()})
 
     def add_proc(self, proc: ProcState) -> None:
-        """Add a spawned process at its place in canonical pid order, found by
-        the sort key it was created with, so no step sorts the pids again."""
-        procs = list(self.procs.values())
-        procs.insert(bisect.bisect(procs, proc.key, key=attrgetter("key")), proc)
-        self.procs = {ps.pid: ps for ps in procs}
+        """Add a spawned process P.k right after the last process of P's
+        subtree, found from the end: a spawn in the last subtree moves none."""
+        parent = proc.pid.rpartition(".")[0]
+        prefix = parent + "."
+        procs, later = self.procs, []
+        while (last := next(reversed(procs))) != parent and not last.startswith(prefix):
+            later.append(procs.popitem())
+        procs[proc.pid] = proc
+        procs.update(reversed(later))
 
 
 def _start(pid: Pid, fdef: FunDef, env: dict[str, Term]) -> ProcState:
     """A new process about to run fdef's body, settled."""
-    proc = ProcState(pid, name_sort_key(pid), list(fdef.body), env)
+    proc = ProcState(pid, list(fdef.body), env)
     _settle(proc)
     return proc
 

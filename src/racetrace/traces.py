@@ -40,6 +40,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
+from itertools import accumulate
 from typing import Iterable, Optional, Sequence, Union
 
 from .parsing import (
@@ -111,18 +112,17 @@ class Interleaving:
 
 @dataclass
 class Trace:
+    """Each process's actions, in canonical pid order (``sorted_names``):
+    sorted once, when the trace is built, so what lists them sorts nothing."""
+
     initial: Pid
     procs: dict[Pid, tuple[Action, ...]]
 
-    def pids(self) -> list[Pid]:
-        return sorted_names(self.procs)
+    def __post_init__(self) -> None:
+        self.procs = {pid: self.procs[pid] for pid in sorted_names(self.procs)}
 
     def events(self) -> list[tuple[Pid, int, Action]]:
-        out = []
-        for pid in self.pids():
-            for i, a in enumerate(self.procs[pid]):
-                out.append((pid, i, a))
-        return out
+        return [(pid, i, a) for pid, seq in self.procs.items() for i, a in enumerate(seq)]
 
     def key(self) -> str:
         """Canonical serialization; byte-equal iff traces are equal."""
@@ -234,10 +234,10 @@ def tr(s: Interleaving) -> Trace:
 class TraceIndex:
     """One trace, numbered once, for validation, hb queries and race analysis.
 
-    Events are numbered 0..N-1 in ``Trace.events()`` order: pids sorted
-    once (``sorted_names``), then by position. So event numbers order events
-    like ``(name_sort_key(pid), pid, index)`` does. Construction is O(N) and
-    holds:
+    Events are numbered 0..N-1 in ``Trace.events()`` order: pids in the
+    trace's own order, canonical since it was built, then by position. So
+    event numbers order events like ``(name_sort_key(pid), pid, index)``
+    does. Construction is O(N) and holds:
 
     * ``events``: ``(pid, index, action)`` per event number;
     * ``send_at`` / ``rec_at`` / ``spawn_at``: the first send / receive of
@@ -262,12 +262,8 @@ class TraceIndex:
 
     def __init__(self, t: Trace):
         self.trace = t
-        self.first: dict[Pid, int] = {}
-        events: list[tuple[Pid, int, Action]] = []
-        for pid in t.pids():
-            self.first[pid] = len(events)
-            events.extend((pid, i, a) for i, a in enumerate(t.procs[pid]))
-        self.events = events
+        self.events = events = t.events()
+        self.first = dict(zip(t.procs, accumulate(map(len, t.procs.values()), initial=0)))
         self.send_at: dict[Tag, int] = {}
         self.rec_at: dict[Tag, int] = {}
         self.spawn_at: dict[Pid, int] = {}
@@ -623,8 +619,7 @@ def _render_constraints_block(table: dict[str, Constraint]) -> str:
 
 def serialize_trace(t: Trace) -> str:
     lines = [f"trace {{ initial: {t.initial}"]
-    for pid in t.pids():
-        seq = t.procs[pid]
+    for pid, seq in t.procs.items():
         body = ", ".join(render_action(a) for a in seq) if seq else "ε"
         lines.append(f"  {pid}: {body}")
     text = "\n".join(lines) + " }\n"

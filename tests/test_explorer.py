@@ -17,10 +17,11 @@ from racetrace import (
     validate_trace,
 )
 from racetrace import explorer as explorer_module
+from racetrace import parsing
 from racetrace.races import racers_at, variant_order
 from racetrace.traces import valid_index
 
-from conftest import GENCOLL4, fixture_text, gencoll_text
+from conftest import GENCOLL4, fixture_text, gencoll_text, workloads
 from strategies import programs
 from test_explore_golden import RUNS, _program, _run_id
 from test_races import reference_variant
@@ -92,6 +93,25 @@ def test_no_variant_order_is_built_twice_on_gencoll5():
     report = _explore_building_each_order_once(parse_program(gencoll_text(5)), seed=1)
     assert (len(report.traces), report.variants_enqueued) == (120, 119)
     assert (report.duplicate_variants, report.sleeping) == (41, 160)
+
+
+def test_explore_sorts_each_traces_pids_once(monkeypatch):
+    # the simulator keys no pid and each trace sorts its pids once, when it
+    # is built; the rest are racer tags and each key's constraint ids. The
+    # simulator's own keys and a sort of the pids per listing made 3 440
+    program = parse_program(workloads.gencoll_program(5, 1))
+    calls = []
+    key = parsing.name_sort_key
+
+    def counting(name):
+        calls.append(name)
+        return key(name)
+
+    monkeypatch.setattr(parsing, "name_sort_key", counting)
+    report = explore(program, seed=1)
+    assert len(report.traces) == 120 and len(calls) <= 1760
+    (pids,) = {tuple(t.procs) for t in report.traces.values()}
+    assert [calls.count(pid) for pid in pids] == [120] * len(pids)
 
 
 # progd: a proxy forwards one of two messages to the collector. A variant

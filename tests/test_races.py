@@ -20,6 +20,7 @@ from racetrace import (
     validate_trace,
     variant,
 )
+from racetrace import races as races_module
 from racetrace.causality import EventId, linearize
 from racetrace.parsing import name_sort_key
 from racetrace.races import (
@@ -661,6 +662,21 @@ def test_variant_rejects_non_racer(run_trace, tau_a):
         variant(run_trace, "l2", "l1")
     with pytest.raises(ValueError, match="not in the race set"):
         variant(tau_a, "l1", "l9")  # no such send at all
+
+
+def test_refused_variant_runs_the_gate_once(run_trace, monkeypatch):
+    # the refusal explains itself with the racer set it already decided
+    calls = []
+    gate = races_module._variant_gate
+
+    def counting(*args):
+        calls.append(args[1])
+        return gate(*args)
+
+    monkeypatch.setattr(races_module, "_variant_gate", counting)
+    with pytest.raises(ValueError, match=r"^l1 is not in the race set of l2 \(received earlier\)$"):
+        variant(run_trace, "l2", "l1")
+    assert len(calls) == 1
 
 
 @settings(max_examples=40, deadline=None)

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, settings
 
@@ -23,8 +25,8 @@ from racetrace import (
     step,
     validate_trace,
 )
-from racetrace import simulator
-from racetrace.parsing import ParseError
+from racetrace import parsing
+from racetrace.parsing import ParseError, sorted_names
 from racetrace.terms import Atom, Int, PidLit, Tup
 
 from conftest import (
@@ -251,18 +253,47 @@ def test_pids_stay_in_canonical_order():
 
 def test_spawn_chain_sorts_each_pid_once(monkeypatch):
     # a spawn chain adds one pid per step, each one segment longer; sorting
-    # every pid at every step made it cubic
+    # every pid at every step made it cubic. No step keys a pid, and the
+    # trace sorts each pid once, when it is built
     calls = []
 
     def counting_key(name):
         calls.append(name)
         return name_sort_key(name)
 
-    monkeypatch.setattr(simulator, "name_sort_key", counting_key)
     chain = parse_program("program { main f\n def f() { spawn f() } }")
-    t, outcome = run_random(chain, 0, max_steps=400)
-    assert outcome == Outcome("step-limit") and len(t.procs) == 401
-    assert sorted(calls) == sorted(t.procs)
+    monkeypatch.setattr(parsing, "name_sort_key", counting_key)
+    sys = initial_state(chain)
+    for _ in range(400):
+        ((pid, _),) = enabled(sys)
+        step(sys, pid)
+    assert len(sys.procs) == 401 and calls == []
+    t = sys.trace()
+    assert len(calls) == len(set(calls)) and set(calls) <= set(t.procs)
+
+
+# main spawns 11 parents and each parent 11 children, all interleaved: an
+# older parent spawns after a younger one's subtree exists, so its child
+# goes before that subtree, and p1.1's children before p1.10's
+TREE_PROGRAM = (
+    "program { main main\n  def main() { "
+    + "; ".join("spawn parent()" for _ in range(11))
+    + " }\n  def parent() { "
+    + "; ".join("spawn idle()" for _ in range(11))
+    + " }\n  def idle() { receive { never -> never } } }\n"
+)
+
+
+@pytest.mark.parametrize("seed", range(21))
+def test_spawns_keep_the_spawn_trees_preorder(seed):
+    # the schedule of run_random, with the order checked after every step
+    program = parse_program(TREE_PROGRAM)
+    sys, pick = initial_state(program), random.Random(seed).randrange
+    while choices := enabled(sys):
+        step(sys, choices[pick(len(choices))][0])
+        assert list(sys.procs) == sorted_names(sys.procs)
+    assert len(sys.procs) == 133
+    assert sys.trace() == run_random(program, seed)[0]
 
 
 def test_enumerate_executions_counts(proga, progb, progc):

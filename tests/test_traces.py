@@ -23,6 +23,7 @@ from racetrace import (
     validate_interleaving,
     validate_trace,
 )
+from racetrace import parsing
 from racetrace import traces as traces_module
 from racetrace.parsing import ParseError
 from racetrace.terms import Atom, Int, Tup, match, render_term
@@ -427,9 +428,39 @@ def test_key_does_not_depend_on_the_order_of_pids_whose_sort_keys_tie():
     a = Trace("p1", {"p1": spawns, "q01": (Send("l1", val(1), "p1"),), "q1": ()})
     b = Trace("p1", {"p1": spawns, "q1": (), "q01": a.procs["q01"]})
     assert a == b
-    assert a.pids() == b.pids() == ["p1", "q01", "q1"]
+    assert list(a.procs) == list(b.procs) == ["p1", "q01", "q1"]
     assert a.key() == b.key()
     assert parse_trace(b.key()) == a
+
+
+def test_a_trace_lists_its_pids_in_canonical_order_from_construction(monkeypatch):
+    # p01 and p1 tie under name_sort_key, and p1.2 sorts before p1.10: every
+    # order of the entries builds the same listing, and what reads it keys
+    # no pid again
+    entries = {
+        "p1": (Spawn("p01"), Spawn("p1.2"), Spawn("p1.10")),
+        "p01": (Send("l1", val(1), "p1.10"),),
+        "p1.2": (),
+        "p1.10": (Send("l2", val(2), "p01"),),
+    }
+    keyed = Trace("p1", entries).key()
+    for order in itertools.permutations(entries):
+        t = Trace("p1", {p: entries[p] for p in order})
+        assert list(t.procs) == ["p01", "p1", "p1.2", "p1.10"]
+        assert t.key() == keyed
+
+    calls = []
+    key = parsing.name_sort_key
+
+    def counting(name):
+        calls.append(name)
+        return key(name)
+
+    monkeypatch.setattr(parsing, "name_sort_key", counting)
+    index = traces_module.TraceIndex(t)
+    assert [pid for pid, _, _ in index.events] == ["p01", "p1", "p1", "p1", "p1.10"]
+    assert serialize_trace(t) == keyed
+    assert calls == []
 
 
 def test_unknown_constraint_id_rejected():
