@@ -82,7 +82,7 @@ from .simulator import (
     serialize_program,
     step,
 )
-from .explorer import ExplorationReport, Origin, distinctness_check, explore
+from .explorer import ExplorationReport, ExploredTrace, Origin, distinctness_check, explore
 from .oracles import (
     SwapBudgetExhausted,
     declarative_race_oracle,
@@ -92,7 +92,7 @@ from .oracles import (
 
 __all__ = [
     "Atom", "CandidateCheck", "Clause", "Cmp", "Constraint", "DivergenceError",
-    "Event", "EventId", "ExplorationReport", "GChain", "GTrue", "HbGraph",
+    "Event", "EventId", "ExplorationReport", "ExploredTrace", "GChain", "GTrue", "HbGraph",
     "Int", "Interleaving", "Lst", "Origin", "Outcome", "ParseError", "PidLit",
     "Program", "ProgramError", "RaceReport", "Rec", "Send", "SimulationError",
     "Spawn", "SwapBudgetExhausted", "TagLit", "Trace", "Tup", "Var", "Variant",

@@ -20,7 +20,7 @@ from .causality import hb_graph
 from .explorer import distinctness_check, explore
 from .oracles import enumerate_executions, swap_equiv_oracle
 from .parsing import ParseError, sorted_names
-from .races import all_races, orphans, race_set, variant
+from .races import orphans, race_report, racers_at, receive_of, variant
 from .simulator import (
     DivergenceError,
     ProgramError,
@@ -161,40 +161,42 @@ def _racer_brace_list(tags) -> str:
 
 
 def cmd_races(args) -> int:
-    t = _require_valid_trace(args.file)
-    try:
-        reports = (
-            [race_set(t, args.message)] if args.message is not None else all_races(t)
-        )
+    index = _require_valid_trace(args.file)
+    tag = args.message
+    try:  # index.clause is keyed by the receives, in event order
+        receives = list(index.clause) if tag is None else [receive_of(index, tag)]
     except ValueError as exc:
         raise CliError(str(exc), FAIL) from exc
-    for rep in reports:
-        pid, idx = rep.receive
-        racers = rep.sorted_racers()
-        if args.message is not None and not args.explain:
-            _emit(args, {"receive": rep.subject, "racers": racers},
-                  _racer_brace_list(racers))
-        else:
-            text = f"{pid}[{idx}] rec({rep.subject}): races = {_racer_brace_list(racers)}"
-            _emit(args, {"receive": rep.subject, "at": [pid, idx], "racers": racers},
-                  text)
+    for r in receives:
+        pid, idx, rec = index.events[r]
         if args.explain:
-            for c in rep.candidates:
-                text = (
-                    f"  {c.tag} (from {c.sender}): match={'yes' if c.matches else 'no'}"
-                    f", received-earlier={'yes' if c.already_received else 'no'}"
-                    f", hb-excluded={'yes' if c.hb_excluded else 'no'}"
-                    f", blocked-by={c.blocked_by or '-'}"
-                    f" => {c.reason()}"
-                )
-                _emit(
-                    args,
-                    {"candidate": c.tag, "sender": c.sender, "matches": c.matches,
-                     "already_received": c.already_received,
-                     "hb_excluded": c.hb_excluded, "blocked_by": c.blocked_by,
-                     "infeasible": c.infeasible, "in_race_set": c.in_race_set},
-                    text,
-                )
+            rep = race_report(index, r)
+            racers, rows = rep.sorted_racers(), rep.candidates
+        else:  # the decision alone, listed in the order of r's candidate table
+            found = racers_at(index, r)
+            racers = [racer for _, _, racer, _ in index.table_header(pid) if racer in found]
+            rows = []
+        if tag is not None and not args.explain:
+            _emit(args, {"receive": rec.tag, "racers": racers}, _racer_brace_list(racers))
+        else:
+            text = f"{pid}[{idx}] rec({rec.tag}): races = {_racer_brace_list(racers)}"
+            _emit(args, {"receive": rec.tag, "at": [pid, idx], "racers": racers}, text)
+        for c in rows:
+            text = (
+                f"  {c.tag} (from {c.sender}): match={'yes' if c.matches else 'no'}"
+                f", received-earlier={'yes' if c.already_received else 'no'}"
+                f", hb-excluded={'yes' if c.hb_excluded else 'no'}"
+                f", blocked-by={c.blocked_by or '-'}"
+                f" => {c.reason()}"
+            )
+            _emit(
+                args,
+                {"candidate": c.tag, "sender": c.sender, "matches": c.matches,
+                 "already_received": c.already_received,
+                 "hb_excluded": c.hb_excluded, "blocked_by": c.blocked_by,
+                 "infeasible": c.infeasible, "in_race_set": c.in_race_set},
+                text,
+            )
     return OK
 
 

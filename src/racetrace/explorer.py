@@ -11,7 +11,8 @@ variants repeat one already queued, and those are not built.
 
 Each new trace is indexed and validated once (``valid_index``); its orphans,
 race sets (``racers_at``; no candidate table) and variants come from that
-one index, which walks each receive's ``cut`` at most once. A variant is
+one index, which walks each receive's ``cut`` at most once. The report keeps
+one ``ExploredTrace`` per trace, built when its variants are enqueued. A variant is
 never built as a trace, indexed or validated: its validity gate admits it
 on the parent's index, and ``variant_order`` reads its replay order off the
 same index, raising ValueError on a cycle.
@@ -77,13 +78,22 @@ class Origin:
     new_tag: Tag
 
 
+@dataclass(frozen=True)
+class ExploredTrace:
+    """One explored trace: how its run ended, its orphan tags in canonical
+    order, how many (receive, racer) pairs its races gave, and the variant
+    it was replayed from (None for the seed run)."""
+
+    trace: Trace
+    outcome: Outcome
+    orphans: tuple[Tag, ...]
+    races: int
+    origin: Optional[Origin]
+
+
 @dataclass
 class ExplorationReport:
-    traces: dict[str, Trace] = field(default_factory=dict)
-    outcomes: dict[str, str] = field(default_factory=dict)
-    orphans: dict[str, list[Tag]] = field(default_factory=dict)
-    race_counts: dict[str, int] = field(default_factory=dict)
-    origins: dict[str, Optional[Origin]] = field(default_factory=dict)
+    traces: dict[str, ExploredTrace] = field(default_factory=dict)  # by key
     variants_enqueued: int = 0
     duplicate_traces: int = 0
     # racers at r' whose order the parent already enqueued: decided, not looked up
@@ -110,17 +120,17 @@ class ExplorationReport:
             f"bounded: {'yes' if self.bounded else 'no'}",
             "",
         ]
-        for n, key in enumerate(self.traces, start=1):
-            origin = self.origins[key]
+        for n, entry in enumerate(self.traces.values(), start=1):
+            origin = entry.origin
             via = (
                 f" via {origin.old_tag}->{origin.new_tag} at "
                 f"{origin.replaced_at[0]}[{origin.replaced_at[1]}]"
                 if origin
                 else " (seed run)"
             )
-            orphan_list = ", ".join(self.orphans[key]) or "none"
-            lines.append(f"trace {n:04d}: {self.outcomes[key]}{via}")
-            lines.append(f"  races: {self.race_counts[key]}, orphans: {orphan_list}")
+            orphan_list = ", ".join(entry.orphans) or "none"
+            lines.append(f"trace {n:04d}: {entry.outcome}{via}")
+            lines.append(f"  races: {entry.races}, orphans: {orphan_list}")
         return "\n".join(lines) + "\n"
 
 
@@ -152,10 +162,6 @@ def explore(
             report.duplicate_traces += 1
             return
         index = valid_index(t)
-        report.traces[key] = t
-        report.outcomes[key] = str(outcome)
-        report.orphans[key] = sorted_names(index.orphans())
-        report.origins[key] = origin
         # per process, how many events it shares with the parent: what the
         # replay of the variant's order recorded, less the rewritten receive;
         # the run added the rest, which follow each process's first added event
@@ -187,7 +193,8 @@ def explore(
                     origin_v = Origin(key, (pid, idx), a.tag, racer)
                     queue.append((variant_order(index, r, racer), origin_v, frozenset(slept)))
                     slept.add(racer)
-        report.race_counts[key] = count
+        orphans = tuple(sorted_names(index.orphans()))
+        report.traces[key] = ExploredTrace(t, outcome, orphans, count, origin)
 
     record(run_random(program, seed, max_steps), {}, None, frozenset())
     while queue:
@@ -216,24 +223,21 @@ def distinctness_check(report: ExplorationReport) -> Optional[str]:
     traces are then pairwise distinct: O(T) serializations, no pairwise
     comparison."""
     position = {key: n for n, key in enumerate(report.traces)}
-    for key, t in report.traces.items():
-        own = t.key()
+    for key, entry in report.traces.items():
+        own = entry.trace.key()
         if own == key:
             continue
         if own in position:
             k1, k2 = sorted((key, own), key=position.__getitem__)
             return f"duplicate traces under keys {k1!r} and {k2!r}"
         return f"trace under key {key!r} does not serialize to its key"
-    for key in report.traces:
-        origin = report.origins.get(key)
-        if origin is None:
-            continue
-        parent = report.traces.get(origin.parent_key)
-        if parent is None:
+    for entry in report.traces.values():
+        origin = entry.origin
+        if origin is None or origin.parent_key not in report.traces:
             continue
         pid, idx = origin.replaced_at
-        child_seq = report.traces[key].procs.get(pid, ())
-        parent_seq = parent.procs.get(pid, ())
+        child_seq = entry.trace.procs.get(pid, ())
+        parent_seq = report.traces[origin.parent_key].trace.procs.get(pid, ())
         if idx >= len(child_seq) or idx >= len(parent_seq):
             return f"replaced receive {pid}[{idx}] missing in trace or parent"
         if child_seq[idx] == parent_seq[idx]:

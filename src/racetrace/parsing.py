@@ -53,6 +53,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, TypeVar
 
 from .terms import (
+    CMP_OPS,
     Atom,
     Clause,
     Cmp,
@@ -219,13 +220,15 @@ def name_sort_key(name: str) -> tuple:
 
     The number that ends a part is keyed by its length and digits without
     leading zeros, which orders it like ``int()`` at any length; a part
-    without one sorts before a part that ends in 0."""
-    key: list[tuple] = []
+    without one sorts before a part that ends in 0. The key is one flat
+    tuple, three entries per part, so a shorter name still sorts first and
+    a name of k parts costs one tuple, not k + 1."""
+    key: list = []
     for part in name.split("."):
         alpha = part.rstrip("0123456789")
         digits = part[len(alpha) :]
         number = digits.lstrip("0")
-        key.append((alpha, len(number) if digits else -1, number))
+        key += (alpha, len(number) if digits else -1, number)
     return tuple(key)
 
 
@@ -327,7 +330,7 @@ def _parse_guard_atom(ts: TokenStream, depth: int) -> Guard:
         return GTrue()
     lhs = _parse_operand(ts)
     tok = ts.peek()
-    if tok.kind == "sym" and tok.text in ("==", "/=", "=<", ">=", "<", ">"):
+    if tok.kind == "sym" and tok.text in CMP_OPS:
         ts.next()
         rhs = _parse_operand(ts)
         return Cmp(tok.text, lhs, rhs)

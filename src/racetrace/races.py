@@ -37,9 +37,10 @@ the new receive, so one check (no kept send addresses a process whose
 ``spawn_at`` is erased) and one forward traversal from all the messages
 waiting at the receive (no other may precede a survivor) decide it for every
 survivor at once: linear in the events and edges kept, whatever the number
-of senders. The explorer reads only ``racers_at``. ``all_races`` and
-``race_set`` validate once, or not at all given an index ``valid_index``
-returned, and add each receive's table: the cut, and per-receiver columns.
+of senders. The explorer, and ``racetrace races`` without ``--explain``,
+read only ``racers_at``. ``all_races`` and ``race_set`` validate once, or
+not at all given an index ``valid_index`` returned, and add each receive's
+table: the cut, and per-receiver columns.
 The receiver's ``table_header`` (its sends in table order, each with its
 sender, tag and consuming receive) is built once per index, and zipped with
 a ``match_column`` built once per receiver and clause list. A row then costs
@@ -208,7 +209,8 @@ def _kept_succ(index: TraceIndex, r: int, gone: bytearray, v: int) -> list[int]:
     return [u for u in (index.succ if ordered else index.hb_succ)[v] if not gone[u]]
 
 
-def _receive(index: TraceIndex, tag: Tag) -> int:
+def receive_of(index: TraceIndex, tag: Tag) -> int:
+    """The receive event that consumed tag; ValueError if there is none."""
     r = index.rec_at.get(tag)
     if r is None:
         raise ValueError(f"no receive event for tag {tag}")
@@ -217,7 +219,7 @@ def _receive(index: TraceIndex, tag: Tag) -> int:
 
 def race_set(t: Trace | TraceIndex, tag: Tag) -> RaceReport:
     index = valid_index(t)
-    return race_report(index, _receive(index, tag))
+    return race_report(index, receive_of(index, tag))
 
 
 def all_races(t: Trace | TraceIndex) -> list[RaceReport]:
@@ -282,7 +284,7 @@ def variant(t: Trace | TraceIndex, tag: Tag, racer: Tag) -> Variant:
     order, and r's process ends in rec(racer)."""
     index = valid_index(t)
     t = index.trace
-    r = _receive(index, tag)
+    r = receive_of(index, tag)
     if racer not in (racers := racers_at(index, r)):
         report = _explain(index, r, racers)
         detail = next((c.reason() for c in report.candidates if c.tag == racer), None)

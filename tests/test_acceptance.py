@@ -113,11 +113,11 @@ def test_criterion_07_variants_drive_new_behavior(proga, progb, progc):
         report = explore(program, seed=0)
         assert distinctness_check(report) is None
         for key in report.order:
-            origin = report.origins[key]
+            origin = report.traces[key].origin
             if origin is None:
                 continue
-            parent = report.traces[origin.parent_key]
-            child = report.traces[key]
+            parent = report.traces[origin.parent_key].trace
+            child = report.traces[key].trace
             assert child != parent  # tr-unequal
             pid, idx = origin.replaced_at
             assert child.procs[pid][idx] != parent.procs[pid][idx]

@@ -52,7 +52,8 @@ def _assert_orders_key_variants(report):
     repeat."""
     by_key = {}
     pairs = 0
-    for t in report.traces.values():
+    for entry in report.traces.values():
+        t = entry.trace
         index = valid_index(t)
         for r, (_, _, a) in enumerate(index.events):
             if not isinstance(a, Rec):
@@ -110,7 +111,7 @@ def test_explore_sorts_each_traces_pids_once(monkeypatch):
     monkeypatch.setattr(parsing, "name_sort_key", counting)
     report = explore(program, seed=1)
     assert len(report.traces) == 120 and len(calls) <= 1760
-    (pids,) = {tuple(t.procs) for t in report.traces.values()}
+    (pids,) = {tuple(entry.trace.procs) for entry in report.traces.values()}
     assert [calls.count(pid) for pid in pids] == [120] * len(pids)
 
 
@@ -146,10 +147,10 @@ def _assert_rebuilt_from_origins(program, report, max_steps):
     by ``replay_prefix`` along its ``linearize`` order instead of the
     explorer's ``variant_order``."""
     for key in report.order:
-        origin = report.origins[key]
+        origin = report.traces[key].origin
         if origin is None:
             continue
-        parent = report.traces[origin.parent_key]
+        parent = report.traces[origin.parent_key].trace
         prefix = reference_variant(parent, *origin.replaced_at, origin.new_tag)
         sys, _ = replay_prefix(program, prefix)
         assert run_deterministic(sys, max_steps)[0].key() == key
@@ -188,9 +189,9 @@ def test_the_step_budget_counts_from_the_initial_state(text, seed, max_steps):
     # a run continued after a replayed prefix once got max_steps more steps,
     # and recorded traces no run within max_steps steps reaches
     report = explore(parse_program(text), seed=seed, max_steps=max_steps)
-    for key, t in report.traces.items():
-        assert sum(map(len, t.procs.values())) <= max_steps
-        if report.outcomes[key] != "step-limit":
+    for key, entry in report.traces.items():
+        assert sum(map(len, entry.trace.procs.values())) <= max_steps
+        if entry.outcome.kind != "step-limit":
             assert key in _reachable_within(text, max_steps)
 
 
@@ -210,7 +211,7 @@ def test_a_program_that_never_stops_reaches_its_fixpoint_within_the_budget():
     assert not report.bounded
     assert len(report.traces) == 8
     assert report.step_limited == 8
-    assert all(sum(map(len, t.procs.values())) <= 300 for t in report.traces.values())
+    assert all(sum(map(len, e.trace.procs.values())) <= 300 for e in report.traces.values())
 
 
 @settings(max_examples=60, deadline=None)
@@ -244,11 +245,12 @@ def _replay_split(report, key, index):
     its events it shares with its parent, and the event numbers of the
     first events its replay added, read off the variant trace built by
     ``rdep``; ({}, []) for the seed run."""
-    origin = report.origins[key]
+    origin = report.traces[key].origin
     shared = {}
     if origin is not None:
         pid, idx = origin.replaced_at
-        prefix = reference_variant(report.traces[origin.parent_key], pid, idx, origin.new_tag)
+        parent = report.traces[origin.parent_key].trace
+        prefix = reference_variant(parent, pid, idx, origin.new_tag)
         shared = {p: len(seq) for p, seq in prefix.procs.items()}
         shared[pid] = idx
     procs = index.trace.procs
@@ -260,7 +262,7 @@ def _reference_race_counts(report):
     variant trace built by ``rdep`` instead of the variant's order."""
     counts = {}
     for key in report.order:
-        index = valid_index(report.traces[key])
+        index = valid_index(report.traces[key].trace)
         shared, added = _replay_split(report, key, index)
         counts[key] = sum(
             len(racers_at(index, r))
@@ -279,11 +281,11 @@ def _assert_rewritten_receive_repeats_its_parent(report):
     the same variant order. Returns how many children meet the condition."""
     met = 0
     for key in report.order:
-        origin = report.origins[key]
+        origin = report.traces[key].origin
         if origin is None:
             continue
-        child = valid_index(report.traces[key])
-        parent = valid_index(report.traces[origin.parent_key])
+        child = valid_index(report.traces[key].trace)
+        parent = valid_index(report.traces[origin.parent_key].trace)
         pid, idx = origin.replaced_at
         rc, rp = child.first[pid] + idx, parent.first[pid] + idx
         assert child.events[rc][2].tag == origin.new_tag
@@ -308,7 +310,9 @@ def _assert_rewritten_receive_repeats_its_parent(report):
 )
 def test_shared_prefix_skip_reads_the_variant_order_like_its_trace(text, seed):
     report = explore(parse_program(text), seed=seed)
-    assert report.race_counts == _reference_race_counts(report)
+    assert {key: entry.races for key, entry in report.traces.items()} == (
+        _reference_race_counts(report)
+    )
     met = _assert_rewritten_receive_repeats_its_parent(report)
     if text == GENCOLL4:
         assert met > 0
@@ -325,16 +329,16 @@ def test_explored_traces_are_valid_and_distinct(proga, progb, progc):
     for program in (proga, progb, progc):
         report = explore(program, seed=0)
         assert distinctness_check(report) is None
-        for t in report.traces.values():
-            assert validate_trace(t) is None
+        for entry in report.traces.values():
+            assert validate_trace(entry.trace) is None
 
 
 def test_variant_descendants_record_their_origin(proga):
     report = explore(proga, seed=0)
-    roots = [k for k in report.order if report.origins[k] is None]
-    children = [k for k in report.order if report.origins[k] is not None]
+    roots = [k for k, entry in report.traces.items() if entry.origin is None]
+    children = [k for k, entry in report.traces.items() if entry.origin is not None]
     assert len(roots) == 1 and len(children) == 1
-    origin = report.origins[children[0]]
+    origin = report.traces[children[0]].origin
     assert origin.parent_key == roots[0]
     assert origin.old_tag != origin.new_tag
 
@@ -362,15 +366,15 @@ def test_program_without_messages_yields_single_trace():
     assert len(report.traces) == 1
     assert report.variants_enqueued == 0
     (key,) = report.order
-    assert report.race_counts[key] == 0
-    assert report.orphans[key] == []
+    assert report.traces[key].races == 0
+    assert report.traces[key].orphans == ()
 
 
 def test_orphans_reported_per_trace(progb):
     report = explore(progb, seed=0)
     # {extra,0} never matches the server's receives: orphaned in every trace
-    for key in report.order:
-        assert len(report.orphans[key]) >= 1
+    for entry in report.traces.values():
+        assert len(entry.orphans) >= 1
 
 
 def test_distinctness_check_reports_duplicates_and_foreign_keys(progb):

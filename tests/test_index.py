@@ -293,8 +293,8 @@ def test_explore_indexes_and_validates_each_trace_once(gencoll4, validated, monk
     monkeypatch.setattr(TraceIndex, "__init__", counting_init)
     report = explore(gencoll4, seed=0)
     assert len(report.traces) == 24 and not report.bounded
-    for t in report.traces.values():
-        assert sum(v is t for v in validated) == 1
+    for entry in report.traces.values():
+        assert sum(v is entry.trace for v in validated) == 1
     # no variant is indexed or validated: the gate admitted it on its
     # parent's index, and its replay order is read off the same index
     assert report.variants_enqueued > 0
@@ -302,7 +302,7 @@ def test_explore_indexes_and_validates_each_trace_once(gencoll4, validated, monk
     assert indexed == validated
     # every racer counted is enqueued once, a duplicate at r', or asleep
     assert report.sleeping > 0
-    assert sum(report.race_counts.values()) == (
+    assert sum(entry.races for entry in report.traces.values()) == (
         report.variants_enqueued + report.duplicate_variants + report.sleeping
     )
 
@@ -491,6 +491,22 @@ def test_races_sorts_each_pid_and_tag_once(monkeypatch, tmp_path, capsys):
     assert main(["races", str(path)]) == 0
     assert capsys.readouterr().out.count(" rec(") == 300
     assert len(sort_keys) <= 2 * (len(t.procs) + sends)
+
+
+def test_races_without_explain_builds_no_candidate_row(monkeypatch, tmp_path, capsys):
+    # plain races and races --message built every receive's candidate table
+    # to print only its racers: 9 900 rows per plain run here
+    t, _ = run_random(parse_program(gencoll_text(100)), 1)
+    path = tmp_path / "gencoll.trace"
+    path.write_text(serialize_trace(t))
+    rows = _record_calls(monkeypatch, races_module.CandidateCheck)
+    tag = next(a.tag for a in t.procs["p1.1"])
+    for args in (["races"], ["races", "--message", tag], ["--json", "races"]):
+        assert main([*args, str(path)]) == 0
+    assert capsys.readouterr().out.count("p1.") > 100
+    assert rows == []
+    assert main(["races", "--explain", "--message", tag, str(path)]) == 0
+    assert len(rows) == 99
 
 
 def test_race_tables_read_one_match_column_per_clause_list(monkeypatch):

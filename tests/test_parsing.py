@@ -1,3 +1,5 @@
+import tracemalloc
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -238,3 +240,39 @@ def test_name_sort_key_orders_like_int_of_the_digits(a, b):
     ref_a, ref_b = _int_sort_key(a), _int_sort_key(b)
     assert (key_a < key_b) == (ref_a < ref_b)
     assert (key_a == key_b) == (ref_a == ref_b)
+
+
+def _nested_sort_key(name):
+    """The key as one tuple per part, which ``name_sort_key`` flattens: the
+    reference it must order alike."""
+    key = []
+    for part in name.split("."):
+        alpha = part.rstrip("0123456789")
+        digits = part[len(alpha):]
+        number = digits.lstrip("0")
+        key.append((alpha, len(number) if digits else -1, number))
+    return tuple(key)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_names, max_size=8))
+def test_flat_sort_key_orders_like_one_tuple_per_part(names):
+    assert sorted(names, key=name_sort_key) == sorted(names, key=_nested_sort_key)
+    for a, b in zip(names, names[1:]):
+        key_a, key_b = name_sort_key(a), name_sort_key(b)
+        ref_a, ref_b = _nested_sort_key(a), _nested_sort_key(b)
+        assert (key_a < key_b) == (ref_a < ref_b)
+        assert (key_a == key_b) == (ref_a == ref_b)
+
+
+def test_sorting_deep_names_keeps_one_key_tuple_per_name():
+    # 1 000 pids p1.2, p1.2.1, p1.2.1.1, ... of up to 1 000 parts, like a
+    # spawn chain's: a tuple per part made the sort peak at 34.5 MiB
+    names = ["p1.2" + ".1" * k for k in range(1000)]
+    tracemalloc.start()
+    try:
+        assert sorted_names(reversed(names)) == names
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 16 * 2**20

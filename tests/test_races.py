@@ -578,15 +578,15 @@ def test_race_report_equals_the_full_scan(t):
     ids=["proga", "progb", "progc", "progd", "gencoll4"],
 )
 def test_race_report_equals_the_full_scan_on_explored_traces(text):
-    for t in explore(parse_program(text)).traces.values():
-        _assert_reports_equal_the_full_scan(t)
+    for entry in explore(parse_program(text)).traces.values():
+        _assert_reports_equal_the_full_scan(entry.trace)
 
 
 @settings(max_examples=40, deadline=None)
 @given(programs())
 def test_race_report_equals_the_full_scan_on_generated_programs(text):
-    for t in explore(parse_program(text)).traces.values():
-        _assert_reports_equal_the_full_scan(t)
+    for entry in explore(parse_program(text)).traces.values():
+        _assert_reports_equal_the_full_scan(entry.trace)
 
 
 # ---------------------------------------------------------------------------
