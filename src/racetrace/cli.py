@@ -20,7 +20,7 @@ from .causality import hb_graph
 from .explorer import distinctness_check, explore
 from .oracles import enumerate_executions, swap_equiv_oracle
 from .parsing import ParseError, sorted_names
-from .races import orphans, race_report, racers_at, receive_of, variant
+from .races import explain, orphans, racers_at, receive_of, variant
 from .simulator import (
     DivergenceError,
     ProgramError,
@@ -169,19 +169,14 @@ def cmd_races(args) -> int:
         raise CliError(str(exc), FAIL) from exc
     for r in receives:
         pid, idx, rec = index.events[r]
-        if args.explain:
-            rep = race_report(index, r)
-            racers, rows = rep.sorted_racers(), rep.candidates
-        else:  # the decision alone, listed in the order of r's candidate table
-            found = racers_at(index, r)
-            racers = [racer for _, _, racer, _ in index.table_header(pid) if racer in found]
-            rows = []
+        found = racers_at(index, r)
+        racers = [racer for _, _, racer in index.table_header(pid) if racer in found]
         if tag is not None and not args.explain:
             _emit(args, {"receive": rec.tag, "racers": racers}, _racer_brace_list(racers))
         else:
             text = f"{pid}[{idx}] rec({rec.tag}): races = {_racer_brace_list(racers)}"
             _emit(args, {"receive": rec.tag, "at": [pid, idx], "racers": racers}, text)
-        for c in rows:
+        for c in explain(index, r, found) if args.explain else ():
             text = (
                 f"  {c.tag} (from {c.sender}): match={'yes' if c.matches else 'no'}"
                 f", received-earlier={'yes' if c.already_received else 'no'}"
@@ -266,8 +261,10 @@ def cmd_explore(args) -> int:
             Path(args.out).mkdir(parents=True, exist_ok=True)
         except OSError as exc:
             raise CliError(f"cannot write {args.out}: {exc}") from exc
+        # names sort as text in the report's order
+        width = max(4, len(str(len(report.order))))
         for n, key in enumerate(report.order, start=1):
-            _write(os.path.join(args.out, f"trace-{n:04d}.trace"), key)
+            _write(os.path.join(args.out, f"trace-{n:0{width}d}.trace"), key)
         _write(os.path.join(args.out, "report.txt"), report.render())
     if args.check_oracle:
         expected, limited = enumerate_executions(program, args.max_steps)

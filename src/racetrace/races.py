@@ -14,9 +14,10 @@ message waiting at the receive (``TraceIndex.oldest_waiting``) can be L':
     sender, a message that an earlier receive pins before L'). The validity
     gate decides this exactly, on the parent's hb graph.
 
-``racers_at`` decides this. ``race_report`` adds a ``CandidateCheck`` per
-other send addressed to the receiver, saying which of these it fails (a
-later message of a sender is ``blocked_by`` its oldest): it explains.
+``racers_at`` decides this. ``explain``, the one table builder, adds to a
+race set a ``CandidateCheck`` per other send addressed to the receiver,
+saying which of these it fails (a later message of a sender is
+``blocked_by`` its oldest).
 
 The declarative definition, a search over subtraces, is kept apart as the
 reference that checks this one: ``racetrace.oracles.declarative_race_oracle``.
@@ -42,9 +43,9 @@ read only ``racers_at``. ``all_races`` and ``race_set`` validate once, or
 not at all given an index ``valid_index`` returned, and add each receive's
 table: the cut, and per-receiver columns.
 The receiver's ``table_header`` (its sends in table order, each with its
-sender, tag and consuming receive) is built once per index, and zipped with
-a ``match_column`` built once per receiver and clause list. A row then costs
-a few comparisons with the receive's own values and one named-tuple
+sender and tag) is built once per index, and zipped with a ``match_column``
+built once per receiver and clause list. A row then costs a few comparisons
+with the receive's own values, a ``taken_by`` lookup and one named-tuple
 construction. At 1 601 FIFO events (639 200 rows) the rows take nearly all
 of ``all_races``'s time, about 40 % of it in the cyclic garbage collector,
 which walks every row. A variant's replay order is ``variant_order``, read
@@ -58,7 +59,7 @@ from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 from .causality import EventId
-from .traces import Event, Pid, Rec, Send, Tag, Trace, TraceIndex, smallest_first, valid_index
+from .traces import Event, Pid, Rec, Tag, Trace, TraceIndex, smallest_first, valid_index
 
 
 class CandidateCheck(NamedTuple):
@@ -95,11 +96,6 @@ class RaceReport:
     racers: set[Tag]
     candidates: list[CandidateCheck]
 
-    def sorted_racers(self) -> list[Tag]:
-        """The racers in canonical name order: the race-set rows of the
-        candidate table, which ``TraceIndex.table_header`` sorted once."""
-        return [c.tag for c in self.candidates if c.in_race_set]
-
 
 @dataclass
 class Variant:
@@ -126,38 +122,40 @@ def racers_at(index: TraceIndex, r: int) -> set[Tag]:
 
 def race_report(index: TraceIndex, r: int) -> RaceReport:
     """``racers_at`` and the candidate table that explains it."""
-    return _explain(index, r, racers_at(index, r))
+    pid, idx, rec = index.events[r]
+    racers = racers_at(index, r)
+    return RaceReport(EventId(pid, idx), rec.tag, racers, explain(index, r, racers))
 
 
-def _explain(index: TraceIndex, r: int, racers: set[Tag]) -> RaceReport:
-    """The report of receive r with its race set ``racers``. A row passes
-    the cheap checks iff it is its sender's oldest message waiting at r that
-    r did not happen before, and it is then infeasible iff not a racer. The
-    table reads r's ``cut``, which marks a send iff r happened before it.
-    Its rows zip r's process's ``table_header`` with r's ``match_column``,
+def explain(index: TraceIndex, r: int, racers: set[Tag]) -> list[CandidateCheck]:
+    """The candidate table of receive r, whose race set ``racers`` the
+    caller decided. A row passes the cheap checks iff it is its sender's
+    oldest message waiting at r that r did not happen before (r's ``cut``
+    marks a send iff it did), and it is then infeasible iff not a racer.
+    The rows zip r's process's ``table_header`` with r's ``match_column``,
     and compare each entry with r's own values only."""
     events = index.events
-    pid, idx, rec = events[r]
     after = index.cut(r)
-    own = index.send_at[rec.tag]
+    own = index.send_at[events[r][2].tag]
+    taken = index.taken_by
     # per sender, its oldest message waiting at r and that message's tag; a
     # sender with none blocks nothing (no send is numbered len(events))
     oldest = {q: (w, events[w][2].tag) for q, w in index.oldest_waiting(r).items()}
     nothing = (len(events), None)
     checks: list[CandidateCheck] = []
-    for (s, q, tag, c), matches in zip(index.table_header(pid), index.match_column(r)):
+    for (s, q, tag), matches in zip(index.table_header(events[r][0]), index.match_column(r)):
         if s == own:
             continue
         first, first_tag = oldest.get(q, nothing)
         in_race_set = tag in racers
         checks.append(
             CandidateCheck(
-                tag, q, matches, c is not None and c < r, bool(after[s]),
+                tag, q, matches, taken[s] < r, bool(after[s]),
                 first_tag if first < s else None,
                 first == s and not after[s] and not in_race_set, in_race_set,
             )
         )
-    return RaceReport(EventId(pid, idx), rec.tag, racers, checks)
+    return checks
 
 
 def _variant_gate(
@@ -192,20 +190,20 @@ def _variant_gate(
     for w in stack:
         mark[w] = 1
     while stack:
-        for u in _kept_succ(index, r, gone, stack.pop()):
+        for u in _kept_succ(index, gone, stack.pop()):
             if not mark[u]:
                 stack.append(u)
             mark[u] = 2
     return lambda s: mark[s] == 2
 
 
-def _kept_succ(index: TraceIndex, r: int, gone: bytearray, v: int) -> list[int]:
-    """The edges out of kept event v that every variant cut at receive r
-    keeps (``gone`` is r's ``cut``): its hb and ordering edges to
-    kept events, except that a send whose receive is erased keeps only its
-    hb edges, since its ordering edges were that receive's."""
-    a = index.events[v][2]
-    ordered = isinstance(a, Send) and not gone[index.rec_at.get(a.tag, r)]
+def _kept_succ(index: TraceIndex, gone: bytearray, v: int) -> list[int]:
+    """The edges out of kept event v that every variant cut at a receive
+    keeps (``gone`` is its ``cut``): its hb and ordering edges to kept
+    events, except that a send no kept receive took keeps only its hb
+    edges, since its ordering edges were that receive's."""
+    c = index.taken_by[v]
+    ordered = c < len(gone) and not gone[c]
     return [u for u in (index.succ if ordered else index.hb_succ)[v] if not gone[u]]
 
 
@@ -267,7 +265,7 @@ def variant_order(index: TraceIndex, r: int, racer: Tag) -> tuple[Event, ...]:
     # (the initial process cannot start with a receive: no one sends first)
     pred = r - 1 if idx else index.spawn_at[pid]
     nodes = [v for v in range(len(events)) if not gone[v] or v == r]
-    out = [[] if gone[v] else _kept_succ(index, r, gone, v) for v in range(len(events))]
+    out = [[] if gone[v] else _kept_succ(index, gone, v) for v in range(len(events))]
     out[pred].append(r)
     out[s] += [r, *(w for w in index.oldest_waiting(r).values() if not gone[w] and w != s)]
     order = smallest_first(out, nodes)
@@ -286,8 +284,7 @@ def variant(t: Trace | TraceIndex, tag: Tag, racer: Tag) -> Variant:
     t = index.trace
     r = receive_of(index, tag)
     if racer not in (racers := racers_at(index, r)):
-        report = _explain(index, r, racers)
-        detail = next((c.reason() for c in report.candidates if c.tag == racer), None)
+        detail = next((c.reason() for c in explain(index, r, racers) if c.tag == racer), None)
         if detail is None:  # no row: the receive's own message, or not sent to it
             detail = (
                 "it is the message this receive consumed" if racer == tag

@@ -27,7 +27,8 @@ valid interleaving is such an order.
 Trace-level work goes through a ``TraceIndex``, built once per trace in
 O(N): events numbered once, sends and receives by tag, per-target send lists
 and integer hb adjacency lists; ``valid_index`` alone validates it, and
-every trace-level analysis takes a trace or the index it returned. The
+every trace-level analysis takes a trace or the index it returned. Which
+receive took each message is stated once, in ``TraceIndex.taken_by``. The
 mailbox rule is stated once, in ``TraceIndex.oldest_waiting``; validation
 conditions (c) and (d), the ordering edges of ``TraceIndex.succ`` and the
 race sets all read it from there. ``validate_interleaving`` keeps its own,
@@ -248,7 +249,10 @@ class TraceIndex:
       equal ids), numbered as the receives come;
     * ``hb_succ``: integer adjacency lists of the happened-before edges
       (program order, spawn before the child's first action, send before
-      its receive), each once: a self-send received next has one edge.
+      its receive), each once: a self-send received next has one edge;
+    * ``taken_by``: per send, its tag's first receive if in its target,
+      else N; N for other events. So a send to r's process was consumed
+      before receive r iff its entry is below r.
 
     The mailbox rule -- a receive takes the oldest matching message -- is
     stated once, in ``oldest_waiting``; the ordering edges in ``succ`` read
@@ -279,28 +283,29 @@ class TraceIndex:
                 self.clause[v] = ids.setdefault(a.cs.clauses, len(ids))
             elif isinstance(a, Spawn):
                 self.spawn_at.setdefault(a.child, v)
+        n = len(events)
         self.hb_succ: list[list[int]] = [[] for _ in events]
+        self.taken_by = [n] * n
         for v, (pid, i, a) in enumerate(events):
             if i + 1 < len(t.procs[pid]):
                 self.hb_succ[v].append(v + 1)
             if isinstance(a, Spawn) and t.procs.get(a.child):
                 self.hb_succ[v].append(self.first[a.child])
+            elif isinstance(a, Send):
+                c = self.rec_at.get(a.tag, n)
+                if c < n and events[c][0] == a.target:
+                    self.taken_by[v] = c
             elif isinstance(a, Rec) and a.tag in self.send_at:
                 s = self.send_at[a.tag]
                 if not (i and s == v - 1):  # else it is the program edge
                     self.hb_succ[s].append(v)
         self._oldest: dict[int, dict[Pid, int]] = {}
         self._matches: dict[tuple[int, int], bool] = {}
-        self._headers: dict[Pid, tuple[tuple[int, Pid, Tag, Optional[int]], ...]] = {}
+        self._headers: dict[Pid, tuple[tuple[int, Pid, Tag], ...]] = {}
         self._columns: dict[tuple[Pid, int], tuple[bool, ...]] = {}
         self._cuts: dict[int, bytearray] = {}
         self._succ: Optional[list[list[int]]] = None
         self._valid = False
-
-    def consumed_before(self, tag: Tag, r: int) -> bool:
-        """Message `tag` was received by r's process before event r."""
-        c = self.rec_at.get(tag)
-        return c is not None and c < r and self.events[c][0] == self.events[r][0]
 
     def orphans(self) -> set[Tag]:
         """Tags that are sent but never received."""
@@ -316,21 +321,18 @@ class TraceIndex:
             hit = self._matches[s, cl] = match(self.events[s][2].value, self.events[r][2].cs)
         return hit
 
-    def table_header(self, pid: Pid) -> tuple[tuple[int, Pid, Tag, Optional[int]], ...]:
+    def table_header(self, pid: Pid) -> tuple[tuple[int, Pid, Tag], ...]:
         """The sends addressed to pid, sorted once by their tags
-        (``sorted_names``), the order of a candidate table: per send,
-        ``(send, sender, tag, c)`` with c the receive of pid that consumed
-        it, or None. So the send was consumed before a receive r of pid iff
-        c is not None and c < r. Meant for traces with unique tags."""
+        (``sorted_names``), the order of a candidate table and of the racers
+        ``racetrace races`` lists: per send, ``(send, sender, tag)``. Meant
+        for traces with unique tags."""
         header = self._headers.get(pid)
         if header is None:
-            events, rec_at = self.events, self.rec_at
             rows = {}
             for q, sends in self.sends_to.get(pid, {}).items():
                 for s in sends:
-                    tag = events[s][2].tag
-                    c = rec_at.get(tag)
-                    rows[tag] = (s, q, tag, c if c is not None and events[c][0] == pid else None)
+                    tag = self.events[s][2].tag
+                    rows[tag] = (s, q, tag)
             header = self._headers[pid] = tuple(rows[tag] for tag in sorted_names(rows))
         return header
 
@@ -342,7 +344,7 @@ class TraceIndex:
         column = self._columns.get(key)
         if column is None:
             header = self.table_header(key[0])
-            column = self._columns[key] = tuple(self.matches(s, r) for s, _, _, _ in header)
+            column = self._columns[key] = tuple(self.matches(s, r) for s, _, _ in header)
         return column
 
     def oldest_waiting(self, r: int) -> dict[Pid, int]:
@@ -367,7 +369,7 @@ class TraceIndex:
                 oldest = self._oldest[v] = {}
                 for q, sends in senders.items():
                     for k in range(cursor[q], len(sends)):
-                        if self.consumed_before(self.events[sends[k]][2].tag, v):
+                        if self.taken_by[sends[k]] < v:
                             if k == cursor[q]:
                                 cursor[q] = k + 1
                         elif self.matches(sends[k], v):

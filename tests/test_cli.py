@@ -6,8 +6,11 @@ import sys
 
 import pytest
 
-from racetrace import parse_trace, serialize_trace, validate_trace
+from racetrace import ExplorationReport, ExploredTrace, Outcome, Send, Trace, parse_trace
+from racetrace import serialize_trace, validate_trace
+from racetrace import cli
 from racetrace.cli import main
+from racetrace.terms import Int
 
 from conftest import (
     FIXTURES,
@@ -81,6 +84,24 @@ def test_parse_error_is_usage(tmp_path, capsys):
     bad.write_text("trace { initial: p1\n  p1: send( }\n")
     code, _, err = run_cli(capsys, "validate", str(bad))
     assert code == 2 and err
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("trace { initial: p1\n  p1: ε }\nconstraints { c: X -> .; c: Y -> . }\n",
+         "3:26: duplicate constraint id 'c'"),
+        ("trace { initial: p1\n  p1: ε }\nextra\n", "3:1: unexpected trailing input 'extra'"),
+        ("trace { initial: p1\n  p1: foo(l1) }\n", "2:7: unknown action 'foo'"),
+        ("trace { initial: p1\n  p1: send(l1, {val,X}, p1) }\n",
+         "2:16: variables are not allowed in a ground term"),
+    ],
+    ids=["duplicate-constraint-id", "trailing-input", "unknown-action", "variable-in-value"],
+)
+def test_document_parse_errors_name_their_position(tmp_path, capsys, text, message):
+    path = tmp_path / "bad.trace"
+    path.write_text(text, encoding="utf-8")
+    assert run_cli(capsys, "validate", str(path)) == (2, "", f"{path}: {message}\n")
 
 
 @pytest.mark.parametrize(
@@ -403,6 +424,17 @@ def test_replay_continue(tmp_path, capsys):
     assert code == 0 and "outcome: completed" in out
 
 
+def test_replay_prints_a_prefix_longer_than_max_steps_whole(capsys):
+    # --max-steps counts the prefix's actions, but the prefix is replayed
+    # whole: its six actions, though N is 1
+    code, out, err = run_cli(capsys, "replay", fx("proga.prog"), "--prefix",
+                             fx("fix_tau_a.trace"), "--continue", "--max-steps", "1")
+    assert (code, err) == (0, "")
+    first, *rest = out.splitlines(keepends=True)
+    assert first == "outcome: completed\n"
+    assert sum(map(len, parse_trace("".join(rest)).procs.values())) == 6
+
+
 def test_replay_divergence(tmp_path, capsys):
     # progb cannot reproduce proga's trace
     target = tmp_path / "prefix.trace"
@@ -440,6 +472,23 @@ def test_explore_with_oracle_and_out(tmp_path, capsys):
     for name in files[1:]:
         t = parse_trace((out_dir / name).read_text())
         assert validate_trace(t) is None
+
+
+def test_explore_out_names_sort_as_text_in_report_order(tmp_path, capsys, monkeypatch):
+    # names padded to 4 digits put trace-10000 between trace-1000 and
+    # trace-1001; an explore that returns 10 000 one-event traces shows it
+    report = ExplorationReport()
+    for n in range(1, 10001):
+        t = Trace("p1", {"p1": (Send(f"l{n}", Int(n), "p1"),)})
+        report.traces[t.key()] = ExploredTrace(t, Outcome("completed"), (f"l{n}",), 0, None)
+    monkeypatch.setattr(cli, "explore", lambda *args, **kwargs: report)
+    out_dir = tmp_path / "traces"
+    code, _, _ = run_cli(capsys, "explore", fx("progc.prog"), "--out", str(out_dir))
+    assert code == 0
+    names = sorted(p.name for p in out_dir.glob("trace-*.trace"))
+    assert [int(name[6:-6]) for name in names] == list(range(1, 10001))
+    assert (names[0], names[-1]) == ("trace-00001.trace", "trace-10000.trace")
+    assert [(out_dir / name).read_text() for name in names] == report.order
 
 
 def test_explore_oracle_on_a_long_program(tmp_path, capsys):

@@ -188,13 +188,16 @@ def test_matches_is_terms_match(t):
 
 def _reference_oldest_waiting(index, r):
     """oldest_waiting by a scan of each sender's sends from its first, for
-    every receive afresh."""
+    every receive afresh. A send counts as consumed before r if its tag's
+    first receive is in r's process and before r."""
     oldest = {}
-    rec = index.events[r][2]
-    for q, sends in index.sends_to.get(index.events[r][0], {}).items():
+    pid, _, rec = index.events[r]
+    for q, sends in index.sends_to.get(pid, {}).items():
         for s in sends:
             send = index.events[s][2]
-            if not index.consumed_before(send.tag, r) and match(send.value, rec.cs):
+            c = index.rec_at.get(send.tag)
+            consumed = c is not None and c < r and index.events[c][0] == pid
+            if not consumed and match(send.value, rec.cs):
                 oldest[q] = s
                 break
     return oldest
@@ -265,7 +268,7 @@ def test_race_analysis_validates_once(t, validated):
         validated.clear()
         report = race_set(t, rep.subject)
         assert validated == [t]
-        for racer in report.sorted_racers():
+        for racer in report.racers:
             validated.clear()
             variant(t, rep.subject, racer)
             assert validated == [t]

@@ -24,6 +24,7 @@ from racetrace.terms import (
     Atom,
     Cmp,
     GChain,
+    GTrue,
     Int,
     Lst,
     PidLit,
@@ -70,6 +71,12 @@ def test_constraint_parsing_and_rendering():
     assert len(cs.clauses) == 2
     assert cs.clauses[0].guard == Cmp(">", Var("M"), Int(0))
     assert render_constraint(cs) == text
+
+
+def test_when_true_parses_and_renders_as_no_guard():
+    cs = parse_constraint(TokenStream(tokenize("c: {val,M} when true -> .")))
+    assert cs.clauses[0].guard == GTrue()
+    assert render_constraint(cs) == "c: {val,M} -> ."
 
 
 def guard(text):

@@ -65,7 +65,6 @@ def test_all_races_covers_every_receive(run_trace):
 def test_race_set_small_example(tau_a):
     report = race_set(tau_a, "l1")
     assert report.racers == {"l3"}
-    assert report.sorted_racers() == ["l3"]
     by_tag = {c.tag: c for c in report.candidates}
     # l2 carries {val,0}, which fails the M > 0 guard
     assert not by_tag["l2"].matches
@@ -477,7 +476,7 @@ def _dead(index: TraceIndex, gone: bytearray) -> set[Pid]:
 
 
 def _reference_gate(
-    index: TraceIndex, r: int, oldest: dict[Pid, int], gone: bytearray, dead: set[Pid]
+    index: TraceIndex, oldest: dict[Pid, int], gone: bytearray, dead: set[Pid]
 ) -> Callable[[int], bool]:
     """The validity gate as one forward traversal per candidate s, from the
     other messages still waiting at r, looking for s: how the gate decided
@@ -500,7 +499,7 @@ def _reference_gate(
         while stack:
             v = stack.pop()
             if kept[v] is None:
-                kept[v] = _kept_succ(index, r, gone, v)
+                kept[v] = _kept_succ(index, gone, v)
             for u in kept[v]:
                 if u == s:
                     return True
@@ -530,13 +529,14 @@ def _reference_race_report(index: TraceIndex, r: int) -> RaceReport:
             if send.tag == rec.tag:
                 continue
             matches = match(send.value, rec.cs)
-            already = index.consumed_before(send.tag, r)
+            c = index.rec_at.get(send.tag)
+            already = c is not None and c < r and index.events[c][0] == pid
             hb_excluded = bool(after[s])
             blocked_by = blocker if first is not None and first < s else None
             survives = matches and not already and not hb_excluded and blocked_by is None
             if survives and gate is None:
                 gone = index.cut(r)
-                gate = _reference_gate(index, r, oldest, gone, _dead(index, gone))
+                gate = _reference_gate(index, oldest, gone, _dead(index, gone))
             infeasible = survives and gate(s)
             checks.append(
                 CandidateCheck(

@@ -27,7 +27,7 @@ from racetrace import (
 )
 from racetrace import parsing
 from racetrace.parsing import ParseError, sorted_names
-from racetrace.terms import Atom, Int, PidLit, Tup
+from racetrace.terms import Atom, Int, Lst, PidLit, TagLit, Tup
 
 from conftest import (
     LONG_PROGRAM,
@@ -456,6 +456,47 @@ def test_receive_divergences_name_the_logs_tags():
         "trace { initial: p1\n p1: spawn(p2), send(l1, {val,1}, p2)\n p2: rec(l1, c) }\n"
         "constraints { c: {val,M} -> . }\n",
     ) == "divergence at prefix event 2: receive constraint differs from the log"
+
+
+# main sends a tuple that holds a tag literal and a list expression
+REFERENCES = parse_program(
+    "program { main main\n"
+    "  def main() { P = spawn g(); send {val,1} to P; send {ref,#p1.1,[P,#p1.1,2]} to P }\n"
+    "  def g() { receive { {val,N} -> N }; receive { {ref,T,L} -> T } } }\n"
+)
+
+
+def _references_log(value):
+    """REFERENCES's run with pids a, b and tags m1, m2, its second message
+    logged as `value`."""
+    return parse_trace(
+        "trace { initial: a\n"
+        f"  a: spawn(b), send(m1, {{val,1}}, b), send(m2, {value}, b)\n"
+        "  b: rec(m1, cs1), rec(m2, cs2) }\n"
+        "constraints { cs1: {val,N} -> .\n  cs2: {ref,T,L} -> . }\n"
+    )
+
+
+def test_a_sent_list_expression_is_evaluated():
+    t, outcome = run_random(REFERENCES, seed=0)
+    assert outcome == Outcome("completed")
+    child = PidLit("p1.1")
+    items = (child, TagLit("p1.1"), Int(2))
+    assert t.procs["p1"][2] == Send("p1.2", Tup((Atom("ref"), TagLit("p1.1"), Lst(items))), "p1.1")
+
+
+def test_replay_renames_tags_and_pids_inside_a_sent_list():
+    sys, align = replay_prefix(REFERENCES, _references_log("{ref,#m1,[<b>,#m1,2]}"))
+    assert (align.pid_log_to_sim["b"], align.tag_sim_to_log["p1.1"]) == ("p1.1", "m1")
+    assert sys.trace() == run_random(REFERENCES, seed=0)[0]
+    # the program's value, in the log's names, differs from a log that
+    # keeps a simulator name inside the list
+    with pytest.raises(DivergenceError) as err:
+        replay_prefix(REFERENCES, _references_log("{ref,#m1,[<b>,#p1.1,2]}"))
+    assert str(err.value) == (
+        "divergence at prefix event 2: send value {ref,#m1,[<b>,#m1,2]} differs from "
+        "logged {ref,#m1,[<b>,#p1.1,2]}"
+    )
 
 
 def test_replay_accepts_foreign_names(proga, tau_a):

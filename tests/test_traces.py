@@ -26,7 +26,7 @@ from racetrace import (
 from racetrace import parsing
 from racetrace import traces as traces_module
 from racetrace.parsing import ParseError
-from racetrace.terms import Atom, Int, Tup, match, render_term
+from racetrace.terms import Atom, Constraint, Int, Tup, match, render_term
 
 from conftest import fixture_text
 from strategies import CS_ANY, CS_POS, interleavings, traces
@@ -80,6 +80,30 @@ def test_duplicate_tag_is_condition_4():
     )
     bad = validate_interleaving(s)
     assert bad is not None and bad.condition == "4"
+
+
+def test_a_second_receive_of_a_tag_is_condition_4():
+    s = Interleaving(
+        "p1",
+        (
+            Event("p1", Send("l1", val(1), "p1")),
+            Event("p1", Rec("l1", CS_ANY)),
+            Event("p1", Rec("l1", CS_ANY)),
+        ),
+    )
+    assert str(validate_interleaving(s)) == "condition 4 violated at event 2: tag l1 received twice"
+
+
+def test_a_receive_of_a_message_sent_elsewhere_is_condition_2():
+    s = Interleaving(
+        "p1",
+        (
+            Event("p1", Spawn("p2")),
+            Event("p1", Send("l1", val(1), "p1")),
+            Event("p2", Rec("l1", CS_ANY)),
+        ),
+    )
+    assert str(validate_interleaving(s)) == "condition 2 violated at event 2: tag l1 was sent to p1"
 
 
 def test_self_spawn_is_a_second_spawn_in_an_interleaving_only():
@@ -259,6 +283,25 @@ def test_empty_trace_is_valid():
     assert validate_trace(Trace("p1", {"p1": ()})) is None
 
 
+@pytest.mark.parametrize(
+    "t, message",
+    [
+        (
+            parse_trace("trace { initial: p1\n  p1: spawn(p2), spawn(p2)\n  p2: ε }\n"),
+            "condition a violated at p1[1]: pid p2 spawned twice",
+        ),
+        (
+            parse_trace("trace { initial: p1\n  p1: spawn(p2) }\n"),
+            "condition a violated at p1[0]: spawned pid p2 has no entry",
+        ),
+        (Trace("p1", {}), "condition a violated at p1: initial pid has no entry"),
+    ],
+    ids=["spawned-twice", "spawned-without-entry", "initial-without-entry"],
+)
+def test_spawn_closure_violations_are_condition_a(t, message):
+    assert str(validate_trace(t)) == message
+
+
 def test_receive_of_unmatching_value_rejected(tau_a):
     cs1 = tau_a.procs["p2"][0].cs
     procs = dict(tau_a.procs)
@@ -413,6 +456,15 @@ def test_serialize_parse_identity_on_fixture_files():
     for name in ("fix_tau_a.trace", "fix_run.trace", "variant_run_l2_l6.trace"):
         text = fixture_text(name)
         assert serialize_trace(parse_trace(text)) == text
+
+
+def test_serializing_one_constraint_id_with_two_clause_lists_is_an_error():
+    # a parsed trace cannot bind an id twice; a hand-built one can
+    other = Constraint(CS_ANY.cs_id, CS_POS.clauses)
+    t = Trace("p1", {"p1": (Send("l1", val(1), "p1"), Send("l2", val(2), "p1"),
+                            Rec("l1", CS_ANY), Rec("l2", other))})
+    with pytest.raises(ValueError, match=r"^constraint id csa bound to two definitions$"):
+        serialize_trace(t)
 
 
 def test_epsilon_marks_idle_processes():
