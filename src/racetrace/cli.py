@@ -261,8 +261,7 @@ def cmd_explore(args) -> int:
             Path(args.out).mkdir(parents=True, exist_ok=True)
         except OSError as exc:
             raise CliError(f"cannot write {args.out}: {exc}") from exc
-        # names sort as text in the report's order
-        width = max(4, len(str(len(report.order))))
+        width = report.number_width
         for n, key in enumerate(report.order, start=1):
             _write(os.path.join(args.out, f"trace-{n:0{width}d}.trace"), key)
         _write(os.path.join(args.out, "report.txt"), report.render())

@@ -111,6 +111,12 @@ class ExplorationReport:
         """The keys of the traces, in the order they were recorded."""
         return list(self.traces)
 
+    @property
+    def number_width(self) -> int:
+        """Digits of a trace's number in ``render`` and ``--out`` file names:
+        the trace count's, at least 4, so the names sort as text in order."""
+        return max(4, len(str(len(self.traces))))
+
     def render(self) -> str:
         lines = [
             f"traces explored: {len(self.traces)}",
@@ -123,6 +129,7 @@ class ExplorationReport:
             f"bounded: {'yes' if self.bounded else 'no'}",
             "",
         ]
+        width = self.number_width
         for n, entry in enumerate(self.traces.values(), start=1):
             origin = entry.origin
             via = (
@@ -132,7 +139,7 @@ class ExplorationReport:
                 else " (seed run)"
             )
             orphan_list = ", ".join(entry.orphans) or "none"
-            lines.append(f"trace {n:04d}: {entry.outcome}{via}")
+            lines.append(f"trace {n:0{width}d}: {entry.outcome}{via}")
             lines.append(f"  races: {entry.races}, orphans: {orphan_list}")
         return "\n".join(lines) + "\n"
 

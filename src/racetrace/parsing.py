@@ -22,6 +22,10 @@ that ``tokenize`` reads one line at a time, skipping whitespace
     entries    ::= (pid ":" ("ε" | action ("," action)*))*
     constraints ::= "constraints" "{" (constraint [";"])* "}"
 
+No text is spelled by two token kinds, so a parser asks for a token by its
+text. It tests a kind only where no text decides: an identifier, the end of
+the input, and where a rule branches on an integer, a variable or an atom.
+
 A document is a trace (KEYWORD ``trace``) or an interleaving
 (``interleaving``). Its actions are ``spawn(pid)``, ``send(tag, term,
 pid)`` and ``rec(tag, CSID)``; each receive's CSID resolves against the
@@ -131,6 +135,10 @@ def tokenize(text: str) -> list[Token]:
 
 
 class TokenStream:
+    """A parser's cursor: ``at``, ``accept`` and ``expect`` ask for a token
+    by its text, which one kind alone spells. Kind tests stay where no text
+    decides: ``expect_atom`` (any identifier) and ``expect_eof``."""
+
     def __init__(self, tokens: list[Token]):
         # two more copies of the final eof, so that peek(ahead) for
         # ahead <= 2 is one index
@@ -147,53 +155,39 @@ class TokenStream:
             self.pos += 1
         return tok
 
-    def at_sym(self, text: str) -> bool:
-        tok = self.peek()
-        return tok.kind == "sym" and tok.text == text
+    def at(self, text: str) -> bool:
+        return self.peek().text == text
 
-    def at_atom(self, text: str) -> bool:
-        tok = self.peek()
-        return tok.kind == "atom" and tok.text == text
-
-    def accept_sym(self, text: str) -> bool:
-        if self.at_sym(text):
+    def accept(self, text: str) -> bool:
+        if self.at(text):
             self.next()
             return True
         return False
 
-    def accept_atom(self, text: str) -> bool:
-        if self.at_atom(text):
-            self.next()
-            return True
-        return False
-
-    def expect_sym(self, text: str) -> Token:
-        tok = self.peek()
-        if not self.at_sym(text):
-            raise ParseError(f"expected {text!r}, found {tok.text!r}", tok.line, tok.col)
+    def expect(self, text: str) -> Token:
+        if not self.at(text):
+            raise self.error(f"expected {text!r}, found {self.peek().text!r}")
         return self.next()
 
-    def expect_atom(self, text: str | None = None) -> Token:
+    def expect_atom(self) -> Token:
         tok = self.peek()
-        if tok.kind != "atom" or (text is not None and tok.text != text):
-            what = repr(text) if text else "an identifier"
-            raise ParseError(f"expected {what}, found {tok.text!r}", tok.line, tok.col)
+        if tok.kind != "atom":
+            raise self.error(f"expected an identifier, found {tok.text!r}")
         return self.next()
 
     def sep_list(self, item: Callable[[TokenStream], T], close: str, sep: str = ",") -> list[T]:
         """``item (sep item)* close``, or ``close`` alone."""
         items: list[T] = []
-        if not self.accept_sym(close):
+        if not self.accept(close):
             items.append(item(self))
-            while self.accept_sym(sep):
+            while self.accept(sep):
                 items.append(item(self))
-            self.expect_sym(close)
+            self.expect(close)
         return items
 
     def expect_eof(self) -> None:
-        tok = self.peek()
-        if tok.kind != "eof":
-            raise ParseError(f"unexpected trailing input {tok.text!r}", tok.line, tok.col)
+        if self.peek().kind != "eof":
+            raise self.error(f"unexpected trailing input {self.peek().text!r}")
 
     def error(self, message: str) -> ParseError:
         tok = self.peek()
@@ -209,7 +203,7 @@ def parse_dotted_name(ts: TokenStream) -> str:
     """A pid or tag name: identifier optionally followed by .k segments."""
     head = ts.expect_atom()
     parts = [head.text]
-    while ts.at_sym(".") and ts.peek(1).kind == "int":
+    while ts.at(".") and ts.peek(1).kind == "int":
         ts.next()
         parts.append(ts.next().text)
     return ".".join(parts)
@@ -273,19 +267,19 @@ def _parse_pattern(ts: TokenStream, depth: int) -> Pattern:
     if tok.kind == "atom":
         ts.next()
         return Atom(tok.text)
-    if ts.accept_sym("_"):
+    if ts.accept("_"):
         return Wildcard()
-    if (ts.at_sym("{") or ts.at_sym("[")) and depth == MAX_NESTING:
+    if (ts.at("{") or ts.at("[")) and depth == MAX_NESTING:
         raise ts.error(f"term nests deeper than {MAX_NESTING} tuples and lists")
-    if ts.accept_sym("{"):
+    if ts.accept("{"):
         return Tup(tuple(ts.sep_list(lambda ts: _parse_pattern(ts, depth + 1), "}")))
-    if ts.accept_sym("["):
+    if ts.accept("["):
         return Lst(tuple(ts.sep_list(lambda ts: _parse_pattern(ts, depth + 1), "]")))
-    if ts.accept_sym("<"):
+    if ts.accept("<"):
         pid = parse_dotted_name(ts)
-        ts.expect_sym(">")
+        ts.expect(">")
         return PidLit(pid)
-    if ts.accept_sym("#"):
+    if ts.accept("#"):
         return TagLit(parse_dotted_name(ts))
     raise ts.error(f"expected a term, found {tok.text!r}")
 
@@ -312,25 +306,24 @@ def _parse_guard(ts: TokenStream, depth: int) -> Guard:
     ``GChain`` with a parenthesized chain in first place spliced in."""
     g = _parse_guard_atom(ts, depth)
     first, rest = (g.first, list(g.rest)) if isinstance(g, GChain) else (g, [])
-    while ts.at_atom("and") or ts.at_atom("or"):
+    while ts.at("and") or ts.at("or"):
         op = ts.next().text
         rest.append((op, _parse_guard_atom(ts, depth)))
     return GChain(first, tuple(rest)) if rest else first
 
 
 def _parse_guard_atom(ts: TokenStream, depth: int) -> Guard:
-    if ts.at_sym("(") and depth == MAX_NESTING:
+    if ts.at("(") and depth == MAX_NESTING:
         raise ts.error(f"guard nests deeper than {MAX_NESTING} parentheses")
-    if ts.accept_sym("("):
+    if ts.accept("("):
         g = _parse_guard(ts, depth + 1)
-        ts.expect_sym(")")
+        ts.expect(")")
         return g
-    if ts.at_atom("true"):
-        ts.next()
+    if ts.accept("true"):
         return GTrue()
     lhs = _parse_operand(ts)
     tok = ts.peek()
-    if tok.kind == "sym" and tok.text in CMP_OPS:
+    if tok.text in CMP_OPS:
         ts.next()
         rhs = _parse_operand(ts)
         return Cmp(tok.text, lhs, rhs)
@@ -353,9 +346,9 @@ def parse_clause(ts: TokenStream) -> Clause:
     """``pattern ["when" guard] "->"``: a clause up to its body."""
     pattern = parse_pattern(ts)
     guard: Guard = GTrue()
-    if ts.accept_atom("when"):
+    if ts.accept("when"):
         guard = parse_guard(ts)
-    ts.expect_sym("->")
+    ts.expect("->")
     return Clause(pattern, guard)
 
 
@@ -370,28 +363,28 @@ def constraint_at(cs_id: str, clauses: list[Clause], tok: Token) -> Constraint:
 
 def parse_constraint(ts: TokenStream) -> Constraint:
     ident = ts.expect_atom()
-    ts.expect_sym(":")
+    ts.expect(":")
     clauses = [parse_clause(ts)]
-    ts.expect_sym(".")
+    ts.expect(".")
     # A ';' continues this constraint unless the next tokens open a new one.
-    while ts.at_sym(";") and not (ts.peek(1).kind == "atom" and ts.peek(2).text == ":"):
+    while ts.at(";") and not (ts.peek(1).kind == "atom" and ts.peek(2).text == ":"):
         ts.next()
         clauses.append(parse_clause(ts))
-        ts.expect_sym(".")
+        ts.expect(".")
     return constraint_at(ident.text, clauses, ident)
 
 
 def parse_constraint_block(ts: TokenStream) -> dict[str, Constraint]:
     """``constraints { cs1: ...; cs2: ... }`` -> mapping by id."""
-    ts.expect_atom("constraints")
-    ts.expect_sym("{")
+    ts.expect("constraints")
+    ts.expect("{")
     table: dict[str, Constraint] = {}
-    while not ts.at_sym("}"):
+    while not ts.at("}"):
         tok = ts.peek()
         cs = parse_constraint(ts)
         if cs.cs_id in table:
             raise ParseError(f"duplicate constraint id {cs.cs_id!r}", tok.line, tok.col)
         table[cs.cs_id] = cs
-        ts.accept_sym(";")
-    ts.expect_sym("}")
+        ts.accept(";")
+    ts.expect("}")
     return table

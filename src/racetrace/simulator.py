@@ -145,24 +145,23 @@ class Program:
 
 def parse_program(text: str) -> Program:
     ts = TokenStream(tokenize(text))
-    ts.expect_atom("program")
-    ts.expect_sym("{")
-    ts.expect_atom("main")
+    ts.expect("program")
+    ts.expect("{")
+    ts.expect("main")
     main = ts.expect_atom().text
     defs: dict[str, FunDef] = {}
     counter = [0]
-    while ts.at_atom("def"):
-        ts.next()
+    while ts.accept("def"):
         name_tok = ts.expect_atom()
-        ts.expect_sym("(")
+        ts.expect("(")
         params = tuple(ts.sep_list(_parse_param, ")"))
-        ts.expect_sym("{")
+        ts.expect("{")
         body = tuple(ts.sep_list(lambda ts: _parse_stmt(ts, counter), "}", ";"))
         if name_tok.text in defs:
             raise ParseError(f"function {name_tok.text!r} defined twice",
                              name_tok.line, name_tok.col)
         defs[name_tok.text] = FunDef(name_tok.text, params, body)
-    ts.expect_sym("}")
+    ts.expect("}")
     ts.expect_eof()
     program = Program(defs, main)
     check_program(program)
@@ -178,37 +177,34 @@ def _parse_param(ts: TokenStream) -> str:
 
 def _parse_stmt(ts: TokenStream, counter: list[int]) -> Stmt:
     tok = ts.peek()
-    if ts.at_atom("send"):
-        ts.next()
+    if ts.accept("send"):
         value = parse_pattern(ts)
-        ts.expect_atom("to")
+        ts.expect("to")
         target = parse_pattern(ts)
         if not isinstance(target, (Var, PidLit)):
             raise ParseError("send target must be a variable or pid literal",
                              tok.line, tok.col)
         return SendStmt(value, target)
-    if ts.at_atom("receive"):
-        ts.next()
-        ts.expect_sym("{")
+    if ts.accept("receive"):
+        ts.expect("{")
         clauses: list[Clause] = []
         bodies: list[Stmt] = []
         while True:
             clauses.append(parse_clause(ts))
             bodies.append(_parse_stmt(ts, counter))
-            if not ts.accept_sym(";"):
+            if not ts.accept(";"):
                 break
-        ts.expect_sym("}")
+        ts.expect("}")
         counter[0] += 1
         return ReceiveStmt(constraint_at(f"cs{counter[0]}", clauses, tok), tuple(bodies))
     var = None
-    if tok.kind == "var" and ts.peek(1).kind == "sym" and ts.peek(1).text == "=":
+    if tok.kind == "var" and ts.peek(1).text == "=":
         ts.next()
         ts.next()
         var = tok.text
-    if ts.at_atom("spawn"):
-        ts.next()
+    if ts.accept("spawn"):
         fname = ts.expect_atom().text
-        ts.expect_sym("(")
+        ts.expect("(")
         return SpawnStmt(var, fname, tuple(ts.sep_list(parse_pattern, ")")))
     return BindStmt(var, parse_pattern(ts))
 

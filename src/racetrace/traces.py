@@ -436,7 +436,6 @@ def first_cycle(succ: list[list[int]]) -> Optional[list[int]]:
     a path that starts and ends at the same node. O(V + E).
     """
     color = bytearray(len(succ))  # 0 unvisited, 1 on the stack, 2 done
-    parent = [0] * len(succ)
     for root in range(len(succ)):
         if color[root]:
             continue
@@ -445,17 +444,11 @@ def first_cycle(succ: list[list[int]]) -> Optional[list[int]]:
         while stack:
             node, it = stack[-1]
             for nxt in it:
-                if color[nxt] == 1:
-                    cycle = [nxt, node]
-                    cur = node
-                    while cur != nxt:
-                        cur = parent[cur]
-                        cycle.append(cur)
-                    cycle.reverse()
-                    return cycle
+                if color[nxt] == 1:  # the stack is the path from root
+                    path = [v for v, _ in stack]
+                    return path[path.index(nxt):] + [nxt]
                 if not color[nxt]:
                     color[nxt] = 1
-                    parent[nxt] = node
                     stack.append((nxt, iter(succ[nxt])))
                     break
             else:
@@ -643,24 +636,24 @@ def _parse_action(ts: TokenStream) -> Union[Action, tuple[Tag, Token]]:
     ``_parse_document`` resolves once it has read the constraints block."""
     tok = ts.peek()
     kind = ts.expect_atom().text
-    ts.expect_sym("(")
+    ts.expect("(")
     if kind == "spawn":
         child = parse_dotted_name(ts)
-        ts.expect_sym(")")
+        ts.expect(")")
         return Spawn(child)
     if kind == "send":
         tag = parse_dotted_name(ts)
-        ts.expect_sym(",")
+        ts.expect(",")
         value = parse_term(ts)
-        ts.expect_sym(",")
+        ts.expect(",")
         target = parse_dotted_name(ts)
-        ts.expect_sym(")")
+        ts.expect(")")
         return Send(tag, value, target)
     if kind == "rec":
         tag = parse_dotted_name(ts)
-        ts.expect_sym(",")
+        ts.expect(",")
         cs_tok = ts.expect_atom()
-        ts.expect_sym(")")
+        ts.expect(")")
         return tag, cs_tok
     raise ParseError(f"unknown action {kind!r}", tok.line, tok.col)
 
@@ -670,24 +663,24 @@ def _parse_document(text: str, keyword: str):
     in one pass: the initial pid and, per entry, its pid, the pid's token
     and its actions."""
     ts = TokenStream(tokenize(text))
-    ts.expect_atom(keyword)
-    ts.expect_sym("{")
-    ts.expect_atom("initial")
-    ts.expect_sym(":")
+    ts.expect(keyword)
+    ts.expect("{")
+    ts.expect("initial")
+    ts.expect(":")
     initial = parse_dotted_name(ts)
     entries: list[tuple[Pid, Token, list]] = []
-    while not ts.at_sym("}"):
+    while not ts.at("}"):
         pid_tok = ts.peek()
         pid = parse_dotted_name(ts)
-        ts.expect_sym(":")
+        ts.expect(":")
         acts = []
-        if not ts.accept_atom("ε"):
+        if not ts.accept("ε"):
             acts.append(_parse_action(ts))
-            while ts.accept_sym(","):
+            while ts.accept(","):
                 acts.append(_parse_action(ts))
         entries.append((pid, pid_tok, acts))
-    ts.expect_sym("}")
-    constraints = parse_constraint_block(ts) if ts.at_atom("constraints") else {}
+    ts.expect("}")
+    constraints = parse_constraint_block(ts) if ts.at("constraints") else {}
     for _, _, acts in entries:
         for i, a in enumerate(acts):
             if isinstance(a, tuple):

@@ -5,6 +5,8 @@ import pytest
 
 from racetrace import parse_interleaving, parse_program, parse_trace
 
+from families import gencoll
+
 # the benchmark's input generators, which import only the standard library
 sys.path.append(str(Path(__file__).resolve().parents[1] / "perfbench"))
 import workloads  # noqa: E402
@@ -56,20 +58,7 @@ def progc():
     return parse_program(fixture_text("progc.prog"))
 
 
-def gencoll_text(n: int) -> str:
-    """n generators each send {val,N} to a collector that makes n unguarded
-    receives: every consumption order is a trace, n! in all."""
-    spawns = "".join(f"; spawn gen(C, {i})" for i in range(1, n + 1))
-    receives = "; ".join("receive { {val,X} -> X }" for _ in range(n))
-    return (
-        "program { main main\n"
-        f"  def main() {{ C = spawn collector(){spawns} }}\n"
-        "  def gen(C, N) { send {val,N} to C }\n"
-        f"  def collector() {{ {receives} }} }}\n"
-    )
-
-
-GENCOLL4 = gencoll_text(4)  # 24 traces
+GENCOLL4 = gencoll(4)  # 24 traces
 
 
 # main spawns a sink that does nothing and sends it 2 000 messages: one

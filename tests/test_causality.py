@@ -11,6 +11,7 @@ from racetrace import (
     Rec,
     Send,
     Spawn,
+    SwapBudgetExhausted,
     Trace,
     causally_equivalent,
     enumerate_linearizations,
@@ -218,6 +219,12 @@ def test_fig2_interleavings_equivalent(s_a, s_b):
     assert causally_equivalent(s_a, s_b)
     assert causally_equivalent(s_a, s_a)
     assert swap_equiv_oracle(s_a, s_b)
+
+
+def test_swap_search_gives_up_when_its_budget_runs_out(s_a, s_b):
+    with pytest.raises(SwapBudgetExhausted, match="^undecided after expanding 1 states$"):
+        swap_equiv_oracle(s_a, s_b, budget=1)
+    assert swap_equiv_oracle(s_a, s_b, budget=2)
 
 
 def test_changing_the_received_message_breaks_equivalence(s_a):

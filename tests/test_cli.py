@@ -41,8 +41,12 @@ def json_lines(out):
 
 
 def test_validate_ok(capsys):
-    for name in ("fix_tau_a.trace", "fix_run.trace", "fix_s_a.itl", "fix_s_b.itl"):
-        code, out, _ = run_cli(capsys, "validate", fx(name))
+    # every fixture document but fix_s_bad.itl (test_validate_violation)
+    paths = sorted([*FIXTURES.glob("*.trace"), *FIXTURES.glob("*.itl")])
+    paths.remove(FIXTURES / "fix_s_bad.itl")
+    assert len(paths) == 5
+    for path in paths:
+        code, out, _ = run_cli(capsys, "validate", str(path))
         assert code == 0 and out.strip() == "ok"
 
 
@@ -95,8 +99,11 @@ def test_parse_error_is_usage(tmp_path, capsys):
         ("trace { initial: p1\n  p1: foo(l1) }\n", "2:7: unknown action 'foo'"),
         ("trace { initial: p1\n  p1: send(l1, {val,X}, p1) }\n",
          "2:16: variables are not allowed in a ground term"),
+        (f"trace {{ initial: p1\n  p1: send(l1, {{val,{'7' * 5000}}}, p1) }}\n",
+         f"2:21: integer literal longer than {sys.get_int_max_str_digits()} digits"),
     ],
-    ids=["duplicate-constraint-id", "trailing-input", "unknown-action", "variable-in-value"],
+    ids=["duplicate-constraint-id", "trailing-input", "unknown-action", "variable-in-value",
+         "long-integer"],
 )
 def test_document_parse_errors_name_their_position(tmp_path, capsys, text, message):
     path = tmp_path / "bad.trace"
@@ -179,7 +186,9 @@ def test_equiv(capsys):
 
 def test_equiv_rejects_invalid_input(capsys):
     code, _, err = run_cli(capsys, "equiv", fx("fix_s_a.itl"), fx("fix_s_bad.itl"))
-    assert code == 1 and "invalid interleaving" in err
+    assert code == 1
+    assert err.startswith(f"{fx('fix_s_bad.itl')}: invalid interleaving: ")
+    assert err.count("\n") == 1
 
 
 # ---------------------------------------------------------------------------
@@ -409,9 +418,12 @@ def test_simulate_emit_trace(tmp_path, capsys):
 
 
 def test_simulate_stdout_contains_trace(capsys):
-    code, out, _ = run_cli(capsys, "simulate", fx("proga.prog"))
-    assert code == 0
-    assert "trace { initial: p1" in out
+    paths = sorted(FIXTURES.glob("*.prog"))
+    assert len(paths) == 4
+    for path in paths:
+        code, out, err = run_cli(capsys, "simulate", str(path))
+        assert code == 0 and err == ""
+        assert "trace { initial: p1" in out
 
 
 def test_replay_continue(tmp_path, capsys):
@@ -476,7 +488,9 @@ def test_explore_with_oracle_and_out(tmp_path, capsys):
 
 def test_explore_out_names_sort_as_text_in_report_order(tmp_path, capsys, monkeypatch):
     # names padded to 4 digits put trace-10000 between trace-1000 and
-    # trace-1001; an explore that returns 10 000 one-event traces shows it
+    # trace-1001; an explore that returns 10 000 one-event traces shows it.
+    # report.txt labels each trace with its file's number (it said
+    # "trace 0001" beside trace-00001.trace)
     report = ExplorationReport()
     for n in range(1, 10001):
         t = Trace("p1", {"p1": (Send(f"l{n}", Int(n), "p1"),)})
@@ -489,6 +503,9 @@ def test_explore_out_names_sort_as_text_in_report_order(tmp_path, capsys, monkey
     assert [int(name[6:-6]) for name in names] == list(range(1, 10001))
     assert (names[0], names[-1]) == ("trace-00001.trace", "trace-10000.trace")
     assert [(out_dir / name).read_text() for name in names] == report.order
+    lines = (out_dir / "report.txt").read_text().splitlines()
+    labels = [line.split(":")[0][len("trace "):] for line in lines if line.startswith("trace ")]
+    assert labels == [name[6:-6] for name in names]
 
 
 def test_explore_oracle_on_a_long_program(tmp_path, capsys):

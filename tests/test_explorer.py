@@ -21,7 +21,8 @@ from racetrace import parsing
 from racetrace.races import racers_at, variant_order
 from racetrace.traces import valid_index
 
-from conftest import GENCOLL4, fixture_text, gencoll_text, workloads
+from conftest import GENCOLL4, fixture_text, workloads
+from families import gencoll
 from strategies import programs
 from test_explore_golden import RUNS, _program, _run_id
 from test_races import reference_variant
@@ -91,7 +92,7 @@ def test_no_variant_order_is_built_twice_on_the_golden_runs(run):
 
 
 def test_no_variant_order_is_built_twice_on_gencoll5():
-    report = _explore_building_each_order_once(parse_program(gencoll_text(5)), seed=1)
+    report = _explore_building_each_order_once(parse_program(gencoll(5)), seed=1)
     assert (len(report.traces), report.variants_enqueued) == (120, 119)
     assert (report.duplicate_variants, report.sleeping) == (41, 160)
 
@@ -122,8 +123,10 @@ def test_explore_sorts_each_traces_pids_once(monkeypatch):
 def test_explorer_reharvests_a_shared_receive_whose_context_changed(seed):
     program = parse_program(fixture_text("progd.prog"))
     report = _explore_building_each_order_once(program, seed)
-    assert set(report.traces) == set(enumerate_executions(program)[0])
+    expected, limited = enumerate_executions(program)
+    assert (set(report.traces), limited) == (set(expected), 0)
     assert len(report.traces) == 4
+    assert distinctness_check(report) is None
     _assert_orders_key_variants(report)
 
 
@@ -164,6 +167,9 @@ def _assert_rebuilt_from_origins(program, report, max_steps):
     ids=["proga", "progb", "progc", "progd", "gencoll4"],
 )
 def test_resumed_replays_equal_replays_from_the_start(text, seed, max_steps):
+    # named for replays once resumed from a parent's state; explore now
+    # replays every variant from initial_state, and its traces must equal
+    # replays of variants rebuilt independently
     program = parse_program(text)
     report = explore(program, seed=seed, max_steps=max_steps)
     assert report.divergences == 0
@@ -217,6 +223,7 @@ def test_a_program_that_never_stops_reaches_its_fixpoint_within_the_budget():
 @settings(max_examples=60, deadline=None)
 @given(programs())
 def test_resumed_replays_equal_replays_from_the_start_on_generated_programs(text):
+    # named as the test above, which says what it checks
     program = parse_program(text)
     for seed in range(3):
         report = _explore_building_each_order_once(program, seed)

@@ -44,7 +44,8 @@ from racetrace.races import racers_at
 from racetrace.terms import Atom, Int, Tup, match
 from racetrace.traces import TraceIndex, first_cycle, valid_index
 
-from conftest import FIXTURES, fixture_text, gencoll_text, workloads
+from conftest import FIXTURES, fixture_text, workloads
+from families import gencoll
 from strategies import CS_ANY, traces
 from test_causality import SELF_SEND_AND_EMPTY_CHILD
 from test_explore_golden import RUNS, _program
@@ -417,7 +418,7 @@ def test_each_step_evaluates_a_process_once(monkeypatch, progc):
 def test_explore_replays_from_the_initial_state(monkeypatch):
     # every variant is replayed from initial_state: no state is copied
     clones = _record_calls(monkeypatch, simulator_module.SysState.clone)
-    assert len(explore(parse_program(gencoll_text(4)), seed=1).traces) == 24
+    assert len(explore(parse_program(gencoll(4)), seed=1).traces) == 24
     assert clones == []
 
 
@@ -486,7 +487,7 @@ def test_hb_pairs_sorts_each_pid_once(monkeypatch, tmp_path, capsys):
 
 def test_races_sorts_each_pid_and_tag_once(monkeypatch, tmp_path, capsys):
     # each report sorted its racers by name_sort_key: 45 452 calls here
-    t, _ = run_random(parse_program(gencoll_text(300)), 1)
+    t, _ = run_random(parse_program(gencoll(300)), 1)
     sends = sum(isinstance(a, Send) for seq in t.procs.values() for a in seq)
     path = tmp_path / "gencoll.trace"
     path.write_text(serialize_trace(t))
@@ -499,7 +500,7 @@ def test_races_sorts_each_pid_and_tag_once(monkeypatch, tmp_path, capsys):
 def test_races_without_explain_builds_no_candidate_row(monkeypatch, tmp_path, capsys):
     # plain races and races --message built every receive's candidate table
     # to print only its racers: 9 900 rows per plain run here
-    t, _ = run_random(parse_program(gencoll_text(100)), 1)
+    t, _ = run_random(parse_program(gencoll(100)), 1)
     path = tmp_path / "gencoll.trace"
     path.write_text(serialize_trace(t))
     rows = _record_calls(monkeypatch, races_module.CandidateCheck)
@@ -541,7 +542,7 @@ def _one_sender(n):
 def test_explore_and_variant_build_no_candidate_table(monkeypatch, progb, run_trace):
     # explore built 1 300 rows at n=5 when it read race reports
     rows = _record_calls(monkeypatch, races_module.CandidateCheck)
-    assert len(explore(parse_program(gencoll_text(5)), seed=1).traces) == 120
+    assert len(explore(parse_program(gencoll(5)), seed=1).traces) == 120
     assert len(explore(progb).traces) == 4
     assert variant(run_trace, "l2", "l6").new_tag == "l6"
     assert rows == []

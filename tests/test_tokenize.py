@@ -4,8 +4,15 @@ The property test checks ``tokenize`` against the lexical rules stated
 independently of its pattern: the tokens tile the input, so that only
 whitespace and ``%`` comments lie between them, and each kind agrees with
 ``str.isalpha``, ``isupper`` and ``isdecimal`` of its text.
+
+Parsers ask ``TokenStream`` for a token by its text alone, which is exact
+only because no text is spelled by two kinds. ``kind_agrees`` holds for one
+kind per text, so the property test checks that on its inputs; the last
+tests check it on every text a parser asks for and on the fixtures.
 """
 
+import ast
+import inspect
 import sys
 
 import pytest
@@ -13,7 +20,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from racetrace import ParseError, parse_program, parse_trace
+from racetrace import parsing, simulator, traces
 from racetrace.parsing import TokenStream, parse_constraint, tokenize
+from racetrace.terms import CMP_OPS
+
+from conftest import FIXTURES
 
 SYMBOLS = {"->", "==", "/=", "=<", ">=", *"{}[]()<>,;:.#=_"}
 # ASCII, letters of every case, decimal digits of other scripts, numerals
@@ -104,23 +115,26 @@ def positions(text):
     return [(t.kind, t.text, t.line, t.col) for t in tokenize(text)]
 
 
+TOKEN_POSITIONS = [
+    # a tab is one column
+    ("a\tB", [("atom", "a", 1, 1), ("var", "B", 1, 3), ("eof", "", 1, 4)]),
+    # '\r' is whitespace on its line; only '\n' starts a new one
+    ("a\r\nb\r\n", [("atom", "a", 1, 1), ("atom", "b", 2, 1), ("eof", "", 3, 1)]),
+    ("a\u2028b", [("atom", "a", 1, 1), ("atom", "b", 1, 3), ("eof", "", 1, 4)]),
+    # a comment does not move the column: eof sits where it starts
+    ("a  % note", [("atom", "a", 1, 1), ("eof", "", 1, 4)]),
+    ("a\n  % note\n% more", [("atom", "a", 1, 1), ("eof", "", 3, 1)]),
+    ("_ _x", [("sym", "_", 1, 1), ("var", "_x", 1, 3), ("eof", "", 1, 5)]),
+    ("-1->", [("int", "-1", 1, 1), ("sym", "->", 1, 3), ("eof", "", 1, 5)]),
+    # words start with a letter and go on with letters, numerals and '_'
+    ("εx ǅ ٣ a²", [("atom", "εx", 1, 1), ("atom", "ǅ", 1, 4), ("int", "٣", 1, 6),
+                   ("atom", "a²", 1, 8), ("eof", "", 1, 10)]),
+]
+
+
 @pytest.mark.parametrize(
     "text, expected",
-    [
-        # a tab is one column
-        ("a\tB", [("atom", "a", 1, 1), ("var", "B", 1, 3), ("eof", "", 1, 4)]),
-        # '\r' is whitespace on its line; only '\n' starts a new one
-        ("a\r\nb\r\n", [("atom", "a", 1, 1), ("atom", "b", 2, 1), ("eof", "", 3, 1)]),
-        ("a\u2028b", [("atom", "a", 1, 1), ("atom", "b", 1, 3), ("eof", "", 1, 4)]),
-        # a comment does not move the column: eof sits where it starts
-        ("a  % note", [("atom", "a", 1, 1), ("eof", "", 1, 4)]),
-        ("a\n  % note\n% more", [("atom", "a", 1, 1), ("eof", "", 3, 1)]),
-        ("_ _x", [("sym", "_", 1, 1), ("var", "_x", 1, 3), ("eof", "", 1, 5)]),
-        ("-1->", [("int", "-1", 1, 1), ("sym", "->", 1, 3), ("eof", "", 1, 5)]),
-        # words start with a letter and go on with letters, numerals and '_'
-        ("εx ǅ ٣ a²", [("atom", "εx", 1, 1), ("atom", "ǅ", 1, 4), ("int", "٣", 1, 6),
-                       ("atom", "a²", 1, 8), ("eof", "", 1, 10)]),
-    ],
+    TOKEN_POSITIONS,
     ids=["tab", "crlf", "line-separator", "comment-at-eof", "comment-lines", "underscore",
          "minus", "unicode-words"],
 )
@@ -176,3 +190,51 @@ def test_long_integer_in_a_program():
 def test_integer_at_the_limit_parses():
     t = parse_trace(f"trace {{ initial: p1\n  p1: send(l1, {LONG[1:]}, p1) }}\n")
     assert str(t.procs["p1"][0].value.value) == LONG[1:]
+
+
+# ---------------------------------------------------------------------------
+# Asking for a token by its text
+# ---------------------------------------------------------------------------
+
+
+def asked_texts() -> set[str]:
+    """Every literal text the parsers of ``parsing``, ``traces`` and
+    ``simulator`` pass to ``TokenStream.at``, ``accept``, ``expect`` or
+    ``sep_list``, the document keywords, and the comparison operators."""
+    texts = set(CMP_OPS)
+    for module in (parsing, traces, simulator):
+        for node in ast.walk(ast.parse(inspect.getsource(module))):
+            if isinstance(node, ast.Call) and (
+                getattr(node.func, "attr", None) in ("at", "accept", "expect", "sep_list")
+                or getattr(node.func, "id", None) == "_parse_document"
+            ):
+                texts.update(a.value for a in node.args
+                             if isinstance(a, ast.Constant) and isinstance(a.value, str))
+    return texts
+
+
+ASKED = sorted(asked_texts())
+
+
+def kinds_by_text(texts) -> dict[str, set[str]]:
+    kinds: dict[str, set[str]] = {}
+    for text in texts:
+        for tok in tokenize(text):
+            kinds.setdefault(tok.text, set()).add(tok.kind)
+    return kinds
+
+
+def test_each_text_a_parser_asks_for_is_one_sym_or_atom():
+    assert {"{", "->", ",", "def", "when", "ε", "trace", "interleaving", "=<"} <= set(ASKED)
+    for text in ASKED:
+        *toks, eof = tokenize(text)
+        assert [(tok.kind in ("sym", "atom"), tok.text) for tok in toks] == [(True, text)]
+
+
+def test_no_token_text_has_two_kinds_in_the_fixtures_and_these_tests():
+    inputs = [path.read_text(encoding="utf-8") for path in sorted(FIXTURES.iterdir())
+              if path.suffix in (".trace", ".itl", ".prog")]
+    inputs += [text for text, _ in TOKEN_POSITIONS] + ASKED
+    assert len(inputs) > 20
+    assert {t: k for t, k in kinds_by_text(inputs).items() if len(k) > 1} == {}
+
