@@ -61,7 +61,6 @@ from .causality import (
 from .races import (
     CandidateCheck,
     RaceReport,
-    Variant,
     all_races,
     orphans,
     race_set,
@@ -95,7 +94,7 @@ __all__ = [
     "Event", "EventId", "ExplorationReport", "ExploredTrace", "GChain", "GTrue", "HbGraph",
     "Int", "Interleaving", "Lst", "Origin", "Outcome", "ParseError", "PidLit",
     "Program", "ProgramError", "RaceReport", "Rec", "Send", "SimulationError",
-    "Spawn", "SwapBudgetExhausted", "TagLit", "Trace", "Tup", "Var", "Variant",
+    "Spawn", "SwapBudgetExhausted", "TagLit", "Trace", "Tup", "Var",
     "Violation", "Wildcard", "actions", "all_races", "causally_equivalent",
     "declarative_race_oracle", "distinctness_check", "enabled",
     "enumerate_executions", "enumerate_linearizations", "eval_guard",

@@ -103,9 +103,6 @@ class HbGraph:
             for dst in itertools.compress(nodes, self.index.after(v)):
                 yield src, dst
 
-    def reachable_pairs(self) -> set[tuple[EventId, EventId]]:
-        return set(self.pairs())
-
     def find_cycle(self) -> Optional[list[EventId]]:
         """A cycle over hb edges plus mailbox-ordering edges, or None: the
         one condition (d) of ``validate_trace`` reports."""

@@ -201,7 +201,7 @@ def cmd_variant(args) -> int:
         v = variant(t, args.receive, args.with_tag)
     except ValueError as exc:
         raise CliError(str(exc), FAIL) from exc
-    text = serialize_trace(v.trace)
+    text = serialize_trace(v)
     if args.output:
         _write(args.output, text)
         _emit(args, {"written": args.output}, f"wrote {args.output}")
@@ -266,6 +266,9 @@ def cmd_explore(args) -> int:
             _write(os.path.join(args.out, f"trace-{n:0{width}d}.trace"), key)
         _write(os.path.join(args.out, "report.txt"), report.render())
     if args.check_oracle:
+        if report.bounded:
+            raise CliError(f"cannot check the oracle: explore stopped at --max-traces "
+                           f"{args.max_traces} before its fixpoint", FAIL)
         expected, limited = enumerate_executions(program, args.max_steps)
         if limited:
             raise CliError(f"oracle hit the step limit on {limited} branches", FAIL)

@@ -97,14 +97,6 @@ class RaceReport:
     candidates: list[CandidateCheck]
 
 
-@dataclass
-class Variant:
-    trace: Trace
-    replaced_at: tuple[Pid, int]
-    old_tag: Tag
-    new_tag: Tag
-
-
 def racers_at(index: TraceIndex, r: int) -> set[Tag]:
     """The race set of receive event r of a validated trace's index: the one
     statement of the race decision. Only a sender's oldest message waiting
@@ -275,11 +267,11 @@ def variant_order(index: TraceIndex, r: int, racer: Tag) -> tuple[Event, ...]:
     return tuple(Event(pid, new) if v == r else Event(events[v][0], events[v][2]) for v in order)
 
 
-def variant(t: Trace | TraceIndex, tag: Tag, racer: Tag) -> Variant:
-    """The race variant of t that consumes `racer` at `tag`'s receive r,
-    read off r's ``cut``: each process whose spawn the cut keeps (and the
-    initial one) keeps the events r did not happen before, in t's process
-    order, and r's process ends in rec(racer)."""
+def variant(t: Trace | TraceIndex, tag: Tag, racer: Tag) -> Trace:
+    """The race variant of t that consumes `racer` at `tag`'s receive r, a
+    ``Trace`` read off r's ``cut``: each process whose spawn the cut keeps
+    (and the initial one) keeps the events r did not happen before, in t's
+    process order, and r's process ends in rec(racer)."""
     index = valid_index(t)
     t = index.trace
     r = receive_of(index, tag)
@@ -291,7 +283,7 @@ def variant(t: Trace | TraceIndex, tag: Tag, racer: Tag) -> Variant:
                 else f"no send of {racer} is addressed to {index.events[r][0]}"
             )
         raise ValueError(f"{racer} is not in the race set of {tag} ({detail})")
-    pid, idx, rec = index.events[r]
+    pid, _, rec = index.events[r]
     gone = index.cut(r)
     procs = {
         p: tuple(a for i, a in enumerate(seq) if not gone[index.first[p] + i])
@@ -299,4 +291,4 @@ def variant(t: Trace | TraceIndex, tag: Tag, racer: Tag) -> Variant:
         if p == t.initial or not gone[index.spawn_at[p]]
     }
     procs[pid] += (Rec(racer, rec.cs),)
-    return Variant(Trace(t.initial, procs), EventId(pid, idx), tag, racer)
+    return Trace(t.initial, procs)

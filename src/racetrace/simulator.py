@@ -600,7 +600,7 @@ def replay_order(
         elif isinstance(logged, Rec):
             if shown.tag != logged.tag:
                 raise DivergenceError(i, f"receive consumes {shown.tag}, log says {logged.tag}")
-            if not shown.cs.same_clauses(logged.cs):
+            if shown.cs.clauses != logged.cs.clauses:
                 raise DivergenceError(i, "receive constraint differs from the log")
         _apply(sys, sim_pid, nxt)
         if align is not None:

@@ -211,10 +211,6 @@ class Constraint:
                     + ", ".join(sorted(extra))
                 )
 
-    def same_clauses(self, other: "Constraint") -> bool:
-        """Structural equality ignoring the constraint id."""
-        return self.clauses == other.clauses
-
 
 # ---------------------------------------------------------------------------
 # Matching

@@ -66,3 +66,28 @@ def selective_count(k: int) -> int:
     k! orders; all the b messages are then sent and waiting, and the b
     receives take them in any of k! orders: (k!)²."""
     return factorial(k) ** 2
+
+
+def b_then_any(k: int) -> str:
+    """k senders each send {a,N} and then {b,N} to a collector that takes
+    one message {b,X} and then any message, 2k−1 times."""
+    sends = "send {a,N} to C; send {b,N} to C"
+    receives = ["receive { {b,X} -> X }"] + ["receive { {_,X} -> X }"] * (2 * k - 1)
+    return _program(k, sends, receives)
+
+
+def b_then_any_count(k: int) -> int:
+    """The first receive takes the first b sent, say b_j: k choices. Every
+    later receive takes the oldest message left, so the other 2k−1 messages
+    are taken in the order S they were sent. S can occur iff each a_i
+    precedes b_i and a_j precedes every b (a_j precedes b_j, the first b).
+    Count S by the m a's that precede a_j: no b may, so they come first, in
+    one of (k−1)!/(k−1−m)! orders; after a_j the other 2k−2−m messages go
+    in any order that keeps each of the k−1−m pairs left a before b:
+    (2k−2−m)!/2^(k−1−m). In all
+
+        k·Σ_{m=0}^{k−1} (k−1)!/(k−1−m)! · (2k−2−m)!/2^(k−1−m),
+
+    which with l = k−1−m is k·((k−1)!)²·Σ_{l=0}^{k−1} C(k−1+l, l)/2^l, and
+    Σ_{l=0}^{n} C(n+l, l)/2^l = 2^n gives 2^(k−1)·k!·(k−1)!."""
+    return 2 ** (k - 1) * factorial(k) * factorial(k - 1)

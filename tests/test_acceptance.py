@@ -59,7 +59,7 @@ def test_criterion_02_race_set_with_justifications(run_trace):
 
 def test_criterion_03_variant_matches_golden(run_trace):
     v = variant(run_trace, "l2", "l6")
-    assert serialize_trace(v.trace) == fixture_text("variant_run_l2_l6.trace")
+    assert serialize_trace(v) == fixture_text("variant_run_l2_l6.trace")
 
 
 def test_criterion_04_swap_equivalence_and_invalid_hoist(s_a, s_b, s_bad):

@@ -516,6 +516,19 @@ def test_explore_oracle_on_a_long_program(tmp_path, capsys):
     assert out.splitlines()[0] == "oracle agreement: 1 traces"
 
 
+def test_explore_check_oracle_refuses_a_bounded_run(capsys, monkeypatch):
+    # the oracle would report every trace past the bound as missing, so it
+    # is not run at all
+    monkeypatch.setattr(cli, "enumerate_executions", None)
+    code, out, err = run_cli(
+        capsys, "explore", fx("progc.prog"), "--max-traces", "1", "--check-oracle"
+    )
+    assert code == 1 and out == ""
+    assert err == (
+        "cannot check the oracle: explore stopped at --max-traces 1 before its fixpoint\n"
+    )
+
+
 def test_explore_json(capsys):
     code, out, _ = run_cli(capsys, "--json", "explore", fx("proga.prog"))
     assert code == 0

@@ -166,10 +166,7 @@ def _assert_rebuilt_from_origins(program, report, max_steps):
     [fixture_text(f"prog{c}.prog") for c in "abcd"] + [GENCOLL4],
     ids=["proga", "progb", "progc", "progd", "gencoll4"],
 )
-def test_resumed_replays_equal_replays_from_the_start(text, seed, max_steps):
-    # named for replays once resumed from a parent's state; explore now
-    # replays every variant from initial_state, and its traces must equal
-    # replays of variants rebuilt independently
+def test_explored_traces_equal_replays_of_rebuilt_variants(text, seed, max_steps):
     program = parse_program(text)
     report = explore(program, seed=seed, max_steps=max_steps)
     assert report.divergences == 0
@@ -222,8 +219,7 @@ def test_a_program_that_never_stops_reaches_its_fixpoint_within_the_budget():
 
 @settings(max_examples=60, deadline=None)
 @given(programs())
-def test_resumed_replays_equal_replays_from_the_start_on_generated_programs(text):
-    # named as the test above, which says what it checks
+def test_explored_traces_equal_replays_of_rebuilt_variants_on_generated_programs(text):
     program = parse_program(text)
     for seed in range(3):
         report = _explore_building_each_order_once(program, seed)

@@ -363,9 +363,8 @@ def test_index_built_variant_equals_rdep(t):
         for racer in report.racers:
             built = variant(t, report.subject, racer)
             reference = reference_variant(t, pid, idx, racer)
-            assert built.trace == reference, (report.subject, racer)
-            assert list(built.trace.procs) == list(reference.procs), (report.subject, racer)
-            assert built.replaced_at == (pid, idx)
+            assert built == reference, (report.subject, racer)
+            assert list(built.procs) == list(reference.procs), (report.subject, racer)
 
 
 @settings(max_examples=150, deadline=None)
@@ -441,9 +440,9 @@ def test_variants_at_scale_read_one_cut(t, racers):
         for y in racers_at(index, r):
             built = variant(index, a.tag, y)
             reference = reference_variant(t, pid, idx, y)
-            assert built.trace == reference, (a.tag, y)
-            assert list(built.trace.procs) == list(reference.procs), (a.tag, y)
-            assert linearize(built.trace).events == variant_order(index, r, y), (a.tag, y)
+            assert built == reference, (a.tag, y)
+            assert list(built.procs) == list(reference.procs), (a.tag, y)
+            assert linearize(built).events == variant_order(index, r, y), (a.tag, y)
             count += 1
     assert count == racers
 
@@ -616,19 +615,17 @@ def test_orphans_partition_sends(t):
 def test_variant_matches_golden(run_trace):
     v = variant(run_trace, "l2", "l6")
     golden = fixture_text("variant_run_l2_l6.trace")
-    assert serialize_trace(v.trace) == golden
-    assert v.trace == parse_trace(golden)
-    assert v.replaced_at == ("p3", 2)
-    assert v.old_tag == "l2" and v.new_tag == "l6"
+    assert serialize_trace(v) == golden
+    assert v == parse_trace(golden)
 
 
 def test_variant_small_example(tau_a):
     v = variant(tau_a, "l1", "l3")
-    assert v.trace.procs["p2"] == (Rec("l3", tau_a.procs["p2"][0].cs),)
+    assert v.procs["p2"] == (Rec("l3", tau_a.procs["p2"][0].cs),)
     # nothing follows the receive, so the rest of the trace is untouched
-    assert v.trace.procs["p1"] == tau_a.procs["p1"]
-    assert v.trace.procs["p3"] == tau_a.procs["p3"]
-    assert validate_trace(v.trace) is None
+    assert v.procs["p1"] == tau_a.procs["p1"]
+    assert v.procs["p3"] == tau_a.procs["p3"]
+    assert validate_trace(v) is None
 
 
 def test_variant_erases_dependent_spawn_chain():
@@ -650,9 +647,9 @@ def test_variant_erases_dependent_spawn_chain():
     )
     assert validate_trace(t) is None
     v = variant(t, "l1", "l2")
-    assert v.trace.procs["p3"] == (Rec("l2", CS_ANY),)
-    assert "p4" not in v.trace.procs
-    assert validate_trace(v.trace) is None
+    assert v.procs["p3"] == (Rec("l2", CS_ANY),)
+    assert "p4" not in v.procs
+    assert validate_trace(v) is None
 
 
 def test_variant_rejects_non_racer(run_trace, tau_a):
@@ -686,8 +683,8 @@ def test_variants_are_valid_and_consume_the_racer(t):
         pid, idx = report.receive
         for racer in report.racers:
             v = variant(t, report.subject, racer)
-            assert validate_trace(v.trace) is None
-            rec = v.trace.procs[pid][idx]
+            assert validate_trace(v) is None
+            rec = v.procs[pid][idx]
             assert isinstance(rec, Rec) and rec.tag == racer
             # the prefix before the rewritten receive is untouched
-            assert v.trace.procs[pid][:idx] == t.procs[pid][:idx]
+            assert v.procs[pid][:idx] == t.procs[pid][:idx]
