@@ -170,7 +170,7 @@ def cmd_races(args) -> int:
     for r in receives:
         pid, idx, rec = index.events[r]
         found = racers_at(index, r)
-        racers = [racer for _, _, racer in index.table_header(pid) if racer in found]
+        racers = [racer for racer in index.table_header(pid).tags if racer in found]
         if tag is not None and not args.explain:
             _emit(args, {"receive": rec.tag, "racers": racers}, _racer_brace_list(racers))
         else:

@@ -28,9 +28,11 @@ the counts of children spawned and messages sent, which name the next ones.
 Each step evaluates a process's next action once: a scheduler step once
 per process, to find the enabled ones, and then applies the one it picks;
 ``step`` and ``replay_order`` evaluate only the pid they step, check it,
-and apply what they evaluated. A received message is matched against its
-constraint once, which finds it and picks its clause; only that clause's
-pattern is matched again, for the bindings. The exhaustive run over every
+and apply what they evaluated, or, replaying a log in the simulator's own
+names, the equal logged action, which the replayed run then shares. A
+received message is matched against its constraint once, which finds it
+and picks its clause; only that clause's pattern is matched again, for the
+bindings. The exhaustive run over every
 schedule, the reference ``explore`` is checked against, is
 ``racetrace.oracles.enumerate_executions``.
 
@@ -572,8 +574,10 @@ def replay_order(
     the program's action is translated once into the log's names, and each
     name a spawn or send introduces is bound as it is replayed; without
     one, the order uses the simulator's own names, as a trace the simulator
-    recorded does. Either way a send to a pid that is no process is the
-    program's error: SimulationError, as in ``simulate``.
+    recorded does, and the logged action, equal to the program's, is the
+    one applied: the replayed run shares the log's action objects. Either
+    way a send to a pid that is no process is the program's error:
+    SimulationError, as in ``simulate``.
     """
     for i, event in enumerate(order):
         sim_pid = event.pid if align is None else align.pid_log_to_sim.get(event.pid)
@@ -588,7 +592,12 @@ def replay_order(
         if type(shown) is not type(logged):
             kind = {Spawn: "spawn", Send: "send", Rec: "receive"}[type(logged)]
             raise DivergenceError(i, f"expected {kind}, program does {render_action(shown)}")
-        if isinstance(logged, Send):
+        if isinstance(logged, Spawn):
+            if align is None and shown.child != logged.child:
+                raise DivergenceError(i, f"spawns {shown.child}, log says {logged.child}")
+        elif isinstance(logged, Send):
+            if align is None and shown.tag != logged.tag:
+                raise DivergenceError(i, f"send tagged {shown.tag}, log says {logged.tag}")
             if shown.target != logged.target:
                 raise DivergenceError(i, f"send targets {shown.target}, log says {logged.target}")
             if shown.value != logged.value:
@@ -600,9 +609,11 @@ def replay_order(
         elif isinstance(logged, Rec):
             if shown.tag != logged.tag:
                 raise DivergenceError(i, f"receive consumes {shown.tag}, log says {logged.tag}")
-            if shown.cs.clauses != logged.cs.clauses:
+            if shown.cs.clauses != logged.cs.clauses or (
+                align is None and shown.cs.cs_id != logged.cs.cs_id
+            ):
                 raise DivergenceError(i, "receive constraint differs from the log")
-        _apply(sys, sim_pid, nxt)
+        _apply(sys, sim_pid, nxt if align is not None else (logged, nxt[1]))
         if align is not None:
             if isinstance(logged, Spawn):
                 align.bind_pid(logged.child, actual.child)

@@ -42,7 +42,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
 from itertools import accumulate
-from typing import Iterable, Optional, Sequence, Union
+from typing import Iterable, NamedTuple, Optional, Sequence, Union
 
 from .parsing import (
     ParseError,
@@ -86,8 +86,10 @@ class Rec:
 Action = Union[Spawn, Send, Rec]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Event:
+    # slots: the explorer's queue holds an order of events per pending
+    # variant, 337 240 events at its peak on gencoll n=8
     pid: Pid
     action: Action
 
@@ -232,6 +234,19 @@ def tr(s: Interleaving) -> Trace:
 # ---------------------------------------------------------------------------
 
 
+class TableHeader(NamedTuple):
+    """The columns of a receiver's candidate tables that do not depend on
+    the receive: per send addressed to it, in table order, its event
+    number, sender, tag and ``taken_by`` entry; and each send's position
+    in that order."""
+
+    sends: tuple[int, ...]
+    senders: tuple[Pid, ...]
+    tags: tuple[Tag, ...]
+    taken: tuple[int, ...]
+    at: dict[int, int]
+
+
 class TraceIndex:
     """One trace, numbered once, for validation, hb queries and race analysis.
 
@@ -258,8 +273,10 @@ class TraceIndex:
     stated once, in ``oldest_waiting``; the ordering edges in ``succ`` read
     it from there, and ``succ`` lists successors in event-number order.
     ``matches`` asks ``terms.match`` once per send and clause id,
-    ``table_header`` sorts each receiver's sends once, and ``match_column``
-    lays their match answers out once per clause id.
+    ``table_header`` lays out each receiver's sends once, sorted by tag,
+    as the columns of its candidate tables that no receive changes (sends,
+    senders, tags, ``taken_by`` entries, and each send's position), and
+    ``match_column`` lays their match answers out once per clause id.
     These answers, each receive's ``cut`` and a pass of ``valid_index`` are
     kept once known; nothing else changes after construction.
     """
@@ -301,7 +318,7 @@ class TraceIndex:
                     self.hb_succ[s].append(v)
         self._oldest: dict[int, dict[Pid, int]] = {}
         self._matches: dict[tuple[int, int], bool] = {}
-        self._headers: dict[Pid, tuple[tuple[int, Pid, Tag], ...]] = {}
+        self._headers: dict[Pid, TableHeader] = {}
         self._columns: dict[tuple[Pid, int], tuple[bool, ...]] = {}
         self._cuts: dict[int, bytearray] = {}
         self._succ: Optional[list[list[int]]] = None
@@ -321,19 +338,27 @@ class TraceIndex:
             hit = self._matches[s, cl] = match(self.events[s][2].value, self.events[r][2].cs)
         return hit
 
-    def table_header(self, pid: Pid) -> tuple[tuple[int, Pid, Tag], ...]:
-        """The sends addressed to pid, sorted once by their tags
-        (``sorted_names``), the order of a candidate table and of the racers
-        ``racetrace races`` lists: per send, ``(send, sender, tag)``. Meant
-        for traces with unique tags."""
+    def table_header(self, pid: Pid) -> TableHeader:
+        """The columns of pid's candidate tables that no receive changes,
+        built once: its sends sorted by their tags (``sorted_names``), the
+        order of a candidate table and of the racers ``racetrace races``
+        lists. Meant for traces with unique tags."""
         header = self._headers.get(pid)
         if header is None:
-            rows = {}
-            for q, sends in self.sends_to.get(pid, {}).items():
-                for s in sends:
-                    tag = self.events[s][2].tag
-                    rows[tag] = (s, q, tag)
-            header = self._headers[pid] = tuple(rows[tag] for tag in sorted_names(rows))
+            send_of = {
+                self.events[s][2].tag: s
+                for sends in self.sends_to.get(pid, {}).values()
+                for s in sends
+            }
+            tags = tuple(sorted_names(send_of))
+            sends = tuple(map(send_of.__getitem__, tags))
+            header = self._headers[pid] = TableHeader(
+                sends,
+                tuple(self.events[s][0] for s in sends),
+                tags,
+                tuple(map(self.taken_by.__getitem__, sends)),
+                {s: k for k, s in enumerate(sends)},
+            )
         return header
 
     def match_column(self, r: int) -> tuple[bool, ...]:
@@ -343,8 +368,8 @@ class TraceIndex:
         key = (self.events[r][0], self.clause[r])
         column = self._columns.get(key)
         if column is None:
-            header = self.table_header(key[0])
-            column = self._columns[key] = tuple(self.matches(s, r) for s, _, _ in header)
+            sends = self.table_header(key[0]).sends
+            column = self._columns[key] = tuple(self.matches(s, r) for s in sends)
         return column
 
     def oldest_waiting(self, r: int) -> dict[Pid, int]:

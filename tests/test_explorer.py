@@ -15,6 +15,7 @@ from racetrace import (
     serialize_trace,
     tr,
     validate_trace,
+    variant,
 )
 from racetrace import explorer as explorer_module
 from racetrace import parsing
@@ -344,6 +345,25 @@ def test_variant_descendants_record_their_origin(proga):
     origin = report.traces[children[0]].origin
     assert origin.parent_key == roots[0]
     assert origin.old_tag != origin.new_tag
+
+
+def test_a_replayed_child_shares_its_parents_actions():
+    # replay applies the logged actions: a child holds its parent's objects
+    # for the whole prefix, where it held equal copies of them
+    report = explore(parse_program(GENCOLL4), seed=1)
+    shared = 0
+    for entry in report.traces.values():
+        origin = entry.origin
+        if origin is None:
+            continue
+        parent = report.traces[origin.parent_key].trace
+        prefix = variant(parent, origin.old_tag, origin.new_tag)
+        for pid, seq in prefix.procs.items():
+            for i, a in enumerate(seq):
+                if (pid, i) != origin.replaced_at:
+                    assert entry.trace.procs[pid][i] is a, (pid, i)
+                    shared += 1
+    assert len(report.traces) == 24 and shared > 23 * 4
 
 
 def test_max_traces_bounds_the_search(progc):

@@ -32,6 +32,7 @@ from racetrace.traces import Pid, TraceIndex, valid_index
 from conftest import GENCOLL4, fixture_text, workloads
 from strategies import CS_ANY, CS_POS, programs, traces
 from test_golden import REASONS_TRACE
+from test_index import _fanin, _fifo_chain
 
 
 def val(n):
@@ -555,6 +556,33 @@ def _assert_reports_equal_the_full_scan(t):
             reference = _reference_race_report(index, r)
             assert race_report(index, r) == reference, index.loc(r)
             assert racers_at(index, r) == reference.racers, index.loc(r)
+
+
+# two senders whose tags interleave in table order (sorted_names): each
+# sender's later sends, blocked by its oldest waiting message, are every
+# other row of the table
+INTERLEAVED_SENDERS = Trace(
+    "p1",
+    {
+        "p1": (Spawn("p1.1"), Spawn("p1.2"), Spawn("p1.3")),
+        "p1.1": tuple(Rec(f"m{k}", CS_ANY) for k in (1, 2, 4, 3, 5, 6)),
+        "p1.2": tuple(Send(f"m{k}", val(k), "p1.1") for k in (1, 3, 5)),
+        "p1.3": tuple(Send(f"m{k}", val(k), "p1.1") for k in (2, 4, 6)),
+    },
+)
+
+
+@pytest.mark.parametrize(
+    "t",
+    [_fifo_chain(30), _fanin(5, 3), INTERLEAVED_SENDERS],
+    ids=["fifo_chain", "fanin", "interleaved_senders"],
+)
+def test_wide_race_tables_equal_the_full_scan(t):
+    # explain builds each row from columns, and sets a sender's blocked,
+    # infeasible and in-race entries by position
+    _assert_reports_equal_the_full_scan(t)
+    rows = [row for rep in all_races(t) for row in rep.candidates]
+    assert rows and all(type(row) is CandidateCheck and len(row) == 8 for row in rows)
 
 
 @settings(max_examples=300, deadline=None)

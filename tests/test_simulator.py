@@ -5,6 +5,7 @@ from hypothesis import given, settings
 
 from racetrace import (
     DivergenceError,
+    Event,
     ProgramError,
     SimulationError,
     Outcome,
@@ -15,6 +16,7 @@ from racetrace import (
     enumerate_executions,
     explore,
     initial_state,
+    linearize,
     name_sort_key,
     parse_program,
     parse_trace,
@@ -25,9 +27,9 @@ from racetrace import (
     step,
     validate_trace,
 )
-from racetrace import parsing
+from racetrace import parsing, simulator
 from racetrace.parsing import ParseError, sorted_names
-from racetrace.terms import Atom, Int, Lst, PidLit, TagLit, Tup
+from racetrace.terms import Atom, Constraint, Int, Lst, PidLit, TagLit, Tup
 
 from conftest import (
     LONG_PROGRAM,
@@ -414,6 +416,24 @@ def test_divergence_messages_render_actions_in_the_logs_names(proga, tau_a):
     assert str(info.value) == (
         "divergence at prefix event 2: expected receive, program does send(p1.1.1, x, p1)"
     )
+
+
+def test_replay_in_the_simulators_names_checks_every_name(proga):
+    # replay without an Alignment applies the logged action, so a child,
+    # tag or constraint id the program names otherwise is a divergence,
+    # not a rename
+    t, _ = run_random(proga, 0)
+    order = list(linearize(t).events)
+    cs = order[3].action.cs
+    for i, (wrong, message) in {
+        0: (Spawn("p1.9"), "spawns p1.1, log says p1.9"),
+        2: (Send("p1.9", val(1), "p1.1"), "send tagged p1.1, log says p1.9"),
+        3: (Rec("p1.1", Constraint("cs9", cs.clauses)), "receive constraint differs from the log"),
+    }.items():
+        bad = [*order[:i], Event(order[i].pid, wrong), *order[i + 1:]]
+        with pytest.raises(DivergenceError) as info:
+            simulator.replay_order(initial_state(proga), bad)
+        assert str(info.value) == f"divergence at prefix event {i}: {message}"
 
 
 def test_replay_of_a_send_to_no_process_is_the_programs_error():
