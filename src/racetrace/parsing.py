@@ -226,11 +226,14 @@ def name_sort_key(name: str) -> tuple:
     return tuple(key)
 
 
+def name_order(name: str) -> tuple:
+    """A name's canonical key: ``name_sort_key``, ties (l01, l1) by text."""
+    return (name_sort_key(name), name)
+
+
 def sorted_names(names: Iterable[str]) -> list[str]:
-    """The names in canonical order: by ``name_sort_key``, and names whose
-    keys tie (l01 and l1) by their text, so the order never depends on the
-    order the names came in."""
-    return sorted(names, key=lambda n: (name_sort_key(n), n))
+    """The names in canonical order (``name_order``), whatever order they came in."""
+    return sorted(names, key=name_order)
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,7 @@ variables. Everything here is immutable and side-effect free.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional, Union
 
 
@@ -211,6 +212,17 @@ class Constraint:
                     + ", ".join(sorted(extra))
                 )
 
+    @cached_property  # kept in __dict__, not a field: ==, hash and repr skip it
+    def text(self) -> str:
+        """The canonical text, ``cs_id: clause; clause``, rendered once."""
+        return f"{self.cs_id}: " + "; ".join(render_clause(cl) for cl in self.clauses)
+
+    @cached_property
+    def sort_key(self) -> tuple:
+        """The id's key in canonical order (``parsing.name_order``)."""
+        from .parsing import name_order  # parsing imports this module
+        return name_order(self.cs_id)
+
 
 # ---------------------------------------------------------------------------
 # Matching
@@ -296,4 +308,4 @@ def render_clause(cl: Clause, body: str = ".") -> str:
 
 
 def render_constraint(cs: Constraint) -> str:
-    return f"{cs.cs_id}: " + "; ".join(render_clause(cl) for cl in cs.clauses)
+    return cs.text

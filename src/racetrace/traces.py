@@ -42,6 +42,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
 from itertools import accumulate
+from operator import attrgetter
 from typing import Iterable, NamedTuple, Optional, Sequence, Union
 
 from .parsing import (
@@ -54,7 +55,7 @@ from .parsing import (
     sorted_names,
     tokenize,
 )
-from .terms import Constraint, Term, match, render_constraint, render_term
+from .terms import Constraint, Term, match, render_term
 
 Pid = str
 Tag = str
@@ -623,17 +624,16 @@ def _constraint_table(actions_iter: Iterable[Action]) -> dict[str, Constraint]:
     table: dict[str, Constraint] = {}
     for a in actions_iter:
         if isinstance(a, Rec):
-            prev = table.get(a.cs.cs_id)
-            if prev is not None and prev != a.cs:
+            prev = table.setdefault(a.cs.cs_id, a.cs)
+            if prev is not a.cs and prev != a.cs:
                 raise ValueError(f"constraint id {a.cs.cs_id} bound to two definitions")
-            table[a.cs.cs_id] = a.cs
     return table
 
 
 def _render_constraints_block(table: dict[str, Constraint]) -> str:
     if not table:
         return ""
-    lines = [render_constraint(table[k]) for k in sorted_names(table)]
+    lines = [cs.text for cs in sorted(table.values(), key=attrgetter("sort_key"))]
     return "constraints { " + "\n  ".join(lines) + " }\n"
 
 

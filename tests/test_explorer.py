@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import example, given, settings
 from racetrace import (
     Interleaving,
     Rec,
+    Trace,
     distinctness_check,
     enumerate_executions,
     explore,
@@ -18,14 +20,16 @@ from racetrace import (
     variant,
 )
 from racetrace import explorer as explorer_module
-from racetrace import parsing
+from racetrace import parsing, terms
 from racetrace.races import racers_at, variant_order
+from racetrace.terms import Clause, Constraint, GTrue, Wildcard
 from racetrace.traces import valid_index
 
 from conftest import GENCOLL4, fixture_text, workloads
 from families import gencoll
 from strategies import programs
 from test_explore_golden import RUNS, _program, _run_id
+from test_index import _record_calls
 from test_races import reference_variant
 
 
@@ -100,8 +104,9 @@ def test_no_variant_order_is_built_twice_on_gencoll5():
 
 def test_explore_sorts_each_traces_pids_once(monkeypatch):
     # the simulator keys no pid and each trace sorts its pids once, when it
-    # is built; the rest are racer tags and each key's constraint ids. The
-    # simulator's own keys and a sort of the pids per listing made 3 440
+    # is built; the rest are racer tags and each constraint's id, once per
+    # constraint. The simulator's own keys and a sort of the pids per
+    # listing made 3 440, and a sort of each key's constraint ids 1 760
     program = parse_program(workloads.gencoll_program(5, 1))
     calls = []
     key = parsing.name_sort_key
@@ -112,9 +117,39 @@ def test_explore_sorts_each_traces_pids_once(monkeypatch):
 
     monkeypatch.setattr(parsing, "name_sort_key", counting)
     report = explore(program, seed=1)
-    assert len(report.traces) == 120 and len(calls) <= 1760
+    assert len(report.traces) == 120 and len(calls) <= 1165
     (pids,) = {tuple(entry.trace.procs) for entry in report.traces.values()}
     assert [calls.count(pid) for pid in pids] == [120] * len(pids)
+
+
+def test_the_keys_render_each_constraint_once(monkeypatch):
+    # a constraint keeps its text and sort key, so the keys that explore
+    # and distinctness_check build render each distinct constraint once,
+    # and distinctness_check keys no name. Each key rendered every
+    # constraint and sorted their ids anew: at n=5, 1 200 render_constraint
+    # calls and 600 name_sort_key calls in distinctness_check
+    program = parse_program(workloads.gencoll_program(4, 1))
+    clauses = _record_calls(monkeypatch, terms.render_clause)
+    report = explore(program, seed=1)
+    sort_keys = _record_calls(monkeypatch, parsing.name_sort_key)
+    assert distinctness_check(report) is None
+    assert (len(report.traces), len(clauses), sort_keys) == (24, 4, [])
+
+
+def test_a_constraint_changed_under_its_id_changes_the_key():
+    # the kept text belongs to the constraint, not to its id: a receive
+    # given other clauses under the same id renders them, so the trace no
+    # longer serializes to the key it is stored under
+    report = explore(parse_program(workloads.gencoll_program(4, 1)), seed=1)
+    key, entry = next(iter(report.traces.items()))
+    t = entry.trace
+    pid, i, rec = next(e for e in t.events() if isinstance(e[2], Rec))
+    assert rec.cs.text in key
+    other = Constraint(rec.cs.cs_id, (Clause(Wildcard(), GTrue()),))
+    seq = t.procs[pid]
+    changed = Trace(t.initial, {**t.procs, pid: seq[:i] + (Rec(rec.tag, other),) + seq[i + 1 :]})
+    report.traces[key] = dataclasses.replace(entry, trace=changed)
+    assert distinctness_check(report) == f"trace under key {key!r} does not serialize to its key"
 
 
 # progd: a proxy forwards one of two messages to the collector. A variant

@@ -1,4 +1,5 @@
 import tracemalloc
+from dataclasses import fields
 
 import pytest
 from hypothesis import given, settings
@@ -6,6 +7,7 @@ from hypothesis import strategies as st
 
 from racetrace import (
     ParseError,
+    Rec,
     match,
     name_sort_key,
     parse_trace,
@@ -71,6 +73,41 @@ def test_constraint_parsing_and_rendering():
     assert len(cs.clauses) == 2
     assert cs.clauses[0].guard == Cmp(">", Var("M"), Int(0))
     assert render_constraint(cs) == text
+
+
+def test_a_constraint_keeps_its_text_and_sort_key_outside_its_fields():
+    text = "cs1: {val,M} when M > 0 -> .; error -> ."
+    cs = parse_constraint(TokenStream(tokenize(text)))
+    assert (cs.text, cs.sort_key) == (text, (name_sort_key("cs1"), "cs1"))
+    assert render_constraint(cs) is cs.text
+    fresh = parse_constraint(TokenStream(tokenize(text)))
+    assert "text" not in vars(fresh) and "sort_key" not in vars(fresh)
+    assert [f.name for f in fields(cs)] == ["cs_id", "clauses"]
+    assert cs == fresh and hash(cs) == hash(fresh) and repr(cs) == repr(fresh)
+    assert {cs: 1}[fresh] == 1
+
+
+def test_constraints_block_lists_ids_in_canonical_order():
+    # c01 and c1 tie under name_sort_key and are ordered by their text;
+    # c2 sorts before c10, and the block does not follow the receives
+    text = (
+        "trace { initial: p1\n"
+        "  p1: spawn(p2), rec(l1, c10), rec(l2, c1), rec(l3, c2), rec(l4, c01)\n"
+        "  p2: send(l1, {val,1}, p1), send(l2, {val,2}, p1), send(l3, {val,3}, p1), "
+        "send(l4, {val,4}, p1) }\n"
+        "constraints { c01: {val,M} when M > 0 and M < 5 or M == 9 -> .; error -> .\n"
+        "  c1: {val,_} -> .\n"
+        "  c2: {val,M} when M >= 2 -> .\n"
+        "  c10: {val,X} when X >= 1 -> . }\n"
+    )
+    t = parse_trace(text)
+    ids = [a.cs.cs_id for a in t.procs["p1"] if isinstance(a, Rec)]
+    assert ids == ["c10", "c1", "c2", "c01"]
+    block = serialize_trace(t).split("constraints { ", 1)[1]
+    listed = [line.split(":", 1)[0].strip() for line in block.splitlines()]
+    assert listed == sorted_names(ids) == ["c01", "c1", "c2", "c10"]
+    assert serialize_trace(t) == text
+    assert validate_trace(t) is None
 
 
 def test_when_true_parses_and_renders_as_no_guard():

@@ -459,12 +459,22 @@ def test_serialize_parse_identity_on_fixture_files():
 
 
 def test_serializing_one_constraint_id_with_two_clause_lists_is_an_error():
-    # a parsed trace cannot bind an id twice; a hand-built one can
+    # a parsed trace cannot bind an id twice; a hand-built one can. Each
+    # constraint keeps its text once a key renders it, and the kept text
+    # stands in for no definition: both bindings are still compared
     other = Constraint(CS_ANY.cs_id, CS_POS.clauses)
-    t = Trace("p1", {"p1": (Send("l1", val(1), "p1"), Send("l2", val(2), "p1"),
-                            Rec("l1", CS_ANY), Rec("l2", other))})
-    with pytest.raises(ValueError, match=r"^constraint id csa bound to two definitions$"):
-        serialize_trace(t)
+    sends = (Send("l1", val(1), "p1"), Send("l2", val(2), "p1"))
+    for cs in (CS_ANY, other):
+        alone = serialize_trace(Trace("p1", {"p1": sends + (Rec("l1", cs),)}))
+        assert alone.endswith(f"constraints {{ {cs.text} }}\n")
+    for first, second in ((CS_ANY, other), (other, CS_ANY)):
+        t = Trace("p1", {"p1": sends + (Rec("l1", first), Rec("l2", second))})
+        with pytest.raises(ValueError, match=r"^constraint id csa bound to two definitions$"):
+            serialize_trace(t)
+    # an equal copy is the same definition
+    copy = Constraint(CS_ANY.cs_id, CS_ANY.clauses)
+    t = Trace("p1", {"p1": sends + (Rec("l1", CS_ANY), Rec("l2", copy))})
+    assert serialize_trace(t).endswith(f"constraints {{ {CS_ANY.text} }}\n")
 
 
 def test_epsilon_marks_idle_processes():
