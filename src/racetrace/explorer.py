@@ -13,8 +13,8 @@ Each new trace is indexed and validated once (``valid_index``); its orphans,
 race sets (``racers_at``; no candidate table) and variants come from that
 one index, which walks each receive's ``cut`` at most once. A receive's
 few racers are sorted here, not read in ``TraceIndex.table_header`` order,
-which sorts every send to the receiver (1 445 ``name_sort_key`` calls on
-gencoll n=5, against 1 165). The report keeps one ``ExploredTrace`` per
+which sorts every send to the receiver (605 ``name_sort_key`` calls on
+gencoll n=5, against 325). The report keeps one ``ExploredTrace`` per
 trace, built when its variants are enqueued. A variant is never built as
 a trace, indexed or validated: its validity gate admits it on the parent's
 index, and ``variant_order`` reads its replay order off the same index,

@@ -25,14 +25,15 @@ right after P's subtree and no step sorts or keys a pid. A process owns what
 the run keeps of it: statements, bindings, mailbox, recorded actions, and
 the counts of children spawned and messages sent, which name the next ones.
 
-Each step evaluates a process's next action once: a scheduler step once
-per process, to find the enabled ones, and then applies the one it picks;
-``step`` and ``replay_order`` evaluate only the pid they step, check it,
-and apply what they evaluated, or, replaying a log in the simulator's own
-names, the equal logged action, which the replayed run then shares. A
-received message is matched against its constraint once, which finds it
-and picks its clause; only that clause's pattern is matched again, for the
-bindings. The exhaustive run over every
+A run evaluates each process's next action when it starts and keeps it;
+after a step it evaluates again only the processes the step touched (see
+``_run``). ``step`` and ``replay_order`` evaluate only the pid they step,
+check it, and apply what they evaluated, or, replaying a log in the
+simulator's own names, the equal logged action, which the replayed run
+then shares. A received message is matched against its constraint once
+(``terms.first_match``), which finds it, picks its clause and gives the
+bindings the receive makes. A state hands its processes to its trace in
+canonical order, so the trace sorts none. The exhaustive run over every
 schedule, the reference ``explore`` is checked against, is
 ``racetrace.oracles.enumerate_executions``.
 
@@ -46,6 +47,7 @@ from __future__ import annotations
 
 import itertools
 import random
+from bisect import insort
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence, Union
 
@@ -68,8 +70,8 @@ from .terms import (
     Tup,
     Var,
     Wildcard,
-    match_pattern,
-    matching_clause,
+    Substitution,
+    first_match,
     pattern_vars,
     render_clause,
     render_term,
@@ -318,7 +320,7 @@ class SysState:
         return SysState(self.program, {p: ps.clone() for p, ps in self.procs.items()})
 
     def trace(self) -> Trace:
-        return Trace("p1", {p: tuple(ps.recorded) for p, ps in self.procs.items()})
+        return Trace._in_order("p1", {p: tuple(ps.recorded) for p, ps in self.procs.items()})
 
     def add_proc(self, proc: ProcState) -> None:
         """Add a spawned process P.k right after the last process of P's
@@ -368,18 +370,22 @@ def _settle(proc: ProcState) -> None:
             proc.env[stmt.var] = value
 
 
-def _oldest_match(proc: ProcState, cs: Constraint) -> Optional[tuple[int, int]]:
-    """Mailbox slot of the oldest message matching cs, and the index of the
-    clause it matches."""
+# a mailbox slot, the index of the clause its message matches, and the bindings
+_Match = tuple[int, int, Substitution]
+
+
+def _oldest_match(proc: ProcState, cs: Constraint) -> Optional[_Match]:
+    """Mailbox slot of the oldest message matching cs, with the clause it
+    matches and that clause's bindings (``first_match``)."""
     for slot, (_, value) in enumerate(proc.mailbox):
-        clause = matching_clause(value, cs)
-        if clause is not None:
-            return slot, clause
+        found = first_match(value, cs)
+        if found is not None:
+            return slot, *found
     return None
 
 
 # a process's next action, with the ``_oldest_match`` of a receive
-_NextAction = tuple[Action, Optional[tuple[int, int]]]
+_NextAction = tuple[Action, Optional[_Match]]
 
 
 def _next_action(sys: SysState, pid: Pid) -> Optional[_NextAction]:
@@ -407,15 +413,10 @@ def _next_action(sys: SysState, pid: Pid) -> Optional[_NextAction]:
     return Rec(proc.mailbox[found[0]][0], stmt.cs), found
 
 
-def _enabled_next(sys: SysState) -> list[tuple[Pid, _NextAction]]:
-    """Pids that can fire, with their ``_next_action``, in pid order."""
-    nexts = ((pid, _next_action(sys, pid)) for pid in sys.procs)
-    return [(pid, nxt) for pid, nxt in nexts if nxt is not None]
-
-
 def enabled(sys: SysState) -> list[tuple[Pid, Action]]:
     """Pids that can fire, with the action each would record, in pid order."""
-    return [(pid, nxt[0]) for pid, nxt in _enabled_next(sys)]
+    nexts = ((pid, _next_action(sys, pid)) for pid in sys.procs)
+    return [(pid, nxt[0]) for pid, nxt in nexts if nxt is not None]
 
 
 def step(sys: SysState, pid: Pid) -> Action:
@@ -448,9 +449,9 @@ def _apply(sys: SysState, pid: Pid, nxt: _NextAction) -> None:
         sys.procs[action.target].mailbox.append((action.tag, action.value))
     else:
         assert isinstance(stmt, ReceiveStmt) and found is not None
-        slot, idx = found
-        _, value = proc.mailbox.pop(slot)
-        proc.env.update(match_pattern(stmt.cs.clauses[idx].pattern, value))
+        slot, idx, bindings = found
+        del proc.mailbox[slot]
+        proc.env.update(bindings)
         proc.stmts.insert(0, stmt.bodies[idx])
 
     proc.recorded.append(action)
@@ -473,18 +474,54 @@ class Outcome:
         return self.kind
 
 
+def _tree_path(pid: Pid) -> tuple[int, ...]:
+    """A simulator pid's place in canonical order: ``p1.10.2`` is (1, 10, 2),
+    and these tuples compare as the spawn tree's preorder."""
+    return tuple(map(int, pid[1:].split(".")))
+
+
 def _run(sys: SysState, max_steps: int, pick: Callable[[int], int]) -> tuple[Trace, Outcome]:
     """Step the pid at position pick(n) of the n enabled ones until none is
     enabled, or until the state holds max_steps recorded actions, counted
-    from the initial state, and one still is."""
+    from the initial state, and one still is.
+
+    Each process's next action is evaluated when the run starts and kept,
+    and the enabled pids are kept in canonical order. A step changes only
+    the processes it touches, which are evaluated again: the one that
+    stepped, then a spawned child or a send's target. Only the one that
+    stepped can stop being enabled: a message added to a mailbox disables
+    no receive. A program error is the one a scheduler evaluating every
+    process at every step would raise first: the child follows its parent
+    in canonical order, and the target's evaluation cannot raise, as only
+    a send's can, which reads no mailbox and was evaluated already."""
+    nexts = {pid: nxt for pid in sys.procs if (nxt := _next_action(sys, pid)) is not None}
+    ready = list(nexts)  # the enabled pids, in canonical order
     for taken in itertools.count(sum(len(ps.recorded) for ps in sys.procs.values())):
-        choices = _enabled_next(sys)
-        if not choices:
+        if not ready:
             blocked = tuple(pid for pid, proc in sys.procs.items() if proc.stmts)
             return sys.trace(), Outcome("deadlock", blocked) if blocked else Outcome("completed")
         if taken >= max_steps:
             return sys.trace(), Outcome("step-limit")
-        _apply(sys, *choices[pick(len(choices))])
+        i = pick(len(ready))
+        pid = ready[i]
+        action = nexts[pid][0]
+        _apply(sys, pid, nexts[pid])
+        nxt = _next_action(sys, pid)
+        if nxt is None:
+            del ready[i], nexts[pid]
+        else:
+            nexts[pid] = nxt
+        if isinstance(action, Spawn):
+            other = action.child
+        elif isinstance(action, Send) and action.target != pid:
+            other = action.target
+        else:
+            continue
+        nxt = _next_action(sys, other)
+        if nxt is not None:
+            if other not in nexts:
+                insort(ready, other, key=_tree_path)
+            nexts[other] = nxt
 
 
 def run_random(program: Program, seed: int, max_steps: int = 10000) -> tuple[Trace, Outcome]:

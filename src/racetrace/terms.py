@@ -248,17 +248,24 @@ def match_pattern(p: Pattern, v: Term) -> Optional[Substitution]:
     return {} if p == v else None
 
 
-def matching_clause(v: Term, cs: Constraint) -> Optional[int]:
-    """Index of the first clause whose pattern matches v and guard holds."""
+def first_match(v: Term, cs: Constraint) -> Optional[tuple[int, Substitution]]:
+    """The first clause whose pattern matches v and whose guard holds: its
+    index, with the substitution that binds its pattern to v."""
     for i, cl in enumerate(cs.clauses):
         subst = match_pattern(cl.pattern, v)
         if subst is not None and eval_guard(cl.guard, subst):
-            return i
+            return i, subst
     return None
 
 
+def matching_clause(v: Term, cs: Constraint) -> Optional[int]:
+    """Index of the first clause whose pattern matches v and guard holds."""
+    found = first_match(v, cs)
+    return None if found is None else found[0]
+
+
 def match(v: Term, cs: Constraint) -> bool:
-    return matching_clause(v, cs) is not None
+    return first_match(v, cs) is not None
 
 
 # ---------------------------------------------------------------------------

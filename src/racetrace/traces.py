@@ -125,6 +125,18 @@ class Trace:
     def __post_init__(self) -> None:
         self.procs = {pid: self.procs[pid] for pid in sorted_names(self.procs)}
 
+    @classmethod
+    def _in_order(cls, initial: Pid, procs: dict[Pid, tuple[Action, ...]]) -> "Trace":
+        """A trace of procs already in canonical order, taken as they are.
+
+        Only the simulator calls it, with its state's procs: the spawn
+        tree's preorder of names ``p1`` and ``P.k``, which is the order
+        ``sorted_names`` gives them, since a name's key compares its parts'
+        numbers and a shorter name sorts first."""
+        t = cls.__new__(cls)
+        t.initial, t.procs = initial, procs
+        return t
+
     def events(self) -> list[tuple[Pid, int, Action]]:
         return [(pid, i, a) for pid, seq in self.procs.items() for i, a in enumerate(seq)]
 

@@ -139,3 +139,21 @@ def programs(draw) -> str:
         "  def proxy(C) { receive { {val,M} -> send {val,M} to C } }\n"
         f"  def collector() {{ {'; '.join(receives)} }} }}\n"
     )
+
+
+@st.composite
+def spawn_trees(draw) -> str:
+    """The text of a program whose processes only spawn: main spawns 10-12
+    children, so ``p1.10`` meets ``p1.2``, each child up to 2 and each
+    grandchild up to 1, so subtrees nest three levels deep. Every node has
+    a function of its own, named by its path."""
+    defs: list[str] = []
+
+    def node(name: str, depth: int) -> str:
+        fanout = draw(st.integers(10, 12) if depth == 0 else st.integers(0, 3 - depth))
+        spawns = "; ".join(f"spawn {node(f'{name}_{k}', depth + 1)}()" for k in range(fanout))
+        defs.append(f"  def {name}() {{ {spawns} }}")
+        return name
+
+    node("n", 0)
+    return "program { main n\n" + "\n".join(defs) + " }\n"

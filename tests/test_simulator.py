@@ -2,6 +2,7 @@ import random
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from racetrace import (
     DivergenceError,
@@ -24,7 +25,9 @@ from racetrace import (
     run_deterministic,
     run_random,
     serialize_program,
+    serialize_trace,
     step,
+    Trace,
     validate_trace,
 )
 from racetrace import parsing, simulator
@@ -37,7 +40,7 @@ from conftest import (
     SEND_TO_NO_PROCESS_PREFIX,
     fixture_text,
 )
-from strategies import CS_ANY, programs
+from strategies import CS_ANY, programs, spawn_trees
 
 
 def val(n):
@@ -255,8 +258,8 @@ def test_pids_stay_in_canonical_order():
 
 def test_spawn_chain_sorts_each_pid_once(monkeypatch):
     # a spawn chain adds one pid per step, each one segment longer; sorting
-    # every pid at every step made it cubic. No step keys a pid, and the
-    # trace sorts each pid once, when it is built
+    # every pid at every step made it cubic. No step keys a pid, and neither
+    # does the trace the state hands over: it keeps the state's order
     calls = []
 
     def counting_key(name):
@@ -270,8 +273,7 @@ def test_spawn_chain_sorts_each_pid_once(monkeypatch):
         ((pid, _),) = enabled(sys)
         step(sys, pid)
     assert len(sys.procs) == 401 and calls == []
-    t = sys.trace()
-    assert len(calls) == len(set(calls)) and set(calls) <= set(t.procs)
+    assert list(sys.trace().procs) == list(sys.procs) and calls == []
 
 
 # main spawns 11 parents and each parent 11 children, all interleaved: an
@@ -296,6 +298,114 @@ def test_spawns_keep_the_spawn_trees_preorder(seed):
         assert list(sys.procs) == sorted_names(sys.procs)
     assert len(sys.procs) == 133
     assert sys.trace() == run_random(program, seed)[0]
+
+
+def reference_run(sys, max_steps, pick):
+    """The scheduler that evaluates every process at every step: ``enabled``
+    over the whole state, then ``step`` of the pid at position pick(n),
+    until none is enabled or the state holds max_steps actions. Its trace
+    is built by ``Trace``, which sorts the pids."""
+    taken = sum(len(ps.recorded) for ps in sys.procs.values())
+    while choices := enabled(sys):
+        if taken >= max_steps:
+            outcome = Outcome("step-limit")
+            break
+        step(sys, choices[pick(len(choices))][0])
+        taken += 1
+    else:
+        blocked = tuple(pid for pid, proc in sys.procs.items() if proc.stmts)
+        outcome = Outcome("deadlock", blocked) if blocked else Outcome("completed")
+    return Trace("p1", {pid: tuple(ps.recorded) for pid, ps in sys.procs.items()}), outcome
+
+
+def _ended(run):
+    """A run's trace text and outcome, or the message of its SimulationError."""
+    try:
+        t, outcome = run()
+    except SimulationError as exc:
+        return str(exc)
+    return serialize_trace(t), outcome
+
+
+def _check_against_reference(program, prefix, max_steps):
+    """run_random at seeds 0-9, and run_deterministic after the first
+    `prefix` steps of each seed's schedule, end as the reference does."""
+    for seed in range(10):
+        assert _ended(lambda: run_random(program, seed, max_steps)) == _ended(
+            lambda: reference_run(initial_state(program), max_steps, random.Random(seed).randrange)
+        )
+        sys = initial_state(program)
+        try:
+            reference_run(sys, prefix, random.Random(seed).randrange)
+        except SimulationError:
+            continue
+        assert _ended(lambda: run_deterministic(sys.clone(), max_steps)) == _ended(
+            lambda: reference_run(sys, max_steps, lambda n: 0)
+        )
+
+
+# a spawn touches its parent and the child, and both would raise next: the
+# parent's send and the child's target no pid. Evaluating every process
+# finds the parent's error first, so the touched ones are evaluated in
+# canonical order. (A send's target cannot raise: only a send's evaluation
+# can, which reads no mailbox, and the target's was evaluated already.)
+TWO_ERRORS_AT_ONE_STEP = (
+    "program { main main\n"
+    "  def main() { X = ok; spawn bad(); send {val,1} to X }\n"
+    "  def bad() { Y = no; send {val,2} to Y } }\n"
+)
+
+
+def test_two_errors_at_one_step_raise_the_parents():
+    program = parse_program(TWO_ERRORS_AT_ONE_STEP)
+    for seed in range(3):
+        with pytest.raises(SimulationError) as info:
+            run_random(program, seed)
+        assert str(info.value) == "p1: send target evaluates to ok, not a pid"
+
+
+FIXED_PROGRAMS = {
+    "two_errors": TWO_ERRORS_AT_ONE_STEP,
+    "send_to_no_process": SEND_TO_NO_PROCESS,
+    "wide": WIDE_PROGRAM,
+    "tree": TREE_PROGRAM,
+    **{f"prog{c}": fixture_text(f"prog{c}.prog") for c in "abcd"},
+}
+
+
+@pytest.mark.parametrize("name", FIXED_PROGRAMS)
+@pytest.mark.parametrize("prefix, max_steps", [(0, 10000), (3, 10000), (4, 6), (8, 5)])
+def test_runs_end_as_the_reference_scheduler_on_fixed_programs(name, prefix, max_steps):
+    _check_against_reference(parse_program(FIXED_PROGRAMS[name]), prefix, max_steps)
+
+
+@settings(max_examples=60, deadline=None)
+@given(programs(), st.integers(0, 12), st.integers(0, 24))
+def test_runs_end_as_the_reference_scheduler(text, prefix, max_steps):
+    # small step budgets, so that many runs end at the step limit
+    _check_against_reference(parse_program(text), prefix, max_steps)
+
+
+@settings(max_examples=30, deadline=None)
+@given(spawn_trees(), st.integers(0, 2**32 - 1))
+def test_the_state_hands_over_its_pids_in_canonical_order(text, seed):
+    program = parse_program(text)
+    for t, _ in (run_random(program, seed), run_deterministic(initial_state(program))):
+        assert len(t.procs) > 10 and list(t.procs) == sorted_names(t.procs)
+
+
+@settings(max_examples=30, deadline=None)
+@given(spawn_trees(), st.randoms(use_true_random=False))
+def test_traces_built_from_unordered_procs_are_sorted(text, rnd):
+    t, _ = run_random(parse_program(text), 0)
+    shuffled = list(t.procs.items())
+    rnd.shuffle(shuffled)
+    assert list(Trace(t.initial, dict(shuffled)).procs) == list(t.procs)
+    # a trace of spawns only has no constraints block: one line per process
+    head, *lines = serialize_trace(t).removesuffix(" }\n").split("\n")
+    rnd.shuffle(lines)
+    parsed = parse_trace("\n".join([head] + lines) + " }\n")
+    assert list(parsed.procs) == list(t.procs)
 
 
 def test_enumerate_executions_counts(proga, progb, progc):
