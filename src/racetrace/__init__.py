@@ -23,9 +23,7 @@ from .terms import (
     eval_guard,
     match,
     match_pattern,
-    matching_clause,
     render_clause,
-    render_constraint,
     render_guard,
     render_term,
 )
@@ -38,9 +36,6 @@ from .traces import (
     Spawn,
     Trace,
     Violation,
-    actions,
-    in_sched,
-    is_subtrace,
     parse_interleaving,
     parse_trace,
     serialize_interleaving,
@@ -53,9 +48,7 @@ from .causality import (
     EventId,
     HbGraph,
     causally_equivalent,
-    enumerate_linearizations,
     hb_graph,
-    independent,
     linearize,
 )
 from .races import (
@@ -86,6 +79,8 @@ from .oracles import (
     SwapBudgetExhausted,
     declarative_race_oracle,
     enumerate_executions,
+    enumerate_linearizations,
+    is_subtrace,
     swap_equiv_oracle,
 )
 
@@ -95,15 +90,14 @@ __all__ = [
     "Int", "Interleaving", "Lst", "Origin", "Outcome", "ParseError", "PidLit",
     "Program", "ProgramError", "RaceReport", "Rec", "Send", "SimulationError",
     "Spawn", "SwapBudgetExhausted", "TagLit", "Trace", "Tup", "Var",
-    "Violation", "Wildcard", "actions", "all_races", "causally_equivalent",
+    "Violation", "Wildcard", "all_races", "causally_equivalent",
     "declarative_race_oracle", "distinctness_check", "enabled",
     "enumerate_executions", "enumerate_linearizations", "eval_guard",
-    "explore", "hb_graph", "in_sched", "independent", "initial_state",
-    "is_subtrace", "linearize", "match", "match_pattern", "matching_clause",
-    "name_sort_key", "orphans", "parse_interleaving", "parse_program",
-    "parse_trace", "race_set", "render_clause", "render_constraint",
-    "render_guard", "render_term", "replay_prefix", "run_deterministic",
-    "run_random", "serialize_interleaving", "serialize_program",
-    "serialize_trace", "step", "swap_equiv_oracle", "tr",
+    "explore", "hb_graph", "initial_state", "is_subtrace", "linearize",
+    "match", "match_pattern", "name_sort_key", "orphans",
+    "parse_interleaving", "parse_program", "parse_trace", "race_set",
+    "render_clause", "render_guard", "render_term", "replay_prefix",
+    "run_deterministic", "run_random", "serialize_interleaving",
+    "serialize_program", "serialize_trace", "step", "swap_equiv_oracle", "tr",
     "validate_interleaving", "validate_trace", "variant",
 ]

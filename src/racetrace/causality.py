@@ -1,17 +1,18 @@
-"""Happened-before graphs, linearizations and causal equivalence.
+"""Happened-before graphs, linearization and causal equivalence.
 
 Events are addressed as ``(pid, index)`` pairs, where the index is the
 position of the action in that process's sequence. The happened-before
 relation is generated by program order, spawn-before-child and
-send-before-receive edges, closed transitively.
+send-before-receive edges, closed transitively; two events are
+independent when ``HbGraph.reach`` holds neither way.
 
 Besides happened-before edges, valid linearizations respect *ordering
 constraints*: for a receive of message L, every other matching send to the
 same process that is not consumed earlier must be scheduled after L's send
 (otherwise the receive would not take the oldest matching message). These
 constraints are not part of happened-before — the events involved are
-causally independent — but they take part in cycle checks, ``linearize``
-and ``enumerate_linearizations``, through ``TraceIndex.succ``.
+causally independent — but they take part in cycle checks and
+``linearize``, through ``TraceIndex.succ``.
 
 Everything here is computed from one ``TraceIndex`` per call, validated once:
 each function takes a trace or an index ``valid_index`` returned.
@@ -21,12 +22,11 @@ edges and the pairs ``racetrace hb`` prints in event-number order, answers
 the cycle search of validation. ``linearize`` is ``traces.smallest_first`` over
 event numbers, which order events by ``(name_sort_key(pid), pid, index)``;
 the same Kahn pass orders a race variant, so a variant's order is its
-trace's linearization. ``enumerate_linearizations`` backtracks with an explicit
-stack, so trace length is not bounded by the recursion limit.
+trace's linearization.
 
-``causally_equivalent`` decides equivalence by trace equality; its
-brute-force references, the swap search ``swap_equiv_oracle`` and the
-event-pair closure ``hb_relation``, live in ``racetrace.oracles``.
+``causally_equivalent`` decides equivalence by trace equality. The
+brute-force references, all of sched(t), the swap search and the closure
+of happened-before over event pairs, are in ``racetrace.oracles``.
 """
 
 from __future__ import annotations
@@ -126,12 +126,6 @@ def hb_graph(t: Trace | TraceIndex) -> HbGraph:
     return _graph(valid_index(t))
 
 
-def independent(t: Trace | TraceIndex, e1: EventId, e2: EventId) -> bool:
-    """Neither event happened before the other."""
-    graph = hb_graph(t)
-    return not graph.reach(e1, e2) and not graph.reach(e2, e1)
-
-
 # ---------------------------------------------------------------------------
 # Linearization
 # ---------------------------------------------------------------------------
@@ -152,42 +146,6 @@ def linearize(t: Trace | TraceIndex) -> Interleaving:
     if len(order) != len(index.events):
         raise ValueError("trace graph is cyclic")  # unreachable on valid traces
     return _to_interleaving(index, order)
-
-
-def enumerate_linearizations(t: Trace | TraceIndex, cap: int = 10000) -> list[Interleaving]:
-    """All members of sched(t); raises if there are more than cap."""
-    index = valid_index(t)
-    succ = index.succ
-    preds = [0] * len(succ)
-    for targets in succ:
-        for w in targets:
-            preds[w] += 1
-    out: list[Interleaving] = []
-    order: list[int] = []
-    # one frame per depth: the ready events, ascending, and the next to try
-    frames = [([v for v, c in enumerate(preds) if c == 0], 0)]
-    while frames:
-        ready, k = frames[-1]
-        if k == 0 and len(order) == len(succ):
-            if len(out) >= cap:
-                raise ValueError(f"more than {cap} linearizations")
-            out.append(_to_interleaving(index, order))
-        if k == len(ready):
-            frames.pop()
-            if order:
-                for nxt in succ[order.pop()]:
-                    preds[nxt] += 1
-            continue
-        frames[-1] = (ready, k + 1)
-        node = ready[k]
-        order.append(node)
-        fresh = []
-        for nxt in succ[node]:
-            preds[nxt] -= 1
-            if preds[nxt] == 0:
-                fresh.append(nxt)
-        frames.append((sorted(ready[:k] + ready[k + 1 :] + fresh), 0))
-    return out
 
 
 # ---------------------------------------------------------------------------

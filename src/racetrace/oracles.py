@@ -3,6 +3,10 @@
 Each function here decides by exhaustive search what a library module
 computes constructively, and exists to check it:
 
+  * ``enumerate_linearizations`` lists sched(t), every valid interleaving
+    of a trace, backtracking over ``TraceIndex.succ`` with an explicit
+    stack, against ``linearize`` and ``tr``; ``is_subtrace`` is the
+    subtrace relation, a prefix per process;
   * ``swap_equiv_oracle`` decides causal equivalence by searching the swaps
     of adjacent independent events, against ``causally_equivalent``;
     ``hb_relation`` gives happened-before as the transitive closure of the
@@ -35,10 +39,58 @@ from .traces import (
     Spawn,
     Tag,
     Trace,
+    TraceIndex,
     valid_index,
     validate_interleaving,
     validate_trace,
 )
+
+
+def enumerate_linearizations(t: Trace | TraceIndex, cap: int = 10000) -> list[Interleaving]:
+    """All members of sched(t); raises if there are more than cap."""
+    index = valid_index(t)
+    succ = index.succ
+    preds = [0] * len(succ)
+    for targets in succ:
+        for w in targets:
+            preds[w] += 1
+    out: list[Interleaving] = []
+    order: list[int] = []
+    # one frame per depth: the ready events, ascending, and the next to try
+    frames = [([v for v, c in enumerate(preds) if c == 0], 0)]
+    while frames:
+        ready, k = frames[-1]
+        if k == 0 and len(order) == len(succ):
+            if len(out) >= cap:
+                raise ValueError(f"more than {cap} linearizations")
+            steps = (Event(index.events[v][0], index.events[v][2]) for v in order)
+            out.append(Interleaving(index.trace.initial, tuple(steps)))
+        if k == len(ready):
+            frames.pop()
+            if order:
+                for nxt in succ[order.pop()]:
+                    preds[nxt] += 1
+            continue
+        frames[-1] = (ready, k + 1)
+        node = ready[k]
+        order.append(node)
+        fresh = []
+        for nxt in succ[node]:
+            preds[nxt] -= 1
+            if preds[nxt] == 0:
+                fresh.append(nxt)
+        frames.append((sorted(ready[:k] + ready[k + 1 :] + fresh), 0))
+    return out
+
+
+def is_subtrace(t1: Trace, t2: Trace) -> bool:
+    """Per-process prefix relation between valid traces."""
+    if t1.initial != t2.initial:
+        raise ValueError("subtrace comparison requires the same initial pid")
+    for pid, seq in t1.procs.items():
+        if seq and seq != t2.procs.get(pid, ())[: len(seq)]:
+            return False
+    return True
 
 
 class SwapBudgetExhausted(Exception):

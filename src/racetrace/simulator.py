@@ -374,11 +374,11 @@ def _settle(proc: ProcState) -> None:
 _Match = tuple[int, int, Substitution]
 
 
-def _oldest_match(proc: ProcState, cs: Constraint) -> Optional[_Match]:
-    """Mailbox slot of the oldest message matching cs, with the clause it
-    matches and that clause's bindings (``first_match``)."""
-    for slot, (_, value) in enumerate(proc.mailbox):
-        found = first_match(value, cs)
+def _oldest_match(proc: ProcState, cs: Constraint, since: int) -> Optional[_Match]:
+    """Mailbox slot of the oldest message matching cs, from slot since on,
+    with the clause it matches and that clause's bindings (``first_match``)."""
+    for slot in range(since, len(proc.mailbox)):
+        found = first_match(proc.mailbox[slot][1], cs)
         if found is not None:
             return slot, *found
     return None
@@ -388,9 +388,9 @@ def _oldest_match(proc: ProcState, cs: Constraint) -> Optional[_Match]:
 _NextAction = tuple[Action, Optional[_Match]]
 
 
-def _next_action(sys: SysState, pid: Pid) -> Optional[_NextAction]:
-    """The action pid would record next, with the ``_oldest_match`` of a
-    receive; None when pid has nothing left or its receive cannot fire."""
+def _next_action(sys: SysState, pid: Pid, since: int = 0) -> Optional[_NextAction]:
+    """The action pid would record next, with a receive's ``_oldest_match``
+    from mailbox slot since on; None if pid has nothing left or cannot fire."""
     proc = sys.procs[pid]
     if not proc.stmts:
         return None
@@ -407,7 +407,7 @@ def _next_action(sys: SysState, pid: Pid) -> Optional[_NextAction]:
             )
         return Send(tag, value, target.pid), None
     assert isinstance(stmt, ReceiveStmt)
-    found = _oldest_match(proc, stmt.cs)
+    found = _oldest_match(proc, stmt.cs, since)
     if found is None:
         return None
     return Rec(proc.mailbox[found[0]][0], stmt.cs), found
@@ -488,12 +488,16 @@ def _run(sys: SysState, max_steps: int, pick: Callable[[int], int]) -> tuple[Tra
     Each process's next action is evaluated when the run starts and kept,
     and the enabled pids are kept in canonical order. A step changes only
     the processes it touches, which are evaluated again: the one that
-    stepped, then a spawned child or a send's target. Only the one that
-    stepped can stop being enabled: a message added to a mailbox disables
-    no receive. A program error is the one a scheduler evaluating every
-    process at every step would raise first: the child follows its parent
-    in canonical order, and the target's evaluation cannot raise, as only
-    a send's can, which reads no mailbox and was evaluated already."""
+    stepped, then a spawned child or a send's target, unless the target is
+    enabled. A message arrives last in its target's mailbox, so an enabled
+    receive keeps its oldest match, a spawn or send reads no mailbox, and a
+    blocked receive can take only that message: it is matched alone, from
+    the last slot. Only the one that stepped can stop being enabled. A
+    program error is the one a scheduler evaluating every process at every
+    step would raise first: only a send's evaluation can raise, and the
+    child follows its parent in canonical order. An enabled target's
+    action was evaluated without error and is unchanged, and a blocked
+    receive's match raises nothing, so no error is hidden or reordered."""
     nexts = {pid: nxt for pid in sys.procs if (nxt := _next_action(sys, pid)) is not None}
     ready = list(nexts)  # the enabled pids, in canonical order
     for taken in itertools.count(sum(len(ps.recorded) for ps in sys.procs.values())):
@@ -513,14 +517,14 @@ def _run(sys: SysState, max_steps: int, pick: Callable[[int], int]) -> tuple[Tra
             nexts[pid] = nxt
         if isinstance(action, Spawn):
             other = action.child
-        elif isinstance(action, Send) and action.target != pid:
+            nxt = _next_action(sys, other)
+        elif isinstance(action, Send) and action.target not in nexts:
             other = action.target
+            nxt = _next_action(sys, other, len(sys.procs[other].mailbox) - 1)
         else:
             continue
-        nxt = _next_action(sys, other)
         if nxt is not None:
-            if other not in nexts:
-                insort(ready, other, key=_tree_path)
+            insort(ready, other, key=_tree_path)
             nexts[other] = nxt
 
 

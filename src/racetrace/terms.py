@@ -258,12 +258,6 @@ def first_match(v: Term, cs: Constraint) -> Optional[tuple[int, Substitution]]:
     return None
 
 
-def matching_clause(v: Term, cs: Constraint) -> Optional[int]:
-    """Index of the first clause whose pattern matches v and guard holds."""
-    found = first_match(v, cs)
-    return None if found is None else found[0]
-
-
 def match(v: Term, cs: Constraint) -> bool:
     return first_match(v, cs) is not None
 
@@ -313,6 +307,3 @@ def render_clause(cl: Clause, body: str = ".") -> str:
         head += " when " + render_guard(cl.guard)
     return f"{head} -> {body}"
 
-
-def render_constraint(cs: Constraint) -> str:
-    return cs.text

@@ -22,7 +22,9 @@ decide this directly: besides per-process well-formedness, we build the
 happened-before edge graph extended with one ordering edge per (receive,
 competing matching unreceived send) pair and check it for cycles; any
 topological order of that extended graph is a valid interleaving, and every
-valid interleaving is such an order.
+valid interleaving is such an order. An interleaving s is in sched(t) iff
+``tr(s) == t``; the brute-force list of sched(t) and the subtrace relation
+are in ``racetrace.oracles``.
 
 Trace-level work goes through a ``TraceIndex``, built once per trace in
 O(N): events numbered once, sends and receives by tag, per-target send lists
@@ -223,10 +225,6 @@ def validate_interleaving(s: Interleaving) -> Optional[Violation]:
                     )
             del box[a.tag]
     return late
-
-
-def actions(pid: Pid, s: Interleaving) -> tuple[Action, ...]:
-    return tuple(ev.action for ev in s.events if ev.pid == pid)
 
 
 def tr(s: Interleaving) -> Trace:
@@ -610,21 +608,6 @@ def valid_index(t: Union[Trace, TraceIndex]) -> TraceIndex:
         raise ValueError(f"invalid trace: {bad}")
     index._valid = True
     return index
-
-
-def is_subtrace(t1: Trace, t2: Trace) -> bool:
-    """Per-process prefix relation between valid traces."""
-    if t1.initial != t2.initial:
-        raise ValueError("subtrace comparison requires the same initial pid")
-    for pid, seq in t1.procs.items():
-        if seq and seq != t2.procs.get(pid, ())[: len(seq)]:
-            return False
-    return True
-
-
-def in_sched(s: Interleaving, t: Trace) -> bool:
-    """True iff s is a linearization of t."""
-    return s.initial == t.initial and tr(s) == t
 
 
 # ---------------------------------------------------------------------------

@@ -23,7 +23,7 @@ from racetrace import (
     Spawn,
     Tup,
     Var,
-    matching_clause,
+    match,
     tr,
 )
 
@@ -55,7 +55,7 @@ def interleavings(draw, max_events: int = 8) -> Interleaving:
             (p, cs)
             for p in pids
             for cs in (CS_ANY, CS_ANY_B, CS_POS)
-            if any(matching_clause(v, cs) is not None for _, v in mailboxes[p])
+            if any(match(v, cs) for _, v in mailboxes[p])
         ]
         if receivable:
             options.append("rec")
@@ -77,11 +77,7 @@ def interleavings(draw, max_events: int = 8) -> Interleaving:
             events.append(Event(sender, Send(tag, value, target)))
         else:
             p, cs = draw(st.sampled_from(receivable))
-            slot = next(
-                i
-                for i, (_, v) in enumerate(mailboxes[p])
-                if matching_clause(v, cs) is not None
-            )
+            slot = next(i for i, (_, v) in enumerate(mailboxes[p]) if match(v, cs))
             tag, _ = mailboxes[p].pop(slot)
             events.append(Event(p, Rec(tag, cs)))
     return Interleaving("p1", tuple(events))

@@ -128,8 +128,8 @@ def test_the_keys_render_each_constraint_once(monkeypatch):
     # a constraint keeps its text and sort key, so the keys that explore
     # and distinctness_check build render each distinct constraint once,
     # and distinctness_check keys no name. Each key rendered every
-    # constraint and sorted their ids anew: at n=5, 1 200 render_constraint
-    # calls and 600 name_sort_key calls in distinctness_check
+    # constraint and sorted their ids anew: at n=5, 1 200 constraint
+    # renderings and 600 name_sort_key calls in distinctness_check
     program = parse_program(workloads.gencoll_program(4, 1))
     clauses = _record_calls(monkeypatch, terms.render_clause)
     report = explore(program, seed=1)

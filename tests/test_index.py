@@ -1,5 +1,6 @@
 """TraceIndex against the slow references, validation call counts, and scale."""
 
+import random
 import sys
 from collections import Counter
 
@@ -14,6 +15,7 @@ from racetrace import (
     Spawn,
     Trace,
     all_races,
+    enabled,
     enumerate_linearizations,
     explore,
     hb_graph,
@@ -429,24 +431,36 @@ def test_each_step_evaluates_a_process_once(monkeypatch, progc):
 
     # a scheduler evaluates each process once when the run starts, and
     # after each step only the processes that step touched: the one that
-    # stepped, a send's target and a spawned child (their order is pinned
-    # against the reference scheduler in test_simulator). Evaluating every
-    # process at every step made 34 calls here, against 17
-    pids = []
-    counting = simulator_module._next_action
-    monkeypatch.setattr(
-        simulator_module, "_next_action", lambda sys, pid: pids.append(pid) or counting(sys, pid)
-    )
-    t, _ = run_deterministic(initial_state(progc))
-    touched = Counter([t.initial])
-    for pid, _, a in t.events():
+    # stepped, a spawned child, and a send's target unless it is enabled
+    # (their order is pinned against the reference scheduler in
+    # test_simulator). The message arrived last, so it can change only a
+    # blocked receive. Stepping the same picks by hand gives the count:
+    # three of this run's sends find their target enabled
+    pick, sys = random.Random(5).randrange, initial_state(progc)
+    touched, skipped = Counter(list(sys.procs)), 0
+    while nexts := enabled(sys):
+        pid, a = nexts[pick(len(nexts))]
+        step(sys, pid)
         touched[pid] += 1
         if isinstance(a, Spawn):
             touched[a.child] += 1
-        elif isinstance(a, Send) and a.target != pid:
+        elif isinstance(a, Send) and a.target in dict(nexts):
+            skipped += 1
+        elif isinstance(a, Send):
             touched[a.target] += 1
+    pids = []
+    counting = simulator_module._next_action
+    monkeypatch.setattr(
+        simulator_module,
+        "_next_action",
+        lambda sys, pid, *since: pids.append(pid) or counting(sys, pid, *since),
+    )
+    t, _ = run_random(progc, 5)
+    assert t == sys.trace()
     assert Counter(pids) == touched
-    assert len(pids) == 17
+    # evaluating every process at every step made 34 calls here, and
+    # evaluating every send's target again 17
+    assert (len(pids), skipped) == (14, 3)
 
 
 def test_explore_replays_from_the_initial_state(monkeypatch):
@@ -555,6 +569,35 @@ def test_race_tables_read_one_match_column_per_clause_list(monkeypatch):
     reports = all_races(t)
     assert sum(len(rep.candidates) for rep in reports) == 200 * 199
     assert len(asked) <= 600
+
+
+def _blocked_collector(n):
+    """main spawns a collector, n generators that each send it {a,N}, and
+    a last process that sends it {b,0}; the collector waits for {b,X}, then
+    takes the n a's."""
+    spawns = "".join(f"; spawn gen(C, {k})" for k in range(1, n + 1))
+    receives = "; ".join(["receive { {b,X} -> X }"] + ["receive { {a,X} -> X }"] * n)
+    return parse_program(
+        "program { main main\n"
+        f"  def main() {{ C = spawn collector(){spawns}; spawn last(C) }}\n"
+        "  def gen(C, N) { send {a,N} to C }\n"
+        "  def last(C) { send {b,0} to C }\n"
+        f"  def collector() {{ {receives} }} }}\n"
+    )
+
+
+def test_a_blocked_receive_matches_each_arrival_once(monkeypatch):
+    # the smallest-pid scheduler sends the n a's while the collector waits
+    # for {b,X}: one match per arrival, one for b, then one per a taken
+    # after the first receive. Matching the whole mailbox at each arrival
+    # made n(n+1)/2 + 2n + 1 matches: 126 251 at n = 500
+    for n in (250, 500):
+        matched = _record_calls(monkeypatch, terms_module.first_match)
+        t, outcome = run_deterministic(initial_state(_blocked_collector(n)))
+        assert (str(outcome), len(t.events())) == ("completed", 3 * n + 4)
+        assert [a.tag for a in t.procs["p1.1"][:2]] == [f"p1.{n + 2}.1", "p1.2.1"]
+        assert len(matched) == 2 * n + 1
+        monkeypatch.undo()
 
 
 # ---------------------------------------------------------------------------

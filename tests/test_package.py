@@ -12,6 +12,8 @@ ORACLES = {
     "_directly_related",
     "declarative_race_oracle",
     "enumerate_executions",
+    "enumerate_linearizations",
+    "is_subtrace",
 }
 
 

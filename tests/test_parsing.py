@@ -34,7 +34,6 @@ from racetrace.terms import (
     Tup,
     Var,
     Wildcard,
-    render_constraint,
     render_term,
 )
 
@@ -72,14 +71,14 @@ def test_constraint_parsing_and_rendering():
     assert cs.cs_id == "cs1"
     assert len(cs.clauses) == 2
     assert cs.clauses[0].guard == Cmp(">", Var("M"), Int(0))
-    assert render_constraint(cs) == text
+    assert cs.text == text
 
 
 def test_a_constraint_keeps_its_text_and_sort_key_outside_its_fields():
     text = "cs1: {val,M} when M > 0 -> .; error -> ."
     cs = parse_constraint(TokenStream(tokenize(text)))
     assert (cs.text, cs.sort_key) == (text, (name_sort_key("cs1"), "cs1"))
-    assert render_constraint(cs) is cs.text
+    assert vars(cs)["text"] is cs.text  # rendered once and kept
     fresh = parse_constraint(TokenStream(tokenize(text)))
     assert "text" not in vars(fresh) and "sort_key" not in vars(fresh)
     assert [f.name for f in fields(cs)] == ["cs_id", "clauses"]
@@ -113,7 +112,7 @@ def test_constraints_block_lists_ids_in_canonical_order():
 def test_when_true_parses_and_renders_as_no_guard():
     cs = parse_constraint(TokenStream(tokenize("c: {val,M} when true -> .")))
     assert cs.clauses[0].guard == GTrue()
-    assert render_constraint(cs) == "c: {val,M} -> ."
+    assert cs.text == "c: {val,M} -> ."
 
 
 def guard(text):
@@ -129,11 +128,11 @@ def test_constraint_guard_connectives():
         Cmp(">", m, Int(0)), (("and", Cmp("<", m, Int(5))), ("or", Cmp("==", m, Int(9))))
     )
     # only a connective on the right keeps its parentheses
-    assert render_constraint(cs) == text
+    assert cs.text == text
     grouped = parse_constraint(
         TokenStream(tokenize("c: {val,M} when (M > 0 and M < 5) or (M == 9 or M == 7) -> ."))
     )
-    assert render_constraint(grouped) == (
+    assert grouped.text == (
         "c: {val,M} when M > 0 and M < 5 or (M == 9 or M == 7) -> ."
     )
     # a parenthesized chain in first place is spliced in; elsewhere it stays
@@ -195,7 +194,7 @@ def parenthesized(depth):
 def test_guard_at_the_nesting_limit_parses_evaluates_and_renders():
     text = f"c: X when X > 0 and {parenthesized(MAX_NESTING)} -> ."
     cs = parse_constraint(TokenStream(tokenize(text)))
-    assert render_constraint(cs) == text
+    assert cs.text == text
     assert match(Int(1), cs) and not match(Int(0), cs)
     trace = (
         "trace { initial: p1\n  p1: send(l1, 1, p1), rec(l1, c) }\n"

@@ -18,8 +18,8 @@ from racetrace import (
     eval_guard,
     match,
     match_pattern,
-    matching_clause,
 )
+from racetrace.terms import first_match
 
 CS1 = Constraint(
     "cs1",
@@ -56,9 +56,9 @@ def test_match_against_guarded_constraint():
 
 
 def test_matching_clause_picks_first():
-    assert matching_clause(val(2), CS1) == 0
-    assert matching_clause(Atom("error"), CS1) == 1
-    assert matching_clause(val(0), CS1) is None
+    assert first_match(val(2), CS1) == (0, {"M": Int(2)})
+    assert first_match(Atom("error"), CS1) == (1, {})
+    assert first_match(val(0), CS1) is None
 
 
 def test_literals_distinct_from_atoms():
@@ -133,7 +133,14 @@ terms_st = st.recursive(
 
 @given(terms_st)
 def test_match_coincides_with_matching_clause(v):
-    assert match(v, CS1) == (matching_clause(v, CS1) is not None)
+    # the first clause whose pattern matches and whose guard holds
+    matching = [
+        (i, subst)
+        for i, cl in enumerate(CS1.clauses)
+        if (subst := match_pattern(cl.pattern, v)) is not None and eval_guard(cl.guard, subst)
+    ]
+    assert first_match(v, CS1) == (matching[0] if matching else None)
+    assert match(v, CS1) == bool(matching)
 
 
 @given(terms_st)
