@@ -32,7 +32,6 @@ of happened-before over event pairs, are in ``racetrace.oracles``.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from typing import Iterator, NamedTuple, Optional
 
 from .traces import (
@@ -54,14 +53,14 @@ class EventId(NamedTuple):
     index: int
 
 
-@dataclass
 class HbGraph:
     """The happened-before edges of one trace, as a view of the
     ``TraceIndex`` they were read from: every query is answered by the
     index's own traversals, and every listing is in event-number order."""
 
-    index: TraceIndex
-    nodes: list[EventId]
+    def __init__(self, index: TraceIndex, nodes: list[EventId]) -> None:
+        self.index = index
+        self.nodes = nodes
 
     def _number(self, e: EventId) -> int:
         pid, i = e

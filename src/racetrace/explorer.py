@@ -56,7 +56,6 @@ events beyond the prefix. Two rules keep it from redoing its parent's work:
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
 from typing import Optional
 
 from .parsing import sorted_names
@@ -70,41 +69,33 @@ from .simulator import (
     run_deterministic,
     run_random,
 )
+from .terms import Record
 from .traces import Event, Pid, Rec, Tag, Trace, valid_index
 
 
-@dataclass(frozen=True)
-class Origin:
-    parent_key: str
-    replaced_at: tuple[Pid, int]
-    old_tag: Tag
-    new_tag: Tag
+class Origin(Record):
+    __slots__ = ("parent_key", "replaced_at", "old_tag", "new_tag")  # replaced_at: (pid, index)
 
 
-@dataclass(frozen=True)
-class ExploredTrace:
+class ExploredTrace(Record):
     """One explored trace: how its run ended, its orphan tags in canonical
     order, how many (receive, racer) pairs its races gave, and the variant
     it was replayed from (None for the seed run)."""
 
-    trace: Trace
-    outcome: Outcome
-    orphans: tuple[Tag, ...]
-    races: int
-    origin: Optional[Origin]
+    __slots__ = ("trace", "outcome", "orphans", "races", "origin")
 
 
-@dataclass
 class ExplorationReport:
-    traces: dict[str, ExploredTrace] = field(default_factory=dict)  # by key
-    variants_enqueued: int = 0
-    duplicate_traces: int = 0
-    # racers at r' whose order the parent already enqueued: decided, not looked up
-    duplicate_variants: int = 0
-    sleeping: int = 0  # racers not enqueued because a sleep set holds them
-    divergences: int = 0
-    step_limited: int = 0
-    bounded: bool = False  # stopped at max_traces before the fixpoint
+    def __init__(self) -> None:
+        self.traces: dict[str, ExploredTrace] = {}  # by key
+        self.variants_enqueued = 0
+        self.duplicate_traces = 0
+        # racers at r' whose order the parent already enqueued: decided, not looked up
+        self.duplicate_variants = 0
+        self.sleeping = 0  # racers not enqueued because a sleep set holds them
+        self.divergences = 0
+        self.step_limited = 0
+        self.bounded = False  # stopped at max_traces before the fixpoint
 
     @property
     def order(self) -> list[str]:

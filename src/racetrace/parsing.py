@@ -53,7 +53,6 @@ from __future__ import annotations
 
 import re
 import sys
-from dataclasses import dataclass
 from typing import Callable, Iterable, TypeVar
 
 from .terms import (
@@ -69,11 +68,13 @@ from .terms import (
     Lst,
     Pattern,
     PidLit,
+    Record,
     TagLit,
     Tup,
     Var,
     Wildcard,
     is_ground,
+    set_field,
 )
 
 
@@ -88,12 +89,14 @@ class ParseError(Exception):
         self.col = col
 
 
-@dataclass(frozen=True)
-class Token:
-    kind: str  # "int" | "atom" | "var" | "sym" | "eof"
-    text: str
-    line: int
-    col: int
+class Token(Record):
+    __slots__ = ("kind", "text", "line", "col")
+
+    def __init__(self, kind: str, text: str, line: int, col: int) -> None:
+        set_field(self, "kind", kind)  # "int" | "atom" | "var" | "sym" | "eof"
+        set_field(self, "text", text)
+        set_field(self, "line", line)
+        set_field(self, "col", col)
 
 
 # One alternative per token class, tried in this order after whitespace;

@@ -61,7 +61,6 @@ validation.
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass
 from itertools import repeat
 from typing import Callable, NamedTuple
 
@@ -96,12 +95,22 @@ class CandidateCheck(NamedTuple):
         return "forced behind another matching message in every reordering"
 
 
-@dataclass
 class RaceReport:
-    receive: EventId
-    subject: Tag
-    racers: set[Tag]
-    candidates: list[CandidateCheck]
+    __slots__ = ("receive", "subject", "racers", "candidates")
+
+    def __init__(self, receive: EventId, subject: Tag, racers: set[Tag],
+                 candidates: list[CandidateCheck]) -> None:
+        self.receive, self.subject = receive, subject
+        self.racers, self.candidates = racers, candidates
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return all(getattr(self, f) == getattr(other, f) for f in self.__slots__)
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self.__slots__)
+        return f"RaceReport({fields})"
 
 
 def racers_at(index: TraceIndex, r: int) -> set[Tag]:

@@ -48,7 +48,6 @@ from __future__ import annotations
 import itertools
 import random
 from bisect import insort
-from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence, Union
 
 from .parsing import (
@@ -65,6 +64,7 @@ from .terms import (
     Lst,
     Pattern,
     PidLit,
+    Record,
     TagLit,
     Term,
     Tup,
@@ -75,6 +75,7 @@ from .terms import (
     pattern_vars,
     render_clause,
     render_term,
+    set_field,
 )
 from .causality import linearize
 from .traces import Action, Event, Pid, Rec, Send, Spawn, Tag, Trace, TraceIndex, render_action
@@ -101,45 +102,35 @@ class DivergenceError(Exception):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SpawnStmt:
-    var: Optional[str]  # None for a bare spawn statement
-    fname: str
-    args: tuple[Pattern, ...]
+# A statement's var is None for a bare spawn or value expression; a send's
+# target is a Var or a PidLit; a receive has one body statement per clause.
 
 
-@dataclass(frozen=True)
-class BindStmt:
-    var: Optional[str]  # None for a bare value expression
-    value: Pattern
+class SpawnStmt(Record):
+    __slots__ = ("var", "fname", "args")  # Optional[str], str, tuple[Pattern, ...]
 
 
-@dataclass(frozen=True)
-class SendStmt:
-    value: Pattern
-    target: Pattern  # Var or PidLit
+class BindStmt(Record):
+    __slots__ = ("var", "value")  # Optional[str], Pattern
 
 
-@dataclass(frozen=True)
-class ReceiveStmt:
-    cs: Constraint
-    bodies: tuple["Stmt", ...]  # one statement per clause
+class SendStmt(Record):
+    __slots__ = ("value", "target")  # Pattern, Pattern
+
+
+class ReceiveStmt(Record):
+    __slots__ = ("cs", "bodies")  # Constraint, tuple[Stmt, ...]
 
 
 Stmt = Union[SpawnStmt, BindStmt, SendStmt, ReceiveStmt]
 
 
-@dataclass(frozen=True)
-class FunDef:
-    name: str
-    params: tuple[str, ...]
-    body: tuple[Stmt, ...]
+class FunDef(Record):
+    __slots__ = ("name", "params", "body")  # str, tuple[str, ...], tuple[Stmt, ...]
 
 
-@dataclass(frozen=True)
-class Program:
-    defs: dict[str, FunDef]
-    main: str
+class Program(Record):
+    __slots__ = ("defs", "main")  # dict[str, FunDef], str
 
 
 # ---------------------------------------------------------------------------
@@ -294,27 +285,29 @@ def _render_stmt(stmt: Stmt) -> str:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
 class ProcState:
     """A process and all the run keeps of it (see the module docstring)."""
 
-    pid: Pid
-    stmts: list[Stmt]
-    env: dict[str, Term]
-    mailbox: list[tuple[Tag, Term]] = field(default_factory=list)
-    recorded: list[Action] = field(default_factory=list)
-    spawns: int = 0
-    sends: int = 0
+    __slots__ = ("pid", "stmts", "env", "mailbox", "recorded", "spawns", "sends")
+
+    def __init__(self, pid: Pid, stmts: list[Stmt], env: dict[str, Term],
+                 mailbox: Sequence[tuple[Tag, Term]] = (), recorded: Sequence[Action] = (),
+                 spawns: int = 0, sends: int = 0) -> None:
+        self.pid, self.stmts, self.env = pid, stmts, env
+        self.mailbox, self.recorded = list(mailbox), list(recorded)
+        self.spawns, self.sends = spawns, sends
 
     def clone(self) -> "ProcState":
         return ProcState(self.pid, list(self.stmts), dict(self.env),
-                         list(self.mailbox), list(self.recorded), self.spawns, self.sends)
+                         self.mailbox, self.recorded, self.spawns, self.sends)
 
 
-@dataclass
 class SysState:
-    program: Program
-    procs: dict[Pid, ProcState]  # in canonical pid order: the spawn tree's preorder
+    __slots__ = ("program", "procs")
+
+    def __init__(self, program: Program, procs: dict[Pid, ProcState]) -> None:
+        self.program = program
+        self.procs = procs  # in canonical pid order: the spawn tree's preorder
 
     def clone(self) -> "SysState":
         return SysState(self.program, {p: ps.clone() for p, ps in self.procs.items()})
@@ -463,10 +456,12 @@ def _apply(sys: SysState, pid: Pid, nxt: _NextAction) -> None:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Outcome:
-    kind: str  # "completed" | "deadlock" | "step-limit"
-    blocked: tuple[Pid, ...] = ()
+class Outcome(Record):
+    __slots__ = ("kind", "blocked")
+
+    def __init__(self, kind: str, blocked: tuple[Pid, ...] = ()) -> None:
+        set_field(self, "kind", kind)  # "completed" | "deadlock" | "step-limit"
+        set_field(self, "blocked", blocked)
 
     def __str__(self) -> str:
         if self.kind == "deadlock":
@@ -544,7 +539,6 @@ def run_deterministic(sys: SysState, max_steps: int = 10000) -> tuple[Trace, Out
 # ---------------------------------------------------------------------------
 
 
-@dataclass
 class Alignment:
     """Renaming between logged and simulator names: pids both ways, tags
     from the simulator's to the log's, the one direction replay reads.
@@ -553,9 +547,12 @@ class Alignment:
     hierarchically, so the k-th child and the k-th message of a process share
     the spelling ``P.k``."""
 
-    pid_log_to_sim: dict[str, str] = field(default_factory=dict)
-    pid_sim_to_log: dict[str, str] = field(default_factory=dict)
-    tag_sim_to_log: dict[str, str] = field(default_factory=dict)
+    __slots__ = ("pid_log_to_sim", "pid_sim_to_log", "tag_sim_to_log")
+
+    def __init__(self) -> None:
+        self.pid_log_to_sim: dict[str, str] = {}
+        self.pid_sim_to_log: dict[str, str] = {}
+        self.tag_sim_to_log: dict[str, str] = {}
 
     def bind_pid(self, log_name: str, sim_name: str) -> None:
         self.pid_log_to_sim[log_name] = sim_name

@@ -4,14 +4,76 @@ The analysis only needs a decidable ``match(value, constraint)`` predicate;
 this module provides one concrete instantiation: finite first-order terms
 (integers, atoms, tuples, lists, pid and tag literals), linear patterns with
 variables and wildcard, and guards built from comparisons over the pattern
-variables. Everything here is immutable and side-effect free.
+variables. Everything here is immutable and side-effect free: each node is a
+``Record``, whose fields are set once, when it is built.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
+from operator import attrgetter
 from typing import Optional, Union
+
+
+# ---------------------------------------------------------------------------
+# Records
+# ---------------------------------------------------------------------------
+
+# A record's own __init__ sets each field through this, past Record.__setattr__
+set_field = object.__setattr__
+
+
+class Record:
+    """An immutable value with named fields: a subclass lists them, in
+    order, as its ``__slots__``, which also give its ``__match_args__``.
+
+    Records are equal iff they are of the same class with equal fields, and
+    equal records hash alike; ``repr`` is ``Name(field=value, ...)``; copy
+    and pickle rebuild a record through its class; assigning or deleting a
+    field raises AttributeError. Nothing is compiled when a class is built:
+    its ``==``, ``!=`` and ``hash`` close over the class and one
+    ``attrgetter`` of its fields, as fast as dataclass's generated ones.
+    This ``__init__`` takes the fields' values in order; a record built
+    once per token, step or event sets its own, through ``set_field``.
+    """
+
+    __slots__ = ()
+    __match_args__: tuple[str, ...] = ()
+
+    def __init_subclass__(cls) -> None:
+        fields = cls.__match_args__ = tuple(f for f in cls.__slots__ if f != "__dict__")
+        key = attrgetter(*fields) if fields else type  # no fields: the class alone
+
+        def __eq__(self: Record, other: object) -> bool:
+            return key(self) == key(other) if other.__class__ is cls else NotImplemented
+
+        def __ne__(self: Record, other: object) -> bool:
+            return key(self) != key(other) if other.__class__ is cls else NotImplemented
+
+        def __hash__(self: Record) -> int:
+            return hash(key(self))
+
+        cls.__eq__, cls.__ne__, cls.__hash__ = __eq__, __ne__, __hash__
+
+    def __init__(self, *values: object) -> None:
+        fields = self.__match_args__
+        if len(values) != len(fields):
+            raise TypeError(f"{type(self).__name__} takes {len(fields)} values, not {len(values)}")
+        for name, value in zip(fields, values):
+            set_field(self, name, value)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__match_args__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self) -> tuple:
+        return type(self), tuple(getattr(self, name) for name in self.__match_args__)
 
 
 # ---------------------------------------------------------------------------
@@ -19,48 +81,52 @@ from typing import Optional, Union
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Int:
-    value: int
+class Int(Record):
+    __slots__ = ("value",)
+
+    def __init__(self, value: int) -> None:
+        set_field(self, "value", value)
 
 
-@dataclass(frozen=True)
-class Atom:
-    name: str
+class Atom(Record):
+    __slots__ = ("name",)
+
+    def __init__(self, name: str) -> None:
+        set_field(self, "name", name)
 
 
-@dataclass(frozen=True)
-class Tup:
-    items: tuple["Pattern", ...]
+class Tup(Record):
+    __slots__ = ("items",)
+
+    def __init__(self, items: tuple["Pattern", ...]) -> None:
+        set_field(self, "items", items)
 
 
-@dataclass(frozen=True)
-class Lst:
-    items: tuple["Pattern", ...]
+class Lst(Record):
+    __slots__ = ("items",)  # tuple[Pattern, ...]
 
 
-@dataclass(frozen=True)
-class PidLit:
+class PidLit(Record):
     """A pid appearing inside a message value; never equal to an atom."""
 
-    pid: str
+    __slots__ = ("pid",)
 
 
-@dataclass(frozen=True)
-class TagLit:
+class TagLit(Record):
     """A message tag appearing inside a value; never equal to an atom."""
 
-    tag: str
+    __slots__ = ("tag",)
 
 
-@dataclass(frozen=True)
-class Var:
-    name: str
+class Var(Record):
+    __slots__ = ("name",)
+
+    def __init__(self, name: str) -> None:
+        set_field(self, "name", name)
 
 
-@dataclass(frozen=True)
-class Wildcard:
-    pass
+class Wildcard(Record):
+    __slots__ = ()
 
 
 # A Term is a ground Pattern (no Var / Wildcard nodes).
@@ -102,20 +168,16 @@ def is_linear(p: Pattern) -> bool:
 CMP_OPS = ("==", "/=", "<", ">", "=<", ">=")
 
 
-@dataclass(frozen=True)
-class GTrue:
-    pass
+class GTrue(Record):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Cmp:
-    op: str  # one of CMP_OPS
-    lhs: Pattern  # Var, Int or Atom
-    rhs: Pattern
+class Cmp(Record):
+    # op is one of CMP_OPS; lhs a Var, Int or Atom; rhs a Pattern
+    __slots__ = ("op", "lhs", "rhs")
 
 
-@dataclass(frozen=True)
-class GChain:
+class GChain(Record):
     """``first op g op g ...``: the grammar's ``guard`` production, read left
     to right at one precedence level. Each pair in ``rest`` is an op
     (``"and"`` or ``"or"``) and the guard it joins to the value so far.
@@ -125,8 +187,7 @@ class GChain:
     so a guard nests no deeper than its parentheses.
     """
 
-    first: "Guard"
-    rest: tuple[tuple[str, "Guard"], ...]
+    __slots__ = ("first", "rest")  # Guard, tuple[tuple[str, Guard], ...]
 
 
 Guard = Union[GTrue, Cmp, GChain]
@@ -186,18 +247,17 @@ def _resolve(operand: Pattern, subst: Substitution) -> Term:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Clause:
-    pattern: Pattern
-    guard: Guard
+class Clause(Record):
+    __slots__ = ("pattern", "guard")
 
 
-@dataclass(frozen=True)
-class Constraint:
-    cs_id: str
-    clauses: tuple[Clause, ...]
+class Constraint(Record):
+    # __dict__ keeps text and sort_key, which are not fields
+    __slots__ = ("cs_id", "clauses", "__dict__")
 
-    def __post_init__(self) -> None:
+    def __init__(self, cs_id: str, clauses: tuple[Clause, ...]) -> None:
+        set_field(self, "cs_id", cs_id)
+        set_field(self, "clauses", clauses)
         if not self.clauses:
             raise ValueError(f"constraint {self.cs_id} has no clauses")
         for cl in self.clauses:

@@ -41,7 +41,6 @@ process's unconsumed messages, oldest first, up to its own.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
 from itertools import accumulate
 from operator import attrgetter
@@ -57,7 +56,7 @@ from .parsing import (
     sorted_names,
     tokenize,
 )
-from .terms import Constraint, Term, match, render_term
+from .terms import Constraint, Record, Term, match, render_term, set_field
 
 Pid = str
 Tag = str
@@ -68,33 +67,41 @@ Tag = str
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Spawn:
-    child: Pid
+class Spawn(Record):
+    __slots__ = ("child",)
+
+    def __init__(self, child: Pid) -> None:
+        set_field(self, "child", child)
 
 
-@dataclass(frozen=True)
-class Send:
-    tag: Tag
-    value: Term
-    target: Pid
+class Send(Record):
+    __slots__ = ("tag", "value", "target")
+
+    def __init__(self, tag: Tag, value: Term, target: Pid) -> None:
+        set_field(self, "tag", tag)
+        set_field(self, "value", value)
+        set_field(self, "target", target)
 
 
-@dataclass(frozen=True)
-class Rec:
-    tag: Tag
-    cs: Constraint
+class Rec(Record):
+    __slots__ = ("tag", "cs")
+
+    def __init__(self, tag: Tag, cs: Constraint) -> None:
+        set_field(self, "tag", tag)
+        set_field(self, "cs", cs)
 
 
 Action = Union[Spawn, Send, Rec]
 
 
-@dataclass(frozen=True, slots=True)
-class Event:
-    # slots: the explorer's queue holds an order of events per pending
-    # variant, 337 240 events at its peak on gencoll n=8
-    pid: Pid
-    action: Action
+class Event(Record):
+    # the explorer's queue holds an order of events per pending variant,
+    # 337 240 events at its peak on gencoll n=8
+    __slots__ = ("pid", "action")
+
+    def __init__(self, pid: Pid, action: Action) -> None:
+        set_field(self, "pid", pid)
+        set_field(self, "action", action)
 
 
 def render_action(a: Action) -> str:
@@ -110,22 +117,28 @@ def render_action(a: Action) -> str:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Interleaving:
-    initial: Pid
-    events: tuple[Event, ...]
+class Interleaving(Record):
+    __slots__ = ("initial", "events")  # Pid, tuple[Event, ...]
 
 
-@dataclass
 class Trace:
     """Each process's actions, in canonical pid order (``sorted_names``):
-    sorted once, when the trace is built, so what lists them sorts nothing."""
+    sorted once, when the trace is built, so what lists them sorts nothing.
+    Traces are equal iff their initial pids and their procs are."""
 
-    initial: Pid
-    procs: dict[Pid, tuple[Action, ...]]
+    __slots__ = ("initial", "procs")
 
-    def __post_init__(self) -> None:
-        self.procs = {pid: self.procs[pid] for pid in sorted_names(self.procs)}
+    def __init__(self, initial: Pid, procs: dict[Pid, tuple[Action, ...]]) -> None:
+        self.initial = initial
+        self.procs = {pid: procs[pid] for pid in sorted_names(procs)}
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.initial == other.initial and self.procs == other.procs
+
+    def __repr__(self) -> str:
+        return f"Trace(initial={self.initial!r}, procs={self.procs!r})"
 
     @classmethod
     def _in_order(cls, initial: Pid, procs: dict[Pid, tuple[Action, ...]]) -> "Trace":
@@ -147,11 +160,10 @@ class Trace:
         return serialize_trace(self)
 
 
-@dataclass(frozen=True)
-class Violation:
-    condition: str  # "1".."4" for interleavings, "a".."d" for traces
-    where: str  # e.g. "event 5" or "p3[2]"
-    detail: str
+class Violation(Record):
+    # condition: "1".."4" for interleavings, "a".."d" for traces;
+    # where: e.g. "event 5" or "p3[2]"
+    __slots__ = ("condition", "where", "detail")
 
     def __str__(self) -> str:
         return f"condition {self.condition} violated at {self.where}: {self.detail}"

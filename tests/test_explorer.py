@@ -1,10 +1,10 @@
-import dataclasses
 import functools
 
 import pytest
 from hypothesis import example, given, settings
 
 from racetrace import (
+    ExploredTrace,
     Interleaving,
     Rec,
     Trace,
@@ -150,7 +150,9 @@ def test_a_constraint_changed_under_its_id_changes_the_key():
     other = Constraint(rec.cs.cs_id, (Clause(Wildcard(), GTrue()),))
     seq = t.procs[pid]
     changed = Trace(t.initial, {**t.procs, pid: seq[:i] + (Rec(rec.tag, other),) + seq[i + 1 :]})
-    report.traces[key] = dataclasses.replace(entry, trace=changed)
+    report.traces[key] = ExploredTrace(
+        changed, entry.outcome, entry.orphans, entry.races, entry.origin
+    )
     assert distinctness_check(report) == f"trace under key {key!r} does not serialize to its key"
 
 

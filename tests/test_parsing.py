@@ -1,5 +1,4 @@
 import tracemalloc
-from dataclasses import fields
 
 import pytest
 from hypothesis import given, settings
@@ -81,7 +80,7 @@ def test_a_constraint_keeps_its_text_and_sort_key_outside_its_fields():
     assert vars(cs)["text"] is cs.text  # rendered once and kept
     fresh = parse_constraint(TokenStream(tokenize(text)))
     assert "text" not in vars(fresh) and "sort_key" not in vars(fresh)
-    assert [f.name for f in fields(cs)] == ["cs_id", "clauses"]
+    assert cs.__match_args__ == ("cs_id", "clauses")  # the record's fields
     assert cs == fresh and hash(cs) == hash(fresh) and repr(cs) == repr(fresh)
     assert {cs: 1}[fresh] == 1
 
