@@ -32,7 +32,7 @@ class Record:
     and pickle rebuild a record through its class; assigning or deleting a
     field raises AttributeError. Nothing is compiled when a class is built:
     its ``==``, ``!=`` and ``hash`` close over the class and one
-    ``attrgetter`` of its fields, as fast as dataclass's generated ones.
+    ``attrgetter`` of its fields, as fast as methods compiled per class.
     This ``__init__`` takes the fields' values in order; a record built
     once per token, step or event sets its own, through ``set_field``.
     """
