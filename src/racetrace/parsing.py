@@ -74,7 +74,6 @@ from .terms import (
     Var,
     Wildcard,
     is_ground,
-    set_field,
 )
 
 
@@ -90,13 +89,8 @@ class ParseError(Exception):
 
 
 class Token(Record):
+    # kind: "int" | "atom" | "var" | "sym" | "eof"
     __slots__ = ("kind", "text", "line", "col")
-
-    def __init__(self, kind: str, text: str, line: int, col: int) -> None:
-        set_field(self, "kind", kind)  # "int" | "atom" | "var" | "sym" | "eof"
-        set_field(self, "text", text)
-        set_field(self, "line", line)
-        set_field(self, "col", col)
 
 
 # One alternative per token class, tried in this order after whitespace;

@@ -26,9 +26,10 @@ A race variant rewrites the receive to consume the racer and erases every
 action that happened after the original receive, yielding a (usually partial)
 trace that can drive a replayed execution into a new equivalence class. What
 it erases is the receive's ``TraceIndex.cut``, one traversal per receive and
-index; the race decision, the candidate table, ``variant`` (the cut's
-projection) and ``variant_order`` all read it, and ``_kept_succ`` the edges
-it keeps. The paper's inductive ``rdep`` is the tests' reference for it.
+index; the race decision, the candidate table and ``variant_order`` all
+read it, and ``_kept_succ`` the edges it keeps. ``variant`` is the trace of
+``variant_order``'s linearization, so the variant is stated once. The
+paper's inductive ``rdep`` is the tests' reference for it.
 
 Cost: ``racers_at`` reads the receive's ``oldest_waiting`` messages, at most
 one per sender, and stops there when no other sender has one waiting.
@@ -65,7 +66,19 @@ from itertools import repeat
 from typing import Callable, NamedTuple
 
 from .causality import EventId
-from .traces import Event, Pid, Rec, Tag, Trace, TraceIndex, smallest_first, valid_index
+from .terms import Record
+from .traces import (
+    Event,
+    Interleaving,
+    Pid,
+    Rec,
+    Tag,
+    Trace,
+    TraceIndex,
+    smallest_first,
+    tr,
+    valid_index,
+)
 
 
 class CandidateCheck(NamedTuple):
@@ -95,22 +108,9 @@ class CandidateCheck(NamedTuple):
         return "forced behind another matching message in every reordering"
 
 
-class RaceReport:
+class RaceReport(Record):
+    # EventId, Tag, set[Tag], list[CandidateCheck]
     __slots__ = ("receive", "subject", "racers", "candidates")
-
-    def __init__(self, receive: EventId, subject: Tag, racers: set[Tag],
-                 candidates: list[CandidateCheck]) -> None:
-        self.receive, self.subject = receive, subject
-        self.racers, self.candidates = racers, candidates
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return all(getattr(self, f) == getattr(other, f) for f in self.__slots__)
-
-    def __repr__(self) -> str:
-        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self.__slots__)
-        return f"RaceReport({fields})"
 
 
 def racers_at(index: TraceIndex, r: int) -> set[Tag]:
@@ -294,12 +294,10 @@ def variant_order(index: TraceIndex, r: int, racer: Tag) -> tuple[Event, ...]:
 
 
 def variant(t: Trace | TraceIndex, tag: Tag, racer: Tag) -> Trace:
-    """The race variant of t that consumes `racer` at `tag`'s receive r, a
-    ``Trace`` read off r's ``cut``: each process whose spawn the cut keeps
-    (and the initial one) keeps the events r did not happen before, in t's
-    process order, and r's process ends in rec(racer)."""
+    """The race variant of t that consumes `racer` at `tag`'s receive r:
+    the trace of its linearization ``variant_order``, which ``tr`` checks
+    is a valid interleaving."""
     index = valid_index(t)
-    t = index.trace
     r = receive_of(index, tag)
     if racer not in (racers := racers_at(index, r)):
         detail = next((c.reason() for c in explain(index, r, racers) if c.tag == racer), None)
@@ -309,12 +307,4 @@ def variant(t: Trace | TraceIndex, tag: Tag, racer: Tag) -> Trace:
                 else f"no send of {racer} is addressed to {index.events[r][0]}"
             )
         raise ValueError(f"{racer} is not in the race set of {tag} ({detail})")
-    pid, _, rec = index.events[r]
-    gone = index.cut(r)
-    procs = {
-        p: tuple(a for i, a in enumerate(seq) if not gone[index.first[p] + i])
-        for p, seq in t.procs.items()
-        if p == t.initial or not gone[index.spawn_at[p]]
-    }
-    procs[pid] += (Rec(racer, rec.cs),)
-    return Trace(t.initial, procs)
+    return tr(Interleaving(index.trace.initial, variant_order(index, r, racer)))

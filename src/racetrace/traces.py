@@ -70,25 +70,13 @@ Tag = str
 class Spawn(Record):
     __slots__ = ("child",)
 
-    def __init__(self, child: Pid) -> None:
-        set_field(self, "child", child)
-
 
 class Send(Record):
-    __slots__ = ("tag", "value", "target")
-
-    def __init__(self, tag: Tag, value: Term, target: Pid) -> None:
-        set_field(self, "tag", tag)
-        set_field(self, "value", value)
-        set_field(self, "target", target)
+    __slots__ = ("tag", "value", "target")  # Tag, Term, Pid
 
 
 class Rec(Record):
-    __slots__ = ("tag", "cs")
-
-    def __init__(self, tag: Tag, cs: Constraint) -> None:
-        set_field(self, "tag", tag)
-        set_field(self, "cs", cs)
+    __slots__ = ("tag", "cs")  # Tag, Constraint
 
 
 Action = Union[Spawn, Send, Rec]
@@ -98,10 +86,6 @@ class Event(Record):
     # the explorer's queue holds an order of events per pending variant,
     # 337 240 events at its peak on gencoll n=8
     __slots__ = ("pid", "action")
-
-    def __init__(self, pid: Pid, action: Action) -> None:
-        set_field(self, "pid", pid)
-        set_field(self, "action", action)
 
 
 def render_action(a: Action) -> str:
@@ -121,24 +105,16 @@ class Interleaving(Record):
     __slots__ = ("initial", "events")  # Pid, tuple[Event, ...]
 
 
-class Trace:
+class Trace(Record):
     """Each process's actions, in canonical pid order (``sorted_names``):
     sorted once, when the trace is built, so what lists them sorts nothing.
     Traces are equal iff their initial pids and their procs are."""
 
-    __slots__ = ("initial", "procs")
+    __slots__ = ("initial", "procs")  # Pid, dict[Pid, tuple[Action, ...]]
 
     def __init__(self, initial: Pid, procs: dict[Pid, tuple[Action, ...]]) -> None:
-        self.initial = initial
-        self.procs = {pid: procs[pid] for pid in sorted_names(procs)}
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.initial == other.initial and self.procs == other.procs
-
-    def __repr__(self) -> str:
-        return f"Trace(initial={self.initial!r}, procs={self.procs!r})"
+        set_field(self, "initial", initial)
+        set_field(self, "procs", {pid: procs[pid] for pid in sorted_names(procs)})
 
     @classmethod
     def _in_order(cls, initial: Pid, procs: dict[Pid, tuple[Action, ...]]) -> "Trace":
@@ -149,7 +125,8 @@ class Trace:
         ``sorted_names`` gives them, since a name's key compares its parts'
         numbers and a shorter name sorts first."""
         t = cls.__new__(cls)
-        t.initial, t.procs = initial, procs
+        set_field(t, "initial", initial)
+        set_field(t, "procs", procs)
         return t
 
     def events(self) -> list[tuple[Pid, int, Action]]:

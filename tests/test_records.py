@@ -14,7 +14,8 @@ from pathlib import Path
 import pytest
 
 import racetrace
-from racetrace import explorer, parsing, simulator, terms, traces
+from racetrace import cli, explorer, parsing, races, simulator, terms, traces
+from racetrace.causality import EventId
 from racetrace.terms import (
     Atom,
     Clause,
@@ -35,6 +36,7 @@ CS2 = Constraint("cs2", (Clause(Var("X"), Cmp(">", Var("X"), Int(0))),))
 SEND = traces.Send("l1", Tup((Atom("val"), Int(1))), "p1.1")
 MAIN = simulator.FunDef("main", (), ())
 TRACE = traces.Trace("p1", {"p1": (SEND,), "p1.1": (traces.Rec("l1", CS1),)})
+CHECK = races.CandidateCheck("l2", "p1.2", True, False, False, None, False, True)
 
 # Two sets of field values per record, different in every field.
 SAMPLES = {
@@ -71,6 +73,11 @@ SAMPLES = {
         (traces.Trace("p1", {"p1": ()}), simulator.Outcome("deadlock", ("p1",)), ("l1",), 1,
          explorer.Origin("k1", ("p1", 0), "l1", "l2")),
     ),
+    "Trace": (("p1", TRACE.procs), ("p2", {"p2": (), "p2.1": ()})),
+    "RaceReport": (
+        (EventId("p1.1", 0), "l1", {"l2"}, [CHECK]),
+        (EventId("p1.1", 1), "l2", set(), []),
+    ),
 }
 
 
@@ -85,11 +92,11 @@ RECORDS = {cls.__name__: cls for cls in _records()}
 
 def test_every_record_has_samples_and_every_class_is_a_record_or_listed():
     assert set(RECORDS) == set(SAMPLES)
-    # the other classes: mutable state and results, named tuples, errors
-    plain = {"Trace", "TraceIndex", "TokenStream", "HbGraph", "RaceReport", "ProcState",
-             "SysState", "Alignment", "ExplorationReport", "Record"}
-    for module in (terms, parsing, traces, racetrace.causality, racetrace.races, simulator,
-                   explorer, racetrace.oracles, racetrace.cli):
+    # the other classes: mutable state, named tuples, errors
+    plain = {"TraceIndex", "TokenStream", "HbGraph", "ProcState", "SysState", "Alignment",
+             "ExplorationReport", "Record"}
+    for module in (terms, parsing, traces, racetrace.causality, races, simulator, explorer,
+                   racetrace.oracles, cli):
         for name, cls in vars(module).items():
             if inspect.isclass(cls) and cls.__module__ == module.__name__:
                 assert name in RECORDS or name in plain or issubclass(cls, (Exception, tuple)), name
@@ -110,7 +117,7 @@ def test_a_record_keeps_the_contract(name):
         assert record != changed and not record == changed, cls.__match_args__[i]
     try:
         hash(a)
-    except TypeError:  # a dict or a Trace among the fields, as with a dataclass
+    except TypeError:  # a dict, set, list or Trace among the fields
         with pytest.raises(TypeError):
             hash(record)
     else:
@@ -129,7 +136,8 @@ def test_a_record_keeps_the_contract(name):
 def test_records_of_other_classes_with_the_same_fields_differ():
     for (n1, c1), (n2, c2) in itertools.combinations(sorted(RECORDS.items()), 2):
         values = SAMPLES[n1][0]
-        if len(c2.__match_args__) == len(values) and n2 != "Constraint":
+        # Constraint validates its values, Trace reads procs as a mapping
+        if len(c2.__match_args__) == len(values) and n2 not in ("Constraint", "Trace"):
             assert c1(*values) != c2(*values) and not c1(*values) == c2(*values), (n1, n2)
     strings = [Atom("a"), Var("a"), PidLit("a"), TagLit("a")]
     assert all(x != y for x, y in itertools.combinations(strings, 2))
@@ -137,13 +145,34 @@ def test_records_of_other_classes_with_the_same_fields_differ():
 
 
 def test_a_record_is_built_from_exactly_its_fields():
-    with pytest.raises(TypeError):
-        terms.Cmp("<", Var("X"))
-    with pytest.raises(TypeError):
-        terms.Lst((), ())
     assert simulator.Outcome("completed").blocked == ()
     with pytest.raises(ValueError, match="no clauses"):
         Constraint("cs1", ())
+
+
+OWN_INIT = {"Constraint", "Outcome", "Trace"}  # validates, has a default, sorts
+
+
+def test_only_a_record_that_validates_defaults_or_sorts_defines_a_constructor():
+    own = {n for n, c in RECORDS.items() if "def __init__(" in inspect.getsource(c)}
+    assert own == OWN_INIT
+    assert "__init__" not in vars(Record)
+    assert all(c.__init__.__qualname__ == f"{n}.__init__" for n, c in RECORDS.items())
+    with pytest.raises(TypeError, match="at most 5"):
+        type("Six", (Record,), {"__slots__": tuple("abcdef")})
+
+
+@pytest.mark.parametrize("name", sorted(set(SAMPLES) - OWN_INIT))
+def test_a_record_takes_its_fields_in_order_by_position_only(name):
+    cls = RECORDS[name]
+    a = SAMPLES[name][0]
+    with pytest.raises(TypeError):
+        cls(*a, None)
+    if a:
+        with pytest.raises(TypeError):
+            cls(*a[:-1])
+        with pytest.raises(TypeError):
+            cls(**dict(zip(cls.__match_args__, a)))
 
 
 def test_a_record_prints_as_name_and_fields():
