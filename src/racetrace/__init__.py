@@ -30,12 +30,14 @@ from .terms import (
 from .parsing import ParseError, name_sort_key
 from .traces import (
     Event,
+    EventId,
     Interleaving,
     Rec,
     Send,
     Spawn,
     Trace,
     Violation,
+    linearize,
     parse_interleaving,
     parse_trace,
     serialize_interleaving,
@@ -44,13 +46,7 @@ from .traces import (
     validate_interleaving,
     validate_trace,
 )
-from .causality import (
-    EventId,
-    HbGraph,
-    causally_equivalent,
-    hb_graph,
-    linearize,
-)
+from .causality import HbGraph, causally_equivalent, hb_graph
 from .races import (
     CandidateCheck,
     RaceReport,

@@ -1,9 +1,9 @@
-"""Happened-before graphs, linearization and causal equivalence.
+"""Happened-before graphs and causal equivalence.
 
-Events are addressed as ``(pid, index)`` pairs, where the index is the
-position of the action in that process's sequence. The happened-before
-relation is generated by program order, spawn-before-child and
-send-before-receive edges, closed transitively; two events are
+Events are addressed as ``traces.EventId`` pairs ``(pid, index)``, where
+the index is the position of the action in that process's sequence. The
+happened-before relation is generated by program order, spawn-before-child
+and send-before-receive edges, closed transitively; two events are
 independent when ``HbGraph.reach`` holds neither way.
 
 Besides happened-before edges, valid linearizations respect *ordering
@@ -11,18 +11,18 @@ constraints*: for a receive of message L, every other matching send to the
 same process that is not consumed earlier must be scheduled after L's send
 (otherwise the receive would not take the oldest matching message). These
 constraints are not part of happened-before — the events involved are
-causally independent — but they take part in cycle checks and
-``linearize``, through ``TraceIndex.succ``.
+causally independent — but they take part in cycle checks and in
+``traces.linearize``, through ``TraceIndex.succ``.
 
 Everything here is computed from one ``TraceIndex`` per call, validated once:
-each function takes a trace or an index ``valid_index`` returned.
-``HbGraph`` is a view of that index: it adds only the event ids, lists the
-edges and the pairs ``racetrace hb`` prints in event-number order, answers
-``reach`` and ``pairs`` with ``TraceIndex.after`` and ``find_cycle`` with
-the cycle search of validation. ``linearize`` is ``traces.smallest_first`` over
-event numbers, which order events by ``(name_sort_key(pid), pid, index)``;
-the same Kahn pass orders a race variant, so a variant's order is its
-trace's linearization.
+each function takes a trace or an index ``valid_index`` returned, and reads
+only ``racetrace.traces``. ``HbGraph`` is a view of that index: it adds only
+the event ids, lists the edges and the pairs ``racetrace hb`` prints in
+event-number order, answers ``reach`` and ``pairs`` with
+``TraceIndex.after`` and ``find_cycle`` with the cycle search of
+validation. ``hb_graph`` validates and then builds the graph with
+``hb_graph_unchecked``, the one builder. ``EventId`` and ``linearize`` are
+defined in ``traces`` and re-exported here under the same names.
 
 ``causally_equivalent`` decides equivalence by trace equality. The
 brute-force references, all of sched(t), the swap search and the closure
@@ -32,25 +32,19 @@ of happened-before over event pairs, are in ``racetrace.oracles``.
 from __future__ import annotations
 
 import itertools
-from typing import Iterator, NamedTuple, Optional
+from typing import Iterator, Optional
 
 from .traces import (
-    Event,
-    Interleaving,
+    EventId,
     Rec,
     Spawn,
     Trace,
     TraceIndex,
     first_cycle,
-    smallest_first,
+    linearize,
     tr,
     valid_index,
 )
-
-
-class EventId(NamedTuple):
-    pid: str
-    index: int
 
 
 class HbGraph:
@@ -109,42 +103,14 @@ class HbGraph:
         return None if cycle is None else [self.nodes[k] for k in cycle]
 
 
-def _graph(index: TraceIndex) -> HbGraph:
+def hb_graph_unchecked(t: Trace | TraceIndex) -> HbGraph:
+    """The graph of a trace, or of its index, without validating it."""
+    index = t if isinstance(t, TraceIndex) else TraceIndex(t)
     return HbGraph(index, [EventId(pid, i) for pid, i, _ in index.events])
 
 
-def hb_graph_unchecked(t: Trace) -> HbGraph:
-    """Build the graph without validating the trace first.
-
-    No library code calls it; it stays as the name the benchmark's span
-    for graph building is bound to."""
-    return _graph(TraceIndex(t))
-
-
 def hb_graph(t: Trace | TraceIndex) -> HbGraph:
-    return _graph(valid_index(t))
-
-
-# ---------------------------------------------------------------------------
-# Linearization
-# ---------------------------------------------------------------------------
-
-
-def _to_interleaving(index: TraceIndex, order: list[int]) -> Interleaving:
-    events = index.events
-    return Interleaving(
-        index.trace.initial, tuple(Event(events[v][0], events[v][2]) for v in order)
-    )
-
-
-def linearize(t: Trace | TraceIndex) -> Interleaving:
-    """Deterministic linearization: always the smallest ready event, ties
-    broken by smallest pid, then index."""
-    index = valid_index(t)
-    order = smallest_first(index.succ, range(len(index.events)))
-    if len(order) != len(index.events):
-        raise ValueError("trace graph is cyclic")  # unreachable on valid traces
-    return _to_interleaving(index, order)
+    return hb_graph_unchecked(valid_index(t))
 
 
 # ---------------------------------------------------------------------------

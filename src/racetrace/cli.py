@@ -163,8 +163,8 @@ def _racer_brace_list(tags) -> str:
 def cmd_races(args) -> int:
     index = _require_valid_trace(args.file)
     tag = args.message
-    try:  # index.clause is keyed by the receives, in event order
-        receives = list(index.clause) if tag is None else [receive_of(index, tag)]
+    try:
+        receives = index.receives if tag is None else [receive_of(index, tag)]
     except ValueError as exc:
         raise CliError(str(exc), FAIL) from exc
     for r in receives:

@@ -70,7 +70,7 @@ from .simulator import (
     run_random,
 )
 from .terms import Record
-from .traces import Event, Pid, Rec, Tag, Trace, valid_index
+from .traces import Event, Pid, Tag, Trace, valid_index
 
 
 class Origin(Record):
@@ -79,8 +79,8 @@ class Origin(Record):
 
 class ExploredTrace(Record):
     """One explored trace: how its run ended, its orphan tags in canonical
-    order, how many (receive, racer) pairs its races gave, and the variant
-    it was replayed from (None for the seed run)."""
+    order, its racers at the receives ``explore`` examined (a skipped one
+    adds none), and the variant it was replayed from (None for the seed run)."""
 
     __slots__ = ("trace", "outcome", "orphans", "races", "origin")
 
@@ -173,9 +173,8 @@ def explore(
             replaced = index.first[rpid] + ridx
         added = [index.first[p] + n for p, n in shared.items() if len(t.procs[p]) > n]
         count = 0
-        for r, (pid, idx, a) in enumerate(index.events):
-            if not isinstance(a, Rec):
-                continue
+        for r in index.receives:
+            pid, idx, a = index.events[r]
             repeats = False  # every added event is r or happened after r
             if idx < shared.get(pid, 0) or r == replaced:
                 cut = index.cut(r)

@@ -63,8 +63,7 @@ def enumerate_linearizations(t: Trace | TraceIndex, cap: int = 10000) -> list[In
         if k == 0 and len(order) == len(succ):
             if len(out) >= cap:
                 raise ValueError(f"more than {cap} linearizations")
-            steps = (Event(index.events[v][0], index.events[v][2]) for v in order)
-            out.append(Interleaving(index.trace.initial, tuple(steps)))
+            out.append(index.interleaving(order))
         if k == len(ready):
             frames.pop()
             if order:

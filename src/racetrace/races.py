@@ -56,7 +56,9 @@ still take most of ``all_races``'s time, about two thirds of it in the
 cyclic garbage collector, which walks every row. A variant's replay order
 is ``variant_order``, read off the same index with the one canonical order
 ``traces.smallest_first``, so a replay needs neither a new index nor a
-validation.
+validation. Everything here reads ``racetrace.traces`` (and ``terms``):
+``all_races`` walks ``TraceIndex.receives``, and reports name a receive by
+``traces.EventId``.
 """
 
 from __future__ import annotations
@@ -65,10 +67,10 @@ from bisect import bisect_right
 from itertools import repeat
 from typing import Callable, NamedTuple
 
-from .causality import EventId
 from .terms import Record
 from .traces import (
     Event,
+    EventId,
     Interleaving,
     Pid,
     Rec,
@@ -241,11 +243,7 @@ def race_set(t: Trace | TraceIndex, tag: Tag) -> RaceReport:
 def all_races(t: Trace | TraceIndex) -> list[RaceReport]:
     """One report per receive event, in process order then index order."""
     index = valid_index(t)
-    return [
-        race_report(index, r)
-        for r, (_, _, a) in enumerate(index.events)
-        if isinstance(a, Rec)
-    ]
+    return [race_report(index, r) for r in index.receives]
 
 
 def orphans(t: Trace | TraceIndex) -> set[Tag]:

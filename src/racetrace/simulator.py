@@ -15,9 +15,11 @@ oldest mailbox message matching its constraint.
 Replay is one loop, ``replay_order``: it steps a state along a logged
 order, checking each action against the program, and raises
 ``DivergenceError`` at the first it does not perform. ``replay_prefix``
-runs the ``linearize`` order of a trace or of its index, validated once,
-from ``initial_state`` with the log's names aligned to the simulator's;
-the explorer replays each variant's order from ``initial_state`` too.
+runs the ``traces.linearize`` order of a trace or of its index, validated
+once, from ``initial_state`` with the log's names aligned to the
+simulator's; the explorer replays each variant's order from
+``initial_state`` too. The simulator reads ``parsing``, ``terms`` and
+``traces`` only.
 
 A state is the program and its processes, in canonical pid order: on the
 simulator's names the spawn tree's preorder, so a new child ``P.k`` goes
@@ -77,8 +79,9 @@ from .terms import (
     render_term,
     set_field,
 )
-from .causality import linearize
-from .traces import Action, Event, Pid, Rec, Send, Spawn, Tag, Trace, TraceIndex, render_action
+from .traces import (
+    Action, Event, Pid, Rec, Send, Spawn, Tag, Trace, TraceIndex, linearize, render_action
+)
 
 
 class ProgramError(Exception):

@@ -27,9 +27,15 @@ valid interleaving is such an order. An interleaving s is in sched(t) iff
 are in ``racetrace.oracles``.
 
 Trace-level work goes through a ``TraceIndex``, built once per trace in
-O(N): events numbered once, sends and receives by tag, per-target send lists
+O(N): events numbered once, the receives in event order
+(``TraceIndex.receives``), sends and receives by tag, per-target send lists
 and integer hb adjacency lists; ``valid_index`` alone validates it, and
-every trace-level analysis takes a trace or the index it returned. Which
+every trace-level analysis takes a trace or the index it returned. An event
+is addressed as an ``EventId``, its pid and its position in that process.
+``TraceIndex.interleaving`` is the one step from an order of event numbers
+to an ``Interleaving``, and ``linearize`` the one canonical linearization:
+``smallest_first`` over ``TraceIndex.succ``. ``causality``, ``races`` and
+the simulator read these from here and none of each other. Which
 receive took each message is stated once, in ``TraceIndex.taken_by``. The
 mailbox rule is stated once, in ``TraceIndex.oldest_waiting``; validation
 conditions (c) and (d), the ordering edges of ``TraceIndex.succ`` and the
@@ -200,12 +206,11 @@ def validate_interleaving(s: Interleaving) -> Optional[Violation]:
                     f"value {render_term(send.value)} does not match {a.cs.cs_id}",
                 )
             received.add(a.tag)
-            # condition 3: no older matching message is still in the mailbox
+            # condition 3: the oldest message in the mailbox that matches is a.tag
             box = mailbox[ev.pid]
-            for other, value in box.items():
-                if other == a.tag:
-                    break
-                if late is None and match(value, a.cs):
+            if late is None:
+                other = next(o for o, value in box.items() if o == a.tag or match(value, a.cs))
+                if other != a.tag:
                     late = Violation(
                         "3",
                         f"event {j}",
@@ -234,6 +239,11 @@ def tr(s: Interleaving) -> Trace:
 # ---------------------------------------------------------------------------
 
 
+class EventId(NamedTuple):
+    pid: str
+    index: int
+
+
 class TableHeader(NamedTuple):
     """The columns of a receiver's candidate tables that do not depend on
     the receive: per send addressed to it, in table order, its event
@@ -256,6 +266,7 @@ class TraceIndex:
     does. Construction is O(N) and holds:
 
     * ``events``: ``(pid, index, action)`` per event number;
+    * ``receives``: the event numbers of the receives, ascending;
     * ``send_at`` / ``rec_at`` / ``spawn_at``: the first send / receive of
       each tag, and the first spawn of each child;
     * ``sends_to``: per target pid, per sender pid (both in event order),
@@ -289,6 +300,7 @@ class TraceIndex:
         self.rec_at: dict[Tag, int] = {}
         self.spawn_at: dict[Pid, int] = {}
         self.sends_to: dict[Pid, dict[Pid, list[int]]] = {}
+        self.receives: list[int] = []
         self.clause: dict[int, int] = {}
         ids: dict[tuple, int] = {}
         for v, (pid, _, a) in enumerate(events):
@@ -296,6 +308,7 @@ class TraceIndex:
                 self.send_at.setdefault(a.tag, v)
                 self.sends_to.setdefault(a.target, {}).setdefault(pid, []).append(v)
             elif isinstance(a, Rec):
+                self.receives.append(v)
                 self.rec_at.setdefault(a.tag, v)
                 self.clause[v] = ids.setdefault(a.cs.clauses, len(ids))
             elif isinstance(a, Spawn):
@@ -327,6 +340,12 @@ class TraceIndex:
     def orphans(self) -> set[Tag]:
         """Tags that are sent but never received."""
         return set(self.send_at) - set(self.rec_at)
+
+    def interleaving(self, order: Iterable[int]) -> Interleaving:
+        """The events numbered `order`, in that order, as an interleaving."""
+        events = self.events
+        steps = (Event(events[v][0], events[v][2]) for v in order)
+        return Interleaving(self.trace.initial, tuple(steps))
 
     def matches(self, s: int, r: int) -> bool:
         """Send s's value matches receive r's constraint. ``terms.match`` is
@@ -597,6 +616,18 @@ def valid_index(t: Union[Trace, TraceIndex]) -> TraceIndex:
         raise ValueError(f"invalid trace: {bad}")
     index._valid = True
     return index
+
+
+def linearize(t: Union[Trace, TraceIndex]) -> Interleaving:
+    """Deterministic linearization: always the smallest ready event, ties
+    broken by smallest pid, then index. Event numbers order events so, and
+    the same ``smallest_first`` pass orders a race variant, so a variant's
+    order is its trace's linearization."""
+    index = valid_index(t)
+    order = smallest_first(index.succ, range(len(index.events)))
+    if len(order) != len(index.events):
+        raise ValueError("trace graph is cyclic")  # unreachable on valid traces
+    return index.interleaving(order)
 
 
 # ---------------------------------------------------------------------------

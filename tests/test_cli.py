@@ -101,9 +101,11 @@ def test_parse_error_is_usage(tmp_path, capsys):
          "2:16: variables are not allowed in a ground term"),
         (f"trace {{ initial: p1\n  p1: send(l1, {{val,{'7' * 5000}}}, p1) }}\n",
          f"2:21: integer literal longer than {sys.get_int_max_str_digits()} digits"),
+        ("trace { initial: p1\n  p1: ε }\nconstraints { cs1: X when X -> . }\n",
+         "3:29: expected a comparison operator, found '->'"),
     ],
     ids=["duplicate-constraint-id", "trailing-input", "unknown-action", "variable-in-value",
-         "long-integer"],
+         "long-integer", "guard-without-comparison"],
 )
 def test_document_parse_errors_name_their_position(tmp_path, capsys, text, message):
     path = tmp_path / "bad.trace"

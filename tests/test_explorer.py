@@ -4,8 +4,10 @@ import pytest
 from hypothesis import example, given, settings
 
 from racetrace import (
+    DivergenceError,
     ExploredTrace,
     Interleaving,
+    Origin,
     Rec,
     Trace,
     distinctness_check,
@@ -453,3 +455,47 @@ def test_distinctness_check_reports_duplicates_and_foreign_keys(progb):
     assert distinctness_check(report) == (
         "trace under key 'not a key' does not serialize to its key"
     )
+
+
+@pytest.mark.parametrize(
+    "at, message",
+    [
+        (("p1.1", 99), "replaced receive p1.1[99] missing in trace or parent"),
+        (("p1", 0), "trace derived from X->Y does not differ from its parent at p1[0]"),
+    ],
+)
+def test_distinctness_check_reports_a_replaced_receive_that_is_missing_or_unchanged(
+    at, message
+):
+    report = explore(parse_program(workloads.gencoll_program(3, 1)), seed=1)
+    key, entry = next((k, e) for k, e in report.traces.items() if e.origin)
+    o = entry.origin
+    moved = Origin(o.parent_key, at, o.old_tag, o.new_tag)
+    report.traces[key] = ExploredTrace(
+        entry.trace, entry.outcome, entry.orphans, entry.races, moved
+    )
+    assert distinctness_check(report) == message.replace("X->Y", f"{o.old_tag}->{o.new_tag}")
+
+
+def test_a_variant_whose_replay_diverges_is_counted_and_skipped(monkeypatch):
+    def diverge(sys, order, align=None):
+        raise DivergenceError(0, "the program does not follow it")
+
+    monkeypatch.setattr(explorer_module, "replay_order", diverge)
+    report = explore(parse_program(workloads.gencoll_program(3, 1)), seed=1)
+    assert report.divergences == report.variants_enqueued == 3
+    assert len(report.traces) == 1
+    assert "replay divergences: 3\n" in report.render()
+
+
+def test_a_trace_counts_the_racers_of_the_receives_it_examines():
+    """``ExploredTrace.races`` counts racers at the receives ``record``
+    examines; a receive the shared-prefix rule skips adds none."""
+    report = explore(parse_program(workloads.gencoll_program(4, 1)), seed=1)
+    counts = []
+    for entry in report.traces.values():
+        index = valid_index(entry.trace)
+        counts.append((entry.races, sum(len(racers_at(index, r)) for r in index.receives)))
+    assert counts[0][0] == counts[0][1]  # the seed run examines every receive
+    assert all(races <= full for races, full in counts)
+    assert any(races < full for races, full in counts)

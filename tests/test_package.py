@@ -3,6 +3,7 @@ import types
 from pathlib import Path
 
 import racetrace
+from racetrace import causality, traces
 
 SOURCES = Path(racetrace.__file__).parent
 ORACLES = {
@@ -73,3 +74,16 @@ def test_fast_path_does_not_import_oracles():
     oracles = _tree("oracles")
     assert ORACLES <= _defined_names(oracles)
     assert not {"races", "explorer", "causality"} & _imported_modules(oracles)
+
+
+def test_each_analysis_reads_the_trace_layer_and_none_of_the_others():
+    package = {path.stem for path in SOURCES.glob("*.py")} - {"__init__"}
+    allowed = {
+        "causality": {"traces"},
+        "races": {"terms", "traces"},
+        "simulator": {"parsing", "terms", "traces"},
+    }
+    for module, imports in allowed.items():
+        assert _imported_modules(_tree(module)) & package == imports, module
+    assert causality.linearize is traces.linearize
+    assert causality.EventId is traces.EventId

@@ -239,6 +239,14 @@ def test_long_guard_chain_round_trips(ops, length):
     assert repr(cs).startswith("Constraint(cs_id='cs1', clauses=(Clause(")
 
 
+def test_true_inside_a_guard_chain_round_trips():
+    text = (
+        "trace { initial: p1\n  p1: send(l1, {val,2}, p1), rec(l1, cs1) }\n"
+        "constraints { cs1: {val,X} when X > 1 and true -> . }\n"
+    )
+    assert serialize_trace(parse_trace(text)) == text
+
+
 def test_nonlinear_pattern_rejected_in_constraint():
     with pytest.raises(ParseError):
         parse_constraint(TokenStream(tokenize("c: {A,A} -> .")))

@@ -94,6 +94,12 @@ def test_unbound_variable_rejected():
         parse_program("program { main f\n def f() { send Y to <p1> } }")
 
 
+def test_wildcard_value_rejected():
+    with pytest.raises(ProgramError) as err:
+        parse_program("program { main main\n def main() { send _ to C } }")
+    assert str(err.value) == "main: wildcard is not a value expression"
+
+
 def test_receive_binding_scopes_into_clause_body():
     parse_program(
         "program { main f\n"
