@@ -1,13 +1,14 @@
 """Tokenizer and parsers for the textual term / constraint syntax.
 
-The grammar (shared by trace, interleaving and program files), over tokens
-that ``tokenize`` reads one line at a time, skipping whitespace
-(``str.isspace``; only ``\\n`` ends a line) and ``%`` comments:
+The grammar (shared by trace, interleaving and program files), over the
+tokens that one ``re.findall`` of ``_TOKEN`` reads from the whole text,
+skipping whitespace (``str.isspace``) and ``%`` comments:
 
     INT        ::= ["-"] digit+                  (digit: str.isdecimal)
     ATOM | VAR ::= letter (alnum | "_")*         (letter: str.isalpha; VAR
                                                   if it is upper case)
     VAR        ::= "_" (alnum | "_")+            (alnum: str.isalnum)
+    NAME       ::= ATOM ("." digit+)*            (one token)
     SYM        ::= "->" | "==" | "/=" | "=<" | ">=" | one of {}[]()<>,;:.#=_
 
     term       ::= INT | ATOM | "{" terms "}" | "[" terms "]"
@@ -22,10 +23,6 @@ that ``tokenize`` reads one line at a time, skipping whitespace
     entries    ::= (pid ":" ("ε" | action ("," action)*))*
     constraints ::= "constraints" "{" (constraint [";"])* "}"
 
-No text is spelled by two token kinds, so a parser asks for a token by its
-text. It tests a kind only where no text decides: an identifier, the end of
-the input, and where a rule branches on an integer, a variable or an atom.
-
 A document is a trace (KEYWORD ``trace``) or an interleaving
 (``interleaving``). Its actions are ``spawn(pid)``, ``send(tag, term,
 pid)`` and ``rec(tag, CSID)``; each receive's CSID resolves against the
@@ -39,21 +36,26 @@ gatom) pairs that follow. A parenthesized chain in first place is spliced
 in (``(A and B) or C`` is ``A and B or C``); elsewhere it stays one operand,
 so the stored guard nests only as deep as its parentheses.
 
-A character that starts no token is a ``ParseError`` "unexpected
-character" at its line and column, both counted from 1 in characters; an
-integer literal past Python's limit on ``int()`` of a digit string is one at
-the literal. Pid names look like ``p1`` or ``p1.2``; tag names are
-either dotted names (``p3.1``) or plain identifiers (``l1``). Tuples and lists
-nest at most ``MAX_NESTING`` (100) deep in a term or pattern, and
-parentheses at most as deep in a guard; a deeper one is a ``ParseError`` at
-the opening bracket or parenthesis past the limit.
+Pid names look like ``p1`` or ``p1.2``; tag names are either dotted names
+(``p3.1``) or plain identifiers (``l1``). ``pidname`` and ``tagname`` read
+a dotted name as one token, and a dot written apart (``p1 . 2``, ``p1.-2``)
+one part at a time. Anywhere else a dotted word, a VAR head included, reads
+as its parts: ``def f.1(`` is refused at the dot.
+
+Positions are worked out only for an error. A ``ParseError`` has the line
+and column of its token, both counted from 1 in characters, and only ``\\n``
+ends a line. A character that starts no token is one ("unexpected
+character"), and so is an integer literal past Python's limit on ``int()``
+of a digit string. Tuples and lists nest at most ``MAX_NESTING`` (100) deep
+in a term or pattern, and parentheses at most as deep in a guard; a deeper
+one is a ``ParseError`` at the opening bracket or parenthesis past the limit.
 """
 
 from __future__ import annotations
 
 import re
 import sys
-from typing import Callable, Iterable, TypeVar
+from typing import Callable, Iterable, Optional, TypeVar
 
 from .terms import (
     CMP_OPS,
@@ -83,94 +85,111 @@ T = TypeVar("T")
 class ParseError(Exception):
     def __init__(self, message: str, line: int, col: int):
         super().__init__(f"{line}:{col}: {message}")
-        self.message = message
-        self.line = line
-        self.col = col
+        self.message, self.line, self.col = message, line, col
 
 
 class Token(Record):
-    # kind: "int" | "atom" | "var" | "sym" | "eof"
+    # kind: "int" | "atom" | "var" | "name" | "sym" | "eof"
     __slots__ = ("kind", "text", "line", "col")
 
 
-# One alternative per token class, tried in this order after whitespace;
-# ``bad`` is any other character, ``end`` the end of the line.
+# After whitespace and comments: a token (first the one-character symbols
+# that start no longer one), else a character no token takes, else the end.
 _TOKEN = re.compile(
-    r"""\s*(?:
-        (?P<comment> %.* )
-      | (?P<int> -?\d+ )
-      | (?P<word> [^\W\d_]\w* )
-      | (?P<var> _\w+ )
-      | (?P<sym> -> | == | /= | =< | >= | [{}\[\]()<>,;:.\#=_] )
-      | (?P<bad> . )
-      | (?P<end> $ )
+    r"""\s*(?:%[^\n]*\s*)*(
+        [{}\[\](),;:.\#] | [^\W\d_]\w*(?:\.\d+)* | -?\d+ | _\w+
+      | -> | == | /= | =< | >= | [<>=_] | . | \Z
     )""",
     re.VERBOSE,
 )
+_SYMS = {"->", "==", "/=", "=<", ">=", *"{}[]()<>,;:.#=_"}
+
+
+def _kind(text: str) -> Optional[str]:
+    """A token text's kind; None for a character that starts no token (\\w
+    also takes numerals that are not letters, such as '²')."""
+    head = text[:1]
+    if text in _SYMS:
+        return "sym"
+    if head.isalpha():
+        return "name" if "." in text else "var" if head.isupper() else "atom"
+    if head.isdecimal() or head == "-" and text != "-":
+        return "int"
+    return "var" if head == "_" else None if text else "eof"
 
 
 def tokenize(text: str) -> list[Token]:
+    """The scan with each token's kind and position, for diagnostics and
+    tests; eof sits at a comment that ends the last line, if there is one."""
     toks: list[Token] = []
-    for line, source in enumerate(text.split("\n"), 1):
-        pos = 0
-        while True:
-            m = _TOKEN.match(source, pos)
-            kind = m.lastgroup
-            col = m.start(kind) + 1
-            if kind in ("comment", "end"):
-                break
-            lexeme = m[kind]
-            # \w also takes numerals that are not letters, such as '²'
-            if kind == "word" and lexeme[0].isalpha():
-                kind = "var" if lexeme[0].isupper() else "atom"
-            elif kind in ("word", "bad"):
-                raise ParseError(f"unexpected character {lexeme[0]!r}", line, col)
-            toks.append(Token(kind, lexeme, line, col))
-            pos = m.end()
-    toks.append(Token("eof", "", line, col))
+    line, line_start = 1, 0
+    for m in _TOKEN.finditer(text):
+        skip, start, lexeme = m.start(), m.start(1), m[1]
+        if newlines := text.count("\n", skip, start):
+            line += newlines
+            line_start = text.rfind("\n", skip, start) + 1
+        if not lexeme:
+            break
+        if (kind := _kind(lexeme)) is None:
+            raise ParseError(f"unexpected character {lexeme[0]!r}", line, start - line_start + 1)
+        toks.append(Token(kind, lexeme, line, start - line_start + 1))
+    comment = text.find("%", max(skip, line_start))
+    toks.append(Token("eof", "", line, (start if comment < 0 else comment) - line_start + 1))
     return toks
 
 
 class TokenStream:
-    """A parser's cursor: ``at``, ``accept`` and ``expect`` ask for a token
-    by its text, which one kind alone spells. Kind tests stay where no text
-    decides: ``expect_atom`` (any identifier) and ``expect_eof``."""
+    """A parser's cursor: each token's text in ``texts`` (eof is ""), each
+    distinct text's kind in ``kinds``. No text has two kinds, so a parser asks
+    for a token by its text, and tests its kind only where no text decides. A
+    dotted word (kind "name") is one token to ``parse_dotted_name`` only:
+    anything else that looks at it splits it in ``texts`` into its parts."""
 
-    def __init__(self, tokens: list[Token]):
-        # two more copies of the final eof, so that peek(ahead) for
-        # ahead <= 2 is one index
-        self.tokens = tokens + tokens[-1:] * 2
+    def __init__(self, text: str):
+        texts = _TOKEN.findall(text)
+        self.kinds = {t: _kind(t) for t in set(texts)}
+        if None in self.kinds.values():
+            tokenize(text)  # raises at the first character that starts no token
+        self.text = text
+        self.texts = texts + ["", ""]  # so that peek(ahead) for ahead <= 2 is one index
         self.pos = 0
 
-    def peek(self, ahead: int = 0) -> Token:
-        """The token `ahead` places on (at most 2); eof past the end."""
-        return self.tokens[self.pos + ahead]
+    def peek(self, ahead: int = 0) -> str:
+        """The text `ahead` (at most 2) places on; look at those before it first."""
+        i = self.pos + ahead
+        if self.kinds[self.texts[i]] == "name":
+            parts = re.split(r"(\.)", self.texts[i])
+            self.texts[i : i + 1] = parts
+            self.kinds.update((part, _kind(part)) for part in parts)
+        return self.texts[i]
 
-    def next(self) -> Token:
-        tok = self.peek()
-        if tok.kind != "eof":
-            self.pos += 1
-        return tok
+    def next(self) -> str:
+        """The text of the token just looked at, read past."""
+        self.pos += 1
+        return self.texts[self.pos - 1]
 
     def at(self, text: str) -> bool:
-        return self.peek().text == text
+        # a dotted word is at its first part's text, split first
+        t = self.texts[self.pos]
+        return t == text or "." in t and t.startswith(text + ".") and self.peek() == text
 
     def accept(self, text: str) -> bool:
-        if self.at(text):
-            self.next()
-            return True
-        return False
+        t = self.texts[self.pos]
+        found = t == text or "." in t and self.at(text)
+        self.pos += found
+        return found
 
-    def expect(self, text: str) -> Token:
-        if not self.at(text):
-            raise self.error(f"expected {text!r}, found {self.peek().text!r}")
-        return self.next()
+    def expect(self, text: str) -> None:
+        if self.texts[self.pos] != text and not self.at(text):
+            raise self.error(f"expected {text!r}, found {self.peek()!r}")
+        self.pos += 1
 
-    def expect_atom(self) -> Token:
-        tok = self.peek()
-        if tok.kind != "atom":
-            raise self.error(f"expected an identifier, found {tok.text!r}")
-        return self.next()
+    def expect_atom(self) -> str:
+        text = self.peek()
+        if self.kinds[text] != "atom":
+            raise self.error(f"expected an identifier, found {text!r}")
+        self.pos += 1
+        return text
 
     def sep_list(self, item: Callable[[TokenStream], T], close: str, sep: str = ",") -> list[T]:
         """``item (sep item)* close``, or ``close`` alone."""
@@ -183,12 +202,20 @@ class TokenStream:
         return items
 
     def expect_eof(self) -> None:
-        if self.peek().kind != "eof":
-            raise self.error(f"unexpected trailing input {self.peek().text!r}")
+        if self.texts[self.pos]:
+            raise self.error(f"unexpected trailing input {self.peek()!r}")
 
-    def error(self, message: str) -> ParseError:
-        tok = self.peek()
-        return ParseError(message, tok.line, tok.col)
+    def error(self, message: str, at: Optional[int] = None) -> ParseError:
+        """A ParseError at ``texts[at]`` (default: the next), placed by ``tokenize``."""
+        i, k = self.pos if at is None else at, 0
+        for tok in tokenize(self.text):
+            col, end = tok.col, tok.col + len(tok.text)
+            while k < i and col < end:
+                col += len(self.texts[k])
+                k += 1
+            if k == i and col < end:
+                break
+        return ParseError(message, tok.line, col)
 
 
 # ---------------------------------------------------------------------------
@@ -197,13 +224,17 @@ class TokenStream:
 
 
 def parse_dotted_name(ts: TokenStream) -> str:
-    """A pid or tag name: identifier optionally followed by .k segments."""
-    head = ts.expect_atom()
-    parts = [head.text]
-    while ts.at(".") and ts.peek(1).kind == "int":
+    """A pid or tag name: identifier optionally followed by .k segments,
+    one token unless a dot is written apart (``p1 . 2``, ``p1.-2``)."""
+    name = ts.texts[ts.pos]
+    if ts.kinds[name] == "name" and not name[0].isupper():
+        ts.pos += 1
+    else:
+        name = ts.expect_atom()
+    while ts.at(".") and ts.kinds[ts.peek(1)] == "int":
         ts.next()
-        parts.append(ts.next().text)
-    return ".".join(parts)
+        name += "." + ts.next()
+    return name
 
 
 def name_sort_key(name: str) -> tuple:
@@ -245,50 +276,45 @@ def sorted_names(names: Iterable[str]) -> list[str]:
 MAX_NESTING = 100
 
 
-def parse_pattern(ts: TokenStream) -> Pattern:
-    return _parse_pattern(ts, 0)
-
-
-def _parse_pattern(ts: TokenStream, depth: int) -> Pattern:
+def parse_pattern(ts: TokenStream, depth: int = 0) -> Pattern:
     """A pattern inside `depth` open tuples and lists."""
-    tok = ts.peek()
-    if tok.kind == "int":
+    text = ts.peek()
+    kind = ts.kinds[text]
+    if kind == "int":
         ts.next()
         try:
-            return Int(int(tok.text))
+            return Int(int(text))
         except ValueError:  # past Python's limit on int() of a digit string
-            raise ParseError(
-                f"integer literal longer than {sys.get_int_max_str_digits()} digits",
-                tok.line, tok.col,
-            ) from None
-    if tok.kind == "var":
+            limit = sys.get_int_max_str_digits()
+            raise ts.error(f"integer literal longer than {limit} digits", ts.pos - 1) from None
+    if kind == "var":
         ts.next()
-        return Var(tok.text)
-    if tok.kind == "atom":
+        return Var(text)
+    if kind == "atom":
         ts.next()
-        return Atom(tok.text)
+        return Atom(text)
     if ts.accept("_"):
         return Wildcard()
     if (ts.at("{") or ts.at("[")) and depth == MAX_NESTING:
         raise ts.error(f"term nests deeper than {MAX_NESTING} tuples and lists")
     if ts.accept("{"):
-        return Tup(tuple(ts.sep_list(lambda ts: _parse_pattern(ts, depth + 1), "}")))
+        return Tup(tuple(ts.sep_list(lambda ts: parse_pattern(ts, depth + 1), "}")))
     if ts.accept("["):
-        return Lst(tuple(ts.sep_list(lambda ts: _parse_pattern(ts, depth + 1), "]")))
+        return Lst(tuple(ts.sep_list(lambda ts: parse_pattern(ts, depth + 1), "]")))
     if ts.accept("<"):
         pid = parse_dotted_name(ts)
         ts.expect(">")
         return PidLit(pid)
     if ts.accept("#"):
         return TagLit(parse_dotted_name(ts))
-    raise ts.error(f"expected a term, found {tok.text!r}")
+    raise ts.error(f"expected a term, found {text!r}")
 
 
 def parse_term(ts: TokenStream):
-    tok = ts.peek()
+    at = ts.pos
     p = parse_pattern(ts)
     if not is_ground(p):
-        raise ParseError("variables are not allowed in a ground term", tok.line, tok.col)
+        raise ts.error("variables are not allowed in a ground term", at)
     return p
 
 
@@ -297,17 +323,13 @@ def parse_term(ts: TokenStream):
 # ---------------------------------------------------------------------------
 
 
-def parse_guard(ts: TokenStream) -> Guard:
-    return _parse_guard(ts, 0)
-
-
-def _parse_guard(ts: TokenStream, depth: int) -> Guard:
+def parse_guard(ts: TokenStream, depth: int = 0) -> Guard:
     """A guard inside `depth` open parentheses: a lone gatom, or one
     ``GChain`` with a parenthesized chain in first place spliced in."""
     g = _parse_guard_atom(ts, depth)
     first, rest = (g.first, list(g.rest)) if isinstance(g, GChain) else (g, [])
     while ts.at("and") or ts.at("or"):
-        op = ts.next().text
+        op = ts.next()
         rest.append((op, _parse_guard_atom(ts, depth)))
     return GChain(first, tuple(rest)) if rest else first
 
@@ -316,25 +338,24 @@ def _parse_guard_atom(ts: TokenStream, depth: int) -> Guard:
     if ts.at("(") and depth == MAX_NESTING:
         raise ts.error(f"guard nests deeper than {MAX_NESTING} parentheses")
     if ts.accept("("):
-        g = _parse_guard(ts, depth + 1)
+        g = parse_guard(ts, depth + 1)
         ts.expect(")")
         return g
     if ts.accept("true"):
         return GTrue()
     lhs = _parse_operand(ts)
-    tok = ts.peek()
-    if tok.text in CMP_OPS:
+    op = ts.peek()
+    if op in CMP_OPS:
         ts.next()
         rhs = _parse_operand(ts)
-        return Cmp(tok.text, lhs, rhs)
-    raise ts.error(f"expected a comparison operator, found {tok.text!r}")
+        return Cmp(op, lhs, rhs)
+    raise ts.error(f"expected a comparison operator, found {op!r}")
 
 
 def _parse_operand(ts: TokenStream) -> Pattern:
-    tok = ts.peek()
-    if tok.kind not in ("int", "var", "atom"):
-        raise ts.error(f"expected a guard operand, found {tok.text!r}")
-    return _parse_pattern(ts, 0)
+    if ts.kinds[ts.peek()] not in ("int", "var", "atom"):
+        raise ts.error(f"expected a guard operand, found {ts.peek()!r}")
+    return parse_pattern(ts)
 
 
 # ---------------------------------------------------------------------------
@@ -352,26 +373,27 @@ def parse_clause(ts: TokenStream) -> Clause:
     return Clause(pattern, guard)
 
 
-def constraint_at(cs_id: str, clauses: list[Clause], tok: Token) -> Constraint:
+def constraint_at(cs_id: str, clauses: list[Clause], ts: TokenStream, at: int) -> Constraint:
     """``Constraint(cs_id, clauses)``; a clause it rejects (non-linear
-    pattern, unbound guard variable) is a ``ParseError`` at tok."""
+    pattern, unbound guard variable) is a ``ParseError`` at token `at`."""
     try:
         return Constraint(cs_id, tuple(clauses))
     except ValueError as exc:
-        raise ParseError(str(exc), tok.line, tok.col) from exc
+        raise ts.error(str(exc), at) from exc
 
 
 def parse_constraint(ts: TokenStream) -> Constraint:
+    at = ts.pos
     ident = ts.expect_atom()
     ts.expect(":")
     clauses = [parse_clause(ts)]
     ts.expect(".")
     # A ';' continues this constraint unless the next tokens open a new one.
-    while ts.at(";") and not (ts.peek(1).kind == "atom" and ts.peek(2).text == ":"):
+    while ts.at(";") and not (ts.kinds[ts.peek(1)] == "atom" and ts.peek(2) == ":"):
         ts.next()
         clauses.append(parse_clause(ts))
         ts.expect(".")
-    return constraint_at(ident.text, clauses, ident)
+    return constraint_at(ident, clauses, ts, at)
 
 
 def parse_constraint_block(ts: TokenStream) -> dict[str, Constraint]:
@@ -380,10 +402,10 @@ def parse_constraint_block(ts: TokenStream) -> dict[str, Constraint]:
     ts.expect("{")
     table: dict[str, Constraint] = {}
     while not ts.at("}"):
-        tok = ts.peek()
+        at = ts.pos
         cs = parse_constraint(ts)
         if cs.cs_id in table:
-            raise ParseError(f"duplicate constraint id {cs.cs_id!r}", tok.line, tok.col)
+            raise ts.error(f"duplicate constraint id {cs.cs_id!r}", at)
         table[cs.cs_id] = cs
         ts.accept(";")
     ts.expect("}")

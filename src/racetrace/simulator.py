@@ -52,14 +52,7 @@ import random
 from bisect import insort
 from typing import Callable, Optional, Sequence, Union
 
-from .parsing import (
-    ParseError,
-    TokenStream,
-    constraint_at,
-    parse_clause,
-    parse_pattern,
-    tokenize,
-)
+from .parsing import TokenStream, constraint_at, parse_clause, parse_pattern
 from .terms import (
     Clause,
     Constraint,
@@ -142,23 +135,23 @@ class Program(Record):
 
 
 def parse_program(text: str) -> Program:
-    ts = TokenStream(tokenize(text))
+    ts = TokenStream(text)
     ts.expect("program")
     ts.expect("{")
     ts.expect("main")
-    main = ts.expect_atom().text
+    main = ts.expect_atom()
     defs: dict[str, FunDef] = {}
     counter = [0]
     while ts.accept("def"):
-        name_tok = ts.expect_atom()
+        at = ts.pos
+        name = ts.expect_atom()
         ts.expect("(")
         params = tuple(ts.sep_list(_parse_param, ")"))
         ts.expect("{")
         body = tuple(ts.sep_list(lambda ts: _parse_stmt(ts, counter), "}", ";"))
-        if name_tok.text in defs:
-            raise ParseError(f"function {name_tok.text!r} defined twice",
-                             name_tok.line, name_tok.col)
-        defs[name_tok.text] = FunDef(name_tok.text, params, body)
+        if name in defs:
+            raise ts.error(f"function {name!r} defined twice", at)
+        defs[name] = FunDef(name, params, body)
     ts.expect("}")
     ts.expect_eof()
     program = Program(defs, main)
@@ -167,21 +160,19 @@ def parse_program(text: str) -> Program:
 
 
 def _parse_param(ts: TokenStream) -> str:
-    tok = ts.next()
-    if tok.kind != "var":
-        raise ParseError(f"expected a parameter name, found {tok.text!r}", tok.line, tok.col)
-    return tok.text
+    if ts.kinds[ts.peek()] != "var":
+        raise ts.error(f"expected a parameter name, found {ts.peek()!r}")
+    return ts.next()
 
 
 def _parse_stmt(ts: TokenStream, counter: list[int]) -> Stmt:
-    tok = ts.peek()
+    at = ts.pos
     if ts.accept("send"):
         value = parse_pattern(ts)
         ts.expect("to")
         target = parse_pattern(ts)
         if not isinstance(target, (Var, PidLit)):
-            raise ParseError("send target must be a variable or pid literal",
-                             tok.line, tok.col)
+            raise ts.error("send target must be a variable or pid literal", at)
         return SendStmt(value, target)
     if ts.accept("receive"):
         ts.expect("{")
@@ -194,14 +185,13 @@ def _parse_stmt(ts: TokenStream, counter: list[int]) -> Stmt:
                 break
         ts.expect("}")
         counter[0] += 1
-        return ReceiveStmt(constraint_at(f"cs{counter[0]}", clauses, tok), tuple(bodies))
+        return ReceiveStmt(constraint_at(f"cs{counter[0]}", clauses, ts, at), tuple(bodies))
     var = None
-    if tok.kind == "var" and ts.peek(1).text == "=":
+    if ts.kinds[ts.peek()] == "var" and ts.peek(1) == "=":
+        var = ts.next()
         ts.next()
-        ts.next()
-        var = tok.text
     if ts.accept("spawn"):
-        fname = ts.expect_atom().text
+        fname = ts.expect_atom()
         ts.expect("(")
         return SpawnStmt(var, fname, tuple(ts.sep_list(parse_pattern, ")")))
     return BindStmt(var, parse_pattern(ts))

@@ -52,16 +52,8 @@ from itertools import accumulate
 from operator import attrgetter
 from typing import Iterable, NamedTuple, Optional, Sequence, Union
 
-from .parsing import (
-    ParseError,
-    Token,
-    TokenStream,
-    parse_constraint_block,
-    parse_dotted_name,
-    parse_term,
-    sorted_names,
-    tokenize,
-)
+from .parsing import (TokenStream, parse_constraint_block, parse_dotted_name, parse_term,
+                      sorted_names)
 from .terms import Constraint, Record, Term, match, render_term, set_field
 
 Pid = str
@@ -671,11 +663,11 @@ def serialize_interleaving(s: Interleaving) -> str:
     return text + _render_constraints_block(table)
 
 
-def _parse_action(ts: TokenStream) -> Union[Action, tuple[Tag, Token]]:
-    """One action; a receive as its tag and constraint-id token, which
-    ``_parse_document`` resolves once it has read the constraints block."""
-    tok = ts.peek()
-    kind = ts.expect_atom().text
+def _parse_action(ts: TokenStream) -> Union[Action, tuple[Tag, str, int]]:
+    """One action; a receive as its tag, constraint id and the id's token
+    index, which ``_parse_document`` resolves after the constraints block."""
+    at = ts.pos
+    kind = ts.expect_atom()
     ts.expect("(")
     if kind == "spawn":
         child = parse_dotted_name(ts)
@@ -692,25 +684,26 @@ def _parse_action(ts: TokenStream) -> Union[Action, tuple[Tag, Token]]:
     if kind == "rec":
         tag = parse_dotted_name(ts)
         ts.expect(",")
-        cs_tok = ts.expect_atom()
+        cs_at = ts.pos
+        cs_id = ts.expect_atom()
         ts.expect(")")
-        return tag, cs_tok
-    raise ParseError(f"unknown action {kind!r}", tok.line, tok.col)
+        return tag, cs_id, cs_at
+    raise ts.error(f"unknown action {kind!r}", at)
 
 
 def _parse_document(text: str, keyword: str):
     """'<keyword> { initial: pid entries }' and its constraints block, read
-    in one pass: the initial pid and, per entry, its pid, the pid's token
-    and its actions."""
-    ts = TokenStream(tokenize(text))
+    in one pass: the initial pid, per entry its pid, the pid's token index
+    and its actions, and the stream, whose ``error`` places a token."""
+    ts = TokenStream(text)
     ts.expect(keyword)
     ts.expect("{")
     ts.expect("initial")
     ts.expect(":")
     initial = parse_dotted_name(ts)
-    entries: list[tuple[Pid, Token, list]] = []
+    entries: list[tuple[Pid, int, list]] = []
     while not ts.at("}"):
-        pid_tok = ts.peek()
+        pid_at = ts.pos
         pid = parse_dotted_name(ts)
         ts.expect(":")
         acts = []
@@ -718,42 +711,36 @@ def _parse_document(text: str, keyword: str):
             acts.append(_parse_action(ts))
             while ts.accept(","):
                 acts.append(_parse_action(ts))
-        entries.append((pid, pid_tok, acts))
+        entries.append((pid, pid_at, acts))
     ts.expect("}")
     constraints = parse_constraint_block(ts) if ts.at("constraints") else {}
     for _, _, acts in entries:
         for i, a in enumerate(acts):
             if isinstance(a, tuple):
-                tag, cs_tok = a
-                if cs_tok.text not in constraints:
-                    raise ParseError(
-                        f"unknown constraint id {cs_tok.text!r}", cs_tok.line, cs_tok.col
-                    )
-                acts[i] = Rec(tag, constraints[cs_tok.text])
+                tag, cs_id, cs_at = a
+                if cs_id not in constraints:
+                    raise ts.error(f"unknown constraint id {cs_id!r}", cs_at)
+                acts[i] = Rec(tag, constraints[cs_id])
     ts.expect_eof()
-    return initial, entries
+    return initial, entries, ts
 
 
 def parse_trace(text: str) -> Trace:
-    initial, entries = _parse_document(text, "trace")
+    initial, entries, ts = _parse_document(text, "trace")
     procs: dict[Pid, tuple[Action, ...]] = {}
-    for pid, tok, acts in entries:
+    for pid, at, acts in entries:
         if pid in procs:
-            raise ParseError(f"duplicate process entry {pid!r}", tok.line, tok.col)
+            raise ts.error(f"duplicate process entry {pid!r}", at)
         procs[pid] = tuple(acts)
     procs.setdefault(initial, ())
     return Trace(initial, procs)
 
 
 def parse_interleaving(text: str) -> Interleaving:
-    initial, entries = _parse_document(text, "interleaving")
+    initial, entries, ts = _parse_document(text, "interleaving")
     events: list[Event] = []
-    for pid, tok, acts in entries:
+    for pid, at, acts in entries:
         if len(acts) != 1:
-            raise ParseError(
-                f"interleaving lines carry exactly one action (process {pid})",
-                tok.line,
-                tok.col,
-            )
+            raise ts.error(f"interleaving lines carry exactly one action (process {pid})", at)
         events.append(Event(pid, acts[0]))
     return Interleaving(initial, tuple(events))

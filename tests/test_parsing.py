@@ -19,7 +19,6 @@ from racetrace.parsing import (
     parse_constraint,
     parse_pattern,
     sorted_names,
-    tokenize,
 )
 from racetrace.terms import (
     Atom,
@@ -38,7 +37,7 @@ from racetrace.terms import (
 
 
 def pat(text):
-    return parse_pattern(TokenStream(tokenize(text)))
+    return parse_pattern(TokenStream(text))
 
 
 def test_terms_and_patterns():
@@ -66,7 +65,7 @@ def test_comments_are_skipped():
 
 def test_constraint_parsing_and_rendering():
     text = "cs1: {val,M} when M > 0 -> .; error -> ."
-    cs = parse_constraint(TokenStream(tokenize(text)))
+    cs = parse_constraint(TokenStream(text))
     assert cs.cs_id == "cs1"
     assert len(cs.clauses) == 2
     assert cs.clauses[0].guard == Cmp(">", Var("M"), Int(0))
@@ -75,10 +74,10 @@ def test_constraint_parsing_and_rendering():
 
 def test_a_constraint_keeps_its_text_and_sort_key_outside_its_fields():
     text = "cs1: {val,M} when M > 0 -> .; error -> ."
-    cs = parse_constraint(TokenStream(tokenize(text)))
+    cs = parse_constraint(TokenStream(text))
     assert (cs.text, cs.sort_key) == (text, (name_sort_key("cs1"), "cs1"))
     assert vars(cs)["text"] is cs.text  # rendered once and kept
-    fresh = parse_constraint(TokenStream(tokenize(text)))
+    fresh = parse_constraint(TokenStream(text))
     assert "text" not in vars(fresh) and "sort_key" not in vars(fresh)
     assert cs.__match_args__ == ("cs_id", "clauses")  # the record's fields
     assert cs == fresh and hash(cs) == hash(fresh) and repr(cs) == repr(fresh)
@@ -109,18 +108,18 @@ def test_constraints_block_lists_ids_in_canonical_order():
 
 
 def test_when_true_parses_and_renders_as_no_guard():
-    cs = parse_constraint(TokenStream(tokenize("c: {val,M} when true -> .")))
+    cs = parse_constraint(TokenStream("c: {val,M} when true -> ."))
     assert cs.clauses[0].guard == GTrue()
     assert cs.text == "c: {val,M} -> ."
 
 
 def guard(text):
-    return parse_constraint(TokenStream(tokenize(f"c: X when {text} -> ."))).clauses[0].guard
+    return parse_constraint(TokenStream(f"c: X when {text} -> .")).clauses[0].guard
 
 
 def test_constraint_guard_connectives():
     text = "c: {val,M} when M > 0 and M < 5 or M == 9 -> ."
-    cs = parse_constraint(TokenStream(tokenize(text)))
+    cs = parse_constraint(TokenStream(text))
     # one chain, read left to right: ((M>0 and M<5) or M==9)
     m = Var("M")
     assert cs.clauses[0].guard == GChain(
@@ -129,7 +128,7 @@ def test_constraint_guard_connectives():
     # only a connective on the right keeps its parentheses
     assert cs.text == text
     grouped = parse_constraint(
-        TokenStream(tokenize("c: {val,M} when (M > 0 and M < 5) or (M == 9 or M == 7) -> ."))
+        TokenStream("c: {val,M} when (M > 0 and M < 5) or (M == 9 or M == 7) -> .")
     )
     assert grouped.text == (
         "c: {val,M} when M > 0 and M < 5 or (M == 9 or M == 7) -> ."
@@ -159,7 +158,7 @@ def test_term_at_the_nesting_limit_parses_matches_and_renders():
     text = nested(MAX_NESTING, "a")
     term = pat(text)
     assert render_term(term) == text
-    cs = parse_constraint(TokenStream(tokenize(f"c: {nested(MAX_NESTING, 'X')} -> .")))
+    cs = parse_constraint(TokenStream(f"c: {nested(MAX_NESTING, 'X')} -> ."))
     assert match(term, cs)
     trace = (
         f"trace {{ initial: p1\n  p1: send(l1, {text}, p1), rec(l1, c) }}\n"
@@ -192,7 +191,7 @@ def parenthesized(depth):
 
 def test_guard_at_the_nesting_limit_parses_evaluates_and_renders():
     text = f"c: X when X > 0 and {parenthesized(MAX_NESTING)} -> ."
-    cs = parse_constraint(TokenStream(tokenize(text)))
+    cs = parse_constraint(TokenStream(text))
     assert cs.text == text
     assert match(Int(1), cs) and not match(Int(0), cs)
     trace = (
@@ -207,7 +206,7 @@ def test_guard_at_the_nesting_limit_parses_evaluates_and_renders():
 def test_guard_past_the_nesting_limit_is_a_parse_error():
     text = f"c: X when {parenthesized(MAX_NESTING + 1)} -> ."
     with pytest.raises(ParseError, match=f"deeper than {MAX_NESTING} parentheses") as err:
-        parse_constraint(TokenStream(tokenize(text)))
+        parse_constraint(TokenStream(text))
     # at the parenthesis past the limit
     assert (err.value.line, err.value.col) == (
         1, text.index("(") + 1 + len(OPEN_GUARD) * MAX_NESTING
@@ -249,7 +248,7 @@ def test_true_inside_a_guard_chain_round_trips():
 
 def test_nonlinear_pattern_rejected_in_constraint():
     with pytest.raises(ParseError):
-        parse_constraint(TokenStream(tokenize("c: {A,A} -> .")))
+        parse_constraint(TokenStream("c: {A,A} -> ."))
 
 
 def test_name_sort_key_is_numeric():

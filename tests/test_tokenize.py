@@ -1,9 +1,11 @@
 """The token layer: positions, kinds and the characters no token accepts.
 
-The property test checks ``tokenize`` against the lexical rules stated
+One property test checks ``tokenize`` against the lexical rules stated
 independently of its pattern: the tokens tile the input, so that only
 whitespace and ``%`` comments lie between them, and each kind agrees with
-``str.isalpha``, ``isupper`` and ``isdecimal`` of its text.
+``str.isalpha``, ``isupper`` and ``isdecimal`` of its text. Another checks
+it, and ``TokenStream``'s texts, against ``reference_tokenize``, the
+per-line lexer that built one ``Token`` per token and one per name part.
 
 Parsers ask ``TokenStream`` for a token by its text alone, which is exact
 only because no text is spelled by two kinds. ``kind_agrees`` holds for one
@@ -13,18 +15,20 @@ tests check it on every text a parser asks for and on the fixtures.
 
 import ast
 import inspect
+import re
 import sys
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from racetrace import ParseError, parse_program, parse_trace
+from racetrace import ParseError, parse_program, parse_trace, run_random, serialize_trace
 from racetrace import parsing, simulator, traces
-from racetrace.parsing import TokenStream, parse_constraint, tokenize
+from racetrace.parsing import Token, TokenStream, parse_constraint, tokenize
 from racetrace.terms import CMP_OPS
 
 from conftest import FIXTURES
+from test_explorer import NEVER_STOPPING
 
 SYMBOLS = {"->", "==", "/=", "=<", ">=", *"{}[]()<>,;:.#=_"}
 # ASCII, letters of every case, decimal digits of other scripts, numerals
@@ -34,7 +38,67 @@ ALPHABET = [
     *"abcXYZ_019 -%>=</{}[](),;:.#\t\n",
     "ε", "é", "ǅ", "ﬁ", "Σ", "٣", "²", "½", "Ⅷ",
     "\r\n", "\x0b", "\xa0", "\u2028", "\x85", "\ufeff", "% c\n", "->", "=<",
+    # dotted names, and dots parted from a number by a sign, a space or a line break
+    "p1.2.10", "p1 . 2", "p1.\n2", "p1.-2", "a.²", "p1.", ".1",
 ]
+
+
+# The lexer the one-scan ``tokenize`` replaced, kept as the reference: one
+# ``_TOKEN.match`` per token, line by line, and one ``Token`` per token
+_TOKEN = re.compile(
+    r"""\s*(?:
+        (?P<comment> %.* )
+      | (?P<int> -?\d+ )
+      | (?P<word> [^\W\d_]\w* )
+      | (?P<var> _\w+ )
+      | (?P<sym> -> | == | /= | =< | >= | [{}\[\]()<>,;:.\#=_] )
+      | (?P<bad> . )
+      | (?P<end> $ )
+    )""",
+    re.VERBOSE,
+)
+
+
+def reference_tokenize(text: str) -> list[Token]:
+    toks: list[Token] = []
+    for line, source in enumerate(text.split("\n"), 1):
+        pos = 0
+        while True:
+            m = _TOKEN.match(source, pos)
+            kind = m.lastgroup
+            col = m.start(kind) + 1
+            if kind in ("comment", "end"):
+                break
+            lexeme = m[kind]
+            # \w also takes numerals that are not letters, such as '²'
+            if kind == "word" and lexeme[0].isalpha():
+                kind = "var" if lexeme[0].isupper() else "atom"
+            elif kind in ("word", "bad"):
+                raise ParseError(f"unexpected character {lexeme[0]!r}", line, col)
+            toks.append(Token(kind, lexeme, line, col))
+            pos = m.end()
+    toks.append(Token("eof", "", line, col))
+    return toks
+
+
+def joined(toks: list[Token]) -> list[Token]:
+    """The reference's tokens with each dotted name's parts joined: a word
+    that starts with a letter, then a dot and unsigned digits, each right
+    after the one before."""
+    out: list[Token] = []
+    for tok in toks:
+        out.append(tok)
+        if len(out) > 2:
+            word, dot, number = out[-3:]
+            if (word.text[0].isalpha() and dot.text == "."
+                    and number.kind == "int" and number.text[0] != "-"
+                    and adjacent(word, dot) and adjacent(dot, number)):
+                out[-3:] = [Token("name", f"{word.text}.{number.text}", word.line, word.col)]
+    return out
+
+
+def adjacent(a: Token, b: Token) -> bool:
+    return (a.line, a.col + len(a.text)) == (b.line, b.col)
 
 
 def starts_a_token(line: str, i: int) -> bool:
@@ -55,6 +119,10 @@ def kind_agrees(kind: str, text: str) -> bool:
         return digits.isdecimal()
     if kind == "sym":
         return text in SYMBOLS
+    if kind == "name":  # a word, then one or more numbers, each after a dot
+        word, *numbers = text.split(".")
+        return (word[:1].isalpha() and all(map(word_char, word)) and numbers != []
+                and all(n.isdecimal() for n in numbers))
     if not all(map(word_char, text)):
         return False
     if kind == "var":
@@ -96,7 +164,9 @@ def test_tokens_tile_the_input(text):
         if rest:
             if tok.kind in ("atom", "var") or tok.text == "_":
                 assert not word_char(rest)
-            if tok.kind == "int":
+            if tok.text[0].isalpha():  # a name goes on through each .digits
+                assert not (rest == "." and line[end + 1 : end + 2].isdecimal())
+            if tok.kind in ("int", "name"):
                 assert not rest.isdecimal()
             if tok.kind == "sym":
                 assert tok.text + rest not in SYMBOLS
@@ -109,6 +179,27 @@ def test_tokens_tile_the_input(text):
     # eof sits past the last token, at a final comment if there is one
     assert (eof.kind, eof.text) == ("eof", "")
     assert (eof.line, eof.col) == (len(lines), at_col + len(last) - len(last.lstrip()))
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.lists(st.sampled_from(ALPHABET), max_size=30).map("".join))
+def test_one_scan_reads_what_the_reference_lexer_read(text):
+    def read(lexer):
+        try:
+            return [(t.kind, t.text, t.line, t.col) for t in lexer(text)]
+        except ParseError as err:
+            return err.message, err.line, err.col
+
+    scanned = read(tokenize)
+    assert scanned == read(lambda text: joined(reference_tokenize(text)))
+    if isinstance(scanned, list):
+        texts = TokenStream(text).texts  # eof, then two or three more
+        assert texts[: len(scanned)] == [t[1] for t in scanned]
+        assert set(texts[len(scanned) - 1 :]) == {""}
+    else:
+        with pytest.raises(ParseError) as err:
+            TokenStream(text)
+        assert (err.value.message, err.value.line, err.value.col) == scanned
 
 
 def positions(text):
@@ -177,7 +268,7 @@ def test_long_integer_in_a_trace():
 
 def test_long_integer_in_a_guard():
     text = f"c: X when X > {LONG} -> ."
-    assert error_at(lambda t: parse_constraint(TokenStream(tokenize(t))), text) == (
+    assert error_at(lambda t: parse_constraint(TokenStream(t)), text) == (
         f"1:15: {TOO_LONG}"
     )
 
@@ -238,3 +329,57 @@ def test_no_token_text_has_two_kinds_in_the_fixtures_and_these_tests():
     assert len(inputs) > 20
     assert {t: k for t, k in kinds_by_text(inputs).items() if len(k) > 1} == {}
 
+
+# ---------------------------------------------------------------------------
+# Dotted names: one token, and read as their parts where no name goes
+# ---------------------------------------------------------------------------
+
+
+def test_a_dot_written_apart_still_joins_a_name():
+    t = parse_trace("trace { initial: p1\n"
+                    "  p1: spawn(p1 . 2), spawn(p1.\n2), spawn(p1.-2), spawn(p1.2 .3) }\n")
+    assert [a.child for a in t.procs["p1"]] == ["p1.2", "p1.2", "p1.-2", "p1.2.3"]
+
+
+IN_TRACE = "trace {{ initial: p1\n  p1: {} }}\nconstraints {{ cs1: _ -> . }}\n"
+A_REC = "trace { initial: p1\n  p1: rec(l1, cs1) }\n"
+
+
+# each message and position as the lexer that read a name part by part gave it
+@pytest.mark.parametrize("parse, text, error", [
+    (parse_program, "program { main m\n  def f.1() { X = 1 } }\n", "2:8: expected '(', found '.'"),
+    (parse_trace, IN_TRACE.format("rec(l1, cs1.2)"), "2:18: expected ')', found '.'"),
+    (parse_trace, IN_TRACE.format("send(l1, {val,a.5}, p1)"), "2:22: expected '}', found '.'"),
+    (parse_program, "program { main m.1\n  def m() { X = 1 } }\n", "1:17: expected '}', found '.'"),
+    (parse_trace, IN_TRACE.format("send.1(l1, 1, p1)"), "2:11: expected '(', found '.'"),
+    (parse_trace, A_REC + "constraints { cs1.2: _ -> . }\n", "3:18: expected ':', found '.'"),
+    (parse_trace, A_REC + "constraints { cs1: _ -> .; cs2.1: _ -> . }\n",
+     "3:31: expected '->', found '.'"),
+    (parse_trace, A_REC + "constraints { cs1: X when X == a.1 -> . }\n",
+     "3:33: expected '->', found '.'"),
+    (parse_program, "program { main m\n  def m() { X.1 = 1 } }\n", "2:14: expected '}', found '.'"),
+    (parse_program, "program { main m\n  def m(X.1) { X = 1 } }\n",
+     "2:10: expected ')', found '.'"),
+    (parse_program, "program { main m\n  def m() { spawn.2 m() } }\n",
+     "2:18: expected an identifier, found '.'"),
+    (parse_trace, "trace { initial: p1\n  p1: ε }\np1.2\n", "3:1: unexpected trailing input 'p1'"),
+    (parse_trace, "trace { initial: P1.2\n  p1: ε }\n",
+     "1:18: expected an identifier, found 'P1'"),
+], ids=["function", "constraint-id-of-rec", "atom-in-term", "main", "action", "constraint-id",
+        "after-semicolon", "guard-operand", "bound-variable", "parameter", "spawn", "trailing",
+        "variable-as-pid"])
+def test_a_dotted_word_where_no_name_goes_is_refused_as_before(parse, text, error):
+    assert error_at(parse, text) == error
+
+
+def test_a_name_is_one_token_whatever_its_depth():
+    counts = {len(tokenize(f"send(T, 1, {'.'.join(['p1'] + ['2'] * (k - 1))})"))
+              for k in (1, 10, 1000)}
+    assert counts == {9}  # send ( T , 1 , N ) and eof
+
+
+def test_a_3000_step_trace_reads_back_byte_identically():
+    # the names of the never-stopping program grow by one part per respawn
+    text = serialize_trace(run_random(parse_program(NEVER_STOPPING), 0, 3000)[0])
+    assert len(text) > 3_000_000
+    assert serialize_trace(parse_trace(text)) == text
