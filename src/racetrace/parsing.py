@@ -85,7 +85,9 @@ T = TypeVar("T")
 class ParseError(Exception):
     def __init__(self, message: str, line: int, col: int):
         super().__init__(f"{line}:{col}: {message}")
-        self.message, self.line, self.col = message, line, col
+        self.message = message
+        self.line = line
+        self.col = col
 
 
 class Token(Record):
@@ -174,13 +176,12 @@ class TokenStream:
         return t == text or "." in t and t.startswith(text + ".") and self.peek() == text
 
     def accept(self, text: str) -> bool:
-        t = self.texts[self.pos]
-        found = t == text or "." in t and self.at(text)
+        found = self.at(text)
         self.pos += found
         return found
 
     def expect(self, text: str) -> None:
-        if self.texts[self.pos] != text and not self.at(text):
+        if not self.at(text):
             raise self.error(f"expected {text!r}, found {self.peek()!r}")
         self.pos += 1
 
@@ -276,7 +277,11 @@ def sorted_names(names: Iterable[str]) -> list[str]:
 MAX_NESTING = 100
 
 
-def parse_pattern(ts: TokenStream, depth: int = 0) -> Pattern:
+def parse_pattern(ts: TokenStream) -> Pattern:
+    return _parse_pattern(ts, 0)
+
+
+def _parse_pattern(ts: TokenStream, depth: int) -> Pattern:
     """A pattern inside `depth` open tuples and lists."""
     text = ts.peek()
     kind = ts.kinds[text]
@@ -285,8 +290,9 @@ def parse_pattern(ts: TokenStream, depth: int = 0) -> Pattern:
         try:
             return Int(int(text))
         except ValueError:  # past Python's limit on int() of a digit string
-            limit = sys.get_int_max_str_digits()
-            raise ts.error(f"integer literal longer than {limit} digits", ts.pos - 1) from None
+            raise ts.error(
+                f"integer literal longer than {sys.get_int_max_str_digits()} digits", ts.pos - 1
+            ) from None
     if kind == "var":
         ts.next()
         return Var(text)
@@ -298,9 +304,9 @@ def parse_pattern(ts: TokenStream, depth: int = 0) -> Pattern:
     if (ts.at("{") or ts.at("[")) and depth == MAX_NESTING:
         raise ts.error(f"term nests deeper than {MAX_NESTING} tuples and lists")
     if ts.accept("{"):
-        return Tup(tuple(ts.sep_list(lambda ts: parse_pattern(ts, depth + 1), "}")))
+        return Tup(tuple(ts.sep_list(lambda ts: _parse_pattern(ts, depth + 1), "}")))
     if ts.accept("["):
-        return Lst(tuple(ts.sep_list(lambda ts: parse_pattern(ts, depth + 1), "]")))
+        return Lst(tuple(ts.sep_list(lambda ts: _parse_pattern(ts, depth + 1), "]")))
     if ts.accept("<"):
         pid = parse_dotted_name(ts)
         ts.expect(">")
@@ -323,7 +329,11 @@ def parse_term(ts: TokenStream):
 # ---------------------------------------------------------------------------
 
 
-def parse_guard(ts: TokenStream, depth: int = 0) -> Guard:
+def parse_guard(ts: TokenStream) -> Guard:
+    return _parse_guard(ts, 0)
+
+
+def _parse_guard(ts: TokenStream, depth: int) -> Guard:
     """A guard inside `depth` open parentheses: a lone gatom, or one
     ``GChain`` with a parenthesized chain in first place spliced in."""
     g = _parse_guard_atom(ts, depth)
@@ -338,7 +348,7 @@ def _parse_guard_atom(ts: TokenStream, depth: int) -> Guard:
     if ts.at("(") and depth == MAX_NESTING:
         raise ts.error(f"guard nests deeper than {MAX_NESTING} parentheses")
     if ts.accept("("):
-        g = parse_guard(ts, depth + 1)
+        g = _parse_guard(ts, depth + 1)
         ts.expect(")")
         return g
     if ts.accept("true"):

@@ -52,7 +52,12 @@ import random
 from bisect import insort
 from typing import Callable, Optional, Sequence, Union
 
-from .parsing import TokenStream, constraint_at, parse_clause, parse_pattern
+from .parsing import (
+    TokenStream,
+    constraint_at,
+    parse_clause,
+    parse_pattern,
+)
 from .terms import (
     Clause,
     Constraint,

@@ -79,10 +79,11 @@ class Record:
     closure for its number of fields (at most 5): the values in order, by
     position only. A class that validates, has a default or normalizes its
     values defines its own and sets each field through ``set_field``.
-    One closure per field count, not a loop over the fields: a parser builds
-    about one record per three tokens (terms, clauses, constraints, actions),
-    and with a loop races-fifo's ``setup_s`` was 15 % longer when it built a
-    ``Token`` per token as well (10.18 against 8.85 ms median, Python 3.11).
+    One closure per field count, not a loop over the fields: the simulator
+    and the explorer build records in their inner loops, and with a loop
+    explore-gencoll's ``wall_s`` was 6 % longer (33.6 against 31.7 ms
+    median, 6 alternating runs, Python 3.11). Parsing builds one record per
+    2.6 tokens of the races-fifo trace; its ``setup_s`` moved under 1 %.
     """
 
     __slots__ = ()

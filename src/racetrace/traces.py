@@ -52,8 +52,13 @@ from itertools import accumulate
 from operator import attrgetter
 from typing import Iterable, NamedTuple, Optional, Sequence, Union
 
-from .parsing import (TokenStream, parse_constraint_block, parse_dotted_name, parse_term,
-                      sorted_names)
+from .parsing import (
+    TokenStream,
+    parse_constraint_block,
+    parse_dotted_name,
+    parse_term,
+    sorted_names,
+)
 from .terms import Constraint, Record, Term, match, render_term, set_field
 
 Pid = str
