@@ -6,6 +6,8 @@ variants that steer a replayed execution into new behavior, and explores a
 program's reachable trace space from a single random run.
 """
 
+from types import ModuleType as _ModuleType
+
 from .terms import (
     Atom,
     Clause,
@@ -80,20 +82,8 @@ from .oracles import (
     swap_equiv_oracle,
 )
 
-__all__ = [
-    "Atom", "CandidateCheck", "Clause", "Cmp", "Constraint", "DivergenceError",
-    "Event", "EventId", "ExplorationReport", "ExploredTrace", "GChain", "GTrue", "HbGraph",
-    "Int", "Interleaving", "Lst", "Origin", "Outcome", "ParseError", "PidLit",
-    "Program", "ProgramError", "RaceReport", "Rec", "Send", "SimulationError",
-    "Spawn", "SwapBudgetExhausted", "TagLit", "Trace", "Tup", "Var",
-    "Violation", "Wildcard", "all_races", "causally_equivalent",
-    "declarative_race_oracle", "distinctness_check", "enabled",
-    "enumerate_executions", "enumerate_linearizations", "eval_guard",
-    "explore", "hb_graph", "initial_state", "is_subtrace", "linearize",
-    "match", "match_pattern", "name_sort_key", "orphans",
-    "parse_interleaving", "parse_program", "parse_trace", "race_set",
-    "render_clause", "render_guard", "render_term", "replay_prefix",
-    "run_deterministic", "run_random", "serialize_interleaving",
-    "serialize_program", "serialize_trace", "step", "swap_equiv_oracle", "tr",
-    "validate_interleaving", "validate_trace", "variant",
-]
+# the public names imported above, less the submodules the imports bind
+__all__ = sorted(
+    name for name, value in globals().items()
+    if not name.startswith("_") and not isinstance(value, _ModuleType)
+)

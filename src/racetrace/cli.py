@@ -22,6 +22,7 @@ from .oracles import enumerate_executions, swap_equiv_oracle
 from .parsing import ParseError, sorted_names
 from .races import explain, orphans, racers_at, receive_of, variant
 from .simulator import (
+    MAX_STEPS,
     DivergenceError,
     ProgramError,
     SimulationError,
@@ -351,7 +352,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", help="run a program with a random scheduler")
     p.add_argument("prog")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--max-steps", type=_at_least(0), default=10000)
+    p.add_argument("--max-steps", type=_at_least(0), default=MAX_STEPS)
     p.add_argument("--emit-trace", metavar="FILE")
     p.set_defaults(func=cmd_simulate)
 
@@ -360,14 +361,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--prefix", required=True, metavar="FILE")
     p.add_argument("--continue", dest="cont", action="store_true",
                    help="continue deterministically after the prefix")
-    p.add_argument("--max-steps", type=_at_least(0), default=10000, metavar="N",
+    p.add_argument("--max-steps", type=_at_least(0), default=MAX_STEPS, metavar="N",
                    help="stop at N actions from the initial state, the prefix's included")
     p.set_defaults(func=cmd_replay)
 
     p = sub.add_parser("explore", help="race-variant-driven state-space exploration")
     p.add_argument("prog")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--max-steps", type=_at_least(0), default=10000)
+    p.add_argument("--max-steps", type=_at_least(0), default=MAX_STEPS)
     p.add_argument("--max-traces", type=_at_least(1), default=10000)
     p.add_argument("--out", metavar="DIR")
     p.add_argument("--check-oracle", action="store_true",

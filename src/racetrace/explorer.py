@@ -61,6 +61,7 @@ from typing import Optional
 from .parsing import sorted_names
 from .races import racers_at, variant_order
 from .simulator import (
+    MAX_STEPS,
     DivergenceError,
     Outcome,
     Program,
@@ -138,7 +139,7 @@ class ExplorationReport:
 def explore(
     program: Program,
     seed: int = 0,
-    max_steps: int = 10000,
+    max_steps: int = MAX_STEPS,
     max_traces: int = 10000,
 ) -> ExplorationReport:
     report = ExplorationReport()

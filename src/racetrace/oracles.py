@@ -29,7 +29,7 @@ import itertools
 from collections import Counter, deque
 from typing import Iterator
 
-from .simulator import Program, SysState, enabled, initial_state, step
+from .simulator import MAX_STEPS, Program, SysState, enabled, initial_state, step
 from .traces import (
     Event,
     Interleaving,
@@ -209,7 +209,7 @@ def declarative_race_oracle(t: Trace, tag: Tag, other: Tag) -> bool:
 
 
 def enumerate_executions(
-    program: Program, max_steps: int = 10000
+    program: Program, max_steps: int = MAX_STEPS
 ) -> tuple[dict[str, Trace], int]:
     """Depth-first over every enabled choice at every state.
 

@@ -78,8 +78,12 @@ from .terms import (
     set_field,
 )
 from .traces import (
-    Action, Event, Pid, Rec, Send, Spawn, Tag, Trace, TraceIndex, linearize, render_action
+    Action, Event, Pid, Rec, Send, Spawn, Tag, Trace, TraceIndex, linearize, render_action,
+    write_document,
 )
+
+# the step budget of a run, an exploration and the CLI when none is given
+MAX_STEPS = 10000
 
 
 class ProgramError(Exception):
@@ -254,12 +258,12 @@ def _check_expr(expr: Pattern, bound: set[str], where: str) -> None:
 
 
 def serialize_program(program: Program) -> str:
-    lines = [f"program {{ main {program.main}"]
+    lines = []
     for fdef in program.defs.values():
         params = ", ".join(fdef.params)
         body = "; ".join(_render_stmt(s) for s in fdef.body)
-        lines.append(f"  def {fdef.name}({params}) {{ {body} }}".replace("{  }", "{ }"))
-    return "\n".join(lines) + " }\n"
+        lines.append(f"def {fdef.name}({params}) {{ {body} }}".replace("{  }", "{ }"))
+    return write_document(f"program {{ main {program.main}", lines)
 
 
 def _render_stmt(stmt: Stmt) -> str:
@@ -521,12 +525,12 @@ def _run(sys: SysState, max_steps: int, pick: Callable[[int], int]) -> tuple[Tra
             nexts[other] = nxt
 
 
-def run_random(program: Program, seed: int, max_steps: int = 10000) -> tuple[Trace, Outcome]:
+def run_random(program: Program, seed: int, max_steps: int = MAX_STEPS) -> tuple[Trace, Outcome]:
     """Scheduler picks uniformly among enabled pids with a seeded PRNG."""
     return _run(initial_state(program), max_steps, random.Random(seed).randrange)
 
 
-def run_deterministic(sys: SysState, max_steps: int = 10000) -> tuple[Trace, Outcome]:
+def run_deterministic(sys: SysState, max_steps: int = MAX_STEPS) -> tuple[Trace, Outcome]:
     """Continue a state with the fixed smallest-enabled-pid policy, up to
     max_steps actions from the initial state, the state's own included."""
     return _run(sys, max_steps, lambda n: 0)

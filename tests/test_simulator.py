@@ -34,6 +34,7 @@ from racetrace import parsing, simulator
 from racetrace.parsing import ParseError, sorted_names
 from racetrace.terms import Atom, Constraint, Int, Lst, PidLit, TagLit, Tup
 
+import reference_writers
 from conftest import (
     LONG_PROGRAM,
     SEND_TO_NO_PROCESS,
@@ -63,6 +64,7 @@ def test_program_roundtrip_on_fixture_files():
 def test_program_serialization_is_a_fixed_point(text):
     program = parse_program(text)
     once = serialize_program(program)
+    assert once == reference_writers.serialize_program(program)
     assert parse_program(once) == program
     assert serialize_program(parse_program(once)) == once
 

@@ -1,4 +1,6 @@
 import itertools
+import sys
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -15,7 +17,9 @@ from racetrace import (
     is_subtrace,
     linearize,
     parse_interleaving,
+    parse_program,
     parse_trace,
+    run_random,
     serialize_interleaving,
     serialize_trace,
     tr,
@@ -27,8 +31,10 @@ from racetrace import traces as traces_module
 from racetrace.parsing import ParseError
 from racetrace.terms import Atom, Constraint, Int, Tup, match, render_term
 
+import reference_writers
 from conftest import fixture_text
 from strategies import CS_ANY, CS_POS, interleavings, traces
+from test_explorer import NEVER_STOPPING
 
 
 def val(n):
@@ -580,11 +586,30 @@ def test_each_document_reads_its_constraints_block_once(monkeypatch):
 @settings(max_examples=60, deadline=None)
 @given(traces(max_events=8))
 def test_trace_roundtrip(t):
-    assert parse_trace(serialize_trace(t)) == t
+    text = serialize_trace(t)
+    assert text == reference_writers.serialize_trace(t)
+    assert parse_trace(text) == t
 
 
 @settings(max_examples=60, deadline=None)
 @given(interleavings(max_events=6))
 def test_interleaving_roundtrip(s):
     text = serialize_interleaving(s)
+    assert text == reference_writers.serialize_interleaving(s)
     assert parse_interleaving(text) == s
+
+
+def test_the_writers_hold_little_more_than_the_document():
+    # 3 436 600 characters, whose names reach 752 parts; writing the head,
+    # lines, closing and constraints as separate strings and concatenating
+    # them peaked at 2.51 (trace) and 3.04 (interleaving) times the text
+    t = run_random(parse_program(NEVER_STOPPING), 0, 3000)[0]
+    s = linearize(t)
+    for write, document, bound in ((serialize_trace, t, 1.8), (serialize_interleaving, s, 2.5)):
+        tracemalloc.start()
+        try:
+            text = write(document)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= bound * sys.getsizeof(text), (write.__name__, peak / sys.getsizeof(text))
